@@ -1,81 +1,70 @@
-"""Throughput comparison of the termination-scan kernels.
+"""Throughput of the termination-scan kernel at several chunk sizes.
 
-The kernel backend is chosen at import time from REPSQ_BACKEND, so this
-script re-executes itself in a subprocess per backend and prints one
-table per run. Representative workloads: the sequential stop-scan over
-a chunk (the hot loop of every campaign) and the full per-prefix radius
-trace (diagnostics export).
+Scans one fixed stream of weighted values chunk by chunk, as a campaign
+does, with gamma out of reach so every value is scanned, and prints the
+best of several passes per chunk size. The kernel's shifted sums do not
+depend on chunk boundaries, so the final state must be bit-identical at
+every size; the script prints it and exits 1 when it is not.
 
-Usage: python benchmarks/benchmark_backends.py [--sizes 1024,8192,65536]
+Usage: python benchmarks/benchmark_backends.py [--values 262144] [--sizes 10,64,1024,8192,65536]
 """
 
 import argparse
 import math
-import os
-import subprocess
 import sys
 import time
 
 import numpy as np
 
-
-def bench_one(label, fn, repeats=7):
-    fn()  # warm up (first numba call compiles or loads the cache)
-    best = math.inf
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return label, best
+from repsq import _kernels
+from repsq.estimator import BoundSpec, EstimatorState
 
 
-def run_worker(sizes):
-    from repsq._kernels import ACTIVE_BACKEND, scan_terminate, trace_radii
-
-    rng = np.random.default_rng(12345)
-    log_term = math.log(2.0 / 0.05)
-    c2 = 7.0 * log_term / 3.0
-    print(f"backend: {ACTIVE_BACKEND}")
-    print(f"{'workload':<34}{'samples':>10}{'best':>12}{'ns/sample':>12}")
-    for size in sizes:
-        values = (rng.random(size) < 0.03).astype(np.float64) * 0.2
-        # gamma far below reach so the scan always walks the whole chunk
-        label, best = bench_one(
-            f"scan_terminate ({size})",
-            lambda v=values: scan_terminate(v, 0, 0.0, 0.0, 1e-9, log_term, c2, 1.0, 2),
-        )
-        print(f"{label:<34}{size:>10}{best * 1e3:>10.3f}ms{best / size * 1e9:>10.1f}")
-        label, best = bench_one(
-            f"trace_radii ({size})",
-            lambda v=values: trace_radii(v, 0, 0.0, 0.0, log_term, c2, 1.0, 2),
-        )
-        print(f"{label:<34}{size:>10}{best * 1e3:>10.3f}ms{best / size * 1e9:>10.1f}")
+def scan_all(values, size, rule):
+    state = EstimatorState()
+    for start in range(0, values.shape[0], size):
+        _, state = _kernels.scan_terminate(values[start : start + size], state, rule)
+    return state
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sizes", default="1024,8192,65536")
-    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--values", type=int, default=262_144)
+    parser.add_argument("--sizes", default="10,64,1024,8192,65536")
+    parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
     sizes = [int(s) for s in args.sizes.split(",")]
-    if args.worker:
-        run_worker(sizes)
-        return
-    for backend in ("numba", "numpy"):
-        env = dict(os.environ, REPSQ_BACKEND=backend)
-        proc = subprocess.run(
-            [sys.executable, __file__, "--worker", "--sizes", args.sizes],
-            env=env,
-            capture_output=True,
-            text=True,
+
+    rng = np.random.default_rng(12345)
+    values = (rng.random(args.values) < 0.03).astype(np.float64) * 0.2
+    rule = _kernels.StopRule.for_campaign(
+        1e-9, BoundSpec(m=1.0, w_bar=1.0, c=0.05), "paper-exact", 2
+    )
+    print(f"kernel: {_kernels.ACTIVE_BACKEND}, {args.values} values")
+    print(f"{'chunk':>8}{'chunks':>9}{'best':>12}{'ns/value':>10}{'us/chunk':>10}")
+    finals = {}
+    for size in sizes:
+        finals[size] = scan_all(values, size, rule)  # warm-up
+        best = math.inf
+        for _ in range(args.repeats):
+            t0 = time.perf_counter()
+            scan_all(values, size, rule)
+            best = min(best, time.perf_counter() - t0)
+        chunks = math.ceil(args.values / size)
+        print(
+            f"{size:>8}{chunks:>9}{best * 1e3:>10.2f}ms"
+            f"{best / args.values * 1e9:>10.1f}{best / chunks * 1e6:>10.1f}"
         )
-        if proc.returncode != 0:
-            last = proc.stderr.strip().splitlines()[-1] if proc.stderr else "?"
-            print(f"backend: {backend} unavailable ({last})")
-            continue
-        print(proc.stdout, end="")
-        print()
+
+    states = {(s.n, s.mean, s.m2, s.pivot, s.s1, s.s2) for s in finals.values()}
+    for n, mean, m2, pivot, s1, s2 in states:
+        print(f"final state: n={n} mean={mean!r} m2={m2!r} s1={s1!r} s2={s2!r}")
+    if len(states) != 1:
+        print("FAIL: the final state depends on the chunk size", file=sys.stderr)
+        return 1
+    print("final state bit-identical at every chunk size")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,163 +1,141 @@
-"""Termination-scan kernels: numba-jitted sequential loop with a
-vectorized numpy fallback.
+"""Termination-scan kernel: one numpy scan whose bits do not depend on
+how a campaign is chunked.
 
 Campaigns feed weighted measures to the estimator in chunks; the scan
 consumes one chunk and reports where (if anywhere) the termination rule
-fired. Two implementations:
-
-- ``scan_terminate_sequential``: a straight Welford loop, jitted when
-  numba is importable. This is the reference semantics.
-- ``scan_terminate_vectorized``: pure numpy. Prefix means and M2 for the
-  chunk come from shifted cumulative sums (deviations are taken against
-  the chunk's first element to keep the sums conditioned), then the
-  chunk prefixes are merged with the carried-in state by the pairwise
-  combination rule. Radii for all prefixes are evaluated at once.
-
-Backend choice: REPSQ_BACKEND=numba|numpy forces one; unset prefers
-numba when importable. The choice changes performance and last-ulp
-float dust only, never the estimator contract; the two backends must
-agree on termination n for any chunk whose radius does not graze gamma
-within a few ulps.
+fired. The carried state holds shifted sums about the campaign's first
+value (see estimator.EstimatorState): the chunk's deviations from that
+pivot are prefixed with the carried sums and accumulated with
+``np.add.accumulate`` (``np.cumsum``), a strictly sequential sum. Every prefix sum is
+therefore the same float estimator.update() would reach one value at a
+time, whatever the chunk boundaries, and so are the prefix means, m2 and
+radii computed from it.
 
 Radius expressions here mirror estimator.bernstein_radius and
-estimator.hoeffding_radius operation for operation. Callers precompute
-the second-coefficient constant with estimator.bernstein_second_coef so
-every path divides the same float by (n - 1).
+estimator.hoeffding_radius operation for operation. The fixed-range
+radius depends on n alone and never increases with it, so the stop scan
+tests it as n >= StopRule.n_hoeffding (estimator.required_n_hoeffding
+evaluates that same expression) instead of taking a square root per
+value.
 """
 
 from __future__ import annotations
 
-import os
+from typing import NamedTuple
 
 import numpy as np
 
+from .estimator import (
+    BoundSpec,
+    EstimatorState,
+    bernstein_second_coef,
+    required_n_hoeffding,
+)
+
 __all__ = [
     "ACTIVE_BACKEND",
-    "HAVE_NUMBA",
+    "StopRule",
     "scan_terminate",
-    "scan_terminate_sequential",
-    "scan_terminate_vectorized",
     "trace_radii",
 ]
 
-_requested = os.environ.get("REPSQ_BACKEND", "").strip().lower()
-if _requested not in ("", "numba", "numpy"):
-    raise ImportError(
-        f"REPSQ_BACKEND must be 'numba' or 'numpy' if set, got {_requested!r}"
-    )
-
-HAVE_NUMBA = False
-if _requested != "numpy":
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:
-        if _requested == "numba":
-            raise ImportError("REPSQ_BACKEND=numba but numba is not importable")
-
-ACTIVE_BACKEND = "numba" if HAVE_NUMBA else "numpy"
+# The kernel's name, recorded by benchmarks next to their results.
+ACTIVE_BACKEND = "numpy-shifted-cumsum"
 
 
-def _scan_sequential_impl(values, n0, mean0, m2_0, gamma, log_term, c2, product, n_min):
-    n = n0
-    mean = mean0
-    m2 = m2_0
-    for i in range(values.shape[0]):
-        x = values[i]
-        n += 1
-        delta = x - mean
-        mean = mean + delta / n
-        m2 = m2 + delta * (x - mean)
-        if n >= n_min:
-            nf = float(n)
-            sigma = m2 / nf
-            bern = np.sqrt(2.0 * sigma * log_term / nf) + c2 / (nf - 1.0)
-            hoef = product * np.sqrt(log_term / (2.0 * nf))
-            if bern <= gamma or hoef <= gamma:
-                return i, n, mean, m2
-    return -1, n, mean, m2
+class StopRule(NamedTuple):
+    """Constants of one campaign's termination rule."""
+
+    gamma: float
+    log_term: float
+    c2: float  # estimator.bernstein_second_coef
+    product: float  # the declared bound on |psi*w|
+    n_hoeffding: int  # smallest n whose fixed-range radius is <= gamma
+    n_min: int  # termination floor, >= 2
+
+    @classmethod
+    def for_campaign(
+        cls, gamma: float, bounds: BoundSpec, range_term_mode: str, n_min: int
+    ) -> "StopRule":
+        return cls(
+            gamma,
+            bounds.log_term,
+            bernstein_second_coef(bounds, range_term_mode),
+            bounds.product,
+            required_n_hoeffding(gamma, bounds),
+            max(2, n_min),
+        )
 
 
-if HAVE_NUMBA:
-    scan_terminate_sequential = njit(cache=True, fastmath=False)(_scan_sequential_impl)
-else:
-    scan_terminate_sequential = _scan_sequential_impl
-
-
-def _chunk_prefixes(values, n0, mean0, m2_0):
-    """Prefix (n, mean, m2) after each element of the chunk, merged with
-    the carried-in state."""
-    cnt = np.arange(1, values.shape[0] + 1, dtype=np.float64)
-    n_arr = n0 + cnt
-    # Chunk-local prefix stats, deviations against the first element.
-    pivot = values[0]
+def _prefix_sums(values, state: EstimatorState):
+    """(pivot, n, s1, s2) after each element of the chunk, carried on
+    from ``state``."""
+    pivot = float(values[0]) if state.n == 0 else state.pivot
     dev = values - pivot
-    s_dev = np.cumsum(dev)
-    s_dev2 = np.cumsum(dev * dev)
-    chunk_mean = pivot + s_dev / cnt
-    chunk_m2 = s_dev2 - s_dev * s_dev / cnt
-    if n0 == 0:
-        mean_arr = chunk_mean
-        m2_arr = chunk_m2
-    else:
-        gap = mean0 - chunk_mean
-        mean_arr = (n0 * mean0 + cnt * chunk_mean) / n_arr
-        m2_arr = m2_0 + chunk_m2 + (n0 * cnt / n_arr) * gap * gap
-    np.maximum(m2_arr, 0.0, out=m2_arr)
-    return n_arr, mean_arr, m2_arr
+    sq = dev * dev
+    # cumsum over [carry, chunk] without the copy: the first output is
+    # carry + first deviation either way.
+    dev[0] += state.s1
+    sq[0] += state.s2
+    n_arr = np.arange(state.n + 1, state.n + 1 + values.shape[0], dtype=np.float64)
+    return pivot, n_arr, np.add.accumulate(dev), np.add.accumulate(sq)
 
 
-def scan_terminate_vectorized(values, n0, mean0, m2_0, gamma, log_term, c2, product, n_min):
-    n_arr, mean_arr, m2_arr = _chunk_prefixes(values, n0, mean0, m2_0)
-    eligible = n_arr >= n_min
-    sigma = m2_arr / n_arr
-    nm1 = np.maximum(n_arr - 1.0, 1.0)
-    bern = np.sqrt(2.0 * sigma * log_term / n_arr) + c2 / nm1
-    hoef = product * np.sqrt(log_term / (2.0 * n_arr))
-    hit = eligible & ((bern <= gamma) | (hoef <= gamma))
-    if not hit.any():
-        last = values.shape[0] - 1
-        return -1, int(n_arr[last]), float(mean_arr[last]), float(m2_arr[last])
-    i = int(np.argmax(hit))
-    return i, int(n_arr[i]), float(mean_arr[i]), float(m2_arr[i])
+def _sigma(n_arr, s1, s2):
+    """Population variance m2/n of each prefix."""
+    m2 = s2 - s1 * s1 / n_arr
+    np.maximum(m2, 0.0, out=m2)
+    return m2 / n_arr
 
 
-def scan_terminate(values, n0, mean0, m2_0, gamma, log_term, c2, product, n_min):
-    """Scan one chunk; returns (stop_index, n, mean, m2).
+def _bernstein(n_arr, sigma, rule: StopRule):
+    """Variance-adaptive radius of prefixes with n >= 2."""
+    return np.sqrt(2.0 * sigma * rule.log_term / n_arr) + rule.c2 / (n_arr - 1.0)
+
+
+def scan_terminate(values, state: EstimatorState, rule: StopRule):
+    """Scan one chunk; returns (stop_index, state).
 
     stop_index is the 0-based chunk index of the terminating sample, or
     -1 if the chunk was exhausted. The returned state includes every
     chunk element up to and including stop_index (the whole chunk when
-    -1). Termination is evaluated only at n >= n_min; callers pass
-    n_min >= 2.
+    -1). Termination is evaluated only at n >= rule.n_min.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
-    if values.shape[0] == 0:
-        return -1, int(n0), float(mean0), float(m2_0)
-    if ACTIVE_BACKEND == "numba":
-        i, n, mean, m2 = scan_terminate_sequential(
-            values, n0, mean0, m2_0, gamma, log_term, c2, product, n_min
-        )
-        return int(i), int(n), float(mean), float(m2)
-    return scan_terminate_vectorized(
-        values, n0, mean0, m2_0, gamma, log_term, c2, product, n_min
-    )
+    k = values.shape[0]
+    if k == 0:
+        return -1, state
+    pivot, n_arr, s1, s2 = _prefix_sums(values, state)
+    first = max(0, rule.n_min - state.n - 1)  # first index with n >= n_min
+    # From index h on the fixed-range radius is <= gamma; before it only
+    # the variance-adaptive radius can stop the campaign.
+    h = max(first, rule.n_hoeffding - state.n - 1)
+    stop = h if h < k else -1
+    end = min(k, h)
+    if first < end:
+        n_on = n_arr[first:end]
+        hit = _bernstein(n_on, _sigma(n_on, s1[first:end], s2[first:end]), rule) <= rule.gamma
+        j = int(hit.argmax())
+        if hit[j]:
+            stop = first + j
+    last = stop if stop >= 0 else k - 1
+    n = state.n + last + 1
+    return stop, EstimatorState.from_sums(n, pivot, float(s1[last]), float(s2[last]))
 
 
-def trace_radii(values, n0, mean0, m2_0, log_term, c2, product, n_min):
+def trace_radii(values, state: EstimatorState, rule: StopRule):
     """Per-prefix state and radii over the chunk, for diagnostics export.
 
     Returns (n, mean, sigma_hat, bernstein, hoeffding) arrays; entries
-    with n < n_min carry NaN radii (the rule never consults them).
+    with n < rule.n_min carry NaN radii (the rule never consults them).
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
-    n_arr, mean_arr, m2_arr = _chunk_prefixes(values, n0, mean0, m2_0)
-    sigma = m2_arr / n_arr
-    nm1 = np.maximum(n_arr - 1.0, 1.0)
-    bern = np.sqrt(2.0 * sigma * log_term / n_arr) + c2 / nm1
-    hoef = product * np.sqrt(log_term / (2.0 * n_arr))
-    young = n_arr < n_min
-    bern[young] = np.nan
-    hoef[young] = np.nan
-    return n_arr.astype(np.int64), mean_arr, sigma, bern, hoef
+    pivot, n_arr, s1, s2 = _prefix_sums(values, state)
+    mean = pivot + s1 / n_arr
+    sigma = _sigma(n_arr, s1, s2)
+    bern = np.full(n_arr.shape, np.nan)
+    hoef = np.full(n_arr.shape, np.nan)
+    young = max(0, rule.n_min - state.n - 1)  # first index with n >= n_min
+    bern[young:] = _bernstein(n_arr[young:], sigma[young:], rule)
+    hoef[young:] = rule.product * np.sqrt(rule.log_term / (2.0 * n_arr[young:]))
+    return n_arr.astype(np.int64), mean, sigma, bern, hoef

@@ -14,6 +14,7 @@ __all__ = [
     "NonTerminated",
     "ArtifactVersionMismatch",
     "BoundViolation",
+    "ContractViolation",
     "OracleBudgetError",
     "ClampWarning",
     "WeightCapExceeded",
@@ -63,6 +64,12 @@ class ArtifactVersionMismatch(RepsqError):
 
 class BoundViolation(RepsqError):
     """A sampler cannot honor the declared importance-weight bound."""
+
+
+class ContractViolation(RepsqError):
+    """A finished campaign breaks its own termination contract: the
+    reported value is not its cell's midpoint, or the campaign stopped
+    with both radii above gamma. Either means a defect, not bad input."""
 
 
 class OracleBudgetError(RepsqError):

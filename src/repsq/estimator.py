@@ -1,9 +1,12 @@
 """Online weighted-measure estimator and its two termination radii.
 
 The estimator ingests one weighted measure psi(x)*w(x) per test and keeps
-(n, mean, m2) in Welford form, so the running estimate and its population
-variance sigma_hat = m2/n are both O(1) per update. A campaign stops once
-either confidence radius falls to gamma:
+shifted sums about a pivot, the first value it ingests (Chan, Golub &
+LeVeque 1983): s1 = sum(x - pivot) and s2 = sum((x - pivot)^2). The
+running estimate mean = pivot + s1/n and the sum of squared deviations
+m2 = s2 - s1^2/n follow in O(1) per update, and so does the population
+variance sigma_hat = m2/n. A campaign stops once either confidence radius
+falls to gamma:
 
 - the variance-adaptive radius
       sqrt(2 sigma_hat ln(2/c) / n) + 7 R ln(2/c) / (3 (n-1)),
@@ -17,15 +20,17 @@ confidence radius, so their minimum is too). The variance-adaptive radius
 wins by orders of magnitude on low-variance campaigns; the fixed-range
 radius wins near maximal variance.
 
-Expression order in this module is pinned: the scan kernels replicate
-these formulas operation for operation so that scalar and array paths
-terminate at identical n.
+Expression order in this module is pinned: the scan kernel replicates
+these formulas operation for operation, and advances s1 and s2 with the
+same additions in the same order as update(), so the scalar path and the
+kernel give the same bits for every prefix, however the values are
+chunked.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DomainError, InsufficientSamples
 
@@ -49,11 +54,19 @@ class EstimatorState:
 
     variance() is the population variance m2/n (division by n, not n-1),
     matching the termination radius definition.
+
+    The shifted sums behind mean and m2 ride along (``pivot``, ``s1``,
+    ``s2``). A state built from (n, mean, m2) alone is shifted by its own
+    mean: pivot = mean, s1 = 0 and s2 = m2, which reproduce mean and m2
+    exactly.
     """
 
     n: int = 0
     mean: float = 0.0
     m2: float = 0.0
+    pivot: float | None = field(default=None, repr=False, compare=False)
+    s1: float = field(default=0.0, repr=False, compare=False)
+    s2: float | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -62,6 +75,15 @@ class EstimatorState:
             raise DomainError("empty state must have mean = m2 = 0")
         if self.m2 < 0.0:
             raise DomainError(f"negative m2 {self.m2}")
+        if self.pivot is None:
+            object.__setattr__(self, "pivot", self.mean)
+        if self.s2 is None:
+            object.__setattr__(self, "s2", self.m2)
+
+    @classmethod
+    def from_sums(cls, n: int, pivot: float, s1: float, s2: float) -> "EstimatorState":
+        """The state of n values with shifted sums s1 and s2 about pivot."""
+        return cls(n, pivot + s1 / n, max(s2 - s1 * s1 / n, 0.0), pivot, s1, s2)
 
     @property
     def variance(self) -> float:
@@ -69,14 +91,13 @@ class EstimatorState:
 
 
 def update(state: EstimatorState, weighted_measure: float) -> EstimatorState:
-    """Fold one weighted measure into the state (Welford recurrence)."""
+    """Fold one weighted measure into the state (shifted-sum recurrence;
+    the first value becomes the pivot)."""
     if not math.isfinite(weighted_measure):
         raise DomainError(f"non-finite weighted measure {weighted_measure}")
-    n = state.n + 1
-    delta = weighted_measure - state.mean
-    mean = state.mean + delta / n
-    m2 = state.m2 + delta * (weighted_measure - mean)
-    return EstimatorState(n, mean, m2)
+    pivot = weighted_measure if state.n == 0 else state.pivot
+    d = weighted_measure - pivot
+    return EstimatorState.from_sums(state.n + 1, pivot, state.s1 + d, state.s2 + d * d)
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,19 @@ stream, so switching samplers never perturbs the noise a testbed would
 have produced for the same draw positions. Reports are reproducible
 bit for bit from (config, seed) alone, regardless of execution order.
 
-Effort accounting: a trial's n counts evaluator invocations consumed by
-the estimator. Chunked execution may speculatively evaluate a few
-samples past the termination point; those are discarded, matching a
-physical campaign that stops at the terminating test.
+Effort accounting
+-----------------
+A trial's n counts the evaluator invocations consumed by the estimator.
+Campaigns draw and evaluate in chunks, so the chunk that holds the
+terminating test also evaluates the tests after it in that chunk; those
+speculative evaluations are discarded, as in a physical campaign that
+stops at the terminating test, but they are real test executions.
+``evaluated_n`` counts them all and ``chunks`` counts the draws. Chunks
+grow as 64, 128, 256, ... samples up to the ``chunk_size`` cap (the next
+chunk is min(cap, n + 64) samples), so a campaign that stops at n has
+evaluated at most 2n + 64 tests; AIS draws one batch of d samples per
+chunk and evaluates at most n + d - 1. The scan kernel's result does not
+depend on the chunking, so neither does any estimate.
 """
 
 from __future__ import annotations
@@ -40,6 +49,7 @@ from .errors import (
     ArtifactVersionMismatch,
     BoundViolation,
     ClampWarning,
+    ContractViolation,
     DomainError,
     NonTerminated,
     OracleBudgetError,
@@ -51,7 +61,6 @@ from .estimator import (
     BoundSpec,
     EstimatorState,
     bernstein_radius,
-    bernstein_second_coef,
     hoeffding_radius,
     required_n_hoeffding,
 )
@@ -87,7 +96,8 @@ REPLICATOR_ARM = 1
 # pair-index range so offset randomness never collides with arm streams.
 _OFFSET_STREAM_KEY = 0x0FF5E7
 
-_CHUNK = 8192
+_CHUNK = 8192  # default cap on the chunk size
+_FIRST_CHUNK = 64
 # Relative slack for float dust when checking declared bounds.
 _BOUND_SLACK = 1.0 + 1e-9
 
@@ -199,14 +209,25 @@ class CampaignConfig:
                 joint=None if bounds.get("joint") is None else float(bounds["joint"]),
                 sampler=dict(d["sampler"]),
                 testbed=dict(d["testbed"]),
-                seed=int(d["seed"]),
+                seed=_whole(d["seed"], "seed"),
                 offset_policy=d.get("offset_policy", "zero"),
-                n_min=int(d.get("n_min", 2)),
-                n_max=int(d.get("n_max", 10_000_000)),
+                n_min=_whole(d.get("n_min", 2), "n_min"),
+                n_max=_whole(d.get("n_max", 10_000_000), "n_max"),
                 range_term_mode=d.get("range_term_mode", "paper-exact"),
             )
         except KeyError as exc:
             raise DomainError(f"campaign config missing field {exc.args[0]!r}") from exc
+
+
+def _whole(value, name: str) -> int:
+    """An integer config field: an int, or a float with no fractional
+    part (JSON writers may emit 1e6 for a million). Anything else is
+    rejected rather than truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_sampler_bounds(sampler: dict, testbed, w_bar: float) -> None:
@@ -274,6 +295,8 @@ class TrialResult:
     terminated: bool
     sampler_kind: str
     weight_cap_violations: int
+    evaluated_n: int  # test executions, speculative ones included
+    chunks: int
     wall_time_s: float
     trace: RadiusTrace | None = field(default=None, repr=False)
     ais_final_proposal: dict | None = field(default=None, repr=False)
@@ -294,6 +317,8 @@ class TrialResult:
             "terminated": self.terminated,
             "sampler_kind": self.sampler_kind,
             "weight_cap_violations": self.weight_cap_violations,
+            "evaluated_n": self.evaluated_n,
+            "chunks": self.chunks,
         }
         if self.ais_final_proposal is not None:
             d["ais_final_proposal"] = self.ais_final_proposal
@@ -410,29 +435,28 @@ def run_quantized_sq(
     termination radius reaches gamma, then quantize the running mean.
 
     ``rng_stream`` is a numpy SeedSequence (an int is promoted to one).
-    The sampler and evaluator-noise streams are consumed
-    position-aligned, so the drawn values never depend on
-    ``chunk_size``; under the sequential kernel backend the whole
-    trajectory is bit-identical across chunkings, while the vectorized
-    fallback reassociates its moment reductions at chunk boundaries and
-    may drift in the last couple of bits (n and the quantized output
-    still agree). Any fixed chunk size reproduces exactly on either
-    backend.
+    Chunks grow 64, 128, 256, ... up to ``chunk_size`` (AIS draws one
+    batch of d per chunk instead); see the module docstring for what
+    that costs in speculative evaluations. The sampler and
+    evaluator-noise streams are consumed position-aligned and the scan
+    kernel's sums do not depend on chunk boundaries, so every field but
+    ``evaluated_n``, ``chunks`` and the wall time is bit-identical for
+    any ``chunk_size``.
 
     Raises NonTerminated at n_max with the partial result attached.
     """
+    if chunk_size < 1:
+        raise DomainError(f"chunk_size must be >= 1, got {chunk_size}")
     t0 = time.perf_counter()
     bed = testbed if testbed is not None else config.build_testbed()
     bounds = config.bound_spec
     gamma = config.accuracy.gamma
-    n_floor = max(2, config.n_min)
-    log_term = bounds.log_term
-    product = bounds.product
-    c2 = bernstein_second_coef(bounds, config.range_term_mode)
+    rule = _kernels.StopRule.for_campaign(
+        gamma, bounds, config.range_term_mode, config.n_min
+    )
     kind = config.sampler["kind"]
     sampler = _make_sampler(config, bed)
-    if isinstance(sampler, _AisSampler):
-        chunk_size = sampler.policy.d
+    ais = isinstance(sampler, _AisSampler)
 
     ss = rng_stream
     if not isinstance(ss, np.random.SeedSequence):
@@ -441,25 +465,27 @@ def run_quantized_sq(
     rng_s = np.random.default_rng(s_sample)
     rng_e = np.random.default_rng(s_noise)
 
-    n, mean, m2 = 0, 0.0, 0.0
+    state = EstimatorState()
     cap_violations = 0
+    evaluated = 0
+    chunks = 0
     stopped = False
     trace_parts: list | None = [] if record_trace else None
-    while not stopped and n < config.n_max:
-        k = min(chunk_size, config.n_max - n)
+    while not stopped and state.n < config.n_max:
+        k = sampler.policy.d if ais else min(chunk_size, state.n + _FIRST_CHUNK)
+        k = min(k, config.n_max - state.n)
         values, xs, violations = sampler.draw(rng_s, rng_e, k)
-        worst = float(np.max(np.abs(values))) if k else 0.0
-        if worst > product * _BOUND_SLACK:
+        evaluated += k
+        chunks += 1
+        worst = float(np.abs(values).max())
+        if worst > rule.product * _BOUND_SLACK:
             raise BoundViolation(
                 f"weighted measure {worst:.6g} exceeds the declared bound "
-                f"{product:.6g}; the termination radii are void"
+                f"{rule.product:.6g}; the termination radii are void"
             )
         if record_trace:
-            tr = _kernels.trace_radii(values, n, mean, m2, log_term, c2, product, n_floor)
-            trace_parts.append(tr)
-        i, n, mean, m2 = _kernels.scan_terminate(
-            values, n, mean, m2, gamma, log_term, c2, product, n_floor
-        )
+            trace_parts.append(_kernels.trace_radii(values, state, rule))
+        i, state = _kernels.scan_terminate(values, state, rule)
         stopped = i >= 0
         if record_trace and stopped:
             trace_parts[-1] = tuple(col[: i + 1] for col in trace_parts[-1])
@@ -468,7 +494,7 @@ def run_quantized_sq(
             sampler.post_chunk(xs)
     wall = time.perf_counter() - t0
 
-    state = EstimatorState(n, mean, m2)
+    n = state.n
     bern = bernstein_radius(state, bounds, config.range_term_mode)
     hoef = hoeffding_radius(n, bounds)
     trace = None
@@ -476,11 +502,11 @@ def run_quantized_sq(
         cols = [np.concatenate([part[j] for part in trace_parts]) for j in range(5)]
         trace = RadiusTrace(*cols)
     snapshot = None
-    if isinstance(sampler, _AisSampler):
+    if ais:
         snapshot = proposal_snapshot(sampler.q, sampler.policy, RNG_ALGORITHM, config.seed)
-    qv = quantize(mean, partition)
+    qv = quantize(state.mean, partition)
     result = TrialResult(
-        raw_estimate=mean,
+        raw_estimate=state.mean,
         quantized_estimate=qv.value,
         cell=qv.cell,
         clamped=qv.clamped,
@@ -491,6 +517,8 @@ def run_quantized_sq(
         terminated=stopped,
         sampler_kind=kind,
         weight_cap_violations=cap_violations,
+        evaluated_n=evaluated,
+        chunks=chunks,
         wall_time_s=wall,
         trace=trace,
         ais_final_proposal=snapshot,
@@ -508,7 +536,7 @@ def run_quantized_sq(
             WeightCapExceeded,
             stacklevel=2,
         )
-    if isinstance(sampler, _AisSampler) and sampler.clamped_fits:
+    if ais and sampler.clamped_fits:
         warnings.warn(
             f"{sampler.clamped_fits} adaptive refits hit the proposal shape "
             f"bounds and were clamped",
@@ -516,8 +544,16 @@ def run_quantized_sq(
             stacklevel=2,
         )
     # Postconditions of the termination contract.
-    assert result.quantized_estimate == partition.midpoint(result.cell)
-    assert min(bern, hoef) <= gamma * _BOUND_SLACK
+    if result.quantized_estimate != partition.midpoint(result.cell):
+        raise ContractViolation(
+            f"quantized estimate {result.quantized_estimate!r} is not the "
+            f"midpoint of its cell {result.cell}"
+        )
+    if not min(bern, hoef) <= gamma * _BOUND_SLACK:
+        raise ContractViolation(
+            f"campaign stopped at n = {n} with min radius {min(bern, hoef)!r} "
+            f"above gamma = {gamma!r}"
+        )
     return result
 
 

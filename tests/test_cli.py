@@ -11,6 +11,7 @@ import json
 import shutil
 import subprocess
 import sys
+from importlib import resources
 
 import pytest
 
@@ -165,10 +166,20 @@ class TestInitReplicate:
         assert code == 1
         assert "config not found" in err
 
+    @pytest.mark.parametrize("field", ["n_min", "n_max", "seed"])
+    def test_non_integral_count_exits_1(self, capsys, tmp_path, field):
+        src = resources.files("repsq") / "configs" / "zero_variance.json"
+        raw = json.loads(src.read_text())
+        raw[field] = 3.7
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "run"
+        code, _, err = run_cli(capsys, "init", "--config", str(path), "--out", str(out))
+        assert code == 1
+        assert f"{field} must be an integer, got 3.7" in err
+
     def test_config_path_form_works(self, capsys, tmp_path):
         # a filesystem path is honored before bundled-name lookup
-        from importlib import resources
-
         text = (
             resources.files("repsq") / "configs" / "zero_variance.json"
         ).read_text()

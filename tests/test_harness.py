@@ -7,13 +7,16 @@ logic change, not an unlucky stream.
 """
 
 import dataclasses
+import json
 import math
+import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
 
 from repsq import artifact as art_mod
-from repsq._kernels import ACTIVE_BACKEND
+from repsq import harness
 from repsq.artifact import (
     build_artifact,
     dump_artifact,
@@ -26,6 +29,8 @@ from repsq.artifact import (
 from repsq.errors import (
     ArtifactVersionMismatch,
     BoundViolation,
+    ClampWarning,
+    ContractViolation,
     DomainError,
     NonTerminated,
     OracleBudgetError,
@@ -110,6 +115,13 @@ def make_partition(config: CampaignConfig):
     )
 
 
+def outcome(result) -> dict:
+    """A result's to_dict() without the counters that depend on chunking."""
+    d = result.to_dict()
+    del d["evaluated_n"], d["chunks"]
+    return d
+
+
 class TestArtifactSerialization:
     def test_fmt17_round_trips_binary64(self):
         rng = np.random.default_rng(41)
@@ -192,6 +204,19 @@ class TestCampaignConfig:
         del d["accuracy"]
         with pytest.raises(DomainError):
             CampaignConfig.from_dict(d)
+
+    @pytest.mark.parametrize("field", ["n_min", "n_max", "seed"])
+    @pytest.mark.parametrize("value", [3.7, "12", True, math.nan])
+    def test_non_integral_count_raises(self, field, value):
+        d = rare_config().to_dict()
+        d[field] = value
+        with pytest.raises(DomainError, match=field):
+            CampaignConfig.from_dict(d)
+
+    def test_integral_float_count_is_accepted(self):
+        d = rare_config().to_dict()
+        d["n_max"] = 1e6
+        assert CampaignConfig.from_dict(d).n_max == 1_000_000
 
     def test_unknown_sampler_kind_raises(self):
         with pytest.raises(DomainError):
@@ -313,10 +338,9 @@ class TestRunQuantizedSq:
 
     def test_chunk_size_does_not_change_the_trajectory(self):
         # Sampler and noise streams are consumed position-aligned, so
-        # the drawn values are identical for any batching. The
-        # sequential kernel then gives bit-equal moments; the
-        # vectorized fallback reassociates its reductions at chunk
-        # boundaries and is held to ulp-level agreement instead.
+        # the drawn values are identical for any batching, and the scan
+        # kernel's sums do not depend on chunk boundaries: the whole
+        # result is bit-equal but for the effort counters.
         cfg = moderate_config()
         part = make_partition(cfg)
         results = [
@@ -325,18 +349,26 @@ class TestRunQuantizedSq:
             )
             for size in (64, 1000, 8192)
         ]
-        assert len({r.n for r in results}) == 1
-        assert len({r.quantized_estimate for r in results}) == 1
-        if ACTIVE_BACKEND == "numba":
-            assert len({r.raw_estimate for r in results}) == 1
-            assert len({r.sigma_hat_final for r in results}) == 1
-        else:
-            base = results[0]
-            for r in results[1:]:
-                assert r.raw_estimate == pytest.approx(base.raw_estimate, rel=1e-12)
-                assert r.sigma_hat_final == pytest.approx(
-                    base.sigma_hat_final, rel=1e-12
-                )
+        assert len({json.dumps(outcome(r)) for r in results}) == 1
+
+    @pytest.mark.parametrize("cap", [7, 64, 1000, 8192])
+    def test_chunks_double_from_64_up_to_the_cap(self, cap):
+        cfg = moderate_config()
+        res = run_quantized_sq(
+            cfg, make_partition(cfg), campaign_stream(cfg.seed, 2, 0), chunk_size=cap
+        )
+        drawn = 0
+        for _ in range(res.chunks):
+            last = min(cap, drawn + 64)
+            drawn += last
+        assert res.evaluated_n == drawn
+        assert drawn - last < res.n <= drawn
+        assert res.evaluated_n <= 2 * res.n + 64
+
+    def test_chunk_size_must_be_positive(self):
+        cfg = zero_variance_config()
+        with pytest.raises(DomainError):
+            run_quantized_sq(cfg, make_partition(cfg), 0, chunk_size=0)
 
     def test_displacement_chunk_invariance(self):
         bed = displacement_testbed()
@@ -354,12 +386,8 @@ class TestRunQuantizedSq:
         part = make_partition(cfg)
         r1 = run_quantized_sq(cfg, part, campaign_stream(11, 0, 0), chunk_size=977)
         r2 = run_quantized_sq(cfg, part, campaign_stream(11, 0, 0), chunk_size=8192)
-        assert r1.n == r2.n
-        assert r1.quantized_estimate == r2.quantized_estimate
-        if ACTIVE_BACKEND == "numba":
-            assert r1.raw_estimate == r2.raw_estimate
-        else:
-            assert r1.raw_estimate == pytest.approx(r2.raw_estimate, rel=1e-12)
+        assert outcome(r1) == outcome(r2)
+        assert r1.raw_estimate == r2.raw_estimate
 
     def test_zero_variance_terminates_at_88(self):
         cfg = zero_variance_config()
@@ -380,6 +408,24 @@ class TestRunQuantizedSq:
         assert partial.n == 500
         assert not partial.terminated
         assert 0.0 <= partial.raw_estimate <= 1.0
+
+    def test_off_midpoint_quantization_raises(self, monkeypatch):
+        real = harness.quantize
+
+        def off_midpoint(value, partition):
+            return real(value, partition)._replace(value=value)
+
+        monkeypatch.setattr(harness, "quantize", off_midpoint)
+        cfg = zero_variance_config()
+        with pytest.raises(ContractViolation, match="midpoint"):
+            run_quantized_sq(cfg, make_partition(cfg), campaign_stream(1, 0, 0))
+
+    def test_stop_above_gamma_raises(self, monkeypatch):
+        monkeypatch.setattr(harness, "bernstein_radius", lambda *args: 0.5)
+        monkeypatch.setattr(harness, "hoeffding_radius", lambda *args: 0.5)
+        cfg = zero_variance_config()
+        with pytest.raises(ContractViolation, match="above gamma"):
+            run_quantized_sq(cfg, make_partition(cfg), campaign_stream(1, 0, 0))
 
     def test_undeclarable_value_raises_bound_violation(self):
         # Importance values on the moderate bed reach 0.2; declaring a
@@ -655,6 +701,81 @@ class TestEffortComparison:
         live = ~np.isnan(comp.trace.bernstein)
         assert np.all(
             comp.trace.bernstein[live] > comp.trace.hoeffding[live]
+        )
+
+
+class TestBundledConfigs:
+    """Every bundled config, through run_quantized_sq."""
+
+    NAMES = [
+        "rare_event_acceptance",
+        "moderate_cellular",
+        "displacement_star",
+        "zero_variance",
+        "tracking_ais",
+    ]
+    CELLULAR = [name for name in NAMES if name != "tracking_ais"]
+
+    @staticmethod
+    def config(name):
+        text = (resources.files("repsq") / "configs" / f"{name}.json").read_text()
+        return CampaignConfig.from_dict(json.loads(text))
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        cache = {}
+
+        def run(name, chunk_size=8192, fresh=False):
+            key = (name, chunk_size)
+            if fresh or key not in cache:
+                cfg = self.config(name)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", ClampWarning)
+                    cache[key] = run_quantized_sq(
+                        cfg,
+                        make_partition(cfg),
+                        campaign_stream(cfg.seed, 0, 0),
+                        chunk_size=chunk_size,
+                    )
+            return cache[key]
+
+        return run
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_evaluated_n_bounds_speculation(self, run, name):
+        res = run(name)
+        assert res.n <= res.evaluated_n
+        if name == "tracking_ais":
+            d = self.config(name).ais_policy().d
+            assert res.evaluated_n <= res.n + d - 1
+            assert res.chunks == math.ceil(res.evaluated_n / d)
+        else:
+            assert res.evaluated_n <= 2 * res.n + 64
+
+    @pytest.mark.parametrize("name", CELLULAR)
+    def test_result_is_bitwise_chunk_invariant(self, run, name):
+        # AIS draws one batch of d per chunk whatever chunk_size says.
+        base = outcome(run(name))
+        for size in (7, 64, 997):
+            assert outcome(run(name, size)) == base
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_to_dict_is_byte_stable_across_reruns(self, run, name):
+        first = json.dumps(run(name).to_dict(), sort_keys=True)
+        again = json.dumps(run(name, fresh=True).to_dict(), sort_keys=True)
+        assert again == first
+
+    @pytest.mark.parametrize("name", CELLULAR)
+    def test_effort_trace_ends_at_the_result(self, name):
+        comp = effort_comparison(self.config(name))
+        res = comp.result
+        n, estimate, sigma_hat, bern, hoef, _ = comp.rows()[-1]
+        assert (n, estimate, sigma_hat, bern, hoef) == (
+            res.n,
+            res.raw_estimate,
+            res.sigma_hat_final,
+            res.bernstein_radius_final,
+            res.hoeffding_radius_final,
         )
 
 

@@ -1,9 +1,10 @@
-"""Scan kernels against the scalar estimator, and against each other.
+"""The scan kernel against the scalar estimator, bit for bit.
 
-The sequential scan is the reference semantics (identical recurrence to
-estimator.update); the vectorized scan merges chunk prefixes and may
-differ in the last ulps, never in the termination decision for radii
-that do not graze gamma.
+estimator.update is the reference semantics: the kernel advances the
+same shifted sums with the same additions in the same order, so every
+prefix state, radius and termination point must match the scalar path
+exactly, for any chunking. The ``sequential`` parameter runs the scalar
+reference through the kernel's interface; ``vectorized`` runs the kernel.
 """
 
 import math
@@ -16,8 +17,8 @@ from repsq.estimator import (
     BoundSpec,
     EstimatorState,
     bernstein_radius,
-    bernstein_second_coef,
     hoeffding_radius,
+    required_n_hoeffding,
     should_terminate,
     update,
 )
@@ -33,43 +34,59 @@ def scalar_reference_run(values, gamma, bounds, n_min=2):
     return None, state
 
 
+def sequential_scan(values, state, rule, bounds):
+    """The scalar reference with the kernel's interface."""
+    for i, v in enumerate(values):
+        state = update(state, float(v))
+        if should_terminate(state, rule.gamma, bounds, n_min=rule.n_min):
+            return i, state
+    return -1, state
+
+
+def vectorized_scan(values, state, rule, bounds):
+    return _kernels.scan_terminate(values, state, rule)
+
+
+def make_rule(gamma, bounds, n_min=2):
+    return _kernels.StopRule.for_campaign(gamma, bounds, "paper-exact", n_min)
+
+
 def kernel_run(scan, values, gamma, bounds, n_min=2, chunk=64):
-    c2 = bernstein_second_coef(bounds)
-    lg = bounds.log_term
-    n, mean, m2 = 0, 0.0, 0.0
+    rule = make_rule(gamma, bounds, n_min)
+    state = EstimatorState()
     for start in range(0, len(values), chunk):
         block = np.asarray(values[start : start + chunk], dtype=np.float64)
-        i, n, mean, m2 = scan(block, n, mean, m2, gamma, lg, c2, bounds.product, n_min)
+        i, state = scan(block, state, rule, bounds)
         if i >= 0:
-            return n, (n, mean, m2)
-    return None, (n, mean, m2)
+            return state.n, state
+    return None, state
+
+
+def sums(state):
+    return (state.n, state.mean, state.m2, state.pivot, state.s1, state.s2)
 
 
 SCANS = [
-    pytest.param(_kernels.scan_terminate_sequential, id="sequential"),
-    pytest.param(_kernels.scan_terminate_vectorized, id="vectorized"),
+    pytest.param(sequential_scan, id="sequential"),
+    pytest.param(vectorized_scan, id="vectorized"),
 ]
 
 
 class TestBackendSelection:
+    """One kernel remains; its name is what benchmarks record."""
+
     def test_active_backend_is_known(self):
-        assert _kernels.ACTIVE_BACKEND in ("numba", "numpy")
+        assert _kernels.ACTIVE_BACKEND == "numpy-shifted-cumsum"
 
     def test_dispatch_matches_sequential(self):
         rng = np.random.default_rng(31)
-        values = rng.uniform(0.0, 1.0, size=500)
+        values = rng.uniform(0.0, 1.0, size=2_000)
         bounds = BoundSpec(m=1.0, w_bar=1.0, c=0.05)
-        got = _kernels.scan_terminate(
-            values, 0, 0.0, 0.0, 0.05, bounds.log_term,
-            bernstein_second_coef(bounds), bounds.product, 2,
-        )
-        want = _kernels.scan_terminate_sequential(
-            values, 0, 0.0, 0.0, 0.05, bounds.log_term,
-            bernstein_second_coef(bounds), bounds.product, 2,
-        )
-        assert got[0] == want[0] and got[1] == want[1]
-        assert got[2] == pytest.approx(want[2], rel=1e-12)
-        assert got[3] == pytest.approx(want[3], rel=1e-10)
+        rule = make_rule(0.05, bounds)
+        i_got, got = _kernels.scan_terminate(values, EstimatorState(), rule)
+        i_want, want = sequential_scan(values, EstimatorState(), rule, bounds)
+        assert i_got == i_want >= 0
+        assert sums(got) == sums(want)
 
 
 class TestAgainstScalarReference:
@@ -84,11 +101,10 @@ class TestAgainstScalarReference:
         bounds = BoundSpec(m=1.0, w_bar=1.0, c=0.05)
         gamma = 0.02
         n_ref, state_ref = scalar_reference_run(values, gamma, bounds)
-        n_got, (n2, mean, m2) = kernel_run(scan, values, gamma, bounds)
+        n_got, state = kernel_run(scan, values, gamma, bounds)
         assert n_ref is not None
         assert n_got == n_ref
-        assert mean == pytest.approx(state_ref.mean, rel=1e-12)
-        assert m2 == pytest.approx(state_ref.m2, rel=1e-9)
+        assert sums(state) == sums(state_ref)
 
     @pytest.mark.parametrize("scan", SCANS)
     def test_zero_variance_stops_at_88(self, scan):
@@ -102,11 +118,11 @@ class TestAgainstScalarReference:
         rng = np.random.default_rng(40)
         values = rng.uniform(0.0, 1.0, size=300)
         bounds = BoundSpec(m=1.0, w_bar=1.0, c=0.05)
-        n_got, (n, mean, m2) = kernel_run(scan, values, 1e-9, bounds)
+        n_got, state = kernel_run(scan, values, 1e-9, bounds)
         assert n_got is None
-        assert n == 300
-        assert mean == pytest.approx(float(np.mean(values)), rel=1e-12)
-        assert m2 == pytest.approx(float(np.var(values) * 300), rel=1e-9)
+        assert state.n == 300
+        assert state.mean == pytest.approx(float(np.mean(values)), rel=1e-12)
+        assert state.m2 == pytest.approx(float(np.var(values) * 300), rel=1e-9)
 
     @pytest.mark.parametrize("scan", SCANS)
     def test_n_min_respected_within_chunk(self, scan):
@@ -114,6 +130,16 @@ class TestAgainstScalarReference:
         bounds = BoundSpec(m=1.0, w_bar=1.0, c=0.05)
         n_got, _ = kernel_run(scan, values, 1e9, bounds, n_min=17, chunk=50)
         assert n_got == 17
+
+    @pytest.mark.parametrize("scan", SCANS)
+    @pytest.mark.parametrize("chunk", [1, 64, 400])
+    def test_range_radius_alone_stops_at_required_n(self, scan, chunk):
+        # 0/1 alternation saturates the variance: only the fixed-range
+        # radius can stop, at exactly required_n_hoeffding.
+        values = np.arange(400) % 2.0
+        bounds = BoundSpec(m=1.0, w_bar=1.0, c=0.05)
+        n_got, _ = kernel_run(scan, values, 0.15, bounds, chunk=chunk)
+        assert n_got == required_n_hoeffding(0.15, bounds) == 82
 
 
 class TestChunkingInvariance:
@@ -124,19 +150,36 @@ class TestChunkingInvariance:
         values = rng.beta(2.0, 5.0, size=5_000)
         bounds = BoundSpec(m=1.0, w_bar=1.0, c=0.05)
         gamma = 0.015
-        n_base, (nb, mean_b, m2_b) = kernel_run(
-            _kernels.scan_terminate_sequential, values, gamma, bounds, chunk=64
-        )
-        n_got, (n, mean, m2) = kernel_run(scan, values, gamma, bounds, chunk=chunk)
+        n_base, base = kernel_run(sequential_scan, values, gamma, bounds, chunk=64)
+        n_got, state = kernel_run(scan, values, gamma, bounds, chunk=chunk)
+        assert n_base is not None
         assert n_got == n_base
-        assert mean == pytest.approx(mean_b, rel=1e-12)
-        assert m2 == pytest.approx(m2_b, rel=1e-9)
+        assert sums(state) == sums(base)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 997, 8192])
+    def test_every_prefix_is_bitwise_chunk_invariant(self, chunk):
+        rng = np.random.default_rng(51)
+        values = rng.lognormal(0.0, 1.0, size=20_003)
+        bounds = BoundSpec(m=100.0, w_bar=1.0, c=0.05)
+        rule = make_rule(1e-9, bounds)
+        whole = _kernels.trace_radii(values, EstimatorState(), rule)
+        state = EstimatorState()
+        parts = []
+        for start in range(0, values.size, chunk):
+            block = values[start : start + chunk]
+            parts.append(_kernels.trace_radii(block, state, rule))
+            i, state = _kernels.scan_terminate(block, state, rule)
+            assert i == -1
+        for col, got in zip(whole, map(np.concatenate, zip(*parts))):
+            np.testing.assert_array_equal(got, col)
+        assert state.n == values.size
+        assert state.mean == whole[1][-1]
 
     def test_empty_chunk_is_identity(self):
-        got = _kernels.scan_terminate(
-            np.empty(0), 7, 1.5, 0.25, 0.1, 3.0, 1.0, 1.0, 2
-        )
-        assert got == (-1, 7, 1.5, 0.25)
+        state = EstimatorState(7, 1.5, 0.25)
+        rule = make_rule(0.1, BoundSpec(m=1.0, w_bar=1.0, c=0.05))
+        got = _kernels.scan_terminate(np.empty(0), state, rule)
+        assert got == (-1, state)
 
 
 class TestTraceRadii:
@@ -145,20 +188,19 @@ class TestTraceRadii:
         values = rng.uniform(0.2, 0.8, size=400)
         bounds = BoundSpec(m=1.0, w_bar=1.0, c=0.05)
         n_arr, mean_arr, sigma, bern, hoef = _kernels.trace_radii(
-            values, 0, 0.0, 0.0, bounds.log_term,
-            bernstein_second_coef(bounds), bounds.product, 2,
+            values, EstimatorState(), make_rule(0.05, bounds)
         )
         assert n_arr[0] == 1 and n_arr[-1] == 400
         assert math.isnan(bern[0]) and math.isnan(hoef[0])
         state = EstimatorState()
         for idx, v in enumerate(values):
             state = update(state, float(v))
+            assert mean_arr[idx] == state.mean
+            assert sigma[idx] == state.variance
             if state.n < 2:
                 continue
-            assert mean_arr[idx] == pytest.approx(state.mean, rel=1e-12)
-            assert sigma[idx] == pytest.approx(state.variance, rel=1e-9)
-            assert bern[idx] == pytest.approx(bernstein_radius(state, bounds), rel=1e-9)
-            assert hoef[idx] == pytest.approx(hoeffding_radius(state.n, bounds), rel=1e-12)
+            assert bern[idx] == bernstein_radius(state, bounds)
+            assert hoef[idx] == hoeffding_radius(state.n, bounds)
 
     def test_carries_prior_state(self):
         values = np.array([0.1, 0.9, 0.4, 0.6])
@@ -167,12 +209,11 @@ class TestTraceRadii:
         for v in [0.5, 0.2, 0.7]:
             state = update(state, v)
         n_arr, _, sigma, bern, _ = _kernels.trace_radii(
-            values, state.n, state.mean, state.m2, bounds.log_term,
-            bernstein_second_coef(bounds), bounds.product, 2,
+            values, state, make_rule(0.05, bounds)
         )
         assert list(n_arr) == [4, 5, 6, 7]
         check = state
         for idx, v in enumerate(values):
             check = update(check, float(v))
-            assert sigma[idx] == pytest.approx(check.variance, rel=1e-9)
-            assert bern[idx] == pytest.approx(bernstein_radius(check, bounds), rel=1e-9)
+            assert sigma[idx] == check.variance
+            assert bern[idx] == bernstein_radius(check, bounds)
