@@ -6,7 +6,7 @@ best of several passes per chunk size. The kernel's shifted sums do not
 depend on chunk boundaries, so the final state must be bit-identical at
 every size; the script prints it and exits 1 when it is not.
 
-Usage: python benchmarks/benchmark_backends.py [--values 262144] [--sizes 10,64,1024,8192,65536]
+Usage: python benchmarks/benchmark_backends.py [--sizes 10,64,1024,8192,65536]
 """
 
 import argparse
@@ -19,6 +19,9 @@ import numpy as np
 from repsq import _kernels
 from repsq.estimator import BoundSpec, EstimatorState
 
+N_VALUES = 262_144  # length of the scanned stream
+REPEATS = 5  # timed passes per chunk size; the best one is printed
+
 
 def scan_all(values, size, rule):
     state = EstimatorState()
@@ -29,31 +32,29 @@ def scan_all(values, size, rule):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--values", type=int, default=262_144)
     parser.add_argument("--sizes", default="10,64,1024,8192,65536")
-    parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
     sizes = [int(s) for s in args.sizes.split(",")]
 
     rng = np.random.default_rng(12345)
-    values = (rng.random(args.values) < 0.03).astype(np.float64) * 0.2
+    values = (rng.random(N_VALUES) < 0.03).astype(np.float64) * 0.2
     rule = _kernels.StopRule.for_campaign(
         1e-9, BoundSpec(m=1.0, w_bar=1.0, c=0.05), "paper-exact", 2
     )
-    print(f"kernel: {_kernels.ACTIVE_BACKEND}, {args.values} values")
+    print(f"kernel: {_kernels.ACTIVE_BACKEND}, {N_VALUES} values")
     print(f"{'chunk':>8}{'chunks':>9}{'best':>12}{'ns/value':>10}{'us/chunk':>10}")
     finals = {}
     for size in sizes:
         finals[size] = scan_all(values, size, rule)  # warm-up
         best = math.inf
-        for _ in range(args.repeats):
+        for _ in range(REPEATS):
             t0 = time.perf_counter()
             scan_all(values, size, rule)
             best = min(best, time.perf_counter() - t0)
-        chunks = math.ceil(args.values / size)
+        chunks = math.ceil(N_VALUES / size)
         print(
             f"{size:>8}{chunks:>9}{best * 1e3:>10.2f}ms"
-            f"{best / args.values * 1e9:>10.1f}{best / chunks * 1e6:>10.1f}"
+            f"{best / N_VALUES * 1e9:>10.1f}{best / chunks * 1e6:>10.1f}"
         )
 
     states = {(s.n, s.mean, s.m2, s.pivot, s.s1, s.s2) for s in finals.values()}

@@ -43,9 +43,14 @@ __all__ = [
     "hoeffding_radius",
     "required_n_hoeffding",
     "should_terminate",
+    "MAX_SAMPLES",
 ]
 
 RANGE_TERM_MODES = ("paper-exact", "linear-range")
+
+# Largest sample count a campaign may reach. The radii are evaluated on
+# float(n), which is exact only up to 2**53.
+MAX_SAMPLES = 2**53
 
 
 @dataclass(frozen=True)
@@ -64,9 +69,9 @@ class EstimatorState:
     n: int = 0
     mean: float = 0.0
     m2: float = 0.0
-    pivot: float | None = field(default=None, repr=False, compare=False)
-    s1: float = field(default=0.0, repr=False, compare=False)
-    s2: float | None = field(default=None, repr=False, compare=False)
+    pivot: float | None = field(default=None, repr=False)
+    s1: float = field(default=0.0, repr=False)
+    s2: float | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -175,11 +180,20 @@ def hoeffding_radius(n: int, bounds: BoundSpec) -> float:
 
 
 def required_n_hoeffding(gamma: float, bounds: BoundSpec) -> int:
-    """Smallest n whose fixed-range radius is <= gamma."""
+    """Smallest n whose fixed-range radius is <= gamma.
+
+    Far beyond MAX_SAMPLES, where no campaign gets, the closed form is
+    returned without settling it exactly (float(n) cannot tell
+    neighbouring counts apart there), and MAX_SAMPLES + 1 if it
+    overflows.
+    """
     if not (math.isfinite(gamma) and gamma > 0.0):
         raise DomainError(f"gamma must be finite and positive, got {gamma}")
-    p = bounds.product
-    n = max(1, math.ceil(p * p * bounds.log_term / (2.0 * gamma * gamma)))
+    ratio = bounds.product / gamma
+    guess = ratio * ratio * bounds.log_term / 2.0
+    if not guess < 2.0 * MAX_SAMPLES:
+        return math.ceil(guess) if math.isfinite(guess) else MAX_SAMPLES + 1
+    n = max(1, math.ceil(guess))
     # The closed form can land one off after rounding; settle it exactly.
     while hoeffding_radius(n, bounds) > gamma:
         n += 1

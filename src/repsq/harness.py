@@ -59,6 +59,7 @@ from .errors import (
 from .estimator import (
     RANGE_TERM_MODES,
     BoundSpec,
+    MAX_SAMPLES,
     EstimatorState,
     bernstein_radius,
     hoeffding_radius,
@@ -146,6 +147,8 @@ class CampaignConfig:
             raise DomainError(f"n_min must be >= 1, got {self.n_min}")
         if self.n_max < max(2, self.n_min):
             raise DomainError(f"n_max {self.n_max} below the termination floor")
+        if self.n_max > MAX_SAMPLES:
+            raise DomainError(f"n_max {self.n_max} above the 2**53 sample limit")
         # Constructing the BoundSpec validates w_bar, c, joint.
         self.bound_spec
 
@@ -620,8 +623,8 @@ def config_from_artifact(
         sampler=dict(sampler_override if sampler_override is not None else art["sampler"]),
         testbed=dict(art["testbed"]),
         seed=seed,
-        n_min=int(art["n_min"]),
-        n_max=int(art["n_max"]),
+        n_min=_whole(art["n_min"], "n_min"),
+        n_max=_whole(art["n_max"], "n_max"),
         range_term_mode=art["range_term_mode"],
     )
 

@@ -12,6 +12,7 @@ import pytest
 
 from repsq.errors import DomainError, InsufficientSamples
 from repsq.estimator import (
+    MAX_SAMPLES,
     BoundSpec,
     EstimatorState,
     bernstein_radius,
@@ -188,6 +189,26 @@ class TestHoeffdingRadius:
             assert hoeffding_radius(n, bounds) <= gamma
             if n > 1:
                 assert hoeffding_radius(n - 1, bounds) > gamma
+
+    @pytest.mark.parametrize(
+        "gamma, bounds",
+        [
+            (1e-100, BoundSpec(m=1.0, w_bar=1.0, c=0.05)),
+            (1e-160, BoundSpec(m=1.0, w_bar=1.0, c=0.05)),  # gamma**2 underflows
+            (1e-3, BoundSpec(m=1.0, w_bar=1.0, c=0.05, joint=1e160)),  # overflows
+            (1e-300, BoundSpec(m=1.0, w_bar=1.0, c=0.05, joint=1e300)),
+        ],
+    )
+    def test_required_n_out_of_reach_exceeds_max_samples(self, gamma, bounds):
+        assert required_n_hoeffding(gamma, bounds) > MAX_SAMPLES
+
+    def test_required_n_is_exact_up_to_max_samples(self):
+        bounds = BoundSpec(m=1.0, w_bar=1.0, c=0.05)
+        for target in (10**12, 2**50, MAX_SAMPLES // 3):
+            gamma = hoeffding_radius(target, bounds)
+            n = required_n_hoeffding(gamma, bounds)
+            assert n <= target
+            assert hoeffding_radius(n, bounds) <= gamma < hoeffding_radius(n - 1, bounds)
 
     def test_requires_one_sample(self):
         with pytest.raises(InsufficientSamples):

@@ -35,6 +35,7 @@ from repsq.errors import (
     NonTerminated,
     OracleBudgetError,
 )
+from repsq.estimator import MAX_SAMPLES
 from repsq.harness import (
     CampaignConfig,
     campaign_stream,
@@ -217,6 +218,11 @@ class TestCampaignConfig:
         d = rare_config().to_dict()
         d["n_max"] = 1e6
         assert CampaignConfig.from_dict(d).n_max == 1_000_000
+
+    def test_n_max_above_the_sample_limit_raises(self):
+        assert rare_config(n_max=MAX_SAMPLES).n_max == MAX_SAMPLES
+        with pytest.raises(DomainError, match="n_max"):
+            rare_config(n_max=MAX_SAMPLES + 1)
 
     def test_unknown_sampler_kind_raises(self):
         with pytest.raises(DomainError):
@@ -409,6 +415,21 @@ class TestRunQuantizedSq:
         assert not partial.terminated
         assert 0.0 <= partial.raw_estimate <= 1.0
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"accuracy": AccuracySpec(1e-160, 0.01, 0.1)},  # gamma**2 underflows
+            {"accuracy": AccuracySpec(1e-300, 0.01, 0.1)},
+            {"joint": 1e160},  # product**2 overflows
+        ],
+    )
+    def test_out_of_reach_gamma_raises_non_terminated(self, overrides):
+        part = make_partition(moderate_config())
+        cfg = moderate_config(n_max=500, **overrides)
+        with pytest.raises(NonTerminated) as info:
+            run_quantized_sq(cfg, part, campaign_stream(7, 0, 0))
+        assert info.value.result.n == 500
+
     def test_off_midpoint_quantization_raises(self, monkeypatch):
         real = harness.quantize
 
@@ -542,6 +563,15 @@ class TestInitiatorReplicator:
         bad["n_max"] = art["n_max"] + 1
         with pytest.raises(ArtifactVersionMismatch):
             replicator(bad, seed=1)
+
+    def test_non_integral_n_max_in_artifact_raises(self):
+        art, _ = initiator(zero_variance_config())
+        bad = dict(art)
+        bad["n_max"] = art["n_max"] + 0.7
+        bad["checksum"] = art_mod.artifact_checksum(bad)
+        loaded = art_mod.load_artifact(art_mod.dump_artifact(bad))
+        with pytest.raises(DomainError, match="n_max"):
+            replicator(loaded, seed=1)
 
     def test_replicator_rejects_alpha_not_from_contract(self):
         art, _ = initiator(zero_variance_config())
