@@ -8,8 +8,8 @@ value (see estimator.EstimatorState): the chunk's deviations from that
 pivot are prefixed with the carried sums and accumulated with
 ``np.add.accumulate`` (``np.cumsum``), a strictly sequential sum. Every prefix sum is
 therefore the same float estimator.update() would reach one value at a
-time, whatever the chunk boundaries, and so are the prefix means, m2 and
-radii computed from it.
+time, however the values are split into chunks, and so are the prefix
+means, m2 and radii computed from it.
 
 Radius expressions here mirror estimator.bernstein_radius and
 estimator.hoeffding_radius operation for operation. The fixed-range

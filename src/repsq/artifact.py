@@ -3,16 +3,17 @@ every replicating party.
 
 The artifact pins everything two independent campaigns must agree on
 for their quantized outputs to be comparable: the partition (interval,
-cell width, offset, and boundaries when materialized), the accuracy
-triple, the declared bounds, the termination mode, the testbed
-descriptor, and the sampler descriptor. A sha256 checksum over the
-canonical JSON payload makes tampering and version drift detectable
-rather than silently corrupting repeatability.
+cell width, offset, and cell count), the accuracy triple, the declared
+bounds, the termination mode, the testbed descriptor, and the sampler
+descriptor. A sha256 checksum over the canonical JSON payload makes
+tampering and version drift detectable rather than silently corrupting
+repeatability, and a layout check rejects a well-sealed artifact whose
+fields are missing or of the wrong JSON type.
 
 Floats cross the wire as decimal strings with 17 significant digits,
 which round-trip binary64 exactly; a loaded artifact therefore rebuilds
-the partition bit for bit, and a rebuilt partition is re-verified
-against the serialized boundaries before use.
+the partition bit for bit, and the rebuilt cell count is checked against
+the serialized one before use.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ __all__ = [
     "load_artifact",
 ]
 
-FORMAT_VERSION = "repsq-artifact-1"
+FORMAT_VERSION = "repsq-artifact-2"
 RNG_ALGORITHM = "numpy-pcg64-ss1"
 
 
@@ -60,19 +61,14 @@ def parse17(s) -> float:
 
 
 def partition_to_payload(partition: Partition, gamma: float, c: float, beta: float) -> dict:
-    """The partition-exchange block: scalars always, boundaries only
-    when the partition is materialized (virtual partitions rebuild the
-    identical cells from the scalars alone)."""
+    """The partition-exchange block: the grid scalars, from which every
+    boundary follows, and the cell count they yield."""
     return {
         "m_low": fmt17(partition.m_low),
         "m_high": fmt17(partition.m_high),
         "alpha": fmt17(partition.alpha),
         "offset": fmt17(partition.offset),
-        "boundaries": (
-            None
-            if partition.boundaries is None
-            else [fmt17(b) for b in partition.boundaries]
-        ),
+        "n_cells": partition.n_cells,
         "gamma": fmt17(gamma),
         "c": fmt17(c),
         "beta": fmt17(beta),
@@ -81,8 +77,7 @@ def partition_to_payload(partition: Partition, gamma: float, c: float, beta: flo
 
 
 def partition_from_payload(payload: dict) -> Partition:
-    """Rebuild the partition and verify it reproduces the serialized
-    boundaries bit for bit."""
+    """Rebuild the partition and verify it has the serialized cell count."""
     if payload.get("format_version") != FORMAT_VERSION:
         raise ArtifactVersionMismatch(
             f"partition format {payload.get('format_version')!r}, "
@@ -94,17 +89,12 @@ def partition_from_payload(payload: dict) -> Partition:
         parse17(payload["alpha"]),
         parse17(payload["offset"]),
     )
-    sent = payload.get("boundaries")
-    if sent is not None:
-        if part.boundaries is None or len(sent) != len(part.boundaries):
-            raise ArtifactVersionMismatch(
-                "serialized boundary list does not match the rebuilt partition"
-            )
-        for s, b in zip(sent, part.boundaries):
-            if parse17(s) != b:
-                raise ArtifactVersionMismatch(
-                    f"boundary {s!r} does not match rebuilt value {b!r}"
-                )
+    sent = payload.get("n_cells")
+    if sent != part.n_cells:
+        raise ArtifactVersionMismatch(
+            f"serialized cell count {sent!r} does not match "
+            f"the rebuilt partition's {part.n_cells}"
+        )
     return part
 
 
@@ -149,8 +139,54 @@ def build_artifact(
     return art
 
 
+# The JSON type(s) of every field build_artifact writes. Decimal strings
+# are parsed (and rejected when malformed) by parse17 where they are read.
+_NUMBER = (int, float)
+_LAYOUT = {
+    "partition": dict,
+    "bounds": dict,
+    "range_term_mode": str,
+    "testbed": dict,
+    "sampler": dict,
+    "n_min": _NUMBER,
+    "n_max": _NUMBER,
+}
+_BLOCK_LAYOUTS = {
+    "partition": {
+        "m_low": str,
+        "m_high": str,
+        "alpha": str,
+        "offset": str,
+        "n_cells": int,
+        "gamma": str,
+        "c": str,
+        "beta": str,
+    },
+    "bounds": {"m": str, "w_bar": str, "joint": (str, type(None))},
+}
+
+
+def _check_fields(block: dict, layout: dict, where: str) -> None:
+    for key, types in layout.items():
+        if key not in block:
+            raise ArtifactVersionMismatch(f"artifact has no field {where}{key}")
+        value = block[key]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ArtifactVersionMismatch(
+                f"artifact field {where}{key} has the wrong JSON type: {value!r}"
+            )
+
+
+def _check_layout(art: dict) -> None:
+    """Every field build_artifact writes is present, with the JSON type
+    it writes."""
+    _check_fields(art, _LAYOUT, "")
+    for block, layout in _BLOCK_LAYOUTS.items():
+        _check_fields(art[block], layout, f"{block}.")
+
+
 def verify_artifact(art: dict) -> dict:
-    """Checksum and version gate; returns the artifact unchanged."""
+    """Checksum, version and layout gate; returns the artifact unchanged."""
     if not isinstance(art, dict):
         raise ArtifactVersionMismatch("artifact is not a JSON object")
     if art.get("format_version") != FORMAT_VERSION:
@@ -168,6 +204,7 @@ def verify_artifact(art: dict) -> dict:
         raise ArtifactVersionMismatch(
             f"artifact checksum {stored!r} does not match content {actual!r}"
         )
+    _check_layout(art)
     return art
 
 

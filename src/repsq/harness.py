@@ -44,7 +44,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .artifact import RNG_ALGORITHM, build_artifact, partition_from_payload, verify_artifact
+from ._fields import mapping, real, whole
+from .artifact import (
+    RNG_ALGORITHM,
+    build_artifact,
+    parse17,
+    partition_from_payload,
+    verify_artifact,
+)
 from .errors import (
     ArtifactVersionMismatch,
     BoundViolation,
@@ -141,6 +148,8 @@ class CampaignConfig:
         kind = self.sampler.get("kind") if isinstance(self.sampler, dict) else None
         if kind not in SAMPLER_KINDS:
             raise DomainError(f"sampler kind must be one of {SAMPLER_KINDS}, got {kind!r}")
+        if kind == "ais":
+            self.ais_policy()  # validates the policy fields up front
         if not isinstance(self.seed, int) or self.seed < 0:
             raise DomainError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.n_min < 1:
@@ -164,10 +173,10 @@ class CampaignConfig:
     def ais_policy(self) -> AisPolicy:
         s = self.sampler
         return AisPolicy(
-            mix_p=s.get("mix_p", 0.1),
-            d=s.get("d", 10),
-            l_r=s.get("l_r", 0.1),
-            init_shape=s.get("init_shape", 0.99),
+            mix_p=real(s.get("mix_p", 0.1), "mix_p"),
+            d=whole(s.get("d", 10), "d"),
+            l_r=real(s.get("l_r", 0.1), "l_r"),
+            init_shape=real(s.get("init_shape", 0.99), "init_shape"),
         )
 
     def build_testbed(self):
@@ -200,37 +209,32 @@ class CampaignConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CampaignConfig":
+        """Parse a JSON-shaped config; a missing field or a field of the
+        wrong JSON type raises DomainError."""
+        d = mapping(d, "campaign config")
         try:
-            acc = d["accuracy"]
-            interval = d["interval"]
-            bounds = d.get("bounds", {})
+            acc = mapping(d["accuracy"], "accuracy")
+            interval = mapping(d["interval"], "interval")
+            bounds = mapping(d.get("bounds", {}), "bounds")
+            joint = bounds.get("joint")
             return cls(
-                accuracy=AccuracySpec(acc["gamma"], acc["c"], acc["beta"]),
-                m_low=float(interval["m_low"]),
-                m_high=float(interval["m_high"]),
-                w_bar=float(bounds.get("w_bar", 1.0)),
-                joint=None if bounds.get("joint") is None else float(bounds["joint"]),
-                sampler=dict(d["sampler"]),
-                testbed=dict(d["testbed"]),
-                seed=_whole(d["seed"], "seed"),
+                accuracy=AccuracySpec(
+                    real(acc["gamma"], "gamma"), real(acc["c"], "c"), real(acc["beta"], "beta")
+                ),
+                m_low=real(interval["m_low"], "m_low"),
+                m_high=real(interval["m_high"], "m_high"),
+                w_bar=real(bounds.get("w_bar", 1.0), "w_bar"),
+                joint=None if joint is None else real(joint, "joint"),
+                sampler=dict(mapping(d["sampler"], "sampler")),
+                testbed=dict(mapping(d["testbed"], "testbed")),
+                seed=whole(d["seed"], "seed"),
                 offset_policy=d.get("offset_policy", "zero"),
-                n_min=_whole(d.get("n_min", 2), "n_min"),
-                n_max=_whole(d.get("n_max", 10_000_000), "n_max"),
+                n_min=whole(d.get("n_min", 2), "n_min"),
+                n_max=whole(d.get("n_max", 10_000_000), "n_max"),
                 range_term_mode=d.get("range_term_mode", "paper-exact"),
             )
         except KeyError as exc:
             raise DomainError(f"campaign config missing field {exc.args[0]!r}") from exc
-
-
-def _whole(value, name: str) -> int:
-    """An integer config field: an int, or a float with no fractional
-    part (JSON writers may emit 1e6 for a million). Anything else is
-    rejected rather than truncated."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_sampler_bounds(sampler: dict, testbed, w_bar: float) -> None:
@@ -442,7 +446,7 @@ def run_quantized_sq(
     batch of d per chunk instead); see the module docstring for what
     that costs in speculative evaluations. The sampler and
     evaluator-noise streams are consumed position-aligned and the scan
-    kernel's sums do not depend on chunk boundaries, so every field but
+    kernel's sums do not depend on where the chunks split, so every field but
     ``evaluated_n``, ``chunks`` and the wall time is bit-identical for
     any ``chunk_size``.
 
@@ -569,6 +573,13 @@ def _draw_offset(config: CampaignConfig, alpha: float) -> float:
     return float(rng.uniform(0.0, alpha))
 
 
+def _campaign_partition(config: CampaignConfig) -> Partition:
+    """The grid a config fixes: cell width from its accuracy contract,
+    first-cell offset from its offset policy."""
+    alpha = compute_alpha(config.accuracy)
+    return build_partition(config.m_low, config.m_high, alpha, _draw_offset(config, alpha))
+
+
 def _build_campaign_artifact(config: CampaignConfig, partition: Partition) -> dict:
     return build_artifact(
         partition,
@@ -590,9 +601,7 @@ def _build_campaign_artifact(config: CampaignConfig, partition: Partition) -> di
 
 def initiator(config: CampaignConfig) -> tuple[dict, TrialResult]:
     """Fix the partition, publish the artifact, run the first campaign."""
-    alpha = compute_alpha(config.accuracy)
-    offset = _draw_offset(config, alpha)
-    partition = build_partition(config.m_low, config.m_high, alpha, offset)
+    partition = _campaign_partition(config)
     art = _build_campaign_artifact(config, partition)
     result = run_quantized_sq(
         config, partition, campaign_stream(config.seed, 0, INITIATOR_ARM)
@@ -603,28 +612,29 @@ def initiator(config: CampaignConfig) -> tuple[dict, TrialResult]:
 def config_from_artifact(
     art: dict, seed: int, sampler_override: dict | None = None
 ) -> CampaignConfig:
-    """Reconstruct the campaign configuration a replicator must run."""
+    """Reconstruct the campaign configuration a replicator must run from
+    an artifact that passed ``verify_artifact``."""
     part = art["partition"]
     bounds = art["bounds"]
-    m_low = float(part["m_low"])
-    m_high = float(part["m_high"])
-    m_declared = float(bounds["m"])
+    m_low = parse17(part["m_low"])
+    m_high = parse17(part["m_high"])
+    m_declared = parse17(bounds["m"])
     if m_declared != m_high - m_low:
         raise ArtifactVersionMismatch(
             f"declared bound m = {m_declared} does not equal the interval "
             f"width {m_high - m_low}"
         )
     return CampaignConfig(
-        accuracy=AccuracySpec(float(part["gamma"]), float(part["c"]), float(part["beta"])),
+        accuracy=AccuracySpec(parse17(part["gamma"]), parse17(part["c"]), parse17(part["beta"])),
         m_low=m_low,
         m_high=m_high,
-        w_bar=float(bounds["w_bar"]),
-        joint=None if bounds.get("joint") is None else float(bounds["joint"]),
+        w_bar=parse17(bounds["w_bar"]),
+        joint=None if bounds["joint"] is None else parse17(bounds["joint"]),
         sampler=dict(sampler_override if sampler_override is not None else art["sampler"]),
         testbed=dict(art["testbed"]),
         seed=seed,
-        n_min=_whole(art["n_min"], "n_min"),
-        n_max=_whole(art["n_max"], "n_max"),
+        n_min=whole(art["n_min"], "n_min"),
+        n_max=whole(art["n_max"], "n_max"),
         range_term_mode=art["range_term_mode"],
     )
 
@@ -640,16 +650,11 @@ def replicator(
     """
     art = verify_artifact(art)
     partition = partition_from_payload(art["partition"])
-    acc = AccuracySpec(
-        float(art["partition"]["gamma"]),
-        float(art["partition"]["c"]),
-        float(art["partition"]["beta"]),
-    )
-    if compute_alpha(acc) != partition.alpha:
+    config = config_from_artifact(art, seed, sampler_override)
+    if compute_alpha(config.accuracy) != partition.alpha:
         raise ArtifactVersionMismatch(
             "artifact cell width does not come from its own accuracy contract"
         )
-    config = config_from_artifact(art, seed, sampler_override)
     bed = config.build_testbed()  # validates override bounds up front
     return run_quantized_sq(
         config, partition, campaign_stream(seed, 0, REPLICATOR_ARM), testbed=bed
@@ -762,11 +767,9 @@ def pairwise_experiment(
             f"{gamma / 10.0:.3g}; refusing to grade accuracy against it"
         )
     r_star = bed.oracle_r_star
-    alpha = compute_alpha(config.accuracy)
-    offset = _draw_offset(config, alpha)
-    partition = build_partition(config.m_low, config.m_high, alpha, offset)
+    partition = _campaign_partition(config)
     checksum = _build_campaign_artifact(config, partition)["checksum"]
-    tolerance = gamma + 0.5 * alpha
+    tolerance = gamma + 0.5 * partition.alpha
 
     rep_sampler = replicator_sampler if replicator_sampler is not None else config.sampler
     rep_config = dataclasses.replace(config, sampler=dict(rep_sampler))
@@ -845,7 +848,7 @@ def pairwise_experiment(
         n_trials=n_trials,
         accuracy_hits=accuracy_hits,
         raw_gamma_hits=raw_hits,
-        alpha=alpha,
+        alpha=partition.alpha,
         gamma=gamma,
         tolerance=tolerance,
         oracle_r_star=r_star,
@@ -911,12 +914,9 @@ def effort_comparison(config: CampaignConfig) -> EffortComparison:
     """Run one campaign with full radius tracing and compare its
     adaptive termination point against the sample count a fixed-range
     rule would require for the same gamma and declared bounds."""
-    alpha = compute_alpha(config.accuracy)
-    offset = _draw_offset(config, alpha)
-    partition = build_partition(config.m_low, config.m_high, alpha, offset)
     result = run_quantized_sq(
         config,
-        partition,
+        _campaign_partition(config),
         campaign_stream(config.seed, 0, INITIATOR_ARM),
         record_trace=True,
     )

@@ -13,25 +13,19 @@ Conventions
   [x_{n-1}, x_n], so every value in M has exactly one cell.
 - All cells have width alpha except possibly the first (controlled by
   ``offset``) and the last (the remainder at m_high); both are <= alpha.
-- Boundaries are computed once from the grid scalars and never re-derived
-  differently per query, so two parties holding the same scalars resolve
-  every value to bit-identical cells and midpoints.
-- Partitions with at most ``MATERIALIZE_LIMIT`` cells store their boundary
-  list explicitly and resolve membership by exact IEEE comparison against
-  it. Wider partitions (tiny alpha over a wide M; an explicit list would
-  not fit in memory) resolve membership by an arithmetic rule on the same
-  canonical grid positions. The regime is a pure function of the scalars,
-  so it never differs between parties.
+- Boundaries are computed from the grid scalars by one arithmetic rule,
+  boundary k = b1 + (k-1)*alpha with b1 = m_low + first-cell length, and
+  membership is resolved against those same positions. No boundary list
+  is stored, so a grid of any size costs constant memory, and two
+  parties holding the same scalars resolve every value to bit-identical
+  cells and midpoints.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import DomainError, InfeasibleRepeatability
 
@@ -39,15 +33,11 @@ __all__ = [
     "AccuracySpec",
     "Partition",
     "QuantizedValue",
-    "MATERIALIZE_LIMIT",
     "compute_alpha",
     "build_partition",
     "quantize",
     "collision_probability_lower_bound",
 ]
-
-# Above this cell count, boundary lists stay virtual (see module docstring).
-MATERIALIZE_LIMIT = 65536
 
 # Square-root arguments in [-_DISC_EPS, 0] are rounding residue, treated as 0.
 _DISC_EPS = 1e-15
@@ -148,9 +138,8 @@ class Partition:
     """Almost-uniform tiling of [m_low, m_high] with cell width alpha.
 
     ``offset`` is the requested first-cell length: 0 (or alpha) means the
-    first cell has full width. ``boundaries`` is the explicit boundary
-    tuple for materialized partitions and None for virtual ones; in either
-    case every boundary is defined by the same canonical grid positions.
+    first cell has full width. ``n_cells`` is fixed by build_partition;
+    every boundary follows from the scalars by the canonical rule.
     """
 
     m_low: float
@@ -158,7 +147,6 @@ class Partition:
     alpha: float
     offset: float
     n_cells: int
-    boundaries: tuple | None = field(repr=False)
 
     # -- canonical grid ------------------------------------------------
 
@@ -182,8 +170,6 @@ class Partition:
             return self.m_low
         if k == self.n_cells:
             return self.m_high
-        if self.boundaries is not None:
-            return self.boundaries[k]
         # Single rounding per term keeps this expression bit-stable.
         return self._b1 + (k - 1) * self.alpha
 
@@ -204,58 +190,18 @@ class Partition:
             v, clamped = self.m_low, True
         elif v > self.m_high:
             v, clamped = self.m_high, True
-        if self.boundaries is not None:
-            j = bisect.bisect_right(self.boundaries, v) - 1
-        else:
-            j = self._virtual_cell(v)
-        if j >= self.n_cells:  # v == m_high: closed last cell
-            j = self.n_cells - 1
-        return j, clamped
-
-    def _virtual_cell(self, v: float) -> int:
         if v < self._b1:
-            return 0
-        j = 1 + int(math.floor((v - self._b1) / self.alpha))
+            return 0, clamped
+        j = min(1 + int(math.floor((v - self._b1) / self.alpha)), self.n_cells - 1)
         # floor() on rounded differences can be off by one cell near a
         # boundary; nudge so that boundary(j) <= v < boundary(j+1) holds
-        # against the canonical positions whenever they are distinct.
+        # against the canonical positions (v == m_high stays in the
+        # closed last cell).
         while j > 0 and v < self.boundary(j):
             j -= 1
         while j < self.n_cells - 1 and v >= self.boundary(j + 1):
             j += 1
-        return j
-
-    def cells_of(self, values: np.ndarray) -> np.ndarray:
-        """Vectorized cell indices (values clamped into M first)."""
-        v = np.clip(np.asarray(values, dtype=np.float64), self.m_low, self.m_high)
-        if self.boundaries is not None:
-            j = np.searchsorted(self._bounds_arr, v, side="right") - 1
-        else:
-            j = np.where(
-                v < self._b1,
-                0,
-                1 + np.floor((v - self._b1) / self.alpha).astype(np.int64),
-            ).astype(np.int64)
-            # same one-off correction as the scalar rule, vectorized
-            left = self._b1 + (j - 1) * self.alpha
-            j = np.where((j > 0) & (v < left), j - 1, j)
-            right = self._b1 + j * self.alpha
-            j = np.where((j < self.n_cells - 1) & (v >= right), j + 1, j)
-        return np.clip(j, 0, self.n_cells - 1)
-
-    def midpoints_of(self, cells: np.ndarray) -> np.ndarray:
-        cells = np.asarray(cells, dtype=np.int64)
-        if self.boundaries is not None:
-            lo = self._bounds_arr[cells]
-            hi = self._bounds_arr[cells + 1]
-        else:
-            lo = np.where(cells == 0, self.m_low, self._b1 + (cells - 1) * self.alpha)
-            hi = np.where(
-                cells == self.n_cells - 1,
-                self.m_high,
-                self._b1 + cells * self.alpha,
-            )
-        return 0.5 * (lo + hi)
+        return j, clamped
 
     # -- validation ----------------------------------------------------
 
@@ -266,34 +212,8 @@ class Partition:
             raise DomainError(f"alpha must be finite and positive, got {self.alpha}")
         if not 0.0 <= self.offset <= self.alpha:
             raise DomainError(f"offset {self.offset} outside [0, alpha={self.alpha}]")
-        if self.boundaries is not None:
-            object.__setattr__(
-                self, "_bounds_arr", np.asarray(self.boundaries, dtype=np.float64)
-            )
-            self._check_boundaries()
-
-    def _check_boundaries(self) -> None:
-        b = self.boundaries
-        if len(b) != self.n_cells + 1:
-            raise DomainError("boundary count does not match n_cells")
-        if b[0] != self.m_low or b[-1] != self.m_high:
-            raise DomainError("boundaries do not cover [m_low, m_high]")
-        for k in range(len(b) - 1):
-            if not b[k] < b[k + 1]:
-                raise DomainError(f"boundaries not strictly increasing at index {k}")
-        # First/last cells may be short, never long (1e-9*alpha slack for
-        # the snap at m_high).
-        slack = _SNAP_REL * self.alpha
-        if (b[1] - b[0]) > self.alpha + slack or (b[-1] - b[-2]) > self.alpha + slack:
-            raise DomainError("first/last cell longer than alpha")
-        # Interior boundaries must sit exactly on the canonical grid; this
-        # is the strongest uniformity statement binary64 supports (length
-        # differences measured in floats can be dominated by boundary ulps
-        # when alpha << |m_high|).
-        for k in range(1, len(b) - 1):
-            want = self._b1 + (k - 1) * self.alpha
-            if b[k] != want:
-                raise DomainError(f"boundary {k} off the canonical grid")
+        if self.n_cells < 1:
+            raise DomainError(f"n_cells must be >= 1, got {self.n_cells}")
 
 
 def build_partition(
@@ -301,8 +221,8 @@ def build_partition(
 ) -> Partition:
     """Tile [m_low, m_high] with cells of width alpha, first cell ``offset``.
 
-    The grid anchor is b1 = m_low + first_len; interior boundaries advance
-    by exactly alpha from it. A generated boundary within 1e-9*alpha of
+    The grid anchor is b1 = m_low + first_len; the k-th interior boundary
+    sits at b1 + k*alpha. A generated boundary within 1e-9*alpha of
     m_high is snapped onto m_high rather than leaving a sliver cell. An
     interval no wider than alpha yields the single cell [m_low, m_high].
     """
@@ -319,7 +239,7 @@ def build_partition(
 
     total = m_high - m_low
     if total <= alpha:
-        return Partition(m_low, m_high, alpha, offset, 1, (m_low, m_high))
+        return Partition(m_low, m_high, alpha, offset, 1)
 
     first = alpha if (offset == 0.0 or offset == alpha) else offset
     b1 = m_low + first
@@ -335,14 +255,7 @@ def build_partition(
         while k >= 0 and b1 + k * alpha >= cutoff:
             k -= 1
         n_interior = k + 1
-    n_cells = n_interior + 1
-
-    if n_cells <= MATERIALIZE_LIMIT:
-        bounds = [m_low]
-        bounds.extend(b1 + k * alpha for k in range(n_interior))
-        bounds.append(m_high)
-        return Partition(m_low, m_high, alpha, offset, n_cells, tuple(bounds))
-    return Partition(m_low, m_high, alpha, offset, n_cells, None)
+    return Partition(m_low, m_high, alpha, offset, n_interior + 1)
 
 
 def quantize(value: float, partition: Partition) -> QuantizedValue:

@@ -1,11 +1,10 @@
 """Target distributions, importance proposals, and the adaptive Beta
 mixture.
 
-Every distribution here exposes ``sample(rng)`` / ``density(x)`` plus
-vectorized ``sample_many(rng, size)`` / ``density_many(points)``
-counterparts. The scalar and vectorized paths consume the underlying
-rng stream in different orders; each path is individually deterministic
-under a fixed stream, and a campaign commits to one path throughout.
+Every distribution here exposes one vectorized interface:
+``sample_many(rng, size)`` draws a batch and ``density_many(points)``
+evaluates the density at a batch of points. Campaigns draw and weight
+only through it, so a fixed rng stream yields one fixed batch of points.
 
 Continuous proposals are per-dimension Beta densities mapped linearly
 onto an axis-aligned box; the 1/(hi-lo) Jacobian is part of the density,
@@ -20,35 +19,25 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Sequence
 
 import numpy as np
 from scipy import special
 
-from .errors import (
-    ClampWarning,
-    DegenerateBatch,
-    DomainError,
-    WeightCapExceeded,
-    ZeroProposalDensity,
-)
+from .errors import ClampWarning, DegenerateBatch, DomainError
 
 __all__ = [
     "SHAPE_MIN",
     "SHAPE_MAX",
     "BoxDomain",
-    "SamplableDistribution",
     "DiscreteDistribution",
     "BoxUniform",
     "BetaProposal",
     "AisPolicy",
     "beta_density",
-    "beta_sample",
     "fit_beta",
     "ais_update",
-    "mixture_sample",
     "mixture_sample_many",
-    "importance_weight",
     "proposal_snapshot",
 ]
 
@@ -80,29 +69,6 @@ class BoxDomain:
     def volume(self) -> float:
         return float(np.prod(np.asarray(self.hi) - np.asarray(self.lo)))
 
-    def contains(self, point) -> bool:
-        x = np.asarray(point, dtype=np.float64)
-        if x.shape != (self.dims,):
-            raise DomainError(f"point has shape {x.shape}, domain has {self.dims} dims")
-        return bool(np.all(x >= self.lo) and np.all(x <= self.hi))
-
-
-@runtime_checkable
-class SamplableDistribution(Protocol):
-    """Duck type shared by targets and proposals.
-
-    density returns probability mass on discrete domains and Lebesgue
-    density on boxes; both must normalize to 1 over the domain.
-    """
-
-    def sample(self, rng): ...
-
-    def density(self, point) -> float: ...
-
-    def sample_many(self, rng, size: int): ...
-
-    def density_many(self, points): ...
-
 
 class DiscreteDistribution:
     """Finite distribution over cells 0..K-1 given by explicit masses."""
@@ -124,17 +90,8 @@ class DiscreteDistribution:
     def n_cells(self) -> int:
         return int(self.masses.size)
 
-    def sample(self, rng) -> int:
-        return int(np.searchsorted(self._cum, rng.random(), side="right"))
-
     def sample_many(self, rng, size: int):
         return np.searchsorted(self._cum, rng.random(size), side="right")
-
-    def density(self, point) -> float:
-        k = int(point)
-        if not 0 <= k < self.n_cells:
-            raise DomainError(f"cell {k} outside 0..{self.n_cells - 1}")
-        return float(self.masses[k])
 
     def density_many(self, points):
         idx = np.asarray(points, dtype=np.int64)
@@ -152,14 +109,8 @@ class BoxUniform:
         self._lo = np.asarray(domain.lo)
         self._hi = np.asarray(domain.hi)
 
-    def sample(self, rng):
-        return rng.uniform(self._lo, self._hi)
-
     def sample_many(self, rng, size: int):
         return rng.uniform(self._lo, self._hi, size=(size, self.domain.dims))
-
-    def density(self, point) -> float:
-        return self._density if self.domain.contains(point) else 0.0
 
     def density_many(self, points):
         x = np.asarray(points, dtype=np.float64)
@@ -194,14 +145,6 @@ def beta_density(x: float, a: float, b: float, lo: float = 0.0, hi: float = 1.0)
     return math.exp(log_pdf) / width
 
 
-def beta_sample(a: float, b: float, lo: float, hi: float, rng) -> float:
-    if not (a > 0.0 and b > 0.0):
-        raise DomainError(f"shapes must be positive, got a={a}, b={b}")
-    if not lo < hi:
-        raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
-    return lo + (hi - lo) * float(rng.beta(a, b))
-
-
 class BetaProposal:
     """Product of per-dimension Betas on a box; the adapted proposal."""
 
@@ -226,16 +169,9 @@ class BetaProposal:
             np.sum(special.betaln(av, bv)) + np.sum(np.log(self._width))
         )
 
-    def sample(self, rng):
-        t = rng.beta(self.a, self.b)
-        return self._lo + self._width * t
-
     def sample_many(self, rng, size: int):
         t = rng.beta(self.a, self.b, size=(size, self.domain.dims))
         return self._lo + self._width * t
-
-    def density(self, point) -> float:
-        return float(self.density_many(np.asarray(point, dtype=np.float64)[None, :])[0])
 
     def density_many(self, points):
         x = np.atleast_2d(np.asarray(points, dtype=np.float64))
@@ -347,39 +283,14 @@ def ais_update(current: BetaProposal, batch, policy: AisPolicy) -> BetaProposal:
     return BetaProposal(current.domain, new_a, new_b)
 
 
-def _mixture_density_many(p, q: BetaProposal, mix_p: float, points):
-    return mix_p * p.density_many(points) + (1.0 - mix_p) * q.density_many(points)
-
-
-def mixture_sample(p, q: BetaProposal, mix_p: float, rng):
-    """One draw from the mix_p:p / (1-mix_p):q mixture and its weight.
-
-    The weight divides by the mixture density, never by q alone: that
-    keeps the weighted estimator unbiased and caps the weight at
-    1/mix_p whenever mix_p > 0.
-    """
-    if not 0.0 <= mix_p <= 1.0:
-        raise DomainError(f"mix_p must lie in [0, 1], got {mix_p}")
-    if getattr(p, "domain", None) is not None and p.domain != q.domain:
-        raise DomainError("target and proposal must share one domain")
-    if rng.random() < mix_p:
-        x = p.sample(rng)
-    else:
-        x = q.sample(rng)
-    p_x = p.density(x)
-    q_mix = mix_p * p_x + (1.0 - mix_p) * q.density(x)
-    if q_mix <= 0.0:
-        if p_x > 0.0:
-            raise DomainError(
-                "mixture density vanished where the target is positive "
-                "(mix_p = 0 with a proposal that misses target support)"
-            )
-        return x, 0.0
-    return x, p_x / q_mix
-
-
 def mixture_sample_many(p, q: BetaProposal, mix_p: float, rng, size: int):
-    """Vectorized mixture draws; returns (points, weights)."""
+    """Draws from the mix_p:p / (1-mix_p):q mixture; returns (points,
+    weights).
+
+    Each weight divides by the mixture density, never by q alone: that
+    keeps the weighted estimator unbiased and caps the weight at 1/mix_p
+    whenever mix_p > 0.
+    """
     if not 0.0 <= mix_p <= 1.0:
         raise DomainError(f"mix_p must lie in [0, 1], got {mix_p}")
     if getattr(p, "domain", None) is not None and p.domain != q.domain:
@@ -398,26 +309,6 @@ def mixture_sample_many(p, q: BetaProposal, mix_p: float, rng, size: int):
         raise DomainError("mixture density vanished where the target is positive")
     weights = np.divide(p_x, q_mix, out=np.zeros(size), where=q_mix > 0.0)
     return points, weights
-
-
-def importance_weight(p, q, x, w_bar: float | None = None) -> float:
-    """p(x)/q(x), with an advisory check against the declared cap."""
-    q_x = q.density(x)
-    p_x = p.density(x)
-    if q_x == 0.0:
-        if p_x > 0.0:
-            raise ZeroProposalDensity(
-                f"proposal density is 0 at {x!r} where target density is {p_x}"
-            )
-        return 0.0
-    w = p_x / q_x
-    if w_bar is not None and w > w_bar:
-        warnings.warn(
-            f"importance weight {w:.6g} exceeds declared bound {w_bar:.6g}",
-            WeightCapExceeded,
-            stacklevel=2,
-        )
-    return w
 
 
 def proposal_snapshot(

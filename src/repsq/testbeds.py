@@ -29,6 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._fields import flag, mapping, real, reals, whole
 from .errors import DomainError
 from .samplers import BoxDomain, BoxUniform, DiscreteDistribution
 
@@ -152,7 +153,10 @@ class CellularTestbed:
     @classmethod
     def from_spec(cls, spec: dict) -> "CellularTestbed":
         return cls(
-            spec["masses"], spec["failure_probs"], spec["proposal_masses"], spec["w_bar"]
+            reals(spec["masses"], "masses"),
+            reals(spec["failure_probs"], "failure_probs"),
+            reals(spec["proposal_masses"], "proposal_masses"),
+            real(spec["w_bar"], "w_bar"),
         )
 
 
@@ -364,10 +368,11 @@ class DisplacementTestbed:
 
     @classmethod
     def from_spec(cls, spec: dict) -> "DisplacementTestbed":
+        mean_constant = spec["mean_constant"]
         return cls(
-            spec["oracle_seed"],
-            noise=spec["noise"],
-            mean_constant=spec["mean_constant"],
+            whole(spec["oracle_seed"], "oracle_seed"),
+            noise=flag(spec["noise"], "noise"),
+            mean_constant=None if mean_constant is None else real(mean_constant, "mean_constant"),
         )
 
 
@@ -487,14 +492,14 @@ class TrackingTestbed:
     @classmethod
     def from_spec(cls, spec: dict) -> "TrackingTestbed":
         bed = cls(
-            spec["sim_gap"],
-            spec["oracle_seed"],
-            zero_noise=spec["zero_noise"],
+            real(spec["sim_gap"], "sim_gap"),
+            whole(spec["oracle_seed"], "oracle_seed"),
+            zero_noise=flag(spec["zero_noise"], "zero_noise"),
         )
-        if not spec["zero_noise"]:
-            bed.bias_gain = spec["bias_gain"]
-            bed.noise_base = spec["noise_base"]
-            bed.noise_slope = spec["noise_slope"]
+        if not bed.zero_noise:
+            bed.bias_gain = real(spec["bias_gain"], "bias_gain")
+            bed.noise_base = real(spec["noise_base"], "noise_base")
+            bed.noise_slope = real(spec["noise_slope"], "noise_slope")
         return bed
 
 
@@ -510,12 +515,16 @@ _KINDS = {
 
 
 def testbed_from_spec(spec: dict):
-    """Rebuild a testbed from its JSON descriptor."""
-    kind = spec.get("kind")
-    if kind not in _KINDS:
+    """Rebuild a testbed from its JSON descriptor; a missing field or a
+    field of the wrong JSON type raises DomainError."""
+    kind = mapping(spec, "testbed").get("kind")
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise DomainError(f"unknown testbed kind {kind!r}")
-    bed = _KINDS[kind].from_spec(spec)
+    try:
+        bed = _KINDS[kind].from_spec(spec)
+    except KeyError as exc:
+        raise DomainError(f"{kind} testbed descriptor missing field {exc.args[0]!r}") from exc
     for bound in ("m_low", "m_high"):
-        if bound in spec and spec[bound] != getattr(bed, bound):
+        if bound in spec and real(spec[bound], bound) != getattr(bed, bound):
             raise DomainError(f"descriptor {bound} disagrees with testbed definition")
     return bed

@@ -142,14 +142,15 @@ class TestArtifactSerialization:
         part = build_partition(0.0, 6.0, ALPHA_WIDE, 0.05)
         payload = partition_to_payload(part, 0.1, 0.05, 0.1)
         back = partition_from_payload(payload)
-        assert back.boundaries == part.boundaries
-        assert back.n_cells == part.n_cells
-        assert back.alpha == part.alpha and back.offset == part.offset
+        assert back == part
+        assert [back.boundary(k) for k in range(back.n_cells + 1)] == [
+            part.boundary(k) for k in range(part.n_cells + 1)
+        ]
 
     def test_partition_payload_round_trip_virtual(self):
         part = build_partition(0.0, 1.0, ALPHA_RARE, 0.0)
         payload = partition_to_payload(part, 3e-9, 0.01, 0.1)
-        assert payload["boundaries"] is None
+        assert payload["n_cells"] == part.n_cells == 233_386_897
         back = partition_from_payload(payload)
         assert back.n_cells == part.n_cells
         for v in (0.0, 3.2e-8, 0.731, 1.0):
@@ -161,17 +162,20 @@ class TestArtifactSerialization:
         assert loaded == art
         rebuilt = partition_from_payload(loaded["partition"])
         original = partition_from_payload(art["partition"])
-        assert rebuilt.boundaries == original.boundaries
+        assert rebuilt == original
 
     def test_tampered_boundary_is_rejected(self):
+        """A cell count the grid scalars do not yield is rejected: by the
+        checksum as sent, and by the rebuild check once resealed."""
         art, _ = initiator(zero_variance_config())
         bad = dict(art)
-        bad["partition"] = dict(art["partition"])
-        bounds = list(bad["partition"]["boundaries"])
-        bounds[3] = fmt17(parse17(bounds[3]) + 1e-9)
-        bad["partition"]["boundaries"] = bounds
+        bad["partition"] = dict(art["partition"], n_cells=art["partition"]["n_cells"] + 1)
         with pytest.raises(ArtifactVersionMismatch):
             load_artifact(dump_artifact(bad))
+        bad["checksum"] = art_mod.artifact_checksum(bad)
+        loaded = load_artifact(dump_artifact(bad))
+        with pytest.raises(ArtifactVersionMismatch, match="cell count"):
+            replicator(loaded, seed=1)
 
     def test_wrong_format_version_is_rejected(self):
         art, _ = initiator(zero_variance_config())
@@ -577,10 +581,9 @@ class TestInitiatorReplicator:
         art, _ = initiator(zero_variance_config())
         bad = dict(art)
         bad["partition"] = dict(art["partition"])
-        bad["partition"]["alpha"] = fmt17(0.19)
-        bad["partition"]["boundaries"] = None
+        bad["partition"]["alpha"] = fmt17(0.19)  # same 32 cells on [0, 6]
         bad["checksum"] = art_mod.artifact_checksum(bad)
-        with pytest.raises(ArtifactVersionMismatch):
+        with pytest.raises(ArtifactVersionMismatch, match="accuracy contract"):
             replicator(bad, seed=1)
 
     def test_sampler_override_cross_strategy(self):

@@ -1,0 +1,210 @@
+"""Malformed configs and artifacts map to the documented exit codes.
+
+A config with a missing field or a field of the wrong JSON type exits 1;
+an artifact whose checksum is valid but whose body is malformed exits 4.
+Neither may escape main() as a traceback. The explicit cases are the
+ones that used to crash; the hypothesis tests edit the bundled
+zero_variance config and its artifact one field at a time (the artifact
+is resealed after each edit, so the checksum is never what rejects it).
+"""
+
+import copy
+import json
+import string
+from importlib import resources
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repsq import artifact as art_mod
+from repsq.cli import main
+
+ZERO_VARIANCE = json.loads(
+    (resources.files("repsq") / "configs" / "zero_variance.json").read_text()
+)
+
+# Keys a config must carry; the others have defaults.
+CONFIG_REQUIRED = [
+    ("accuracy",),
+    ("accuracy", "gamma"),
+    ("accuracy", "c"),
+    ("accuracy", "beta"),
+    ("interval",),
+    ("interval", "m_low"),
+    ("interval", "m_high"),
+    ("sampler",),
+    ("sampler", "kind"),
+    ("seed",),
+    ("testbed",),
+    ("testbed", "kind"),
+    ("testbed", "oracle_seed"),
+    ("testbed", "noise"),
+    ("testbed", "mean_constant"),
+]
+# Fields for which null is a valid value ("no such bound", "no constant").
+CONFIG_NULLABLE = {("bounds", "joint"), ("testbed", "mean_constant")}
+ARTIFACT_NULLABLE = {("bounds", "joint")}
+
+# Strings of letters never parse as finite numbers, so a string standing
+# in for a number is always malformed.
+JSON_TYPES = {
+    "null": st.none(),
+    "bool": st.booleans(),
+    "number": st.integers(-10**6, 10**6) | st.floats(allow_nan=False, allow_infinity=False),
+    "string": st.text(string.ascii_letters, max_size=8),
+    "array": st.lists(st.integers(0, 9), max_size=3),
+    "object": st.dictionaries(st.text(string.ascii_letters, max_size=4), st.integers(), max_size=3),
+}
+
+FUZZ = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+
+
+def json_type(value) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "bool"
+    if isinstance(value, (int, float)):
+        return "number"
+    if isinstance(value, str):
+        return "string"
+    return "array" if isinstance(value, list) else "object"
+
+
+def lookup(tree, path):
+    for key in path:
+        tree = tree[key]
+    return tree
+
+
+def edited(tree, path, value=None, drop=False):
+    """A copy of tree with the key at path dropped or set to value."""
+    out = copy.deepcopy(tree)
+    parent = lookup(out, path[:-1])
+    if drop:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return out
+
+
+def malformed(tree, paths, droppable, nullable):
+    """One required key dropped, or one field at ``paths`` replaced by a
+    value of another JSON type (null only where null is invalid)."""
+
+    def other_type(path):
+        have = json_type(lookup(tree, path))
+        return st.one_of(
+            *(
+                strategy
+                for name, strategy in JSON_TYPES.items()
+                if name != have and not (name == "null" and path in nullable)
+            )
+        ).map(lambda value: edited(tree, path, value))
+
+    drops = st.sampled_from(droppable).map(lambda path: edited(tree, path, drop=True))
+    swaps = st.sampled_from(paths).flatmap(other_type)
+    return drops | swaps
+
+
+def all_paths(tree, prefix=()):
+    out = []
+    for key, value in tree.items():
+        out.append(prefix + (key,))
+        if isinstance(value, dict):
+            out.extend(all_paths(value, prefix + (key,)))
+    return out
+
+
+def init_code(cfg: dict, workdir) -> int:
+    path = workdir / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return main(["init", "--config", str(path), "--out", str(workdir / "init")])
+
+
+def replicate_code(art: dict, workdir) -> int:
+    art = dict(art)
+    art["checksum"] = art_mod.artifact_checksum(art)
+    path = workdir / "artifact.json"
+    path.write_text(json.dumps(art))
+    return main(
+        ["replicate", "--artifact", str(path), "--seed", "1", "--out", str(workdir / "rep")]
+    )
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("malformed")
+
+
+@pytest.fixture(scope="module")
+def artifact(workdir) -> dict:
+    assert main(["init", "--config", "zero_variance", "--out", str(workdir / "seed")]) == 0
+    return json.loads((workdir / "seed" / "artifact.json").read_text())
+
+
+def artifact_paths(art: dict) -> list:
+    """The artifact's own fields: top level (the checksum is resealed
+    anyway) and the partition and bounds blocks. Testbed and sampler
+    descriptors are config content, covered by the config tests."""
+    top = [(key,) for key in art if key != "checksum"]
+    return top + [(block, key) for block in ("partition", "bounds") for key in art[block]]
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize(
+        "path,value,drop",
+        [
+            (("accuracy", "gamma"), "0.1", False),
+            (("accuracy",), [1], False),
+            (("testbed",), None, False),
+            (("testbed", "noise"), None, True),
+        ],
+        ids=["gamma-string", "accuracy-array", "testbed-null", "testbed-no-noise"],
+    )
+    def test_former_crashes_exit_1(self, workdir, path, value, drop):
+        assert init_code(edited(ZERO_VARIANCE, path, value, drop), workdir) == 1
+
+    @FUZZ
+    @given(
+        cfg=malformed(
+            ZERO_VARIANCE, all_paths(ZERO_VARIANCE), CONFIG_REQUIRED, CONFIG_NULLABLE
+        )
+    )
+    def test_any_one_field_edit_exits_1(self, workdir, cfg):
+        assert init_code(cfg, workdir) == 1
+
+
+class TestMalformedArtifact:
+    @pytest.mark.parametrize(
+        "path,value,drop",
+        [
+            (("partition",), "grid", False),
+            (("bounds",), {}, False),
+            (("range_term_mode",), None, True),
+            (("partition", "gamma"), None, True),
+            (("partition", "n_cells"), 31, False),  # the grid yields 32
+            (("format_version",), "repsq-artifact-1", False),
+        ],
+        ids=[
+            "partition-string",
+            "bounds-empty",
+            "no-range-term-mode",
+            "no-gamma",
+            "wrong-n-cells",
+            "format-1",
+        ],
+    )
+    def test_former_crashes_exit_4(self, workdir, artifact, path, value, drop):
+        assert replicate_code(edited(artifact, path, value, drop), workdir) == 4
+
+    def test_resealed_original_still_runs(self, workdir, artifact):
+        assert replicate_code(artifact, workdir) == 0
+
+    @FUZZ
+    @given(data=st.data())
+    def test_any_one_field_edit_exits_4(self, workdir, artifact, data):
+        paths = artifact_paths(artifact)
+        art = data.draw(malformed(artifact, paths, paths, ARTIFACT_NULLABLE))
+        assert replicate_code(art, workdir) == 4

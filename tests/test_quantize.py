@@ -1,5 +1,6 @@
 """Unit tests for cell-width selection, partitions, and midpoint rounding."""
 
+import bisect
 import math
 
 import numpy as np
@@ -14,6 +15,11 @@ from repsq.quantize import (
     compute_alpha,
     quantize,
 )
+
+
+def bounds(p: Partition) -> list:
+    """Every boundary of p, from its canonical rule."""
+    return [p.boundary(k) for k in range(p.n_cells + 1)]
 
 
 class TestComputeAlpha:
@@ -80,34 +86,32 @@ class TestComputeAlpha:
 class TestBuildPartition:
     def test_exact_tiling(self):
         p = build_partition(0.0, 1.0, 0.2, 0.0)
-        np.testing.assert_allclose(p.boundaries, [0.0, 0.2, 0.4, 0.6, 0.8, 1.0], atol=1e-15)
+        np.testing.assert_allclose(bounds(p), [0.0, 0.2, 0.4, 0.6, 0.8, 1.0], atol=1e-15)
         assert p.n_cells == 5
 
     def test_shifted_tiling(self):
         p = build_partition(0.0, 1.0, 0.2, 0.1)
-        np.testing.assert_allclose(
-            p.boundaries, [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0], atol=1e-15
-        )
-        assert p.boundaries[1] - p.boundaries[0] == pytest.approx(0.1)
-        assert p.boundaries[-1] - p.boundaries[-2] == pytest.approx(0.1)
+        b = bounds(p)
+        np.testing.assert_allclose(b, [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0], atol=1e-15)
+        assert b[1] - b[0] == pytest.approx(0.1)
+        assert b[-1] - b[-2] == pytest.approx(0.1)
 
     def test_short_interval_single_cell(self):
         p = build_partition(0.0, 0.15, 0.2, 0.0)
-        assert p.boundaries == (0.0, 0.15)
+        assert bounds(p) == [0.0, 0.15]
         assert p.n_cells == 1
 
     def test_offset_alpha_means_full_first_cell(self):
         a = build_partition(0.0, 1.0, 0.2, 0.0)
         b = build_partition(0.0, 1.0, 0.2, 0.2)
-        assert a.boundaries == b.boundaries
+        assert bounds(a) == bounds(b)
 
     def test_measure_preserved(self):
         """Cell lengths sum to the interval length."""
         for m_lo, m_hi, alpha, off in [(0.0, 1.0, 0.2, 0.0), (-0.3, 0.3, 0.07, 0.03), (0.0, 6.0, 0.18947368421052632, 0.0)]:
             p = build_partition(m_lo, m_hi, alpha, off)
-            total = math.fsum(
-                p.boundaries[k + 1] - p.boundaries[k] for k in range(p.n_cells)
-            )
+            b = bounds(p)
+            total = math.fsum(b[k + 1] - b[k] for k in range(p.n_cells))
             assert abs(total - (m_hi - m_lo)) <= 1e-12
 
     def test_uniformity_where_floats_allow(self):
@@ -115,7 +119,7 @@ class TestBuildPartition:
         large enough relative to |m_high| for binary64 to express that."""
         for m_lo, m_hi, alpha in [(0.0, 1.0, 0.2), (0.0, 6.0, 0.18947368421052632), (-0.3, 0.3, 0.011)]:
             p = build_partition(m_lo, m_hi, alpha, 0.0)
-            lengths = np.diff(p.boundaries)
+            lengths = np.diff(bounds(p))
             interior = lengths[1:-1] if p.n_cells > 2 else lengths[:0]
             if interior.size:
                 assert np.max(np.abs(interior - alpha)) <= 1e-12 * alpha
@@ -128,7 +132,7 @@ class TestBuildPartition:
             alpha = (hi - lo) * 10.0 ** rng.uniform(-2.5, 0.3)
             off = rng.uniform(0, alpha)
             p = build_partition(lo, hi, alpha, off)
-            b = np.asarray(p.boundaries)
+            b = np.asarray(bounds(p))
             assert np.all(np.diff(b) > 0)
             assert b[0] == lo and b[-1] == hi
             slack = 1e-9 * alpha
@@ -149,29 +153,61 @@ class TestBuildPartition:
         with pytest.raises(DomainError):
             build_partition(0.0, 1.0, 0.2, 0.3)
 
-    def test_virtual_regime_consistency(self):
-        """A partition too wide to materialize resolves cells and midpoints
-        exactly as the equivalent materialized grid does."""
-        lo, hi, alpha, off = 0.0, 1.0, 0.0123, 0.005
-        mat = build_partition(lo, hi, alpha, off)
-        virt = Partition(lo, hi, alpha, off, mat.n_cells, None)
+    def test_cell_rule_matches_bisect_reference(self):
+        """The arithmetic cell rule resolves every boundary, both its float
+        neighbours and uniform values exactly as a bisect over the
+        canonical boundary list does, on random grids and on the
+        233M-cell rare-event grid (probed near its ends and middle)."""
         rng = np.random.default_rng(3)
-        values = np.concatenate(
-            [rng.uniform(lo, hi, 3000), np.asarray(mat.boundaries), [lo, hi]]
-        )
-        for v in values:
-            cm, _ = mat.cell_of(float(v))
-            cv, _ = virt.cell_of(float(v))
-            assert cm == cv
-            assert mat.midpoint(cm) == virt.midpoint(cv)
-        np.testing.assert_array_equal(mat.cells_of(values), virt.cells_of(values))
+        grids = []
+        for _ in range(120):
+            lo = rng.uniform(-5, 5)
+            hi = lo + 10.0 ** rng.uniform(-3, 1)
+            alpha = (hi - lo) / 10.0 ** rng.uniform(-0.3, 3.3)  # up to ~2,000 cells
+            grids.append(build_partition(lo, hi, alpha, rng.uniform(0, alpha)))
+        grids.append(build_partition(0.0, 1.0, 0.2, 0.0))  # exact tiling
+        probed = 0
+        for p in grids:
+            b = bounds(p)
+            values = np.concatenate(
+                [b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf),
+                 rng.uniform(p.m_low, p.m_high, 100)]
+            )
+            probed += self._agree(p, b, values)
+        rare = build_partition(0.0, 1.0, 4.2847307032624357e-9, 0.0)
+        assert rare.n_cells == 233_386_897
+        for ks in (range(0, 300), range(rare.n_cells // 2, rare.n_cells // 2 + 300),
+                   range(rare.n_cells - 299, rare.n_cells + 1)):
+            b = [rare.boundary(k) for k in ks]
+            values = np.concatenate(
+                [b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf),
+                 rng.uniform(b[0], b[-1], 300)]
+            )
+            probed += self._agree(rare, b, values, first=ks[0])
+        assert probed > 50_000
+
+    @staticmethod
+    def _agree(p, b, values, first=0) -> int:
+        """Compare cell_of and midpoint with a bisect over the boundary
+        slice b (boundaries first, first+1, ...) for every value the
+        slice covers; returns how many values were compared."""
+        probes, want = [], []
+        for v in values.tolist():
+            j = bisect.bisect_right(b, v) - 1
+            if 0 <= j < len(b) - 1 or v == p.m_high:
+                probes.append(v)
+                want.append(min(first + j, p.n_cells - 1))  # m_high: closed last cell
+        got = [p.cell_of(v) for v in probes]
+        assert got == [(k, False) for k in want]
+        mids = [0.5 * (p.boundary(k) + p.boundary(k + 1)) for k in want]
+        assert [p.midpoint(k) for k, _ in got] == mids
+        return len(probes)
 
     def test_wide_partition_is_virtual_and_deterministic(self):
         """The tiny-alpha regime used by the rare-event campaigns: cells are
         resolved arithmetically and bit-identically across instances."""
         alpha = 4.2847307032624357e-9
         p = build_partition(0.0, 1.0, alpha, 0.0)
-        assert p.boundaries is None
         assert p.n_cells == int(p.n_cells)
         assert abs(p.n_cells * alpha - 1.0) < 2 * alpha
         q = build_partition(0.0, 1.0, alpha, 0.0)
@@ -264,7 +300,9 @@ class TestCollisionBound:
                 p = build_partition(0.0, 1.0, a, float(rng.uniform(0, a)))
                 m1 = rng.uniform(center - g, center + g, per_block)
                 m2 = rng.uniform(center - g, center + g, per_block)
-                rates[j] = np.mean(p.cells_of(m1) == p.cells_of(m2))
+                cells1 = [p.cell_of(v)[0] for v in m1.tolist()]
+                cells2 = [p.cell_of(v)[0] for v in m2.tolist()]
+                rates[j] = np.mean(np.asarray(cells1) == np.asarray(cells2))
             emp = float(np.mean(rates))
             se = float(np.std(rates, ddof=1) / math.sqrt(n_blocks))
             assert abs(emp - geom) <= 3.0 * se

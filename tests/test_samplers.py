@@ -2,7 +2,8 @@
 
 Continuous-density expectations are graded against scipy quadrature and
 analytic Beta moments; frozen constants were computed independently
-with mpmath at 50 significant digits.
+with mpmath at 50 significant digits. Fixed-proposal importance weights
+are formed by the harness's sampler and are checked through it.
 """
 
 import json
@@ -19,6 +20,8 @@ from repsq.errors import (
     WeightCapExceeded,
     ZeroProposalDensity,
 )
+from repsq.harness import CampaignConfig, _FixedSampler, run_quantized_sq
+from repsq.quantize import AccuracySpec, build_partition
 from repsq.samplers import (
     SHAPE_MAX,
     SHAPE_MIN,
@@ -29,10 +32,7 @@ from repsq.samplers import (
     DiscreteDistribution,
     ais_update,
     beta_density,
-    beta_sample,
     fit_beta,
-    importance_weight,
-    mixture_sample,
     mixture_sample_many,
     proposal_snapshot,
 )
@@ -45,8 +45,8 @@ class TestBoxDomain:
         box = BoxDomain([-0.3, -0.3, -0.3], [0.3, 0.3, 0.3])
         assert box.dims == 3
         assert box.volume == pytest.approx(0.216, rel=1e-12)
-        assert box.contains([0.0, 0.1, -0.3])
-        assert not box.contains([0.0, 0.1, 0.31])
+        inside = BoxUniform(box).density_many([[0.0, 0.1, -0.3], [0.0, 0.1, 0.31]]) > 0.0
+        assert inside.tolist() == [True, False]
 
     def test_rejects_bad_bounds(self):
         with pytest.raises(DomainError):
@@ -59,8 +59,9 @@ class TestBoxDomain:
     def test_uniform_density_normalizes(self):
         box = BoxDomain([1.0, -2.0], [3.0, 2.0])
         u = BoxUniform(box)
-        assert u.density([2.0, 0.0]) * box.volume == pytest.approx(1.0, rel=1e-12)
-        assert u.density([0.0, 0.0]) == 0.0
+        dens = u.density_many([[2.0, 0.0], [0.0, 0.0]])
+        assert dens[0] * box.volume == pytest.approx(1.0, rel=1e-12)
+        assert dens[1] == 0.0
 
     def test_uniform_sampling_stays_inside(self):
         box = BoxDomain([-0.3, -0.3], [0.3, 0.3])
@@ -89,10 +90,9 @@ class TestDiscreteDistribution:
 
     def test_density_is_mass(self):
         d = DiscreteDistribution([0.9, 0.1])
-        assert d.density(0) == 0.9
-        assert d.density(1) == 0.1
+        assert d.density_many([0, 1]).tolist() == [0.9, 0.1]
         with pytest.raises(DomainError):
-            d.density(2)
+            d.density_many([2])
 
     def test_weighted_enumeration_recovers_target_mean(self):
         # Sum over cells of q * (psi * p/q) telescopes back to the
@@ -147,16 +147,21 @@ class TestBetaDensity:
             beta_density(0.5, 2.0, 2.0, 1.0, 0.0)
 
 
+def beta_draws(a, b, lo, hi, rng, size):
+    """size draws of a 1-D Beta(a, b) proposal on [lo, hi]."""
+    return BetaProposal(BoxDomain([lo], [hi]), [a], [b]).sample_many(rng, size)[:, 0]
+
+
 class TestBetaSample:
     def test_uniform_mean_on_shifted_interval(self):
         rng = np.random.default_rng(14)
-        draws = np.array([beta_sample(1.0, 1.0, -0.3, 0.3, rng) for _ in range(100_000)])
+        draws = beta_draws(1.0, 1.0, -0.3, 0.3, rng, 100_000)
         se = 0.6 / math.sqrt(12.0) / math.sqrt(draws.size)
         assert abs(float(np.mean(draws))) < 3 * se
 
     def test_symmetric_moments(self):
         rng = np.random.default_rng(15)
-        draws = np.array([beta_sample(2.0, 2.0, 0.0, 1.0, rng) for _ in range(100_000)])
+        draws = beta_draws(2.0, 2.0, 0.0, 1.0, rng, 100_000)
         n = draws.size
         mean = float(np.mean(draws))
         var = float(np.var(draws))
@@ -170,15 +175,15 @@ class TestBetaSample:
 
     def test_arcsine_shape_against_cdf(self):
         rng = np.random.default_rng(16)
-        draws = np.array([beta_sample(0.5, 0.5, 0.0, 1.0, rng) for _ in range(10_000)])
+        draws = beta_draws(0.5, 0.5, 0.0, 1.0, rng, 10_000)
         d_stat = stats.kstest(draws, stats.beta(0.5, 0.5).cdf).statistic
         critical_1pct = 1.63 / math.sqrt(draws.size)
         assert d_stat < critical_1pct
 
     def test_seed_determinism(self):
-        a = [beta_sample(2.0, 5.0, 0.0, 1.0, np.random.default_rng(99)) for _ in range(1)]
-        b = [beta_sample(2.0, 5.0, 0.0, 1.0, np.random.default_rng(99)) for _ in range(1)]
-        assert a == b
+        a = beta_draws(2.0, 5.0, 0.0, 1.0, np.random.default_rng(99), 1)
+        b = beta_draws(2.0, 5.0, 0.0, 1.0, np.random.default_rng(99), 1)
+        assert a.tolist() == b.tolist()
 
 
 class TestFitBeta:
@@ -328,18 +333,14 @@ class TestMixture:
     def test_pure_target_weight_is_one(self):
         p = BoxUniform(UNIT)
         q = BetaProposal(UNIT, [2.0], [2.0])
-        rng = np.random.default_rng(22)
-        for _ in range(100):
-            _, w = mixture_sample(p, q, 1.0, rng)
-            assert w == 1.0
+        _, w = mixture_sample_many(p, q, 1.0, np.random.default_rng(22), 100)
+        assert w.tolist() == [1.0] * 100
 
     def test_weight_cap_small_sample(self):
         p = BoxUniform(UNIT)
         q = BetaProposal(UNIT, [5.0], [1.0])
-        rng = np.random.default_rng(23)
-        for _ in range(2_000):
-            _, w = mixture_sample(p, q, 0.1, rng)
-            assert 0.0 < w <= 10.0 + 1e-12
+        _, w = mixture_sample_many(p, q, 0.1, np.random.default_rng(23), 2_000)
+        assert np.all(w > 0.0) and np.all(w <= 10.0 + 1e-12)
 
     def test_weight_value_at_midpoint(self):
         p = BoxUniform(UNIT)
@@ -370,7 +371,7 @@ class TestMixture:
         p = BoxUniform(BoxDomain([0.0], [2.0]))
         q = BetaProposal(UNIT, [2.0], [2.0])
         with pytest.raises(DomainError):
-            mixture_sample(p, q, 0.1, np.random.default_rng(26))
+            mixture_sample_many(p, q, 0.1, np.random.default_rng(26), 1)
 
     def test_seed_determinism(self):
         p = BoxUniform(UNIT)
@@ -380,35 +381,88 @@ class TestMixture:
         assert np.array_equal(pts1, pts2) and np.array_equal(w1, w2)
 
 
+class _ConstantBed:
+    """Testbed stub: psi = 1 everywhere, so a campaign's values are its
+    importance weights p(x)/q(x) with q = ``proposal``."""
+
+    def __init__(self, target, proposal) -> None:
+        self.target = target
+        self.proposal = proposal
+
+    def evaluate_many(self, xs, rng):
+        return np.ones(len(xs))
+
+
+class _OffSupport(BoxUniform):
+    """A proposal that draws outside its own support (a broken sampler)."""
+
+    def sample_many(self, rng, size: int):
+        return np.full((size, self.domain.dims), 1.5)
+
+
+def fixed_weights(p, q, size=2_000, w_bar=1.0):
+    """(points, weights, cap violations) from one fixed-proposal draw."""
+    sampler = _FixedSampler(_ConstantBed(p, q), use_proposal=True, w_bar=w_bar)
+    rng = np.random.default_rng(30)
+    weights, xs, violations = sampler.draw(rng, rng, size)
+    return np.asarray(xs), weights, violations
+
+
 class TestImportanceWeight:
     def test_identical_distributions(self):
         p = BoxUniform(UNIT)
-        assert importance_weight(p, p, np.array([0.3])) == 1.0
+        _, w, _ = fixed_weights(p, p)
+        assert w.tolist() == [1.0] * w.size
 
     def test_uniform_ratio(self):
         p = BoxUniform(UNIT)
         q = BoxUniform(BoxDomain([0.0], [2.0]))
-        assert importance_weight(p, q, np.array([0.3])) == pytest.approx(2.0, rel=1e-12)
+        xs, w, _ = fixed_weights(p, q, w_bar=2.0)
+        inside = xs[:, 0] <= 1.0
+        assert inside.any()
+        assert w[inside] == pytest.approx(2.0, rel=1e-12)
 
     def test_discrete_mass_ratio(self):
         p = DiscreteDistribution([0.9, 0.1])
         q = DiscreteDistribution([0.5, 0.5])
-        assert importance_weight(p, q, 1) == pytest.approx(0.2, rel=1e-12)
+        xs, w, _ = fixed_weights(p, q, w_bar=1.8)
+        assert np.any(xs == 1)
+        assert w[xs == 1] == pytest.approx(0.2, rel=1e-12)
 
     def test_zero_proposal_density(self):
         p = BoxUniform(BoxDomain([0.0], [2.0]))
-        q = BoxUniform(UNIT)
         with pytest.raises(ZeroProposalDensity):
-            importance_weight(p, q, np.array([1.5]))
+            fixed_weights(p, _OffSupport(UNIT))
+        with pytest.raises(ZeroProposalDensity):  # zero mass on a target cell
+            fixed_weights(DiscreteDistribution([0.5, 0.5]), DiscreteDistribution([1.0, 0.0]))
 
     def test_zero_target_density_gives_zero_weight(self):
         p = BoxUniform(UNIT)
         q = BoxUniform(BoxDomain([0.0], [2.0]))
-        assert importance_weight(p, q, np.array([1.5])) == 0.0
+        xs, w, _ = fixed_weights(p, q, w_bar=2.0)
+        outside = xs[:, 0] > 1.0
+        assert outside.any()
+        assert w[outside].tolist() == [0.0] * int(outside.sum())
 
     def test_cap_warning(self):
+        """Weights of 2 against a declared cap of 1.5 are counted and,
+        once the campaign ends, warned about."""
         p = BoxUniform(UNIT)
         q = BoxUniform(BoxDomain([0.0], [2.0]))
+        _, w, violations = fixed_weights(p, q, w_bar=1.5)
+        assert violations == int(np.count_nonzero(w == 2.0)) > 0
+        config = CampaignConfig(
+            accuracy=AccuracySpec(0.25, 0.05, 0.1),
+            m_low=0.0,
+            m_high=1.0,
+            w_bar=1.5,
+            joint=2.0,  # psi*w <= 2 holds, so the radii stay valid
+            sampler={"kind": "importance"},
+            testbed={},
+            seed=1,
+        )
+        partition = build_partition(0.0, 1.0, 0.25, 0.0)
         with pytest.warns(WeightCapExceeded):
-            w = importance_weight(p, q, np.array([0.3]), w_bar=1.5)
-        assert w == pytest.approx(2.0, rel=1e-12)
+            res = run_quantized_sq(config, partition, 31, testbed=_ConstantBed(p, q))
+        assert res.terminated
+        assert 0 < res.weight_cap_violations <= res.evaluated_n
