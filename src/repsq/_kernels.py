@@ -16,16 +16,21 @@ estimator.hoeffding_radius operation for operation. The fixed-range
 radius depends on n alone and never increases with it, so the stop scan
 tests it as n >= StopRule.n_hoeffding (estimator.required_n_hoeffding
 evaluates that same expression) instead of taking a square root per
-value.
+value. The variance-adaptive radius is a square root plus the range
+term c2/(n-1), and a float sum of non-negative terms is never below
+either term, so it cannot reach gamma while c2/(n-1) > gamma: the scan
+evaluates it only from StopRule.n_range on.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .estimator import (
+    MAX_SAMPLES,
     BoundSpec,
     EstimatorState,
     bernstein_second_coef,
@@ -52,24 +57,42 @@ class StopRule(NamedTuple):
     product: float  # the declared bound on |psi*w|
     n_hoeffding: int  # smallest n whose fixed-range radius is <= gamma
     n_min: int  # termination floor, >= 2
+    n_range: int  # smallest n >= 2 whose range term c2/(n-1) is <= gamma
 
     @classmethod
     def for_campaign(
         cls, gamma: float, bounds: BoundSpec, range_term_mode: str, n_min: int
     ) -> "StopRule":
+        c2 = bernstein_second_coef(bounds, range_term_mode)
         return cls(
             gamma,
             bounds.log_term,
-            bernstein_second_coef(bounds, range_term_mode),
+            c2,
             bounds.product,
             required_n_hoeffding(gamma, bounds),
             max(2, n_min),
+            _required_n_range(gamma, c2),
         )
 
 
+def _required_n_range(gamma: float, c2: float) -> int:
+    """Smallest n >= 2 with c2 / (n - 1.0) <= gamma, as the scan
+    evaluates the quotient; MAX_SAMPLES + 1 when no campaign reaches it."""
+    ratio = c2 / gamma
+    if not ratio < 2.0 * MAX_SAMPLES:
+        return MAX_SAMPLES + 1
+    n = max(2, math.ceil(ratio) + 1)
+    # The rounded ratio can put the closed form one off; settle it.
+    while c2 / (n - 1.0) > gamma:
+        n += 1
+    while n > 2 and c2 / (n - 2.0) <= gamma:
+        n -= 1
+    return n
+
+
 def _prefix_sums(values, state: EstimatorState):
-    """(pivot, n, s1, s2) after each element of the chunk, carried on
-    from ``state``."""
+    """(pivot, s1, s2) after each element of the chunk, carried on from
+    ``state``."""
     pivot = float(values[0]) if state.n == 0 else state.pivot
     dev = values - pivot
     sq = dev * dev
@@ -77,8 +100,12 @@ def _prefix_sums(values, state: EstimatorState):
     # carry + first deviation either way.
     dev[0] += state.s1
     sq[0] += state.s2
-    n_arr = np.arange(state.n + 1, state.n + 1 + values.shape[0], dtype=np.float64)
-    return pivot, n_arr, np.add.accumulate(dev), np.add.accumulate(sq)
+    return pivot, np.add.accumulate(dev), np.add.accumulate(sq)
+
+
+def _counts(state: EstimatorState, start: int, stop: int):
+    """n after chunk elements start..stop-1, as floats."""
+    return np.arange(state.n + 1 + start, state.n + 1 + stop, dtype=np.float64)
 
 
 def _sigma(n_arr, s1, s2):
@@ -105,19 +132,21 @@ def scan_terminate(values, state: EstimatorState, rule: StopRule):
     k = values.shape[0]
     if k == 0:
         return -1, state
-    pivot, n_arr, s1, s2 = _prefix_sums(values, state)
+    pivot, s1, s2 = _prefix_sums(values, state)
     first = max(0, rule.n_min - state.n - 1)  # first index with n >= n_min
     # From index h on the fixed-range radius is <= gamma; before it only
-    # the variance-adaptive radius can stop the campaign.
+    # the variance-adaptive radius can stop the campaign, and only from
+    # n_range on.
     h = max(first, rule.n_hoeffding - state.n - 1)
     stop = h if h < k else -1
     end = min(k, h)
-    if first < end:
-        n_on = n_arr[first:end]
-        hit = _bernstein(n_on, _sigma(n_on, s1[first:end], s2[first:end]), rule) <= rule.gamma
+    start = max(first, rule.n_range - state.n - 1)
+    if start < end:
+        n_on = _counts(state, start, end)
+        hit = _bernstein(n_on, _sigma(n_on, s1[start:end], s2[start:end]), rule) <= rule.gamma
         j = int(hit.argmax())
         if hit[j]:
-            stop = first + j
+            stop = start + j
     last = stop if stop >= 0 else k - 1
     n = state.n + last + 1
     return stop, EstimatorState.from_sums(n, pivot, float(s1[last]), float(s2[last]))
@@ -130,7 +159,8 @@ def trace_radii(values, state: EstimatorState, rule: StopRule):
     with n < rule.n_min carry NaN radii (the rule never consults them).
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
-    pivot, n_arr, s1, s2 = _prefix_sums(values, state)
+    pivot, s1, s2 = _prefix_sums(values, state)
+    n_arr = _counts(state, 0, values.shape[0])
     mean = pivot + s1 / n_arr
     sigma = _sigma(n_arr, s1, s2)
     bern = np.full(n_arr.shape, np.nan)

@@ -307,6 +307,8 @@ class TrialResult:
     wall_time_s: float
     trace: RadiusTrace | None = field(default=None, repr=False)
     ais_final_proposal: dict | None = field(default=None, repr=False)
+    # AIS only: refits whose fresh fit hit the proposal shape bounds
+    clamped_fits: int | None = None
 
     def to_dict(self) -> dict:
         """JSON-shaped summary; wall time is deliberately excluded so
@@ -329,6 +331,8 @@ class TrialResult:
         }
         if self.ais_final_proposal is not None:
             d["ais_final_proposal"] = self.ais_final_proposal
+        if self.clamped_fits is not None:
+            d["clamped_fits"] = self.clamped_fits
         return d
 
 
@@ -408,16 +412,12 @@ class _AisSampler:
 
     def post_chunk(self, xs) -> None:
         # Refit only on full batches; a truncated final batch carries no
-        # update (the campaign is ending anyway). Per-fit clamp warnings
-        # are tallied here and surfaced once per campaign.
+        # update (the campaign is ending anyway). Clamped fits are
+        # tallied here and surfaced once per campaign.
         if xs.shape[0] != self.policy.d:
             return
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", ClampWarning)
-            self.q = ais_update(self.q, xs, self.policy)
-        self.clamped_fits += sum(
-            1 for w in caught if issubclass(w.category, ClampWarning)
-        )
+        self.q = ais_update(self.q, xs, self.policy)
+        self.clamped_fits += self.q.refit_clamps
 
 
 def _make_sampler(config: CampaignConfig, bed):
@@ -508,9 +508,10 @@ def run_quantized_sq(
     if record_trace:
         cols = [np.concatenate([part[j] for part in trace_parts]) for j in range(5)]
         trace = RadiusTrace(*cols)
-    snapshot = None
+    snapshot = clamped_fits = None
     if ais:
         snapshot = proposal_snapshot(sampler.q, sampler.policy, RNG_ALGORITHM, config.seed)
+        clamped_fits = sampler.clamped_fits
     qv = quantize(state.mean, partition)
     result = TrialResult(
         raw_estimate=state.mean,
@@ -529,6 +530,7 @@ def run_quantized_sq(
         wall_time_s=wall,
         trace=trace,
         ais_final_proposal=snapshot,
+        clamped_fits=clamped_fits,
     )
     if not stopped:
         raise NonTerminated(
@@ -543,9 +545,9 @@ def run_quantized_sq(
             WeightCapExceeded,
             stacklevel=2,
         )
-    if ais and sampler.clamped_fits:
+    if clamped_fits:
         warnings.warn(
-            f"{sampler.clamped_fits} adaptive refits hit the proposal shape "
+            f"{clamped_fits} adaptive refits hit the proposal shape "
             f"bounds and were clamped",
             ClampWarning,
             stacklevel=2,

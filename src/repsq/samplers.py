@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy import special
@@ -114,7 +114,7 @@ class BoxUniform:
 
     def density_many(self, points):
         x = np.asarray(points, dtype=np.float64)
-        inside = np.all((x >= self._lo) & (x <= self._hi), axis=-1)
+        inside = ((x >= self._lo) & (x <= self._hi)).all(axis=-1)
         return np.where(inside, self._density, 0.0)
 
 
@@ -145,8 +145,21 @@ def beta_density(x: float, a: float, b: float, lo: float = 0.0, hi: float = 1.0)
     return math.exp(log_pdf) / width
 
 
+def _in_shape_range(*shapes) -> bool:
+    """True when every shape lies in [SHAPE_MIN, SHAPE_MAX]. NaN fails
+    both comparisons, so a non-finite shape is never in range."""
+    return all(SHAPE_MIN <= v <= SHAPE_MAX for s in shapes for v in s.tolist())
+
+
 class BetaProposal:
-    """Product of per-dimension Betas on a box; the adapted proposal."""
+    """Product of per-dimension Betas on a box; the adapted proposal.
+
+    ``refit_clamps`` counts the dimensions whose fresh fit was clamped to
+    the shape range in the ais_update that produced this proposal (0 for
+    a constructed one).
+    """
+
+    refit_clamps = 0
 
     def __init__(self, domain: BoxDomain, a: Sequence[float], b: Sequence[float]) -> None:
         av = np.asarray(a, dtype=np.float64)
@@ -156,39 +169,61 @@ class BetaProposal:
                 f"shape vectors must have length {domain.dims}, "
                 f"got {av.shape} and {bv.shape}"
             )
-        if np.any(av < SHAPE_MIN) or np.any(av > SHAPE_MAX) or np.any(
-            bv < SHAPE_MIN
-        ) or np.any(bv > SHAPE_MAX):
-            raise DomainError(f"shapes must lie in [{SHAPE_MIN}, {SHAPE_MAX}]")
+        if not _in_shape_range(av, bv):
+            raise DomainError(f"shapes must be finite and lie in [{SHAPE_MIN}, {SHAPE_MAX}]")
         self.domain = domain
-        self.a = av
-        self.b = bv
         self._lo = np.asarray(domain.lo)
-        self._width = np.asarray(domain.hi) - self._lo
-        self._log_norm = float(
-            np.sum(special.betaln(av, bv)) + np.sum(np.log(self._width))
-        )
+        self._hi = np.asarray(domain.hi)
+        self._width = self._hi - self._lo
+        self._log_width = np.add.reduce(np.log(self._width))
+        self._set_shapes(av, bv)
+
+    def _set_shapes(self, a, b) -> None:
+        self.a = a
+        self.b = b
+        self._am1 = a - 1.0
+        self._bm1 = b - 1.0
+        self._log_norm = float(np.add.reduce(special.betaln(a, b)) + self._log_width)
+
+    def _with_shapes(self, a, b, refit_clamps: int) -> "BetaProposal":
+        """This proposal's box with new shape vectors of the right length;
+        only their range is checked."""
+        if not _in_shape_range(a, b):
+            raise DomainError(f"shapes must be finite and lie in [{SHAPE_MIN}, {SHAPE_MAX}]")
+        q = object.__new__(BetaProposal)
+        q.domain = self.domain
+        q._lo = self._lo
+        q._hi = self._hi
+        q._width = self._width
+        q._log_width = self._log_width
+        q._set_shapes(a, b)
+        q.refit_clamps = refit_clamps
+        return q
 
     def sample_many(self, rng, size: int):
         t = rng.beta(self.a, self.b, size=(size, self.domain.dims))
         return self._lo + self._width * t
 
+    def _log_pdf(self, t):
+        """Log-density of rows of t that lie strictly inside (0, 1)."""
+        return (
+            np.add.reduce(self._am1 * np.log(t), axis=1)
+            + np.add.reduce(self._bm1 * np.log1p(-t), axis=1)
+            - self._log_norm
+        )
+
     def density_many(self, points):
         x = np.atleast_2d(np.asarray(points, dtype=np.float64))
         t = (x - self._lo) / self._width
+        if t.size and t.min() > 0.0 and t.max() < 1.0:
+            return np.exp(self._log_pdf(t))
+        # Some row touches or leaves the box: zero outside, the scalar
+        # edge rule on the boundary.
         out = np.zeros(x.shape[0])
         inside = np.all((t >= 0.0) & (t <= 1.0), axis=1)
         interior = inside & np.all((t > 0.0) & (t < 1.0), axis=1)
-        ti = t[interior]
-        with np.errstate(divide="ignore"):
-            log_pdf = (
-                np.sum((self.a - 1.0) * np.log(ti), axis=1)
-                + np.sum((self.b - 1.0) * np.log1p(-ti), axis=1)
-                - self._log_norm
-            )
-        out[interior] = np.exp(log_pdf)
-        on_edge = inside & ~interior
-        for i in np.nonzero(on_edge)[0]:
+        out[interior] = np.exp(self._log_pdf(t[interior]))
+        for i in np.nonzero(inside & ~interior)[0]:
             out[i] = math.prod(
                 beta_density(
                     float(x[i, k]),
@@ -226,6 +261,42 @@ class AisPolicy:
         return BetaProposal(domain, shapes, shapes)
 
 
+class _BetaFit(NamedTuple):
+    a: float  # clamped to [SHAPE_MIN, SHAPE_MAX]
+    b: float
+    clamped: bool
+
+
+def _moment_fits(u) -> list:
+    """Method-of-moments Beta fits of the rows of u, a C-contiguous
+    (dims, d) array of values mapped onto [0, 1]; None for a row that
+    carries no shape information (zero variance, or mean pinned to an
+    endpoint).
+
+    Two reductions give the moments of every row. Each row is reduced
+    along its own contiguous run, as np.mean reduces a 1-D batch
+    (pairwise from 8 values on, where a reduction down axis 0 would be
+    sequential), so a row's fit has the bits of the one-column fit.
+    """
+    d = u.shape[1]
+    means = np.add.reduce(u, axis=1) / d
+    dev = u - means[:, None]
+    dev *= dev
+    variances = np.add.reduce(dev, axis=1) / d
+    fits = []
+    for mean, var in zip(means.tolist(), variances.tolist()):
+        if var <= 1e-12 or mean <= 1e-12 or mean >= 1.0 - 1e-12:
+            fits.append(None)
+            continue
+        k = mean * (1.0 - mean) / var - 1.0
+        a = mean * k
+        b = (1.0 - mean) * k
+        clamped_a = min(max(a, SHAPE_MIN), SHAPE_MAX)
+        clamped_b = min(max(b, SHAPE_MIN), SHAPE_MAX)
+        fits.append(_BetaFit(clamped_a, clamped_b, clamped_a != a or clamped_b != b))
+    return fits
+
+
 def fit_beta(samples: Sequence[float], lo: float = 0.0, hi: float = 1.0):
     """Method-of-moments Beta fit on samples from [lo, hi].
 
@@ -239,30 +310,26 @@ def fit_beta(samples: Sequence[float], lo: float = 0.0, hi: float = 1.0):
         raise DomainError(f"need >= 2 samples, got shape {x.shape}")
     if not lo < hi:
         raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
-    if np.any(x < lo) or np.any(x > hi):
+    if not ((x >= lo) & (x <= hi)).all():
         raise DomainError("samples outside [lo, hi]")
-    u = (x - lo) / (hi - lo)
-    mean = float(np.mean(u))
-    var = float(np.mean((u - mean) ** 2))
-    if var <= 1e-12 or mean <= 1e-12 or mean >= 1.0 - 1e-12:
-        raise DegenerateBatch(f"batch mean {mean}, variance {var}")
-    k = mean * (1.0 - mean) / var - 1.0
-    a = mean * k
-    b = (1.0 - mean) * k
-    clamped_a = min(max(a, SHAPE_MIN), SHAPE_MAX)
-    clamped_b = min(max(b, SHAPE_MIN), SHAPE_MAX)
-    if clamped_a != a or clamped_b != b:
+    (fit,) = _moment_fits(((x - lo) / (hi - lo)).reshape(1, -1))
+    if fit is None:
+        raise DegenerateBatch("batch has zero variance or a mean pinned to an endpoint")
+    if fit.clamped:
         warnings.warn(
-            f"Beta fit ({a:.4g}, {b:.4g}) clamped to [{SHAPE_MIN}, {SHAPE_MAX}]",
-            ClampWarning,
-            stacklevel=2,
+            f"Beta fit clamped to [{SHAPE_MIN}, {SHAPE_MAX}]", ClampWarning, stacklevel=2
         )
-    return clamped_a, clamped_b
+    return fit.a, fit.b
 
 
 def ais_update(current: BetaProposal, batch, policy: AisPolicy) -> BetaProposal:
     """Refit on the batch and move shapes by an exponential moving
-    average; dimensions whose batch is degenerate keep their shapes."""
+    average; dimensions whose batch is degenerate keep their shapes.
+
+    Every dimension is fitted as fit_beta fits one column. The returned
+    proposal's ``refit_clamps`` counts the dimensions whose fit was
+    clamped; no warning is raised.
+    """
     pts = np.asarray(batch, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[:, None]
@@ -271,16 +338,20 @@ def ais_update(current: BetaProposal, batch, policy: AisPolicy) -> BetaProposal:
             f"batch must be {policy.d} points of dim {current.domain.dims}, "
             f"got shape {pts.shape}"
         )
-    new_a = current.a.copy()
-    new_b = current.b.copy()
-    for k in range(current.domain.dims):
-        try:
-            fit_a, fit_b = fit_beta(pts[:, k], current.domain.lo[k], current.domain.hi[k])
-        except DegenerateBatch:
-            continue
-        new_a[k] = (1.0 - policy.l_r) * new_a[k] + policy.l_r * fit_a
-        new_b[k] = (1.0 - policy.l_r) * new_b[k] + policy.l_r * fit_b
-    return BetaProposal(current.domain, new_a, new_b)
+    cols = np.ascontiguousarray(pts.T)  # one contiguous row per dimension
+    lo = current._lo[:, None]
+    if not ((cols >= lo) & (cols <= current._hi[:, None])).all():
+        raise DomainError("samples outside [lo, hi]")
+    fits = _moment_fits((cols - lo) / current._width[:, None])
+    keep = 1.0 - policy.l_r
+    new_a = current.a.tolist()
+    new_b = current.b.tolist()
+    for k, fit in enumerate(fits):
+        if fit is not None:
+            new_a[k] = keep * new_a[k] + policy.l_r * fit.a
+            new_b[k] = keep * new_b[k] + policy.l_r * fit.b
+    clamps = sum(1 for fit in fits if fit is not None and fit.clamped)
+    return current._with_shapes(np.array(new_a), np.array(new_b), clamps)
 
 
 def mixture_sample_many(p, q: BetaProposal, mix_p: float, rng, size: int):
@@ -304,6 +375,8 @@ def mixture_sample_many(p, q: BetaProposal, mix_p: float, rng, size: int):
         points[~from_p] = q.sample_many(rng, size - n_p)
     p_x = np.asarray(p.density_many(points), dtype=np.float64)
     q_mix = mix_p * p_x + (1.0 - mix_p) * q.density_many(points)
+    if size and q_mix.min() > 0.0:  # the usual case: no guard needed
+        return points, p_x / q_mix
     bad = (q_mix <= 0.0) & (p_x > 0.0)
     if np.any(bad):
         raise DomainError("mixture density vanished where the target is positive")

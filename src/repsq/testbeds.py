@@ -291,6 +291,15 @@ def convergence_study_testbed() -> CellularTestbed:
     return CellularTestbed(p, f, q, 512.0)
 
 
+def _oracle_seed(spec: dict) -> int:
+    """A descriptor's oracle seed: a non-negative integer, as
+    np.random.default_rng requires."""
+    seed = whole(spec["oracle_seed"], "oracle_seed")
+    if seed < 0:
+        raise DomainError(f"oracle_seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 class DisplacementTestbed:
     """Planar workspace with a stochastic displacement measure in
     [0, 6].
@@ -370,7 +379,7 @@ class DisplacementTestbed:
     def from_spec(cls, spec: dict) -> "DisplacementTestbed":
         mean_constant = spec["mean_constant"]
         return cls(
-            whole(spec["oracle_seed"], "oracle_seed"),
+            _oracle_seed(spec),
             noise=flag(spec["noise"], "noise"),
             mean_constant=None if mean_constant is None else real(mean_constant, "mean_constant"),
         )
@@ -429,13 +438,15 @@ class TrackingTestbed:
 
     def evaluate_many(self, points, rng):
         x = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        n = x.shape[0]
-        norms = np.linalg.norm(x, axis=1)
-        sigma = self._noise_scale(norms)[:, None, None]
-        bias = (self.bias_gain * x)[:, None, :]
-        dev = bias + sigma * rng.standard_normal((n, TRAJECTORY_STEPS, 3))
-        total = np.sum(dev * dev, axis=(1, 2))
-        return -np.expm1(-6.0 * total)
+        norms = np.sqrt(np.add.reduce(x * x, axis=1))  # np.linalg.norm's arithmetic
+        # dev = bias + sigma * noise, formed in place in the noise buffer
+        dev = rng.standard_normal((x.shape[0], TRAJECTORY_STEPS, 3))
+        dev *= self._noise_scale(norms)[:, None, None]
+        dev += (self.bias_gain * x)[:, None, :]
+        dev *= dev
+        total = np.add.reduce(dev, axis=(1, 2))
+        total *= -6.0
+        return -np.expm1(total)
 
     def _oracle(self):
         if self.zero_noise:
@@ -493,7 +504,7 @@ class TrackingTestbed:
     def from_spec(cls, spec: dict) -> "TrackingTestbed":
         bed = cls(
             real(spec["sim_gap"], "sim_gap"),
-            whole(spec["oracle_seed"], "oracle_seed"),
+            _oracle_seed(spec),
             zero_noise=flag(spec["zero_noise"], "zero_noise"),
         )
         if not bed.zero_noise:

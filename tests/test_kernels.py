@@ -217,3 +217,56 @@ class TestTraceRadii:
             check = update(check, float(v))
             assert sigma[idx] == check.variance
             assert bern[idx] == bernstein_radius(check, bounds)
+
+
+class TestRangeTermCut:
+    """Below StopRule.n_range the variance-adaptive radius cannot reach
+    gamma, so the scan skips it there; the cut must change nothing."""
+
+    def test_threshold_is_exact(self):
+        rng = np.random.default_rng(70)
+        for _ in range(20_000):
+            gamma = 10.0 ** rng.uniform(-6.0, 1.0)
+            c2 = 10.0 ** rng.uniform(-8.0, 7.0)
+            n = _kernels._required_n_range(gamma, c2)
+            assert n >= 2
+            assert c2 / (n - 1.0) <= gamma
+            assert n == 2 or c2 / (n - 2.0) > gamma
+
+    def test_threshold_on_exact_quotients(self):
+        # c2 / gamma an integer: the quotient meets gamma exactly there.
+        assert _kernels._required_n_range(0.5, 3.0) == 7
+        assert _kernels._required_n_range(0.1, 0.7) == 8
+        assert _kernels._required_n_range(4.0, 1.0) == 2
+
+    def test_out_of_reach_threshold(self):
+        from repsq.estimator import MAX_SAMPLES
+
+        assert _kernels._required_n_range(1e-300, 1.0) == MAX_SAMPLES + 1
+        assert _kernels._required_n_range(1e-12, 1e6) == MAX_SAMPLES + 1
+        assert 1e6 / (MAX_SAMPLES - 1.0) > 1e-12
+
+    @pytest.mark.parametrize("chunk", [7, 10, 64, 1000])
+    def test_scan_with_and_without_the_cut_agree(self, chunk):
+        rng = np.random.default_rng(71)
+        streams = [
+            rng.beta(2.0, 5.0, size=30_000),
+            np.full(30_000, 0.3),
+            np.where(rng.random(30_000) < 0.01, 1.0, 0.0),
+            10.0 * rng.beta(0.2, 3.0, size=30_000),
+        ]
+        for mode in ("paper-exact", "linear-range"):
+            for values in streams:
+                bounds = BoundSpec(m=1.0, w_bar=10.0, c=0.05)
+                rule = _kernels.StopRule.for_campaign(0.04, bounds, mode, 2)
+                uncut = rule._replace(n_range=2)
+                results = []
+                for r in (rule, uncut):
+                    state = EstimatorState()
+                    for start in range(0, values.size, chunk):
+                        i, state = _kernels.scan_terminate(values[start : start + chunk], state, r)
+                        if i >= 0:
+                            break
+                    results.append((i, sums(state)))
+                assert results[0] == results[1]
+                assert rule.n_range > 2

@@ -166,6 +166,11 @@ class TestMalformedConfig:
     def test_former_crashes_exit_1(self, workdir, path, value, drop):
         assert init_code(edited(ZERO_VARIANCE, path, value, drop), workdir) == 1
 
+    @pytest.mark.parametrize("name", ["zero_variance", "tracking_ais"])
+    def test_negative_oracle_seed_exits_1(self, workdir, name):
+        cfg = json.loads((resources.files("repsq") / "configs" / f"{name}.json").read_text())
+        assert init_code(edited(cfg, ("testbed", "oracle_seed"), -1), workdir) == 1
+
     @FUZZ
     @given(
         cfg=malformed(

@@ -196,6 +196,11 @@ class TestDisplacementTestbed:
         assert back.oracle_r_star == bed.oracle_r_star
         assert back.to_spec() == bed.to_spec()
 
+    def test_negative_oracle_seed_is_rejected(self):
+        spec = dict(displacement_testbed().to_spec(), oracle_seed=-1)
+        with pytest.raises(DomainError, match="oracle_seed"):
+            build_from_spec(spec)
+
 
 class TestTrackingTestbed:
     def test_zero_noise_config(self):
@@ -269,6 +274,29 @@ class TestTrackingTestbed:
         bed = tracking_testbed(0.5, 9)
         back = build_from_spec(bed.to_spec())
         assert back.to_spec() == bed.to_spec()
+
+    def test_negative_oracle_seed_is_rejected(self):
+        spec = dict(tracking_testbed().to_spec(), oracle_seed=-3)
+        with pytest.raises(DomainError, match="oracle_seed"):
+            build_from_spec(spec)
+
+    @pytest.mark.parametrize("sim_gap,zero_noise", [(0.0, False), (0.7, False), (0.0, True)])
+    def test_evaluation_matches_the_direct_expression(self, sim_gap, zero_noise):
+        # Bitwise against the expression written out with fresh
+        # temporaries: np.linalg.norm, bias + sigma * noise, np.sum.
+        bed = tracking_testbed(sim_gap, zero_noise=zero_noise)
+        rng = np.random.default_rng(83)
+        for n in (1, 7, 10, 64):
+            x = bed.target.sample_many(rng, n)
+            state = rng.bit_generator.state
+            got = bed.evaluate_many(x, rng)
+            rng.bit_generator.state = state
+            norms = np.linalg.norm(x, axis=1)
+            sigma = bed._noise_scale(norms)[:, None, None]
+            bias = (bed.bias_gain * x)[:, None, :]
+            dev = bias + sigma * rng.standard_normal((n, TRAJECTORY_STEPS, 3))
+            want = -np.expm1(-6.0 * np.sum(dev * dev, axis=(1, 2)))
+            assert got.tobytes() == want.tobytes()
 
 
 class TestConvergenceStudyBed:
