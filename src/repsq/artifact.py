@@ -1,19 +1,21 @@
 """Shared-artifact serialization: the file an initiating party hands to
 every replicating party.
 
-The artifact pins everything two independent campaigns must agree on
-for their quantized outputs to be comparable: the partition (interval,
-cell width, offset, and cell count), the accuracy triple, the declared
-bounds, the termination mode, the testbed descriptor, and the sampler
-descriptor. A sha256 checksum over the canonical JSON payload makes
+The artifact is the initiator's campaign config, sealed: its ``config``
+block is exactly ``CampaignConfig.to_dict()`` without the seed (each
+party picks its own), and its ``grid`` block holds the cell width, the
+first-cell offset and the cell count of the partition on the config's
+interval. A sha256 checksum over the canonical JSON of the rest makes
 tampering and version drift detectable rather than silently corrupting
-repeatability, and a layout check rejects a well-sealed artifact whose
-fields are missing or of the wrong JSON type.
+repeatability. The sealed config is read back by the config reader
+itself (``harness.config_from_artifact``), so a config and an artifact
+accept exactly the same content.
 
-Floats cross the wire as decimal strings with 17 significant digits,
-which round-trip binary64 exactly; a loaded artifact therefore rebuilds
-the partition bit for bit, and the rebuilt cell count is checked against
-the serialized one before use.
+Floats are JSON numbers. Python writes every float in its shortest
+round-trip form, so a loaded artifact rebuilds the partition bit for
+bit; the rebuilt cell count is checked against the sealed one before
+use. ``fmt17``/``parse17`` are the 17-digit decimal strings of the
+CLI's result files.
 """
 
 from __future__ import annotations
@@ -21,8 +23,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from contextlib import contextmanager
 
-from .errors import ArtifactVersionMismatch, DomainError
+from ._fields import mapping, real
+from .errors import ArtifactVersionMismatch, BoundViolation, DomainError, InfeasibleRepeatability
 from .quantize import Partition, build_partition
 
 __all__ = [
@@ -30,7 +34,6 @@ __all__ = [
     "RNG_ALGORITHM",
     "fmt17",
     "parse17",
-    "partition_to_payload",
     "partition_from_payload",
     "build_artifact",
     "verify_artifact",
@@ -39,8 +42,11 @@ __all__ = [
     "load_artifact",
 ]
 
-FORMAT_VERSION = "repsq-artifact-2"
+FORMAT_VERSION = "repsq-artifact-3"
 RNG_ALGORITHM = "numpy-pcg64-ss1"
+
+_KEYS = {"format_version", "rng_algorithm", "checksum", "config", "grid"}
+_GRID_KEYS = {"alpha", "offset", "n_cells"}
 
 
 def fmt17(x: float) -> str:
@@ -60,39 +66,31 @@ def parse17(s) -> float:
     return v
 
 
-def partition_to_payload(partition: Partition, gamma: float, c: float, beta: float) -> dict:
-    """The partition-exchange block: the grid scalars, from which every
-    boundary follows, and the cell count they yield."""
-    return {
-        "m_low": fmt17(partition.m_low),
-        "m_high": fmt17(partition.m_high),
-        "alpha": fmt17(partition.alpha),
-        "offset": fmt17(partition.offset),
-        "n_cells": partition.n_cells,
-        "gamma": fmt17(gamma),
-        "c": fmt17(c),
-        "beta": fmt17(beta),
-        "format_version": FORMAT_VERSION,
-    }
+@contextmanager
+def sealed_content(what: str):
+    """Report invalid sealed content as a bad artifact, not as bad input:
+    a checksummed artifact holds only what an initiator wrote, and an
+    initiator never writes what its own config reader rejects."""
+    try:
+        yield
+    except (DomainError, InfeasibleRepeatability, BoundViolation) as exc:
+        raise ArtifactVersionMismatch(f"artifact {what}: {exc}") from exc
 
 
-def partition_from_payload(payload: dict) -> Partition:
-    """Rebuild the partition and verify it has the serialized cell count."""
-    if payload.get("format_version") != FORMAT_VERSION:
-        raise ArtifactVersionMismatch(
-            f"partition format {payload.get('format_version')!r}, "
-            f"expected {FORMAT_VERSION!r}"
+def partition_from_payload(grid: dict, m_low: float, m_high: float) -> Partition:
+    """Rebuild the sealed grid on [m_low, m_high] and verify it has the
+    sealed cell count."""
+    with sealed_content("grid"):
+        grid = mapping(grid, "grid")
+        if grid.keys() != _GRID_KEYS:
+            raise DomainError(f"grid keys {sorted(grid)}, expected {sorted(_GRID_KEYS)}")
+        part = build_partition(
+            m_low, m_high, real(grid["alpha"], "alpha"), real(grid["offset"], "offset")
         )
-    part = build_partition(
-        parse17(payload["m_low"]),
-        parse17(payload["m_high"]),
-        parse17(payload["alpha"]),
-        parse17(payload["offset"]),
-    )
-    sent = payload.get("n_cells")
-    if sent != part.n_cells:
+    sent = grid["n_cells"]
+    if isinstance(sent, bool) or sent != part.n_cells:
         raise ArtifactVersionMismatch(
-            f"serialized cell count {sent!r} does not match "
+            f"sealed cell count {sent!r} does not match "
             f"the rebuilt partition's {part.n_cells}"
         )
     return part
@@ -107,86 +105,29 @@ def artifact_checksum(payload: dict) -> str:
     return hashlib.sha256(_canonical_bytes(payload)).hexdigest()
 
 
-def build_artifact(
-    partition: Partition,
-    *,
-    gamma: float,
-    c: float,
-    beta: float,
-    bounds: dict,
-    range_term_mode: str,
-    testbed_spec: dict,
-    sampler_spec: dict,
-    n_min: int,
-    n_max: int,
-) -> dict:
+def build_artifact(config, partition: Partition) -> dict:
+    """Seal ``config`` (a CampaignConfig) without its seed, and the grid
+    of ``partition``."""
+    sealed = config.to_dict()
+    del sealed["seed"]
     art = {
         "format_version": FORMAT_VERSION,
         "rng_algorithm": RNG_ALGORITHM,
-        "partition": partition_to_payload(partition, gamma, c, beta),
-        "bounds": {
-            "m": fmt17(bounds["m"]),
-            "w_bar": fmt17(bounds["w_bar"]),
-            "joint": None if bounds.get("joint") is None else fmt17(bounds["joint"]),
+        "config": sealed,
+        "grid": {
+            "alpha": partition.alpha,
+            "offset": partition.offset,
+            "n_cells": partition.n_cells,
         },
-        "range_term_mode": range_term_mode,
-        "testbed": testbed_spec,
-        "sampler": sampler_spec,
-        "n_min": int(n_min),
-        "n_max": int(n_max),
     }
     art["checksum"] = artifact_checksum(art)
     return art
 
 
-# The JSON type(s) of every field build_artifact writes. Decimal strings
-# are parsed (and rejected when malformed) by parse17 where they are read.
-_NUMBER = (int, float)
-_LAYOUT = {
-    "partition": dict,
-    "bounds": dict,
-    "range_term_mode": str,
-    "testbed": dict,
-    "sampler": dict,
-    "n_min": _NUMBER,
-    "n_max": _NUMBER,
-}
-_BLOCK_LAYOUTS = {
-    "partition": {
-        "m_low": str,
-        "m_high": str,
-        "alpha": str,
-        "offset": str,
-        "n_cells": int,
-        "gamma": str,
-        "c": str,
-        "beta": str,
-    },
-    "bounds": {"m": str, "w_bar": str, "joint": (str, type(None))},
-}
-
-
-def _check_fields(block: dict, layout: dict, where: str) -> None:
-    for key, types in layout.items():
-        if key not in block:
-            raise ArtifactVersionMismatch(f"artifact has no field {where}{key}")
-        value = block[key]
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise ArtifactVersionMismatch(
-                f"artifact field {where}{key} has the wrong JSON type: {value!r}"
-            )
-
-
-def _check_layout(art: dict) -> None:
-    """Every field build_artifact writes is present, with the JSON type
-    it writes."""
-    _check_fields(art, _LAYOUT, "")
-    for block, layout in _BLOCK_LAYOUTS.items():
-        _check_fields(art[block], layout, f"{block}.")
-
-
 def verify_artifact(art: dict) -> dict:
-    """Checksum, version and layout gate; returns the artifact unchanged."""
+    """Checksum, version and key gate; returns the artifact unchanged.
+    The sealed content is read by ``harness.config_from_artifact`` and
+    ``partition_from_payload``."""
     if not isinstance(art, dict):
         raise ArtifactVersionMismatch("artifact is not a JSON object")
     if art.get("format_version") != FORMAT_VERSION:
@@ -204,7 +145,8 @@ def verify_artifact(art: dict) -> dict:
         raise ArtifactVersionMismatch(
             f"artifact checksum {stored!r} does not match content {actual!r}"
         )
-    _check_layout(art)
+    if art.keys() != _KEYS:
+        raise ArtifactVersionMismatch(f"artifact keys {sorted(art)}, expected {sorted(_KEYS)}")
     return art
 
 

@@ -14,7 +14,8 @@ re-running a command reproduces them byte for byte.
 
 Exit codes: 0 success, 1 configuration or input errors, 2 infeasible
 repeatability contract, 3 campaign hit its sample budget without
-terminating, 4 artifact format or checksum mismatch.
+terminating, 4 artifact rejected (format, checksum, or sealed content
+a config file could not hold).
 
 Numbers in reports are serialized as decimal strings with 17
 significant digits, which round-trip binary64 exactly. Set

@@ -48,8 +48,8 @@ from ._fields import mapping, real, whole
 from .artifact import (
     RNG_ALGORITHM,
     build_artifact,
-    parse17,
     partition_from_payload,
+    sealed_content,
     verify_artifact,
 )
 from .errors import (
@@ -106,8 +106,12 @@ _OFFSET_STREAM_KEY = 0x0FF5E7
 
 _CHUNK = 8192  # default cap on the chunk size
 _FIRST_CHUNK = 64
+_CONVERGENCE_CHUNK = 250_000
 # Relative slack for float dust when checking declared bounds.
 _BOUND_SLACK = 1.0 + 1e-9
+# The AIS sampler fields and their readers; a missing field takes the
+# AisPolicy default.
+_AIS_FIELDS = {"mix_p": real, "d": whole, "l_r": real, "init_shape": real}
 
 
 @dataclass(frozen=True)
@@ -150,8 +154,7 @@ class CampaignConfig:
             raise DomainError(f"sampler kind must be one of {SAMPLER_KINDS}, got {kind!r}")
         if kind == "ais":
             self.ais_policy()  # validates the policy fields up front
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise DomainError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        _check_seed(self.seed)
         if self.n_min < 1:
             raise DomainError(f"n_min must be >= 1, got {self.n_min}")
         if self.n_max < max(2, self.n_min):
@@ -172,12 +175,7 @@ class CampaignConfig:
 
     def ais_policy(self) -> AisPolicy:
         s = self.sampler
-        return AisPolicy(
-            mix_p=real(s.get("mix_p", 0.1), "mix_p"),
-            d=whole(s.get("d", 10), "d"),
-            l_r=real(s.get("l_r", 0.1), "l_r"),
-            init_shape=real(s.get("init_shape", 0.99), "init_shape"),
-        )
+        return AisPolicy(**{k: read(s[k], k) for k, read in _AIS_FIELDS.items() if k in s})
 
     def build_testbed(self):
         bed = testbed_from_spec(self.testbed)
@@ -186,7 +184,7 @@ class CampaignConfig:
                 f"config interval [{self.m_low}, {self.m_high}] does not match "
                 f"testbed interval [{bed.m_low}, {bed.m_high}]"
             )
-        _check_sampler_bounds(self.sampler, bed, self.w_bar)
+        _check_sampler_bounds(self, bed)
         return bed
 
     def to_dict(self) -> dict:
@@ -237,9 +235,15 @@ class CampaignConfig:
             raise DomainError(f"campaign config missing field {exc.args[0]!r}") from exc
 
 
-def _check_sampler_bounds(sampler: dict, testbed, w_bar: float) -> None:
+def _check_seed(seed) -> None:
+    if not isinstance(seed, int) or seed < 0:
+        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
+
+
+def _check_sampler_bounds(config: CampaignConfig, testbed) -> None:
     """Reject a sampler that cannot honor the declared weight cap."""
-    kind = sampler["kind"]
+    kind = config.sampler["kind"]
+    w_bar = config.w_bar
     if kind == "monte_carlo":
         return  # weights are identically 1 <= w_bar
     if kind == "importance":
@@ -259,7 +263,7 @@ def _check_sampler_bounds(sampler: dict, testbed, w_bar: float) -> None:
     if kind == "ais":
         if getattr(testbed, "domain", None) is None:
             raise DomainError("ais sampling needs a box-domain testbed")
-        mix_p = sampler.get("mix_p", 0.1)
+        mix_p = config.ais_policy().mix_p
         if mix_p <= 0.0:
             raise BoundViolation(
                 "ais with mix_p = 0 has no provable weight cap; declare mix_p > 0"
@@ -582,63 +586,40 @@ def _campaign_partition(config: CampaignConfig) -> Partition:
     return build_partition(config.m_low, config.m_high, alpha, _draw_offset(config, alpha))
 
 
-def _build_campaign_artifact(config: CampaignConfig, partition: Partition) -> dict:
-    return build_artifact(
-        partition,
-        gamma=config.accuracy.gamma,
-        c=config.accuracy.c,
-        beta=config.accuracy.beta,
-        bounds={
-            "m": config.m_high - config.m_low,
-            "w_bar": config.w_bar,
-            "joint": config.joint,
-        },
-        range_term_mode=config.range_term_mode,
-        testbed_spec=dict(config.testbed),
-        sampler_spec=dict(config.sampler),
-        n_min=config.n_min,
-        n_max=config.n_max,
-    )
-
-
 def initiator(config: CampaignConfig) -> tuple[dict, TrialResult]:
     """Fix the partition, publish the artifact, run the first campaign."""
     partition = _campaign_partition(config)
-    art = _build_campaign_artifact(config, partition)
+    art = build_artifact(config, partition)
     result = run_quantized_sq(
         config, partition, campaign_stream(config.seed, 0, INITIATOR_ARM)
     )
     return art, result
 
 
-def config_from_artifact(
-    art: dict, seed: int, sampler_override: dict | None = None
-) -> CampaignConfig:
-    """Reconstruct the campaign configuration a replicator must run from
-    an artifact that passed ``verify_artifact``."""
-    part = art["partition"]
-    bounds = art["bounds"]
-    m_low = parse17(part["m_low"])
-    m_high = parse17(part["m_high"])
-    m_declared = parse17(bounds["m"])
-    if m_declared != m_high - m_low:
-        raise ArtifactVersionMismatch(
-            f"declared bound m = {m_declared} does not equal the interval "
-            f"width {m_high - m_low}"
-        )
-    return CampaignConfig(
-        accuracy=AccuracySpec(parse17(part["gamma"]), parse17(part["c"]), parse17(part["beta"])),
-        m_low=m_low,
-        m_high=m_high,
-        w_bar=parse17(bounds["w_bar"]),
-        joint=None if bounds["joint"] is None else parse17(bounds["joint"]),
-        sampler=dict(sampler_override if sampler_override is not None else art["sampler"]),
-        testbed=dict(art["testbed"]),
-        seed=seed,
-        n_min=whole(art["n_min"], "n_min"),
-        n_max=whole(art["n_max"], "n_max"),
-        range_term_mode=art["range_term_mode"],
-    )
+def config_from_artifact(art: dict, seed: int) -> CampaignConfig:
+    """The sealed config of an artifact that passed ``verify_artifact``,
+    with the replicator's own seed.
+
+    The config reader parses the sealed dict, which must then be exactly
+    the ``to_dict()`` of what it parsed to, without the seed: a dropped
+    key that the reader would fill with its default, an extra key and a
+    sealed seed all fail that comparison. Sealed content that fails to
+    parse or to compare raises ArtifactVersionMismatch; an invalid
+    ``seed`` raises DomainError.
+    """
+    _check_seed(seed)
+    with sealed_content("config"):
+        sealed = mapping(art["config"], "config")
+        config = CampaignConfig.from_dict({**sealed, "seed": seed})
+        written = config.to_dict()
+        del written["seed"]
+        if written != sealed:
+            keys = sorted(
+                k for k in written.keys() | sealed.keys()
+                if k not in written or k not in sealed or written[k] != sealed[k]
+            )
+            raise DomainError(f"sealed config is not as a config writes it, at {keys}")
+    return config
 
 
 def replicator(
@@ -648,16 +629,22 @@ def replicator(
 
     The artifact is integrity-checked, the partition is rebuilt bit for
     bit, and the rebuilt cell width is cross-checked against the
-    accuracy contract it claims to come from.
+    accuracy contract it claims to come from. Invalid sealed content
+    (config, grid or testbed) raises ArtifactVersionMismatch; an invalid
+    seed or ``sampler_override`` is the replicator's own input error.
     """
     art = verify_artifact(art)
-    partition = partition_from_payload(art["partition"])
-    config = config_from_artifact(art, seed, sampler_override)
+    config = config_from_artifact(art, seed)
+    partition = partition_from_payload(art["grid"], config.m_low, config.m_high)
     if compute_alpha(config.accuracy) != partition.alpha:
         raise ArtifactVersionMismatch(
             "artifact cell width does not come from its own accuracy contract"
         )
-    bed = config.build_testbed()  # validates override bounds up front
+    with sealed_content("testbed"):
+        bed = config.build_testbed()
+    if sampler_override is not None:
+        config = dataclasses.replace(config, sampler=dict(sampler_override))
+        _check_sampler_bounds(config, bed)
     return run_quantized_sq(
         config, partition, campaign_stream(seed, 0, REPLICATOR_ARM), testbed=bed
     )
@@ -770,7 +757,7 @@ def pairwise_experiment(
         )
     r_star = bed.oracle_r_star
     partition = _campaign_partition(config)
-    checksum = _build_campaign_artifact(config, partition)["checksum"]
+    checksum = build_artifact(config, partition)["checksum"]
     tolerance = gamma + 0.5 * partition.alpha
 
     rep_sampler = replicator_sampler if replicator_sampler is not None else config.sampler
@@ -954,30 +941,24 @@ class ConvergenceStudy:
         return self.value_sd / math.sqrt(n)
 
 
-def convergence_study(
-    testbed,
-    seeds,
-    checkpoints=(10**3, 10**6),
-    *,
-    use_proposal: bool = True,
-    chunk_size: int = 250_000,
-) -> ConvergenceStudy:
+def convergence_study(testbed, seeds, checkpoints=(10**3, 10**6)) -> ConvergenceStudy:
     """Track |running mean - r_star| at fixed sample counts with the
     termination rule switched off, one independent stream per seed.
 
     Needs a cellular testbed (the per-sample value sd is computed by
     exact enumeration so checkpoint errors can be graded in oracle
-    units).
+    units). Samples come from the testbed's proposal when it has one,
+    drawn and weighted as an importance campaign draws them, with one
+    stream for the draws and the evaluator noise.
     """
     if not hasattr(testbed.target, "masses"):
         raise DomainError("convergence study needs a cellular testbed")
     cps = tuple(sorted(int(c) for c in checkpoints))
     if len(cps) < 2 or cps[0] < 1:
         raise DomainError(f"need >= 2 positive checkpoints, got {checkpoints}")
-    p = testbed.target.masses
-    source = testbed.proposal if (use_proposal and testbed.proposal is not None) else testbed.target
-    q = source.masses
-    ratio = np.divide(p, q, out=np.zeros_like(p), where=q > 0.0)
+    sampler = _FixedSampler(testbed, use_proposal=True, w_bar=math.inf)
+    q = sampler.source.masses
+    ratio = sampler.ratio
     f = testbed.failure_probs
     r_star = testbed.oracle_r_star
     second_moment = math.fsum((q * f * ratio * ratio).tolist())
@@ -990,10 +971,9 @@ def convergence_study(
         n = 0
         for ci, cp in enumerate(cps):
             while n < cp:
-                k = min(chunk_size, cp - n)
-                cells = source.sample_many(rng, k)
-                psi = testbed.evaluate_many(cells, rng)
-                total += float(np.sum(psi * ratio[cells]))
+                k = min(_CONVERGENCE_CHUNK, cp - n)
+                values, _, _ = sampler.draw(rng, rng, k)
+                total += float(np.sum(values))
                 n += k
             errors[si, ci] = abs(total / n - r_star)
     return ConvergenceStudy(

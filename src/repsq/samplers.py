@@ -324,7 +324,8 @@ def fit_beta(samples: Sequence[float], lo: float = 0.0, hi: float = 1.0):
 
 def ais_update(current: BetaProposal, batch, policy: AisPolicy) -> BetaProposal:
     """Refit on the batch and move shapes by an exponential moving
-    average; dimensions whose batch is degenerate keep their shapes.
+    average, kept in [SHAPE_MIN, SHAPE_MAX]; dimensions whose batch is
+    degenerate keep their shapes.
 
     Every dimension is fitted as fit_beta fits one column. The returned
     proposal's ``refit_clamps`` counts the dimensions whose fit was
@@ -348,8 +349,11 @@ def ais_update(current: BetaProposal, batch, policy: AisPolicy) -> BetaProposal:
     new_b = current.b.tolist()
     for k, fit in enumerate(fits):
         if fit is not None:
-            new_a[k] = keep * new_a[k] + policy.l_r * fit.a
-            new_b[k] = keep * new_b[k] + policy.l_r * fit.b
+            # A convex combination of in-range shapes leaves the range
+            # only by rounding (0.7 * 0.05 + 0.3 * 0.05 < 0.05), so it is
+            # clamped back; this is not a clamped fit.
+            new_a[k] = min(max(keep * new_a[k] + policy.l_r * fit.a, SHAPE_MIN), SHAPE_MAX)
+            new_b[k] = min(max(keep * new_b[k] + policy.l_r * fit.b, SHAPE_MIN), SHAPE_MAX)
     clamps = sum(1 for fit in fits if fit is not None and fit.clamped)
     return current._with_shapes(np.array(new_a), np.array(new_b), clamps)
 

@@ -170,8 +170,8 @@ def fit_beta_reference(x, lo, hi):
 
 
 def ais_update_reference(current, pts, l_r):
-    """Per-dimension fit plus exponential moving average; returns
-    (a, b, clamped count)."""
+    """Per-dimension fit plus exponential moving average, kept in the
+    shape range; returns (a, b, clamped count)."""
     new_a = current.a.copy()
     new_b = current.b.copy()
     clamped = 0
@@ -179,8 +179,8 @@ def ais_update_reference(current, pts, l_r):
         fit = fit_beta_reference(pts[:, k], current.domain.lo[k], current.domain.hi[k])
         if fit is None:
             continue
-        new_a[k] = (1.0 - l_r) * new_a[k] + l_r * fit[0]
-        new_b[k] = (1.0 - l_r) * new_b[k] + l_r * fit[1]
+        new_a[k] = min(max((1.0 - l_r) * new_a[k] + l_r * fit[0], SHAPE_MIN), SHAPE_MAX)
+        new_b[k] = min(max((1.0 - l_r) * new_b[k] + l_r * fit[1], SHAPE_MIN), SHAPE_MAX)
         clamped += fit[2]
     return new_a, new_b, clamped
 
@@ -309,15 +309,34 @@ class TestBatchedRefit:
         with pytest.raises(DomainError):
             fit_beta([0.2, np.nan])
 
-    def test_ema_leaving_the_shape_range_is_rejected(self):
+    def test_ema_leaving_the_shape_range_is_clamped_back(self):
         # 0.7 * 0.05 + 0.3 * 0.05 rounds to 0.049999999999999996, below
-        # SHAPE_MIN; the refit refuses it as the constructor would.
+        # SHAPE_MIN; a moving average of in-range shapes leaves the range
+        # only by rounding, so the refit clamps it back to SHAPE_MIN.
         assert (1.0 - 0.3) * SHAPE_MIN + 0.3 * SHAPE_MIN < SHAPE_MIN
         box = BoxDomain([0.0], [1.0])
         current = BetaProposal(box, [SHAPE_MIN], [SHAPE_MIN])
         batch = [[0.005], [0.995]]  # fit clamps to (SHAPE_MIN, SHAPE_MIN)
-        with pytest.raises(DomainError):
-            ais_update(current, batch, AisPolicy(d=2, l_r=0.3))
+        got = ais_update(current, batch, AisPolicy(d=2, l_r=0.3))
+        assert got.a.tolist() == [SHAPE_MIN] and got.b.tolist() == [SHAPE_MIN]
+        assert got.refit_clamps == 1  # the fit's clamp; the EMA's is not counted
+
+    def test_campaigns_at_the_shape_floor_terminate(self):
+        # The displacement campaign whose EMA rounds below SHAPE_MIN; it
+        # used to abort with DomainError on 9 of these 20 seeds.
+        bed = displacement_testbed()
+        cfg = CampaignConfig(
+            accuracy=AccuracySpec(0.5, 0.05, 0.1), m_low=bed.m_low, m_high=bed.m_high,
+            w_bar=2.0, joint=None,
+            sampler={"kind": "ais", "mix_p": 0.5, "d": 2, "l_r": 0.3, "init_shape": 0.05},
+            testbed=bed.to_spec(), seed=0, n_max=200_000, range_term_mode="linear-range",
+        )
+        part = build_partition(cfg.m_low, cfg.m_high, compute_alpha(cfg.accuracy), 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ClampWarning)
+            for seed in range(20):
+                res = run_quantized_sq(cfg, part, campaign_stream(seed, 0, 0), testbed=bed)
+                assert res.terminated
 
 
 class TestBatchedDensity:

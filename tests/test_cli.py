@@ -117,7 +117,8 @@ class TestInitReplicate:
         )
         assert code == 0
         art = json.loads((init_dir / "artifact.json").read_text())
-        part = partition_from_payload(art["partition"])
+        interval = art["config"]["interval"]
+        part = partition_from_payload(art["grid"], interval["m_low"], interval["m_high"])
         for path in (init_dir / "result.json", rep_dir / "result.json"):
             res = json.loads(path.read_text())
             assert parse17(res["quantized_estimate"]) == part.midpoint(res["cell"])
@@ -126,7 +127,7 @@ class TestInitReplicate:
         init_dir = tmp_path / "init"
         run_cli(capsys, "init", "--config", "zero_variance", "--out", str(init_dir))
         art = json.loads((init_dir / "artifact.json").read_text())
-        art["n_max"] = art["n_max"] + 1
+        art["config"]["n_max"] = art["config"]["n_max"] + 1
         bad = tmp_path / "tampered.json"
         bad.write_text(json.dumps(art))
         rep_dir = tmp_path / "rep"

@@ -24,7 +24,6 @@ from repsq.artifact import (
     load_artifact,
     parse17,
     partition_from_payload,
-    partition_to_payload,
 )
 from repsq.errors import (
     ArtifactVersionMismatch,
@@ -140,8 +139,8 @@ class TestArtifactSerialization:
 
     def test_partition_payload_round_trip_materialized(self):
         part = build_partition(0.0, 6.0, ALPHA_WIDE, 0.05)
-        payload = partition_to_payload(part, 0.1, 0.05, 0.1)
-        back = partition_from_payload(payload)
+        grid = json.loads(json.dumps(build_artifact(zero_variance_config(), part)["grid"]))
+        back = partition_from_payload(grid, 0.0, 6.0)
         assert back == part
         assert [back.boundary(k) for k in range(back.n_cells + 1)] == [
             part.boundary(k) for k in range(part.n_cells + 1)
@@ -149,9 +148,9 @@ class TestArtifactSerialization:
 
     def test_partition_payload_round_trip_virtual(self):
         part = build_partition(0.0, 1.0, ALPHA_RARE, 0.0)
-        payload = partition_to_payload(part, 3e-9, 0.01, 0.1)
-        assert payload["n_cells"] == part.n_cells == 233_386_897
-        back = partition_from_payload(payload)
+        grid = json.loads(json.dumps(build_artifact(rare_config(), part)["grid"]))
+        assert grid["n_cells"] == part.n_cells == 233_386_897
+        back = partition_from_payload(grid, 0.0, 1.0)
         assert back.n_cells == part.n_cells
         for v in (0.0, 3.2e-8, 0.731, 1.0):
             assert back.cell_of(v) == part.cell_of(v)
@@ -160,16 +159,26 @@ class TestArtifactSerialization:
         art, _ = initiator(zero_variance_config())
         loaded = load_artifact(dump_artifact(art))
         assert loaded == art
-        rebuilt = partition_from_payload(loaded["partition"])
-        original = partition_from_payload(art["partition"])
+        rebuilt = partition_from_payload(loaded["grid"], 0.0, 6.0)
+        original = partition_from_payload(art["grid"], 0.0, 6.0)
         assert rebuilt == original
+
+    def test_artifact_is_the_sealed_config_and_its_grid(self):
+        cfg = zero_variance_config()
+        art, _ = initiator(cfg)
+        assert set(art) == {"format_version", "rng_algorithm", "checksum", "config", "grid"}
+        sealed = cfg.to_dict()
+        del sealed["seed"]
+        assert art["config"] == sealed
+        part = make_partition(cfg)
+        assert art["grid"] == {"alpha": part.alpha, "offset": 0.0, "n_cells": part.n_cells}
 
     def test_tampered_boundary_is_rejected(self):
         """A cell count the grid scalars do not yield is rejected: by the
         checksum as sent, and by the rebuild check once resealed."""
         art, _ = initiator(zero_variance_config())
         bad = dict(art)
-        bad["partition"] = dict(art["partition"], n_cells=art["partition"]["n_cells"] + 1)
+        bad["grid"] = dict(art["grid"], n_cells=art["grid"]["n_cells"] + 1)
         with pytest.raises(ArtifactVersionMismatch):
             load_artifact(dump_artifact(bad))
         bad["checksum"] = art_mod.artifact_checksum(bad)
@@ -194,7 +203,9 @@ class TestArtifactSerialization:
     def test_checksum_covers_testbed_spec(self):
         art, _ = initiator(zero_variance_config())
         bad = dict(art)
-        bad["testbed"] = dict(art["testbed"], mean_constant=0.03)
+        bad["config"] = dict(
+            art["config"], testbed=dict(art["config"]["testbed"], mean_constant=0.03)
+        )
         with pytest.raises(ArtifactVersionMismatch):
             load_artifact(dump_artifact(bad))
 
@@ -547,12 +558,12 @@ class TestInitiatorReplicator:
             n_max=100_000,
         )
         art, res = initiator(cfg)
-        assert parse17(art["partition"]["alpha"]) == pytest.approx(ALPHA_WIDE, rel=1e-12)
+        assert art["grid"]["alpha"] == pytest.approx(ALPHA_WIDE, rel=1e-12)
         assert res.terminated
 
     def test_artifact_embeds_rare_alpha(self):
         art, _ = initiator(rare_config())
-        assert parse17(art["partition"]["alpha"]) == pytest.approx(ALPHA_RARE, rel=1e-12)
+        assert art["grid"]["alpha"] == pytest.approx(ALPHA_RARE, rel=1e-12)
 
     def test_replicator_reproduces_the_cell(self):
         cfg = rare_config()
@@ -564,24 +575,23 @@ class TestInitiatorReplicator:
     def test_replicator_rejects_tampered_artifact(self):
         art, _ = initiator(rare_config())
         bad = dict(art)
-        bad["n_max"] = art["n_max"] + 1
+        bad["config"] = dict(art["config"], n_max=art["config"]["n_max"] + 1)
         with pytest.raises(ArtifactVersionMismatch):
             replicator(bad, seed=1)
 
     def test_non_integral_n_max_in_artifact_raises(self):
         art, _ = initiator(zero_variance_config())
         bad = dict(art)
-        bad["n_max"] = art["n_max"] + 0.7
+        bad["config"] = dict(art["config"], n_max=art["config"]["n_max"] + 0.7)
         bad["checksum"] = art_mod.artifact_checksum(bad)
         loaded = art_mod.load_artifact(art_mod.dump_artifact(bad))
-        with pytest.raises(DomainError, match="n_max"):
+        with pytest.raises(ArtifactVersionMismatch, match="n_max"):
             replicator(loaded, seed=1)
 
     def test_replicator_rejects_alpha_not_from_contract(self):
         art, _ = initiator(zero_variance_config())
         bad = dict(art)
-        bad["partition"] = dict(art["partition"])
-        bad["partition"]["alpha"] = fmt17(0.19)  # same 32 cells on [0, 6]
+        bad["grid"] = dict(art["grid"], alpha=0.19)  # same 32 cells on [0, 6]
         bad["checksum"] = art_mod.artifact_checksum(bad)
         with pytest.raises(ArtifactVersionMismatch, match="accuracy contract"):
             replicator(bad, seed=1)
@@ -607,6 +617,33 @@ class TestInitiatorReplicator:
         assert back.w_bar == cfg.w_bar and back.joint == cfg.joint
         assert back.testbed == cfg.testbed
         assert back.seed == 55
+        assert back == dataclasses.replace(cfg, seed=55)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda c: c.pop("n_min"),  # the reader would fill in the default
+            lambda c: c.__setitem__("seed", 3),
+            lambda c: c.__setitem__("extra", 1),
+            lambda c: c["bounds"].pop("joint"),
+        ],
+        ids=["dropped-default", "sealed-seed", "extra-key", "dropped-joint"],
+    )
+    def test_sealed_config_must_read_back_as_written(self, edit):
+        art, _ = initiator(zero_variance_config())
+        bad = json.loads(json.dumps(art))
+        edit(bad["config"])
+        bad["checksum"] = art_mod.artifact_checksum(bad)
+        with pytest.raises(ArtifactVersionMismatch, match="as a config writes it"):
+            replicator(load_artifact(dump_artifact(bad)), seed=1)
+
+    def test_replicator_input_errors_are_not_artifact_errors(self):
+        art, _ = initiator(moderate_config("monte_carlo", w_bar=2.0))
+        for seed in (-1, 2.5):
+            with pytest.raises(DomainError):
+                replicator(art, seed=seed)
+        with pytest.raises(DomainError):
+            replicator(art, seed=1, sampler_override={"kind": "nope"})
 
 
 class TestPairwiseExperiment:
@@ -865,9 +902,9 @@ class TestReportInvariants:
         cfg = dataclasses.replace(rare_config(), offset_policy="uniform-random")
         a1, _ = initiator(cfg)
         a2, _ = initiator(cfg)
-        assert a1["partition"]["offset"] == a2["partition"]["offset"]
-        off = parse17(a1["partition"]["offset"])
-        assert 0.0 <= off < parse17(a1["partition"]["alpha"])
+        assert a1["grid"]["offset"] == a2["grid"]["offset"]
+        off = a1["grid"]["offset"]
+        assert 0.0 <= off < a1["grid"]["alpha"]
         other = dataclasses.replace(cfg, seed=cfg.seed + 1)
         a3, _ = initiator(other)
-        assert a3["partition"]["offset"] != a1["partition"]["offset"]
+        assert a3["grid"]["offset"] != a1["grid"]["offset"]

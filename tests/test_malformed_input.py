@@ -1,9 +1,10 @@
 """Malformed configs and artifacts map to the documented exit codes.
 
 A config with a missing field or a field of the wrong JSON type exits 1;
-an artifact whose checksum is valid but whose body is malformed exits 4.
-Neither may escape main() as a traceback. The explicit cases are the
-ones that used to crash; the hypothesis tests edit the bundled
+an artifact whose checksum is valid but whose body is malformed exits 4,
+including a sealed config that a config file could not hold. Neither
+may escape main() as a traceback. The explicit cases are the ones that
+used to crash or to exit 1; the hypothesis tests edit the bundled
 zero_variance config and its artifact one field at a time (the artifact
 is resealed after each edit, so the checksum is never what rejects it).
 """
@@ -44,7 +45,42 @@ CONFIG_REQUIRED = [
 ]
 # Fields for which null is a valid value ("no such bound", "no constant").
 CONFIG_NULLABLE = {("bounds", "joint"), ("testbed", "mean_constant")}
-ARTIFACT_NULLABLE = {("bounds", "joint")}
+ARTIFACT_NULLABLE = {("config",) + path for path in CONFIG_NULLABLE}
+# The testbed descriptor's interval defaults to the testbed's own, so
+# dropping it leaves the artifact valid.
+ARTIFACT_OPTIONAL = {("config", "testbed", "m_low"), ("config", "testbed", "m_high")}
+
+# A format-2 artifact of the bundled zero_variance config, as written
+# before the artifact became a sealed config.
+FORMAT_2_ARTIFACT = {
+    "bounds": {"joint": "1", "m": "6", "w_bar": "1"},
+    "checksum": "aee011ff0fcc6eddf2d14300ec927b70e9d2623975fef9655ad196ebc9e15d82",
+    "format_version": "repsq-artifact-2",
+    "n_max": 10000,
+    "n_min": 2,
+    "partition": {
+        "alpha": "0.18947368421052643",
+        "beta": "0.10000000000000001",
+        "c": "0.050000000000000003",
+        "format_version": "repsq-artifact-2",
+        "gamma": "0.10000000000000001",
+        "m_high": "6",
+        "m_low": "0",
+        "n_cells": 32,
+        "offset": "0",
+    },
+    "range_term_mode": "paper-exact",
+    "rng_algorithm": "numpy-pcg64-ss1",
+    "sampler": {"kind": "monte_carlo"},
+    "testbed": {
+        "kind": "displacement-field",
+        "m_high": 6.0,
+        "m_low": 0.0,
+        "mean_constant": 0.02,
+        "noise": False,
+        "oracle_seed": 0,
+    },
+}
 
 # Strings of letters never parse as finite numbers, so a string standing
 # in for a number is always malformed.
@@ -58,6 +94,7 @@ JSON_TYPES = {
 }
 
 FUZZ = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+ARTIFACT_FUZZ = settings(FUZZ, max_examples=400)
 
 
 def json_type(value) -> str:
@@ -123,9 +160,9 @@ def init_code(cfg: dict, workdir) -> int:
     return main(["init", "--config", str(path), "--out", str(workdir / "init")])
 
 
-def replicate_code(art: dict, workdir) -> int:
-    art = dict(art)
-    art["checksum"] = art_mod.artifact_checksum(art)
+def replicate_code(art: dict, workdir, reseal: bool = True) -> int:
+    if reseal:
+        art = dict(art, checksum=art_mod.artifact_checksum(art))
     path = workdir / "artifact.json"
     path.write_text(json.dumps(art))
     return main(
@@ -145,11 +182,10 @@ def artifact(workdir) -> dict:
 
 
 def artifact_paths(art: dict) -> list:
-    """The artifact's own fields: top level (the checksum is resealed
-    anyway) and the partition and bounds blocks. Testbed and sampler
-    descriptors are config content, covered by the config tests."""
-    top = [(key,) for key in art if key != "checksum"]
-    return top + [(block, key) for block in ("partition", "bounds") for key in art[block]]
+    """Every field of the artifact but the checksum (which is resealed
+    anyway): the top level, every sealed config field down to the
+    testbed and sampler descriptors, and the grid."""
+    return [path for path in all_paths(art) if path != ("checksum",)]
 
 
 class TestMalformedConfig:
@@ -185,11 +221,11 @@ class TestMalformedArtifact:
     @pytest.mark.parametrize(
         "path,value,drop",
         [
-            (("partition",), "grid", False),
-            (("bounds",), {}, False),
-            (("range_term_mode",), None, True),
-            (("partition", "gamma"), None, True),
-            (("partition", "n_cells"), 31, False),  # the grid yields 32
+            (("grid",), "grid", False),
+            (("config", "bounds"), {}, False),
+            (("config", "range_term_mode"), None, True),
+            (("config", "accuracy", "gamma"), None, True),
+            (("grid", "n_cells"), 31, False),  # the grid yields 32
             (("format_version",), "repsq-artifact-1", False),
         ],
         ids=[
@@ -204,12 +240,44 @@ class TestMalformedArtifact:
     def test_former_crashes_exit_4(self, workdir, artifact, path, value, drop):
         assert replicate_code(edited(artifact, path, value, drop), workdir) == 4
 
+    @pytest.mark.parametrize(
+        "path,value,drop",
+        [
+            (("config", "n_min"), 2.5, False),
+            (("grid", "offset"), 0.5, False),  # above alpha = 0.189...
+            (("config", "bounds", "w_bar"), "0.5", False),
+            (("config", "range_term_mode"), "nope", False),
+            (("config", "sampler", "kind"), 5, False),
+            (("config", "testbed", "noise"), None, True),
+        ],
+        ids=[
+            "n-min-fraction",
+            "offset-above-alpha",
+            "w-bar-string",
+            "range-term-mode-nope",
+            "sampler-kind-number",
+            "testbed-no-noise",
+        ],
+    )
+    def test_content_a_config_cannot_hold_exits_4(self, workdir, artifact, path, value, drop):
+        assert replicate_code(edited(artifact, path, value, drop), workdir) == 4
+
+    def test_format_2_artifact_exits_4(self, workdir, capsys):
+        assert replicate_code(FORMAT_2_ARTIFACT, workdir, reseal=False) == 4
+        assert "repsq-artifact-2" in capsys.readouterr().err
+
     def test_resealed_original_still_runs(self, workdir, artifact):
         assert replicate_code(artifact, workdir) == 0
 
-    @FUZZ
+    @pytest.mark.parametrize("key", ["m_low", "m_high"])
+    def test_dropped_testbed_interval_takes_the_default(self, workdir, artifact, key):
+        art = edited(artifact, ("config", "testbed", key), drop=True)
+        assert replicate_code(art, workdir) == 0
+
+    @ARTIFACT_FUZZ
     @given(data=st.data())
     def test_any_one_field_edit_exits_4(self, workdir, artifact, data):
         paths = artifact_paths(artifact)
-        art = data.draw(malformed(artifact, paths, paths, ARTIFACT_NULLABLE))
+        droppable = [path for path in paths if path not in ARTIFACT_OPTIONAL]
+        art = data.draw(malformed(artifact, paths, droppable, ARTIFACT_NULLABLE))
         assert replicate_code(art, workdir) == 4
