@@ -151,7 +151,9 @@ def verify_artifact(art: dict) -> dict:
 
 
 def dump_artifact(art: dict) -> str:
-    return json.dumps(art, indent=2, sort_keys=True) + "\n"
+    """Compact, key-sorted JSON text. Without ``indent`` Python uses its C
+    encoder; ``load_artifact`` reads an indented text all the same."""
+    return json.dumps(art, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def load_artifact(text: str) -> dict:

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import special
 
 from .errors import ClampWarning, DegenerateBatch, DomainError
 
@@ -43,6 +42,16 @@ __all__ = [
 
 SHAPE_MIN = 0.05
 SHAPE_MAX = 100.0
+
+
+def _betaln(a, b):
+    """``scipy.special.betaln``. Only Beta proposals need scipy, so it
+    is imported on the first call, which rebinds this name to it."""
+    global _betaln
+    from scipy.special import betaln
+
+    _betaln = betaln
+    return betaln(a, b)
 
 
 @dataclass(frozen=True)
@@ -70,8 +79,37 @@ class BoxDomain:
         return float(np.prod(np.asarray(self.hi) - np.asarray(self.lo)))
 
 
+# Buckets of the guide table; a power of two, so u * G and its floor are
+# exact for every double u in [0, 1).
+GUIDE_BUCKETS = 1024
+
+
+def _guide_table(cum):
+    """Cell of every bucket [g/G, (g+1)/G) of [0, 1) that one CDF step
+    covers, and -1 for a bucket that straddles a step.
+
+    For u in bucket g, ``searchsorted(cum, u, "right")`` lies between
+    ``searchsorted(cum, g/G, "right")`` and ``searchsorted(cum, (g+1)/G,
+    "left")``; where the two agree the bucket alone decides the cell
+    (Chen & Asau 1974; Devroye 1986, III.2.4). The last entry, pinned to
+    1.0, may sit below a predecessor that rounded above 1; no key here
+    exceeds 1.0, so every search treats it as the largest entry.
+    """
+    g = np.arange(GUIDE_BUCKETS + 1) / GUIDE_BUCKETS
+    lo = np.searchsorted(cum, g[:-1], side="right")
+    hi = np.searchsorted(cum, g[1:], side="left")
+    return np.where(lo == hi, lo, -1)
+
+
 class DiscreteDistribution:
-    """Finite distribution over cells 0..K-1 given by explicit masses."""
+    """Finite distribution over cells 0..K-1 given by explicit masses.
+
+    ``sample_many`` inverts the CDF, cell = ``searchsorted(cum, u,
+    "right")`` for one ``rng.random(size)`` batch of u. A batch of at
+    least GUIDE_BUCKETS draws reads the cell from a guide table, built
+    on first use and kept, and searches only for the u in buckets that
+    straddle a CDF step; the cells are the search's, bit for bit.
+    """
 
     def __init__(self, masses: Sequence[float]) -> None:
         m = np.asarray(masses, dtype=np.float64)
@@ -85,13 +123,26 @@ class DiscreteDistribution:
         self.masses = m
         self._cum = np.cumsum(m)
         self._cum[-1] = 1.0
+        self._guide = None
 
     @property
     def n_cells(self) -> int:
         return int(self.masses.size)
 
     def sample_many(self, rng, size: int):
-        return np.searchsorted(self._cum, rng.random(size), side="right")
+        u = rng.random(size)
+        # Below G values the search is no slower per draw than the table,
+        # and the table's ~35 us build would dominate an early-stopping
+        # campaign's draws (table for every size: early_stop draw time
+        # 0.012 -> 0.077 ms a campaign, p90 +9%, 2-vCPU x86-64 host).
+        if size < GUIDE_BUCKETS:
+            return np.searchsorted(self._cum, u, side="right")
+        if self._guide is None:
+            self._guide = _guide_table(self._cum)
+        cells = self._guide[(u * GUIDE_BUCKETS).astype(np.intp)]
+        split = np.flatnonzero(cells < 0)
+        cells[split] = np.searchsorted(self._cum, u[split], side="right")
+        return cells
 
     def density_many(self, points):
         idx = np.asarray(points, dtype=np.int64)
@@ -141,7 +192,7 @@ def beta_density(x: float, a: float, b: float, lo: float = 0.0, hi: float = 1.0)
             other = b if t == 0.0 else a
             return float(other) / width
         return math.inf
-    log_pdf = (a - 1.0) * math.log(t) + (b - 1.0) * math.log1p(-t) - special.betaln(a, b)
+    log_pdf = (a - 1.0) * math.log(t) + (b - 1.0) * math.log1p(-t) - _betaln(a, b)
     return math.exp(log_pdf) / width
 
 
@@ -183,7 +234,7 @@ class BetaProposal:
         self.b = b
         self._am1 = a - 1.0
         self._bm1 = b - 1.0
-        self._log_norm = float(np.add.reduce(special.betaln(a, b)) + self._log_width)
+        self._log_norm = float(np.add.reduce(_betaln(a, b)) + self._log_width)
 
     def _with_shapes(self, a, b, refit_clamps: int) -> "BetaProposal":
         """This proposal's box with new shape vectors of the right length;

@@ -163,6 +163,21 @@ class TestArtifactSerialization:
         original = partition_from_payload(art["grid"], 0.0, 6.0)
         assert rebuilt == original
 
+    def test_artifact_text_is_compact_sorted_json(self):
+        art, _ = initiator(zero_variance_config())
+        text = dump_artifact(art)
+        assert text == json.dumps(art, sort_keys=True, separators=(",", ":")) + "\n"
+
+    def test_indented_artifact_text_still_loads(self):
+        """Artifacts written with indent=2 (the earlier text layout of
+        this format) load, verify and replicate as the compact text."""
+        art, _ = initiator(zero_variance_config())
+        indented = json.dumps(art, indent=2, sort_keys=True) + "\n"
+        loaded = load_artifact(indented)
+        compact = load_artifact(dump_artifact(art))
+        assert loaded == compact == art
+        assert replicator(loaded, 7).to_dict() == replicator(compact, 7).to_dict()
+
     def test_artifact_is_the_sealed_config_and_its_grid(self):
         cfg = zero_variance_config()
         art, _ = initiator(cfg)

@@ -8,10 +8,19 @@ are formed by the harness's sampler and are checked through it.
 
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
+
+import repsq
 
 from repsq.errors import (
     ClampWarning,
@@ -23,6 +32,7 @@ from repsq.errors import (
 from repsq.harness import CampaignConfig, _FixedSampler, run_quantized_sq
 from repsq.quantize import AccuracySpec, build_partition
 from repsq.samplers import (
+    GUIDE_BUCKETS,
     SHAPE_MAX,
     SHAPE_MIN,
     AisPolicy,
@@ -38,6 +48,7 @@ from repsq.samplers import (
 )
 
 UNIT = BoxDomain([0.0], [1.0])
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestBoxDomain:
@@ -108,6 +119,165 @@ class TestDiscreteDistribution:
             direct = float(np.dot(p, psi))
             via_q = float(math.fsum(q[i] * (psi[i] * p[i] / q[i]) for i in range(k)))
             assert via_q == pytest.approx(direct, rel=1e-13)
+
+
+G = GUIDE_BUCKETS
+
+
+def deep_scan_proposal() -> list:
+    path = ROOT / "campaign_bench" / "workloads" / "deep_scan.json"
+    return json.loads(path.read_text())["config"]["testbed"]["proposal_masses"]
+
+
+def search(d: DiscreteDistribution, u):
+    """The plain inversion every draw must reproduce."""
+    return np.searchsorted(d._cum, u, side="right")
+
+
+class _ChosenU:
+    """Stands in for an rng: ``random(size)`` cycles through chosen u."""
+
+    def __init__(self, u) -> None:
+        self.u = np.asarray(u, dtype=np.float64)
+        self.calls = []
+
+    def random(self, size):
+        self.calls.append(size)
+        return np.resize(self.u, size)
+
+
+def edge_uniforms(cum) -> np.ndarray:
+    """0, the largest double below 1, every bucket edge g/G with its
+    neighbours, and every CDF step with the doubles either side."""
+    edges = np.arange(G) / G
+    steps = cum[cum < 1.0]
+    u = np.concatenate([
+        [0.0, 1.0 - 2.0**-53],
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+        steps, np.nextafter(steps, 0.0), np.nextafter(steps, 1.0),
+    ])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+@st.composite
+def dyadic_masses(draw):
+    """Masses k / 2**bits, so the CDF is exact and, for bits <= 10,
+    every step lands on a bucket edge."""
+    total = 2 ** draw(st.integers(0, 12))
+    cuts = sorted(draw(st.lists(st.integers(0, total), max_size=40)))
+    edges = [0, *cuts, total]
+    return [(b - a) / total for a, b in zip(edges, edges[1:])]
+
+
+any_masses = (
+    st.lists(st.one_of(st.just(0.0), st.floats(1e-12, 1.0)), min_size=1, max_size=60)
+    .filter(lambda raw: sum(raw) > 0.0)
+    .map(lambda raw: (np.asarray(raw) / math.fsum(raw)).tolist())
+)
+
+
+class TestGuideTable:
+    """Draws of at least GUIDE_BUCKETS values read a guide table; the
+    cells must be ``searchsorted(cum, u, "right")``'s, bit for bit."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        masses=st.one_of(any_masses, dyadic_masses()),
+        size=st.sampled_from([1, 64, G - 1, G, G + 1, 8192]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(masses=[1.0], size=G, seed=0)
+    @example(masses=[0.0, 1.0, 0.0], size=G, seed=0)
+    @example(masses=[0.25, 0.25, 0.5], size=8192, seed=1)
+    @example(masses=[2.0**-10] * 1024, size=8192, seed=2)
+    @example(masses=[2.0**-11] * 2048, size=8192, seed=3)
+    @example(masses=deep_scan_proposal(), size=8192, seed=4)
+    # The last CDF entry, pinned to 1.0, sits below its predecessor.
+    @example(masses=[0.5, 0.5 + 1e-13, 0.0], size=8192, seed=5)
+    @example(masses=[0.3, 0.2, 0.5 + 1e-13, 0.0, 0.0], size=8192, seed=6)
+    def test_draws_equal_the_search(self, masses, size, seed):
+        d = DiscreteDistribution(masses)
+        got = d.sample_many(np.random.default_rng(seed), size)
+        want = search(d, np.random.default_rng(seed).random(size))
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        u = edge_uniforms(d._cum)
+        for n in (G - 1, max(u.size, G)):
+            rng = _ChosenU(u)
+            got = d.sample_many(rng, n)
+            assert rng.calls == [n]
+            assert np.array_equal(got, search(d, np.resize(u, n)))
+
+    def test_deep_scan_proposal_straddles_few_buckets(self):
+        d = DiscreteDistribution(deep_scan_proposal())
+        d.sample_many(np.random.default_rng(6), 8192)
+        assert np.count_nonzero(d._guide < 0) == 6
+
+    def test_bucket_of_every_double_is_exact(self):
+        """u * G and its floor are exact (G is a power of two): each edge
+        g/G opens bucket g, and the double below it lies in bucket g-1."""
+        g = np.arange(1, G)
+        assert np.array_equal((g / G * G).astype(np.intp), g)
+        assert np.array_equal((np.nextafter(g / G, 0.0) * G).astype(np.intp), g - 1)
+        assert int((1.0 - 2.0**-53) * G) == G - 1
+
+    def test_small_draws_never_build_the_table(self):
+        d = DiscreteDistribution(deep_scan_proposal())
+        rng = np.random.default_rng(8)
+        for size in (0, 1, 64, 128, G - 1):
+            d.sample_many(rng, size)
+        assert d._guide is None
+        d.sample_many(rng, G)
+        table = d._guide
+        assert table is not None
+        d.sample_many(rng, 8192)
+        assert d._guide is table
+
+
+class TestScipyIsLazy:
+    def test_cellular_campaigns_do_not_load_scipy(self):
+        """scipy is imported by the first Beta proposal or density, not
+        by ``import repsq``; what it computes is unchanged."""
+        script = textwrap.dedent("""
+            import json, sys
+            from importlib import resources
+            import numpy as np
+            import repsq
+            from repsq.samplers import beta_density
+            text = (resources.files("repsq") / "configs" / "moderate_cellular.json").read_text()
+            cfg = repsq.CampaignConfig.from_dict(json.loads(text))
+            art, init = repsq.initiator(cfg)
+            rep = repsq.replicator(repsq.load_artifact(repsq.dump_artifact(art)), 5)
+            after_cellular = "scipy" in sys.modules
+            box = repsq.BoxDomain([0.0, -1.0], [1.0, 1.0])
+            q = repsq.BetaProposal(box, [2.0, 0.5], [3.0, 0.7])
+            pts, w = repsq.mixture_sample_many(
+                repsq.BoxUniform(box), q, 0.1, np.random.default_rng(9), 200)
+            print(json.dumps({
+                "after_cellular": after_cellular,
+                "after_beta": "scipy.special" in sys.modules,
+                "cells": [init.cell, rep.cell],
+                "density": beta_density(0.3, 2.0, 3.0, 0.0, 2.0).hex(),
+                "weights": [v.hex() for v in w.tolist()],
+            }))
+        """)
+        src = str(Path(repsq.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert out["after_cellular"] is False
+        assert out["after_beta"] is True
+        box = BoxDomain([0.0, -1.0], [1.0, 1.0])
+        q = BetaProposal(box, [2.0, 0.5], [3.0, 0.7])
+        _, w = mixture_sample_many(BoxUniform(box), q, 0.1, np.random.default_rng(9), 200)
+        assert out["weights"] == [v.hex() for v in w.tolist()]
+        assert out["density"] == beta_density(0.3, 2.0, 3.0, 0.0, 2.0).hex()
+        assert float.fromhex(out["density"]) == pytest.approx(12 * 0.15 * 0.85**2 / 2)
 
 
 class TestBetaDensity:
