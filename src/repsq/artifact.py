@@ -11,18 +11,19 @@ repeatability. The sealed config is read back by the config reader
 itself (``harness.config_from_artifact``), so a config and an artifact
 accept exactly the same content.
 
+``load_artifact`` only parses the text; ``harness.replicator`` checks
+the seal, through ``verify_artifact``, before it reads anything sealed.
+
 Floats are JSON numbers. Python writes every float in its shortest
 round-trip form, so a loaded artifact rebuilds the partition bit for
 bit; the rebuilt cell count is checked against the sealed one before
-use. ``fmt17``/``parse17`` are the 17-digit decimal strings of the
-CLI's result files.
+use.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 from contextlib import contextmanager
 
 from ._fields import mapping, real
@@ -32,8 +33,6 @@ from .quantize import Partition, build_partition
 __all__ = [
     "FORMAT_VERSION",
     "RNG_ALGORITHM",
-    "fmt17",
-    "parse17",
     "partition_from_payload",
     "build_artifact",
     "verify_artifact",
@@ -47,23 +46,6 @@ RNG_ALGORITHM = "numpy-pcg64-ss1"
 
 _KEYS = {"format_version", "rng_algorithm", "checksum", "config", "grid"}
 _GRID_KEYS = {"alpha", "offset", "n_cells"}
-
-
-def fmt17(x: float) -> str:
-    """Decimal string with 17 significant digits; exact for binary64."""
-    if not math.isfinite(x):
-        raise DomainError(f"cannot serialize non-finite value {x}")
-    return f"{float(x):.17g}"
-
-
-def parse17(s) -> float:
-    try:
-        v = float(s)
-    except (TypeError, ValueError) as exc:
-        raise ArtifactVersionMismatch(f"unparseable numeric field {s!r}") from exc
-    if not math.isfinite(v):
-        raise ArtifactVersionMismatch(f"non-finite numeric field {s!r}")
-    return v
 
 
 @contextmanager
@@ -157,8 +139,8 @@ def dump_artifact(art: dict) -> str:
 
 
 def load_artifact(text: str) -> dict:
+    """Parse artifact text. The seal is checked by ``replicator``."""
     try:
-        art = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ArtifactVersionMismatch(f"artifact is not valid JSON: {exc}") from exc
-    return verify_artifact(art)

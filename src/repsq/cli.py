@@ -17,8 +17,10 @@ repeatability contract, 3 campaign hit its sample budget without
 terminating, 4 artifact rejected (format, checksum, or sealed content
 a config file could not hold).
 
-Numbers in reports are serialized as decimal strings with 17
-significant digits, which round-trip binary64 exactly. Set
+Numbers in result, report and manifest files are JSON numbers in
+Python's shortest round-trip form, as in the artifact, so they read
+back as the same binary64 values. A non-finite value is written as an
+empty CSV cell and is refused by the JSON writers (exit 1). Set
 REPSQ_VERBOSE=1 to log each written file to stderr.
 """
 
@@ -30,13 +32,17 @@ import io
 import json
 import math
 import os
+import platform
 import sys
 import time
 from importlib import resources
 from pathlib import Path
 
-from . import __version__
-from .artifact import dump_artifact, fmt17, load_artifact
+import numpy as np
+
+from . import __version__, _kernels
+from ._fields import mapping
+from .artifact import dump_artifact, load_artifact
 from .errors import (
     ArtifactVersionMismatch,
     DomainError,
@@ -74,28 +80,16 @@ def _atomic_write(path: Path, text: str) -> None:
         print(f"wrote {path}", file=sys.stderr)
 
 
-def _seventeen(obj):
-    """Floats to 17-significant-digit decimal strings, recursively."""
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, float):
-        return fmt17(obj)
-    if isinstance(obj, dict):
-        return {k: _seventeen(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_seventeen(v) for v in obj]
-    return obj
-
-
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Indented, key-sorted JSON; a non-finite float raises ValueError."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _csv_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return fmt17(value) if math.isfinite(value) else ""
+        return repr(float(value)) if math.isfinite(value) else ""
     return str(value)
 
 
@@ -123,7 +117,7 @@ def _resolve_config_path(value: str) -> Path:
 def _load_config(args) -> tuple[CampaignConfig, str]:
     path = _resolve_config_path(args.config)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = mapping(json.loads(path.read_text(encoding="utf-8")), "campaign config")
     except json.JSONDecodeError as exc:
         raise DomainError(f"config {path} is not valid JSON: {exc}") from exc
     if args.seed is not None:
@@ -154,10 +148,15 @@ def _write_manifest(
         "command": command,
         "invocation": invocation,
         "outputs": checksums,
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "kernel_backend": _kernels.ACTIVE_BACKEND,
+        },
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "wall_time_s": time.monotonic() - started,
     }
-    _atomic_write(out_dir / "manifest.json", _json_text(_seventeen(manifest)))
+    _atomic_write(out_dir / "manifest.json", _json_text(manifest))
 
 
 def _prepare_out(args) -> Path:
@@ -171,9 +170,9 @@ def cmd_alpha(args) -> int:
     alpha = compute_alpha(spec)
     margin = (1.0 - spec.c) ** 2
     print(f"feasible: (1 - c)^2 = {margin:.6g} >= 1 - beta = {1.0 - spec.beta:.6g}")
-    print(f"alpha     = {alpha:.6g}  (exact {fmt17(alpha)})")
+    print(f"alpha     = {alpha:.6g}  (exact {alpha!r})")
     tol = spec.gamma + alpha / 2.0
-    print(f"tolerance = {tol:.6g}  (exact {fmt17(tol)})")
+    print(f"tolerance = {tol:.6g}  (exact {tol!r})")
     return EXIT_OK
 
 
@@ -183,7 +182,7 @@ def cmd_init(args) -> int:
     out = _prepare_out(args)
     artifact, result = initiator(config)
     _atomic_write(out / "artifact.json", dump_artifact(artifact))
-    _atomic_write(out / "result.json", _json_text(_seventeen(result.to_dict())))
+    _atomic_write(out / "result.json", _json_text(result.to_dict()))
     _write_manifest(
         out,
         "init",
@@ -200,9 +199,9 @@ def cmd_replicate(args) -> int:
     if not path.exists():
         raise DomainError(f"artifact not found: {path}")
     artifact = load_artifact(path.read_text(encoding="utf-8"))
-    out = _prepare_out(args)
     result = replicator(artifact, seed=args.seed)
-    _atomic_write(out / "result.json", _json_text(_seventeen(result.to_dict())))
+    out = _prepare_out(args)
+    _atomic_write(out / "result.json", _json_text(result.to_dict()))
     _write_manifest(
         out,
         "replicate",
@@ -229,7 +228,7 @@ def cmd_pairwise(args) -> int:
     ]
     rows = [[row[k] for k in header] for row in report.rows]
     _atomic_write(out / "pairs.csv", _csv_text(header, rows))
-    _atomic_write(out / "report.json", _json_text(_seventeen(report.to_dict())))
+    _atomic_write(out / "report.json", _json_text(report.to_dict()))
     _write_manifest(
         out,
         "pairwise",
@@ -254,7 +253,7 @@ def cmd_effort(args) -> int:
         "terminated_by",
     ]
     _atomic_write(out / "effort.csv", _csv_text(header, comp.rows()))
-    _atomic_write(out / "report.json", _json_text(_seventeen(comp.to_dict())))
+    _atomic_write(out / "report.json", _json_text(comp.to_dict()))
     _write_manifest(
         out,
         "effort",

@@ -8,15 +8,21 @@ reduces to (exit_code, stdout, stderr).
 import csv
 import hashlib
 import json
+import math
+import platform
 import shutil
 import subprocess
 import sys
 from importlib import resources
 
+import numpy as np
 import pytest
 
-from repsq.artifact import parse17, partition_from_payload
-from repsq.cli import main
+from repsq import _kernels, harness
+from repsq import artifact as art_mod
+from repsq.artifact import partition_from_payload
+from repsq.cli import _json_text, main
+from repsq.harness import CampaignConfig, initiator
 
 
 def run_cli(capsys, *argv):
@@ -86,6 +92,25 @@ class TestInitReplicate:
         assert manifest["command"] == "init"
         for name, digest in manifest["outputs"].items():
             assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest()
+        assert manifest["environment"] == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "kernel_backend": _kernels.ACTIVE_BACKEND,
+        }
+
+    def test_result_file_holds_the_exact_numbers(self, capsys, tmp_path):
+        out = tmp_path / "run"
+        run_cli(capsys, "init", "--config", "zero_variance", "--out", str(out))
+        manifest = json.loads((out / "manifest.json").read_text())
+        config = CampaignConfig.from_dict(manifest["invocation"]["resolved"])
+        result = json.loads((out / "result.json").read_text())
+        assert result == initiator(config)[1].to_dict()
+        assert isinstance(result["quantized_estimate"], float)
+
+    def test_json_writer_refuses_non_finite_numbers(self):
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError):
+                _json_text({"x": value})
 
     def test_rerun_is_byte_identical_excluding_timestamps(self, capsys, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -121,7 +146,7 @@ class TestInitReplicate:
         part = partition_from_payload(art["grid"], interval["m_low"], interval["m_high"])
         for path in (init_dir / "result.json", rep_dir / "result.json"):
             res = json.loads(path.read_text())
-            assert parse17(res["quantized_estimate"]) == part.midpoint(res["cell"])
+            assert res["quantized_estimate"] == part.midpoint(res["cell"])
 
     def test_tampered_artifact_exits_4_without_outputs(self, capsys, tmp_path):
         init_dir = tmp_path / "init"
@@ -143,7 +168,57 @@ class TestInitReplicate:
         )
         assert code == 4
         assert "artifact" in err
-        assert not rep_dir.exists() or not any(rep_dir.iterdir())
+        assert not rep_dir.exists()
+
+    def test_resealed_bad_content_exits_4_without_outputs(self, capsys, tmp_path):
+        """Content rejected after the checksum passes leaves no output
+        directory either: the replicator runs before it is made."""
+        init_dir = tmp_path / "init"
+        run_cli(capsys, "init", "--config", "zero_variance", "--out", str(init_dir))
+        art = json.loads((init_dir / "artifact.json").read_text())
+        art["grid"]["n_cells"] += 1
+        art["checksum"] = art_mod.artifact_checksum(art)
+        bad = tmp_path / "resealed.json"
+        bad.write_text(json.dumps(art))
+        rep_dir = tmp_path / "rep"
+        code, _, err = run_cli(
+            capsys,
+            "replicate",
+            "--artifact",
+            str(bad),
+            "--seed",
+            "1",
+            "--out",
+            str(rep_dir),
+        )
+        assert code == 4
+        assert "cell count" in err
+        assert not rep_dir.exists()
+
+    def test_replicate_verifies_the_artifact_once(self, capsys, tmp_path, monkeypatch):
+        init_dir = tmp_path / "init"
+        run_cli(capsys, "init", "--config", "zero_variance", "--out", str(init_dir))
+        calls = []
+        verify = art_mod.verify_artifact
+
+        def counted(art):
+            calls.append(art)
+            return verify(art)
+
+        for module in (art_mod, harness):
+            monkeypatch.setattr(module, "verify_artifact", counted)
+        code, _, _ = run_cli(
+            capsys,
+            "replicate",
+            "--artifact",
+            str(init_dir / "artifact.json"),
+            "--seed",
+            "1",
+            "--out",
+            str(tmp_path / "rep"),
+        )
+        assert code == 0
+        assert len(calls) == 1
 
     def test_seed_override_lands_in_manifest(self, capsys, tmp_path):
         out = tmp_path / "run"
@@ -220,7 +295,7 @@ class TestPairwise:
         }
         assert all(r["repeat"] == "true" for r in rows)
         report = json.loads((out / "report.json").read_text())
-        assert parse17(report["repeat_rate"]) == 1.0
+        assert report["repeat_rate"] == 1.0
         assert len(report["partition_checksum"]) == 64
 
     def test_n_max_override_exits_3_without_outputs(self, capsys, tmp_path):

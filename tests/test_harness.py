@@ -20,9 +20,7 @@ from repsq import harness
 from repsq.artifact import (
     build_artifact,
     dump_artifact,
-    fmt17,
     load_artifact,
-    parse17,
     partition_from_payload,
 )
 from repsq.errors import (
@@ -123,20 +121,6 @@ def outcome(result) -> dict:
 
 
 class TestArtifactSerialization:
-    def test_fmt17_round_trips_binary64(self):
-        rng = np.random.default_rng(41)
-        samples = list(rng.uniform(-1e9, 1e9, size=200))
-        samples += list(rng.uniform(0, 1, size=200))
-        samples += [3.2e-8, 4.2847307032624357e-9, 6.0, 0.1, 2**-1060]
-        for x in samples:
-            assert parse17(fmt17(float(x))) == float(x)
-
-    def test_fmt17_rejects_non_finite(self):
-        with pytest.raises(DomainError):
-            fmt17(math.inf)
-        with pytest.raises(DomainError):
-            fmt17(math.nan)
-
     def test_partition_payload_round_trip_materialized(self):
         part = build_partition(0.0, 6.0, ALPHA_WIDE, 0.05)
         grid = json.loads(json.dumps(build_artifact(zero_variance_config(), part)["grid"]))
@@ -194,8 +178,8 @@ class TestArtifactSerialization:
         art, _ = initiator(zero_variance_config())
         bad = dict(art)
         bad["grid"] = dict(art["grid"], n_cells=art["grid"]["n_cells"] + 1)
-        with pytest.raises(ArtifactVersionMismatch):
-            load_artifact(dump_artifact(bad))
+        with pytest.raises(ArtifactVersionMismatch, match="checksum"):
+            replicator(load_artifact(dump_artifact(bad)), seed=1)
         bad["checksum"] = art_mod.artifact_checksum(bad)
         loaded = load_artifact(dump_artifact(bad))
         with pytest.raises(ArtifactVersionMismatch, match="cell count"):
@@ -206,14 +190,14 @@ class TestArtifactSerialization:
         bad = dict(art)
         bad["format_version"] = "repsq-artifact-0"
         with pytest.raises(ArtifactVersionMismatch):
-            load_artifact(dump_artifact(bad))
+            replicator(load_artifact(dump_artifact(bad)), seed=1)
 
     def test_wrong_rng_algorithm_is_rejected(self):
         art, _ = initiator(zero_variance_config())
         bad = dict(art)
         bad["rng_algorithm"] = "mt19937"
         with pytest.raises(ArtifactVersionMismatch):
-            load_artifact(dump_artifact(bad))
+            replicator(load_artifact(dump_artifact(bad)), seed=1)
 
     def test_checksum_covers_testbed_spec(self):
         art, _ = initiator(zero_variance_config())
@@ -222,7 +206,22 @@ class TestArtifactSerialization:
             art["config"], testbed=dict(art["config"]["testbed"], mean_constant=0.03)
         )
         with pytest.raises(ArtifactVersionMismatch):
-            load_artifact(dump_artifact(bad))
+            replicator(load_artifact(dump_artifact(bad)), seed=1)
+
+    def test_text_round_trip_verifies_once(self, monkeypatch):
+        """``load_artifact`` only parses; ``replicator`` checks the seal."""
+        calls = []
+        verify = art_mod.verify_artifact
+
+        def counted(art):
+            calls.append(art)
+            return verify(art)
+
+        for module in (art_mod, harness):
+            monkeypatch.setattr(module, "verify_artifact", counted)
+        art, _ = initiator(zero_variance_config())
+        replicator(load_artifact(dump_artifact(art)), seed=1)
+        assert len(calls) == 1
 
 
 class TestCampaignConfig:

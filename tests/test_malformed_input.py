@@ -202,6 +202,23 @@ class TestMalformedConfig:
     def test_former_crashes_exit_1(self, workdir, path, value, drop):
         assert init_code(edited(ZERO_VARIANCE, path, value, drop), workdir) == 1
 
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--seed", "3"],
+            ["--n-max", "5"],
+            ["--range-term-mode", "linear-range"],
+            ["--offset-policy", "zero"],
+        ],
+        ids=["seed", "n-max", "range-term-mode", "offset-policy"],
+    )
+    def test_non_object_config_with_override_exits_1(self, workdir, capsys, flag):
+        path = workdir / "list.json"
+        path.write_text("[1, 2]")
+        code = main(["init", "--config", str(path), "--out", str(workdir / "init"), *flag])
+        assert code == 1
+        assert "campaign config must be an object" in capsys.readouterr().err
+
     @pytest.mark.parametrize("name", ["zero_variance", "tracking_ais"])
     def test_negative_oracle_seed_exits_1(self, workdir, name):
         cfg = json.loads((resources.files("repsq") / "configs" / f"{name}.json").read_text())
