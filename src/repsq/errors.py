@@ -73,8 +73,8 @@ class ContractViolation(RepsqError):
 
 
 class OracleBudgetError(RepsqError):
-    """The oracle's standard error is too large to grade accuracy at the
-    requested gamma (oracle SE must be <= gamma/10)."""
+    """The oracle's error (oracle_se) is too large to grade accuracy at
+    the requested gamma (it must be <= gamma/10)."""
 
 
 class ClampWarning(UserWarning):

@@ -15,10 +15,16 @@ falls to gamma:
 - the fixed-range radius
       (m*w_bar) sqrt(ln(2/c) / (2 n)).
 
-Both are always evaluated and the smaller one decides (each is a valid
-confidence radius, so their minimum is too). The variance-adaptive radius
-wins by orders of magnitude on low-variance campaigns; the fixed-range
-radius wins near maximal variance.
+Both are always evaluated and the smaller one decides. Each holds at
+level 1-c for a fixed n, so by a union bound their minimum holds only at
+level 1-2c, not 1-c. The variance-adaptive radius wins by orders of
+magnitude on low-variance campaigns; the fixed-range radius wins near
+maximal variance. Two more gaps remain open: the empirical-Bernstein
+bound behind the adaptive radius (Maurer & Pontil 2009, Thm 4) is
+one-sided at ln(2/c), so a two-sided radius needs ln(4/c), and it uses
+the unbiased sample variance m2/(n-1) where this module uses m2/n; and
+a campaign stops at a data-dependent n, where a fixed-n radius promises
+nothing.
 
 Expression order in this module is pinned: the scan kernel replicates
 these formulas operation for operation, and advances s1 and s2 with the

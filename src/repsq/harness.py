@@ -743,8 +743,9 @@ def pairwise_experiment(
 
     Accuracy is graded against the testbed oracle with the quantized
     tolerance gamma + alpha/2 (raw estimates are also graded against
-    bare gamma as a diagnostic). Grading refuses oracles with standard
-    error above gamma/10.
+    bare gamma as a diagnostic). Grading refuses oracles whose error
+    (oracle_se: a Monte Carlo standard error, or a quadrature's error
+    estimate) is above gamma/10.
     """
     if n_pairs < 1:
         raise DomainError(f"n_pairs must be >= 1, got {n_pairs}")
@@ -752,7 +753,7 @@ def pairwise_experiment(
     gamma = config.accuracy.gamma
     if bed.oracle_se > gamma / 10.0:
         raise OracleBudgetError(
-            f"oracle standard error {bed.oracle_se:.3g} exceeds gamma/10 = "
+            f"oracle error {bed.oracle_se:.3g} exceeds gamma/10 = "
             f"{gamma / 10.0:.3g}; refusing to grade accuracy against it"
         )
     r_star = bed.oracle_r_star

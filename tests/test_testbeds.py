@@ -4,10 +4,20 @@ Carlo oracles, and their determinism contracts.
 The cellular oracle is cross-checked by an independent Decimal
 enumeration; the tracking oracle's sufficient-statistic draw is
 cross-checked against the step-by-step simulation route.
+The tracking oracle's closed-form conditional mean is checked against
+simulated trajectories, and its quadrature against a noncentral
+chi-square Monte Carlo and a finer rule.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import tracemalloc
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +27,7 @@ from repsq.errors import DomainError
 from repsq.testbeds import (
     TRAJECTORY_STEPS,
     CellularTestbed,
+    TrackingTestbed,
     convergence_study_testbed,
     displacement_testbed,
     moderate_cellular_testbed,
@@ -297,6 +308,113 @@ class TestTrackingTestbed:
             dev = bias + sigma * rng.standard_normal((n, TRAJECTORY_STEPS, 3))
             want = -np.expm1(-6.0 * np.sum(dev * dev, axis=(1, 2)))
             assert got.tobytes() == want.tobytes()
+
+
+def noncentral_chisquare_mean(bed, seed, draws, chunk=250_000):
+    """r_star and its standard error by Monte Carlo: uniform commands,
+    the total squared deviation drawn from its exact law (sigma^2 times
+    a noncentral chi-square over 450 degrees of freedom)."""
+    rng = np.random.default_rng(seed)
+    total = 0.0
+    total_sq = 0.0
+    for _ in range(draws // chunk):
+        norms = np.linalg.norm(bed.target.sample_many(rng, chunk), axis=1)
+        sigma = bed._noise_scale(norms)
+        lam = TRAJECTORY_STEPS * (bed.bias_gain * norms) ** 2 / sigma**2
+        dev_sq = sigma**2 * rng.noncentral_chisquare(3 * TRAJECTORY_STEPS, lam)
+        vals = -np.expm1(-6.0 * dev_sq)
+        total += float(np.sum(vals))
+        total_sq += float(np.sum(vals * vals))
+    mean = total / draws
+    return mean, math.sqrt((total_sq / draws - mean * mean) / draws)
+
+
+class TestExactTrackingOracle:
+    COMMANDS = [(0.3, 0.3, 0.3), (0.1, 0.0, 0.0), (0.0, 0.0, 0.0)]
+
+    @pytest.mark.parametrize("sim_gap", [0.0, 1.0])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_conditional_mean_matches_simulated_trajectories(self, sim_gap, command):
+        bed = tracking_testbed(sim_gap)
+        rng = np.random.default_rng(84)
+        cmds = np.tile(command, (5_000, 1))
+        sims = np.concatenate([bed.evaluate_many(cmds, rng) for _ in range(4)])
+        exact = float(bed.conditional_mean([command])[0])
+        se = float(np.std(sims)) / math.sqrt(sims.size)
+        assert se > 0.0
+        assert abs(float(np.mean(sims)) - exact) < 4 * se
+
+    def test_noise_free_bias_bed_is_exact(self):
+        # With no noise the trajectory is deterministic: psi(x) is
+        # -expm1(-900 (b r)^2), which the closed form must reproduce.
+        bed = TrackingTestbed(0.0, bias_gain=0.05, noise_base=0.0, noise_slope=0.0)
+        cmds = np.array(self.COMMANDS + [(-0.2, 0.1, 0.25)])
+        sims = bed.evaluate_many(cmds, np.random.default_rng(85))
+        np.testing.assert_allclose(bed.conditional_mean(cmds), sims, rtol=1e-12, atol=0.0)
+        assert sims[0] > 0.0 and sims[2] == 0.0
+        assert 0.0 < bed.oracle_r_star < 1.0
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_oracle_matches_noncentral_chisquare_monte_carlo(self, seed):
+        bed = tracking_testbed()
+        mc_mean, mc_se = noncentral_chisquare_mean(bed, seed, 1_000_000)
+        assert abs(mc_mean - bed.oracle_r_star) < 4 * math.hypot(mc_se, bed.oracle_se)
+
+    @pytest.mark.parametrize("sim_gap", [0.0, 1.0])
+    def test_quadrature_converged_and_error_reported(self, sim_gap):
+        bed = tracking_testbed(sim_gap)
+        assert abs(bed._octant_mean(48) - bed._octant_mean(64)) < 1e-12
+        assert 0.0 < bed.oracle_se <= 1e-9
+
+    def test_oracle_is_within_three_se_of_the_old_monte_carlo(self):
+        # The 10^7-draw oracle this replaced read 0.39518287006133407
+        # with standard error 3.78e-5.
+        assert abs(tracking_testbed().oracle_r_star - 0.39518287006133407) < 3 * 3.78e-5
+
+    def test_oracle_memory_stays_small(self):
+        # A sample-based oracle peaks above 100 MB; the quadrature needs
+        # a few arrays of 48^3 values.
+        bed = tracking_testbed(0.3)
+        key = (bed.kind, bed.oracle_seed, bed.sim_gap, bed.bias_gain, bed.noise_base,
+               bed.noise_slope, bed.zero_noise)
+        testbeds_mod._oracle_cache.pop(key, None)
+        tracemalloc.start()
+        try:
+            bed.oracle_r_star
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+    def test_import_does_not_load_the_quadrature(self):
+        script = textwrap.dedent("""
+            import json, sys
+            import repsq
+            before = "numpy.polynomial" in sys.modules
+            r_star = repsq.tracking_testbed().oracle_r_star
+            print(json.dumps({"before": before, "after": "numpy.polynomial" in sys.modules,
+                              "r_star": r_star.hex()}))
+        """)
+        src = str(Path(testbeds_mod.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert out["before"] is False and out["after"] is True
+        assert out["r_star"] == tracking_testbed().oracle_r_star.hex()
+
+
+class TestOracleSeedValidation:
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    @pytest.mark.parametrize("factory", [displacement_testbed, tracking_testbed],
+                             ids=["displacement", "tracking"])
+    def test_bad_seed_is_a_domain_error(self, factory, seed):
+        with pytest.raises(DomainError, match="oracle_seed"):
+            factory(seed=seed)
 
 
 class TestConvergenceStudyBed:
