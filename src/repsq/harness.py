@@ -744,7 +744,7 @@ def pairwise_experiment(
     Accuracy is graded against the testbed oracle with the quantized
     tolerance gamma + alpha/2 (raw estimates are also graded against
     bare gamma as a diagnostic). Grading refuses oracles whose error
-    (oracle_se: a Monte Carlo standard error, or a quadrature's error
+    (oracle_se: 0 for an exact oracle, or a quadrature's error
     estimate) is above gamma/10.
     """
     if n_pairs < 1:

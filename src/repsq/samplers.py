@@ -9,6 +9,13 @@ only through it, so a fixed rng stream yields one fixed batch of points.
 Continuous proposals are per-dimension Beta densities mapped linearly
 onto an axis-aligned box; the 1/(hi-lo) Jacobian is part of the density,
 so all densities are with respect to Lebesgue measure on the box.
+Every point, inside, on the boundary of, or outside the box, takes one
+log-density, sum over k of (a_k - 1) log t_k + (b_k - 1) log(1 - t_k)
+minus the log normalizer, with two measure-theory conventions on the
+boundary: 0 log 0 = 0, so a shape of exactly 1 puts no factor on its own
+edge (Beta(1, b) is b/width at t = 0), and 0 inf = 0, so a corner where
+one factor is infinite and another 0 has density 0. Points outside the
+box have density 0.
 Importance weights are p(x)/q(x); when q is a mix_p:p mixture of the
 target and an adapted Beta proposal the denominator is the mixture
 density, which caps every weight at 1/mix_p.
@@ -170,7 +177,8 @@ class BoxUniform:
 
 
 def beta_density(x: float, a: float, b: float, lo: float = 0.0, hi: float = 1.0) -> float:
-    """Beta(a, b) density mapped linearly onto [lo, hi].
+    """Beta(a, b) density mapped linearly onto [lo, hi]; the scalar
+    reference that tests hold BetaProposal.density_many to.
 
     The Jacobian factor 1/(hi - lo) is included; omitting it would break
     normalization on any interval other than [0, 1].
@@ -255,37 +263,25 @@ class BetaProposal:
         t = rng.beta(self.a, self.b, size=(size, self.domain.dims))
         return self._lo + self._width * t
 
-    def _log_pdf(self, t):
-        """Log-density of rows of t that lie strictly inside (0, 1)."""
-        return (
-            np.add.reduce(self._am1 * np.log(t), axis=1)
-            + np.add.reduce(self._bm1 * np.log1p(-t), axis=1)
-            - self._log_norm
-        )
-
     def density_many(self, points):
+        """Density at every row of points, by one log-density for rows
+        inside, on the boundary of, or outside the box (see the module
+        docstring for the two edge conventions); never NaN."""
         x = np.atleast_2d(np.asarray(points, dtype=np.float64))
         t = (x - self._lo) / self._width
-        if t.size and t.min() > 0.0 and t.max() < 1.0:
-            return np.exp(self._log_pdf(t))
-        # Some row touches or leaves the box: zero outside, the scalar
-        # edge rule on the boundary.
-        out = np.zeros(x.shape[0])
-        inside = np.all((t >= 0.0) & (t <= 1.0), axis=1)
-        interior = inside & np.all((t > 0.0) & (t < 1.0), axis=1)
-        out[interior] = np.exp(self._log_pdf(t[interior]))
-        for i in np.nonzero(inside & ~interior)[0]:
-            out[i] = math.prod(
-                beta_density(
-                    float(x[i, k]),
-                    float(self.a[k]),
-                    float(self.b[k]),
-                    self.domain.lo[k],
-                    self.domain.hi[k],
-                )
-                for k in range(self.domain.dims)
-            )
-        return out
+        # Only a row that touches or leaves the box can make a NaN term.
+        edge = not (t.size and t.min() > 0.0 and t.max() < 1.0)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            left = self._am1 * np.log(t)
+            right = self._bm1 * np.log1p(-t)
+            if edge:  # 0 log 0 = 0
+                left[(t == 0.0) & (self._am1 == 0.0)] = 0.0
+                right[(t == 1.0) & (self._bm1 == 0.0)] = 0.0
+            log_pdf = np.add.reduce(left, axis=1) + np.add.reduce(right, axis=1) - self._log_norm
+            if edge:  # 0 inf = 0 at a mixed corner, and 0 outside the box
+                inside = np.all((t >= 0.0) & (t <= 1.0), axis=1)
+                log_pdf[~inside | np.isnan(log_pdf)] = -np.inf
+            return np.exp(log_pdf)
 
 
 @dataclass(frozen=True)

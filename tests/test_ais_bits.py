@@ -28,6 +28,7 @@ from repsq.samplers import (
     AisPolicy,
     BetaProposal,
     BoxDomain,
+    BoxUniform,
     ais_update,
     beta_density,
     fit_beta,
@@ -186,28 +187,25 @@ def ais_update_reference(current, pts, l_r):
 
 
 def density_reference(q, x):
-    """Interior rows through one log-density sum over the interior rows
-    alone, edge rows through the scalar beta_density product."""
+    """The one log-density rule, one term at a time: (a - 1) log t and
+    (b - 1) log(1 - t) with 0 log 0 = 0, and density 0 for a row outside
+    the box or a row whose terms hold both +inf and -inf (a mixed
+    corner, 0 inf = 0)."""
     lo = np.asarray(q.domain.lo)
     width = np.asarray(q.domain.hi) - lo
     log_norm = float(np.sum(special.betaln(q.a, q.b)) + np.sum(np.log(width)))
     t = (x - lo) / width
-    out = np.zeros(x.shape[0])
-    inside = np.all((t >= 0.0) & (t <= 1.0), axis=1)
-    interior = inside & np.all((t > 0.0) & (t < 1.0), axis=1)
-    ti = t[interior]
-    out[interior] = np.exp(
-        np.sum((q.a - 1.0) * np.log(ti), axis=1)
-        + np.sum((q.b - 1.0) * np.log1p(-ti), axis=1)
-        - log_norm
-    )
-    for i in np.nonzero(inside & ~interior)[0]:
-        out[i] = math.prod(
-            beta_density(float(x[i, k]), float(q.a[k]), float(q.b[k]),
-                         q.domain.lo[k], q.domain.hi[k])
-            for k in range(q.domain.dims)
-        )
-    return out
+    log_pdf = np.full(x.shape[0], -np.inf)
+    for i in np.nonzero(np.all((t >= 0.0) & (t <= 1.0), axis=1))[0]:
+        with np.errstate(divide="ignore"):
+            log_t, log_s = np.log(t[i]), np.log1p(-t[i])
+        left = [0.0 if c == 0.0 else c * v for c, v in zip(q.a - 1.0, log_t)]
+        right = [0.0 if c == 0.0 else c * v for c, v in zip(q.b - 1.0, log_s)]
+        terms = left + right
+        if math.inf in terms and -math.inf in terms:
+            continue
+        log_pdf[i] = np.add.reduce(left) + np.add.reduce(right) - log_norm
+    return np.exp(log_pdf)
 
 
 BOXES = [
@@ -363,12 +361,20 @@ class TestBatchedDensity:
     @pytest.mark.parametrize("seed", range(4))
     def test_density_equals_the_scalar_product(self, seed):
         rng = np.random.default_rng(5500 + seed)
+        # A shape of exactly 1 gives finite edge rows; its own stream
+        # leaves the points and the other shapes as they were.
+        ones = np.random.default_rng(5600 + seed)
         for _ in range(40):
             domain = BOXES[rng.integers(len(BOXES))]
-            q = BetaProposal(domain, rng.uniform(0.05, 40.0, size=domain.dims),
-                             rng.uniform(0.05, 40.0, size=domain.dims))
+            a = rng.uniform(0.05, 40.0, size=domain.dims)
+            b = rng.uniform(0.05, 40.0, size=domain.dims)
+            a[ones.random(domain.dims) < 0.15] = 1.0
+            b[ones.random(domain.dims) < 0.15] = 1.0
+            q = BetaProposal(domain, a, b)
             x = random_batch(rng, domain, 15)
-            got = q.density_many(x)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no floating-point warnings
+                got = q.density_many(x)
             for i in range(x.shape[0]):
                 want = math.prod(
                     beta_density(float(x[i, k]), float(q.a[k]), float(q.b[k]),
@@ -378,10 +384,26 @@ class TestBatchedDensity:
                 t = (x[i] - np.asarray(domain.lo)) / (np.asarray(domain.hi) - domain.lo)
                 if np.all((t > 0.0) & (t < 1.0)):
                     assert got[i] == pytest.approx(want, rel=1e-9)
+                elif math.isnan(want):
+                    assert got[i] == 0.0  # mixed corner: 0 inf = 0
+                elif want in (0.0, math.inf):
+                    assert got[i] == want
                 else:
-                    # A corner where one factor is inf and another 0 gives
-                    # NaN on both routes.
-                    assert got[i] == want or (math.isnan(got[i]) and math.isnan(want))
+                    assert got[i] == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_mixed_corner_has_density_zero_and_the_capped_weight(self):
+        # At t = (0, 0) the first factor is inf (a = 0.5) and the second
+        # 0 (a = 2); the scalar product is NaN.
+        box = BoxDomain([0.0, 0.0], [1.0, 1.0])
+        q = BetaProposal(box, [0.5, 2.0], [1.0, 2.0])
+        corner = np.array([[0.0, 0.0]])
+        assert math.isnan(beta_density(0.0, 0.5, 1.0) * beta_density(0.0, 2.0, 2.0))
+        q_x = q.density_many(corner)
+        assert q_x.tolist() == [0.0]
+        p_x = BoxUniform(box).density_many(corner)
+        mix_p = 0.1
+        weight = p_x / (mix_p * p_x + (1.0 - mix_p) * q_x)
+        assert weight.tolist() == [1.0 / mix_p]
 
 
 class TestShapeRange:

@@ -726,11 +726,14 @@ class TestPairwiseExperiment:
         assert report.effort["initiator"]["min"] == report.effort["initiator"]["max"]
 
     def test_oracle_too_coarse_refuses_grading(self):
-        bed = displacement_testbed()
+        # The tracking quadrature's error estimate, ~1e-11, is above
+        # gamma/10 at gamma = 1e-11.
+        bed = tracking_testbed()
+        assert bed.oracle_se > 1e-12
         cfg = CampaignConfig(
-            accuracy=AccuracySpec(1e-6, 0.05, 0.1),
+            accuracy=AccuracySpec(1e-11, 0.05, 0.1),
             m_low=0.0,
-            m_high=6.0,
+            m_high=1.0,
             w_bar=1.0,
             joint=None,
             sampler={"kind": "monte_carlo"},

@@ -1,12 +1,12 @@
-"""Testbeds: loss function arithmetic, enumeration oracles, Monte
-Carlo oracles, and their determinism contracts.
+"""Testbeds: loss function arithmetic, exact oracles, and their
+determinism contracts.
 
 The cellular oracle is cross-checked by an independent Decimal
-enumeration; the tracking oracle's sufficient-statistic draw is
-cross-checked against the step-by-step simulation route.
-The tracking oracle's closed-form conditional mean is checked against
-simulated trajectories, and its quadrature against a noncentral
-chi-square Monte Carlo and a finer rule.
+enumeration, and the displacement oracle's closed form against
+simulation where the clip binds. The tracking oracle's closed-form
+conditional mean is checked against simulated trajectories, and its
+quadrature against a noncentral chi-square Monte Carlo, a finer rule
+and the step-by-step simulation route.
 """
 
 import json
@@ -178,22 +178,28 @@ class TestDisplacementTestbed:
 
     def test_oracle_matches_analytic_mean(self):
         # E[1.75 + 0.2 x y] + E[noise] = 1.75 + 0.2/4 = 1.8 exactly.
-        bed = displacement_testbed()
-        assert bed.oracle_se < 0.01 / 10.0
-        assert abs(bed.oracle_r_star - 1.8) < 5 * bed.oracle_se
+        for noise in (True, False):
+            bed = displacement_testbed(noise=noise)
+            assert bed.oracle_r_star == 1.8
+            assert bed.oracle_se == 0.0
 
     def test_oracle_bit_identical_on_recompute(self):
-        bed = displacement_testbed()
-        first = bed.oracle_r_star
-        key = (bed.kind, bed.oracle_seed, bed.noise, bed.mean_constant)
-        testbeds_mod._oracle_cache.pop(key)
+        first = displacement_testbed().oracle_r_star
         assert displacement_testbed().oracle_r_star == first
 
     def test_independent_oracle_seeds_agree(self):
-        a = displacement_testbed(0)
-        b = displacement_testbed(1)
-        gap = abs(a.oracle_r_star - b.oracle_r_star)
-        assert gap < 4 * math.hypot(a.oracle_se, b.oracle_se)
+        assert displacement_testbed(0).oracle_r_star == displacement_testbed(1).oracle_r_star
+
+    @pytest.mark.parametrize("constant", [0.3, 5.9])
+    def test_clipped_oracle_matches_simulation(self, constant):
+        # The noise reaches below 0 (or above 6), where the clip binds.
+        bed = displacement_testbed(mean_constant=constant)
+        rng = np.random.default_rng(72)
+        vals = bed.evaluate_many(bed.target.sample_many(rng, 1_000_000), rng)
+        assert vals.min() == 0.0 or vals.max() == 6.0
+        se = float(np.std(vals)) / math.sqrt(vals.size)
+        assert abs(float(np.mean(vals)) - bed.oracle_r_star) < 4 * se
+        assert bed.oracle_se == 0.0
 
     def test_range_check(self):
         bed = displacement_testbed()
@@ -243,9 +249,9 @@ class TestTrackingTestbed:
         assert float(np.mean(shifted)) - float(np.mean(base)) > 3 * sep
 
     def test_oracle_agrees_with_simulation_route(self):
-        # The oracle draws total squared deviation from its exact law;
-        # the evaluator materializes trajectories. Their means must
-        # agree within combined Monte Carlo error.
+        # The oracle integrates the loss's closed-form conditional
+        # mean; the evaluator materializes trajectories. Their means
+        # must agree within the simulation's error and the oracle's.
         bed = tracking_testbed()
         rng = np.random.default_rng(77)
         sims = bed.evaluate_many(bed.target.sample_many(rng, 200_000), rng)
@@ -256,14 +262,11 @@ class TestTrackingTestbed:
     def test_oracle_determinism_and_seed_independence(self):
         a = tracking_testbed(0.0, 0)
         first = a.oracle_r_star
-        key = (a.kind, a.oracle_seed, a.sim_gap, a.bias_gain, a.noise_base,
-               a.noise_slope, a.zero_noise)
+        key = (a.kind, a.sim_gap, a.bias_gain, a.noise_base, a.noise_slope, a.zero_noise)
         testbeds_mod._oracle_cache.pop(key)
         assert tracking_testbed(0.0, 0).oracle_r_star == first
-        b = tracking_testbed(0.0, 1)
-        assert abs(b.oracle_r_star - first) < 4 * math.hypot(
-            b.oracle_se, tracking_testbed(0.0, 0).oracle_se
-        )
+        testbeds_mod._oracle_cache.pop(key)
+        assert tracking_testbed(0.0, 1).oracle_r_star == first
 
     def test_simulate_composes_with_loss(self):
         bed = tracking_testbed()
@@ -375,8 +378,8 @@ class TestExactTrackingOracle:
         # A sample-based oracle peaks above 100 MB; the quadrature needs
         # a few arrays of 48^3 values.
         bed = tracking_testbed(0.3)
-        key = (bed.kind, bed.oracle_seed, bed.sim_gap, bed.bias_gain, bed.noise_base,
-               bed.noise_slope, bed.zero_noise)
+        key = (bed.kind, bed.sim_gap, bed.bias_gain, bed.noise_base, bed.noise_slope,
+               bed.zero_noise)
         testbeds_mod._oracle_cache.pop(key, None)
         tracemalloc.start()
         try:
