@@ -10,11 +10,12 @@ an oracle for the true mean r_star = E_p[psi]:
   position-dependent mean displacement plus bounded noise, r_star
   exact in closed form;
 - a command-tracking simulator: 150-step trajectories whose deviation
-  grows with command magnitude, scored by an exponential loss, r_star
-  exact: the loss's conditional mean given the command has a closed
-  form (the noncentral chi-square moment generating function), and
-  its mean over the command box is a deterministic Gauss-Legendre
-  quadrature.
+  grows with command magnitude, scored by an exponential loss that the
+  evaluator draws from its exact law (one Gamma and one normal per
+  command, not a trajectory); r_star exact: the loss's conditional
+  mean given the command has a closed form (the noncentral chi-square
+  moment generating function), and its mean over the command box is a
+  deterministic Gauss-Legendre quadrature.
 
 Evaluator noise always comes from a caller-supplied stream, kept
 separate from the sampler's stream, so switching sampling strategies
@@ -408,12 +409,20 @@ class TrackingTestbed:
     A commanded state held for 150 steps picks up a proportional bias
     plus Gaussian per-step noise whose scale grows with the command
     magnitude, so larger commands track worse. The measure is
-    tracking_loss of the simulated trajectory.
+    tracking_loss of the trajectory (simulate draws one).
 
-    The oracle is exact and draws nothing. Given a command x with
-    r = |x|, the total squared deviation is sigma^2 X with
+    Given a command x with r = |x|, the total squared deviation is
+    sigma^2 X with
     X ~ noncentral chi-square(k = 450, lambda = 150 (b r)^2 / sigma^2),
-    sigma = _noise_scale(r) and b = bias_gain, so the moment generating
+    sigma = _noise_scale(r) and b = bias_gain. evaluate_many draws the
+    loss from that exact law rather than from a trajectory: rotating
+    the 450 Gaussian deviations so that their mean lies on one axis
+    leaves sigma^2 chi-square(449) + (sigma Z + sqrt(150) b r)^2, with
+    chi-square(449) = 2 Gamma(224.5), so one Gamma and one normal draw
+    per command replace 450 normals. That form never divides by sigma,
+    so it is exact for a noise-free bed too.
+
+    The oracle is exact and draws nothing. The moment generating
     function E[exp(t X)] = exp(lambda t / (1 - 2t)) (1 - 2t)^(-k/2) at
     t = -6 sigma^2 gives E[psi | x] in closed form (conditional_mean).
     That form never divides by sigma^2, so it also holds for a
@@ -460,14 +469,22 @@ class TrackingTestbed:
         return drift + sigma * rng.standard_normal((TRAJECTORY_STEPS, 3))
 
     def evaluate_many(self, points, rng):
+        """psi for each command, from the law of the total squared
+        deviation: 2 sigma^2 G + (sigma Z + sqrt(150) b r)^2 with
+        G ~ Gamma(224.5) and Z ~ N(0, 1), drawn in that order."""
         x = np.atleast_2d(np.asarray(points, dtype=np.float64))
         norms = np.sqrt(np.add.reduce(x * x, axis=1))  # np.linalg.norm's arithmetic
-        # dev = bias + sigma * noise, formed in place in the noise buffer
-        dev = rng.standard_normal((x.shape[0], TRAJECTORY_STEPS, 3))
-        dev *= self._noise_scale(norms)[:, None, None]
-        dev += (self.bias_gain * x)[:, None, :]
-        dev *= dev
-        total = np.add.reduce(dev, axis=(1, 2))
+        sigma = self._noise_scale(norms)
+        total = rng.standard_gamma(0.5 * (3 * TRAJECTORY_STEPS - 1), x.shape[0])
+        along = rng.standard_normal(x.shape[0])
+        along *= sigma
+        norms *= math.sqrt(TRAJECTORY_STEPS) * self.bias_gain
+        along += norms
+        along *= along
+        sigma *= sigma
+        total *= 2.0
+        total *= sigma
+        total += along
         total *= -6.0
         return -np.expm1(total)
 

@@ -548,7 +548,11 @@ class TestRunQuantizedSq:
             n_max=200_000,
         )
         part = make_partition(cfg)
-        res = run_quantized_sq(cfg, part, campaign_stream(5, 0, 0), testbed=bed)
+        with pytest.warns(ClampWarning) as caught:
+            res = run_quantized_sq(cfg, part, campaign_stream(5, 0, 0), testbed=bed)
+        assert [str(w.message) for w in caught] == [
+            f"{res.clamped_fits} adaptive refits hit the proposal shape bounds and were clamped"
+        ]
         assert res.terminated
         assert res.weight_cap_violations == 0
         assert res.ais_final_proposal is not None

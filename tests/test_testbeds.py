@@ -3,10 +3,15 @@ determinism contracts.
 
 The cellular oracle is cross-checked by an independent Decimal
 enumeration, and the displacement oracle's closed form against
-simulation where the clip binds. The tracking oracle's closed-form
-conditional mean is checked against simulated trajectories, and its
-quadrature against a noncentral chi-square Monte Carlo, a finer rule
-and the step-by-step simulation route.
+simulation where the clip binds. The tracking evaluator draws each
+loss from its sufficient statistic (one Gamma and one normal per
+command): it is pinned bitwise to that expression, and its law is
+checked against the exact first two moments and, by a two-sample
+Kolmogorov-Smirnov test, against losses of simulated 150-step
+trajectories. The tracking oracle's closed-form conditional mean is
+checked against the evaluator, and its quadrature against a
+noncentral chi-square Monte Carlo, a finer rule and the mean of the
+evaluator's draws over the box.
 """
 
 import json
@@ -21,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import repsq.testbeds as testbeds_mod
 from repsq.errors import DomainError
@@ -250,8 +256,8 @@ class TestTrackingTestbed:
 
     def test_oracle_agrees_with_simulation_route(self):
         # The oracle integrates the loss's closed-form conditional
-        # mean; the evaluator materializes trajectories. Their means
-        # must agree within the simulation's error and the oracle's.
+        # mean; the evaluator draws each loss from its exact law. Their
+        # means must agree within the sample's error and the oracle's.
         bed = tracking_testbed()
         rng = np.random.default_rng(77)
         sims = bed.evaluate_many(bed.target.sample_many(rng, 200_000), rng)
@@ -296,21 +302,27 @@ class TestTrackingTestbed:
 
     @pytest.mark.parametrize("sim_gap,zero_noise", [(0.0, False), (0.7, False), (0.0, True)])
     def test_evaluation_matches_the_direct_expression(self, sim_gap, zero_noise):
-        # Bitwise against the expression written out with fresh
-        # temporaries: np.linalg.norm, bias + sigma * noise, np.sum.
+        # Bitwise against the sufficient-statistic expression written
+        # out with fresh temporaries: np.linalg.norm, then
+        # 2 sigma^2 G + (sigma Z + sqrt(150) b r)^2 from one Gamma draw
+        # and one normal draw, in that order, and nothing else drawn.
         bed = tracking_testbed(sim_gap, zero_noise=zero_noise)
         rng = np.random.default_rng(83)
         for n in (1, 7, 10, 64):
             x = bed.target.sample_many(rng, n)
             state = rng.bit_generator.state
             got = bed.evaluate_many(x, rng)
+            after = rng.bit_generator.state
             rng.bit_generator.state = state
             norms = np.linalg.norm(x, axis=1)
-            sigma = bed._noise_scale(norms)[:, None, None]
-            bias = (bed.bias_gain * x)[:, None, :]
-            dev = bias + sigma * rng.standard_normal((n, TRAJECTORY_STEPS, 3))
-            want = -np.expm1(-6.0 * np.sum(dev * dev, axis=(1, 2)))
+            sigma = bed._noise_scale(norms)
+            g = rng.standard_gamma(0.5 * (3 * TRAJECTORY_STEPS - 1), n)
+            z = rng.standard_normal(n)
+            shift = math.sqrt(TRAJECTORY_STEPS) * bed.bias_gain * norms
+            total = 2.0 * g * sigma**2 + (sigma * z + shift) ** 2
+            want = -np.expm1(-6.0 * total)
             assert got.tobytes() == want.tobytes()
+            assert rng.bit_generator.state == after
 
 
 def noncentral_chisquare_mean(bed, seed, draws, chunk=250_000):
@@ -346,6 +358,40 @@ class TestExactTrackingOracle:
         se = float(np.std(sims)) / math.sqrt(sims.size)
         assert se > 0.0
         assert abs(float(np.mean(sims)) - exact) < 4 * se
+
+    @pytest.mark.parametrize("sim_gap", [0.0, 1.0])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_first_two_moments_match_the_mgf(self, sim_gap, command):
+        # E[psi] = 1 - M(6) and E[psi^2] = 1 - 2 M(6) + M(12), with M
+        # the MGF of -T at s: (1 + 2 s sigma^2)^(-225)
+        # exp(-150 s (b r)^2 / (1 + 2 s sigma^2)).
+        bed = tracking_testbed(sim_gap)
+        r = math.hypot(*command)
+        sigma = float(bed._noise_scale(np.array([r]))[0])
+
+        def mgf(s):
+            spread = 2.0 * s * sigma**2
+            return math.exp(-1.5 * TRAJECTORY_STEPS * math.log1p(spread)
+                            - TRAJECTORY_STEPS * s * (bed.bias_gain * r) ** 2 / (1.0 + spread))
+
+        vals = bed.evaluate_many(np.tile(command, (40_000, 1)), np.random.default_rng(86))
+        for sample, exact in ((vals, 1.0 - mgf(6.0)),
+                              (vals * vals, 1.0 - 2.0 * mgf(6.0) + mgf(12.0))):
+            se = float(np.std(sample)) / math.sqrt(sample.size)
+            assert se > 0.0
+            assert abs(float(np.mean(sample)) - exact) < 4 * se
+
+    @pytest.mark.parametrize("sim_gap", [0.0, 1.0])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_law_matches_the_trajectory_route(self, sim_gap, command):
+        # The reference scores one simulated 150-step trajectory per
+        # draw, as tracking_loss(simulate(x), x).
+        bed = tracking_testbed(sim_gap)
+        cmd = np.array(command)
+        rng = np.random.default_rng(87)
+        ref = [tracking_loss(bed.simulate(cmd, rng), cmd) for _ in range(5_000)]
+        vals = bed.evaluate_many(np.tile(cmd, (5_000, 1)), np.random.default_rng(88))
+        assert stats.ks_2samp(vals, ref).pvalue > 0.01
 
     def test_noise_free_bias_bed_is_exact(self):
         # With no noise the trajectory is deterministic: psi(x) is
