@@ -48,7 +48,6 @@ __all__ = [
     "bernstein_radius",
     "hoeffding_radius",
     "required_n_hoeffding",
-    "should_terminate",
     "MAX_SAMPLES",
 ]
 
@@ -207,23 +206,3 @@ def required_n_hoeffding(gamma: float, bounds: BoundSpec) -> int:
         n -= 1
     return n
 
-
-def should_terminate(
-    state: EstimatorState,
-    gamma: float,
-    bounds: BoundSpec,
-    range_term_mode: str = "paper-exact",
-    n_min: int = 2,
-) -> bool:
-    """True once the smaller of the two radii has reached gamma.
-
-    Never true before n = max(2, n_min); n_min guards against a huge
-    gamma terminating a campaign on its first samples.
-    """
-    if state.n < max(2, n_min):
-        return False
-    radius = min(
-        bernstein_radius(state, bounds, range_term_mode),
-        hoeffding_radius(state.n, bounds),
-    )
-    return radius <= gamma

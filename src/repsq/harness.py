@@ -392,18 +392,20 @@ class _FixedSampler:
         violations = int(np.count_nonzero(w > self.w_bar * _BOUND_SLACK))
         return psi * w, xs, violations
 
-    def post_chunk(self, xs) -> None:
+    def post_chunk(self, xs, values) -> None:
         pass
 
 
 class _AisSampler:
-    """Mixture-of-target-and-adapted-Beta draws with per-batch refits."""
+    """Mixture-of-target-and-adapted-Beta draws, refitted after every
+    batch on the psi * w-weighted moments of all batches so far."""
 
     def __init__(self, bed, policy: AisPolicy, w_bar: float) -> None:
         self.bed = bed
         self.policy = policy
         self.w_bar = w_bar
         self.q = policy.initial_proposal(bed.domain)
+        self.sums = np.zeros((3, bed.domain.dims))  # see ais_update
         self.clamped_fits = 0
 
     def draw(self, rng_s, rng_e, k: int):
@@ -414,13 +416,13 @@ class _AisSampler:
         violations = int(np.count_nonzero(w > self.w_bar * _BOUND_SLACK))
         return psi * w, pts, violations
 
-    def post_chunk(self, xs) -> None:
+    def post_chunk(self, xs, values) -> None:
         # Refit only on full batches; a truncated final batch carries no
         # update (the campaign is ending anyway). Clamped fits are
         # tallied here and surfaced once per campaign.
         if xs.shape[0] != self.policy.d:
             return
-        self.q = ais_update(self.q, xs, self.policy)
+        self.q = ais_update(self.q, xs, self.policy, values, self.sums)
         self.clamped_fits += self.q.refit_clamps
 
 
@@ -502,7 +504,7 @@ def run_quantized_sq(
             trace_parts[-1] = tuple(col[: i + 1] for col in trace_parts[-1])
         cap_violations += violations
         if not stopped:
-            sampler.post_chunk(xs)
+            sampler.post_chunk(xs, values)
     wall = time.perf_counter() - t0
 
     n = state.n
@@ -551,8 +553,8 @@ def run_quantized_sq(
         )
     if clamped_fits:
         warnings.warn(
-            f"{clamped_fits} adaptive refits hit the proposal shape "
-            f"bounds and were clamped",
+            f"{clamped_fits} adaptive refits were clamped to the proposal "
+            f"shape bounds or had no weight to fit",
             ClampWarning,
             stacklevel=2,
         )

@@ -19,6 +19,15 @@ box have density 0.
 Importance weights are p(x)/q(x); when q is a mix_p:p mixture of the
 target and an adapted Beta proposal the denominator is the mixture
 density, which caps every weight at 1/mix_p.
+
+The adapted proposal learns the measure by the cumulative form of the
+cross-entropy method, close to adaptive multiple importance sampling
+(Cornuet, Marin, Mira & Robert 2012): every drawn point weighs
+v = |psi * w|, so the weighted points follow psi * p, the density of
+the zero-variance proposal. After each batch, ais_update fits the Beta
+shapes by moments to the running sums of v, v u and v u^2 over every
+batch so far (u is the point mapped onto [0, 1]) and moves the
+proposal toward them by an exponential moving average.
 """
 
 from __future__ import annotations
@@ -214,8 +223,8 @@ class BetaProposal:
     """Product of per-dimension Betas on a box; the adapted proposal.
 
     ``refit_clamps`` counts the dimensions whose fresh fit was clamped to
-    the shape range in the ais_update that produced this proposal (0 for
-    a constructed one).
+    the shape range in the ais_update that produced this proposal, or is
+    1 when that update had no weight to fit (0 for a constructed one).
     """
 
     refit_clamps = 0
@@ -314,22 +323,10 @@ class _BetaFit(NamedTuple):
     clamped: bool
 
 
-def _moment_fits(u) -> list:
-    """Method-of-moments Beta fits of the rows of u, a C-contiguous
-    (dims, d) array of values mapped onto [0, 1]; None for a row that
-    carries no shape information (zero variance, or mean pinned to an
-    endpoint).
-
-    Two reductions give the moments of every row. Each row is reduced
-    along its own contiguous run, as np.mean reduces a 1-D batch
-    (pairwise from 8 values on, where a reduction down axis 0 would be
-    sequential), so a row's fit has the bits of the one-column fit.
-    """
-    d = u.shape[1]
-    means = np.add.reduce(u, axis=1) / d
-    dev = u - means[:, None]
-    dev *= dev
-    variances = np.add.reduce(dev, axis=1) / d
+def _shape_fits(means, variances) -> list:
+    """Method-of-moments Beta fits from per-dimension means and
+    variances on [0, 1]; None for a dimension that carries no shape
+    information (zero variance, or mean pinned to an endpoint)."""
     fits = []
     for mean, var in zip(means.tolist(), variances.tolist()):
         if var <= 1e-12 or mean <= 1e-12 or mean >= 1.0 - 1e-12:
@@ -342,6 +339,48 @@ def _moment_fits(u) -> list:
         clamped_b = min(max(b, SHAPE_MIN), SHAPE_MAX)
         fits.append(_BetaFit(clamped_a, clamped_b, clamped_a != a or clamped_b != b))
     return fits
+
+
+def _moment_fits(u) -> list:
+    """Method-of-moments Beta fits of the rows of u, a C-contiguous
+    (dims, d) array of values mapped onto [0, 1], every value weighted
+    alike.
+
+    Two reductions give the moments of every row. Each row is reduced
+    along its own contiguous run, as np.mean reduces a 1-D batch
+    (pairwise from 8 values on, where a reduction down axis 0 would be
+    sequential), so a row's fit has the bits of the one-column fit.
+    """
+    d = u.shape[1]
+    means = np.add.reduce(u, axis=1) / d
+    dev = u - means[:, None]
+    dev *= dev
+    return _shape_fits(means, np.add.reduce(dev, axis=1) / d)
+
+
+def _weighted_fits(u, values, sums) -> list | None:
+    """Add the batch's weighted sums into ``sums`` and fit every
+    dimension to the running totals; None while they carry no weight.
+
+    u is the C-contiguous (dims, d) batch mapped onto [0, 1] and each
+    point weighs v = |value|. ``sums`` is the (3, dims) array of running
+    sum v, sum v u and sum v u^2 per dimension, advanced in place. The
+    three rows of d terms of each dimension are reduced along their
+    contiguous runs in one call, as a 1-D batch is reduced.
+    """
+    rows = np.empty((3,) + u.shape)
+    np.abs(values, out=rows[0])  # the same d weights in every dimension
+    np.multiply(u, rows[0], out=rows[1])
+    np.multiply(rows[1], u, out=rows[2])
+    batch = np.add.reduce(rows, axis=2)
+    if not math.isfinite(batch[0, 0]):  # a NaN or infinite v is in sum |v|
+        raise DomainError("values must be finite")
+    sums += batch
+    total = sums[0]
+    if not total[0] > 0.0:
+        return None
+    means = sums[1] / total
+    return _shape_fits(means, sums[2] / total - means * means)
 
 
 def fit_beta(samples: Sequence[float], lo: float = 0.0, hi: float = 1.0):
@@ -369,28 +408,54 @@ def fit_beta(samples: Sequence[float], lo: float = 0.0, hi: float = 1.0):
     return fit.a, fit.b
 
 
-def ais_update(current: BetaProposal, batch, policy: AisPolicy) -> BetaProposal:
+def ais_update(
+    current: BetaProposal, batch, policy: AisPolicy, values=None, sums=None
+) -> BetaProposal:
     """Refit on the batch and move shapes by an exponential moving
-    average, kept in [SHAPE_MIN, SHAPE_MAX]; dimensions whose batch is
-    degenerate keep their shapes.
+    average, kept in [SHAPE_MIN, SHAPE_MAX]; dimensions without shape
+    information keep their shapes.
 
-    Every dimension is fitted as fit_beta fits one column. The returned
-    proposal's ``refit_clamps`` counts the dimensions whose fit was
-    clamped; no warning is raised.
+    Without ``values`` every point weighs alike and each dimension is
+    fitted as fit_beta fits one column of the batch alone.
+
+    With ``values``, the measured psi * w of each point, the fit is the
+    cumulative cross-entropy step of the module docstring: the batch's
+    sum v, sum v u and sum v u^2 per dimension, with v = |psi * w|, are
+    added into ``sums``, a (3, dims) float array advanced in place
+    (zeros when None), and each dimension is fitted by moments to those
+    totals. A fit to every batch so far is not collapsed by one heavy
+    point, as a fit to the batch alone is. While the totals carry no
+    weight the proposal is kept, which counts as one clamped fit.
+
+    The returned proposal's ``refit_clamps`` counts the dimensions
+    whose fit was clamped; no warning is raised.
     """
     pts = np.asarray(batch, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[:, None]
-    if pts.shape != (policy.d, current.domain.dims):
+    dims = current.domain.dims
+    if pts.shape != (policy.d, dims):
         raise DomainError(
-            f"batch must be {policy.d} points of dim {current.domain.dims}, "
-            f"got shape {pts.shape}"
+            f"batch must be {policy.d} points of dim {dims}, got shape {pts.shape}"
         )
     cols = np.ascontiguousarray(pts.T)  # one contiguous row per dimension
     lo = current._lo[:, None]
     if not ((cols >= lo) & (cols <= current._hi[:, None])).all():
         raise DomainError("samples outside [lo, hi]")
-    fits = _moment_fits((cols - lo) / current._width[:, None])
+    u = (cols - lo) / current._width[:, None]
+    if values is None:
+        fits = _moment_fits(u)
+    else:
+        v = np.asarray(values, dtype=np.float64)
+        if v.shape != (policy.d,):
+            raise DomainError(f"values must be {policy.d} numbers, got shape {v.shape}")
+        if sums is None:
+            sums = np.zeros((3, dims))
+        elif sums.shape != (3, dims):
+            raise DomainError(f"sums must have shape (3, {dims}), got {sums.shape}")
+        fits = _weighted_fits(u, v, sums)
+        if fits is None:
+            return current._with_shapes(current.a, current.b, 1)
     keep = 1.0 - policy.l_r
     new_a = current.a.tolist()
     new_b = current.b.tolist()

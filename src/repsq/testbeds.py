@@ -11,8 +11,8 @@ an oracle for the true mean r_star = E_p[psi]:
   exact in closed form;
 - a command-tracking simulator: 150-step trajectories whose deviation
   grows with command magnitude, scored by an exponential loss that the
-  evaluator draws from its exact law (one Gamma and one normal per
-  command, not a trajectory); r_star exact: the loss's conditional
+  evaluator draws from its exact law (one noncentral chi-square draw
+  per command, not a trajectory); r_star exact: the loss's conditional
   mean given the command has a closed form (the noncentral chi-square
   moment generating function), and its mean over the command box is a
   deterministic Gauss-Legendre quadrature.
@@ -415,12 +415,14 @@ class TrackingTestbed:
     sigma^2 X with
     X ~ noncentral chi-square(k = 450, lambda = 150 (b r)^2 / sigma^2),
     sigma = _noise_scale(r) and b = bias_gain. evaluate_many draws the
-    loss from that exact law rather than from a trajectory: rotating
-    the 450 Gaussian deviations so that their mean lies on one axis
-    leaves sigma^2 chi-square(449) + (sigma Z + sqrt(150) b r)^2, with
-    chi-square(449) = 2 Gamma(224.5), so one Gamma and one normal draw
-    per command replace 450 normals. That form never divides by sigma,
-    so it is exact for a noise-free bed too.
+    loss from that exact law rather than from a trajectory, one
+    ``rng.noncentral_chisquare`` draw per command instead of 450
+    normals. numpy draws it value by value as chi-square(449) +
+    (Z + sqrt(lambda))^2, which is what rotating the 450 Gaussian
+    deviations so that their mean lies on one axis leaves; so a batch
+    of commands uses the stream as the same commands one at a time
+    would. A command with sigma = 0 (a noise-free bed) has the
+    deterministic deviation 150 (b r)^2 and draws nothing.
 
     The oracle is exact and draws nothing. The moment generating
     function E[exp(t X)] = exp(lambda t / (1 - 2t)) (1 - 2t)^(-k/2) at
@@ -470,21 +472,27 @@ class TrackingTestbed:
 
     def evaluate_many(self, points, rng):
         """psi for each command, from the law of the total squared
-        deviation: 2 sigma^2 G + (sigma Z + sqrt(150) b r)^2 with
-        G ~ Gamma(224.5) and Z ~ N(0, 1), drawn in that order."""
+        deviation: sigma^2 noncentral_chisquare(450, lambda) with
+        lambda = (sqrt(150) b r / sigma)^2, one draw per command in
+        command order, so the stream's use does not depend on how the
+        commands are batched. A command with sigma = 0 draws nothing:
+        its deviation is (sqrt(150) b r)^2 exactly."""
         x = np.atleast_2d(np.asarray(points, dtype=np.float64))
         norms = np.sqrt(np.add.reduce(x * x, axis=1))  # np.linalg.norm's arithmetic
         sigma = self._noise_scale(norms)
-        total = rng.standard_gamma(0.5 * (3 * TRAJECTORY_STEPS - 1), x.shape[0])
-        along = rng.standard_normal(x.shape[0])
-        along *= sigma
-        norms *= math.sqrt(TRAJECTORY_STEPS) * self.bias_gain
-        along += norms
-        along *= along
-        sigma *= sigma
-        total *= 2.0
-        total *= sigma
-        total += along
+        shift = norms * (math.sqrt(TRAJECTORY_STEPS) * self.bias_gain)
+        dofs = 3 * TRAJECTORY_STEPS
+        if x.shape[0] and sigma.min() > 0.0:  # every command noisy: no masks
+            ratio = shift / sigma
+            total = rng.noncentral_chisquare(dofs, ratio * ratio)
+            total *= sigma * sigma
+        else:
+            total = shift * shift
+            noisy = sigma > 0.0
+            if noisy.any():
+                scale = sigma[noisy]
+                ratio = shift[noisy] / scale
+                total[noisy] = rng.noncentral_chisquare(dofs, ratio * ratio) * (scale * scale)
         total *= -6.0
         return -np.expm1(total)
 

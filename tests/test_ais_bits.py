@@ -2,14 +2,14 @@
 
 Golden campaigns freeze the outcome of whole AIS campaigns (estimate
 bits, counts, final proposal shapes and the number of clamped refits).
-The displacement campaigns are as the per-dimension scalar
-implementation produced them. The tracking campaigns were re-recorded
-when the tracking evaluator began drawing each loss from its
-sufficient statistic (one Gamma and one normal per command), which
-uses the evaluator-noise stream differently. The property tests
-compare the batched refit and the batched Beta density against scalar
-references kept here, on random batches that include degenerate
-columns, clamped fits and points on the box boundary.
+All of them were re-recorded when the campaign refit moved to the
+cumulative psi * w-weighted moments of every batch so far, and the
+tracking evaluator to one noncentral chi-square draw per command (the
+same law, drawn command by command). The property tests compare the
+batched refit, unweighted and cumulative weighted, and the batched
+Beta density against scalar references kept here, on random batches
+that include degenerate columns, clamped fits, zero-weight prefixes
+and points on the box boundary.
 """
 
 import json
@@ -45,47 +45,47 @@ ROOT = Path(__file__).resolve().parents[1]
 # tracking_ais config; floats as float.hex().
 TRACKING_AIS = {
     "initiator": dict(
-        raw_estimate="0x1.89e60ccd02330p-2", n=36469, evaluated_n=36470, chunks=3647,
-        cell=5, sigma_hat_final="0x1.543c147c1f5d5p+0",
-        bernstein_radius_final="0x1.47ad979ed4ae7p-5",
-        hoeffding_radius_final="0x1.234b0b1bdc3cep-4",
-        shapes_a=["0x1.3ba65d9bb1432p+3", "0x1.86ce59534fc8ep+2", "0x1.a65b7b820e52bp+3"],
-        shapes_b=["0x1.51d7941f861f5p+3", "0x1.be2fb025b832ep+2", "0x1.b7ab980bfafa0p+3"],
-        clamped_fits=10,
+        raw_estimate="0x1.941d0751c506dp-2", n=22367, evaluated_n=22370, chunks=2237,
+        cell=5, sigma_hat_final="0x1.c7767d3899c58p-8",
+        bernstein_radius_final="0x1.47aa87ce33d22p-5",
+        hoeffding_radius_final="0x1.73f405adf1443p-4",
+        shapes_a=["0x1.94d83c2b3646cp-1", "0x1.9a983d4263a58p-1", "0x1.9c6a07d308798p-1"],
+        shapes_b=["0x1.9446490e92ba0p-1", "0x1.9a8da0d284a74p-1", "0x1.9a2eada9bea1ap-1"],
+        clamped_fits=0,
     ),
     "replicator": dict(
-        raw_estimate="0x1.8ed0286680bfbp-2", n=36776, evaluated_n=36780, chunks=3678,
-        cell=5, sigma_hat_final="0x1.5f5fe5a001387p+0",
-        bernstein_radius_final="0x1.47aca19513ee4p-5",
-        hoeffding_radius_final="0x1.2213233fc821ep-4",
-        shapes_a=["0x1.5048bd6785a1dp+3", "0x1.7ecced9bfa381p+2", "0x1.85d685dd43fbfp+3"],
-        shapes_b=["0x1.c4f8ea37a0f40p+3", "0x1.77dc22f061ca6p+2", "0x1.41538b9f8dc38p+3"],
-        clamped_fits=19,
+        raw_estimate="0x1.94f25b20dd673p-2", n=22379, evaluated_n=22380, chunks=2238,
+        cell=5, sigma_hat_final="0x1.d42e5d3a0a675p-8",
+        bernstein_radius_final="0x1.47aa6a6b5fdaap-5",
+        hoeffding_radius_final="0x1.73da7d4d9a42fp-4",
+        shapes_a=["0x1.993341c773b7fp-1", "0x1.9ac9d7d01fc10p-1", "0x1.a1b3e1a1795ecp-1"],
+        shapes_b=["0x1.93692a1a1cfb4p-1", "0x1.9560505babf16p-1", "0x1.9cf670035e50dp-1"],
+        clamped_fits=0,
     ),
 }
 
-# Short campaigns that clamp often, with batches below and at the
-# 8-value length where numpy switches to pairwise summation.
+# Short campaigns that clamp, with batches below and at the 8-value
+# length where numpy switches to pairwise summation.
 SHORT = {
     "displacement_d2": dict(
-        raw="0x1.e36f2668f0c6ep+0", n=367, evaluated_n=368, chunks=184,
-        sigma="0x1.2c9fb27220dc4p+1",
-        a=["0x1.2b6909a96e758p+1", "0x1.744687f4b23e3p-2"],
-        b=["0x1.5cde2ae6fe0a9p+3", "0x1.39ddac88d96fap-1"],
-        clamped_fits=75,
+        raw="0x1.d0f9341812ec7p+0", n=256, evaluated_n=256, chunks=128,
+        sigma="0x1.3e96f1ce65d30p-2",
+        a=["0x1.1be2401729fd7p+0", "0x1.b6b6b46ad267ep-1"],
+        b=["0x1.12b1156d725cbp+0", "0x1.c629ae9f67936p-1"],
+        clamped_fits=3,
     ),
     "displacement_d3": dict(
-        raw="0x1.be1238a504d02p+0", n=875, evaluated_n=876, chunks=292,
-        sigma="0x1.07ab6a8e126c8p+3",
-        a=["0x1.432e07afaea5dp+5", "0x1.89ed6674e0d6fp+3"],
-        b=["0x1.d9999882b996ap+4", "0x1.9d2521725ac21p+3"],
-        clamped_fits=117,
+        raw="0x1.cf8309e6a5cedp+0", n=501, evaluated_n=501, chunks=167,
+        sigma="0x1.0274f1f6a6e90p-1",
+        a=["0x1.e3e252cc48704p-1", "0x1.0fedce32c2580p+0"],
+        b=["0x1.fd48ca2b0ebb0p-1", "0x1.e99c670396f44p-1"],
+        clamped_fits=1,
     ),
     "tracking_d8": dict(
-        raw="0x1.84f6b2f927ad0p-2", n=305, evaluated_n=312, chunks=39,
-        sigma="0x1.3d5b62e167196p-4",
-        a=["0x1.023c0b865b496p+1", "0x1.8e365a4108211p-1", "0x1.e8c088b1e32b8p-1"],
-        b=["0x1.9e51b0edd2fe0p+0", "0x1.b8acf383e3727p-1", "0x1.c9f50bdfb3adcp+0"],
+        raw="0x1.809ccd58ba7cap-2", n=239, evaluated_n=240, chunks=30,
+        sigma="0x1.947ef94d945b1p-6",
+        a=["0x1.78235bc07ad02p-1", "0x1.0dd1cdb698810p+0", "0x1.c4ec3326c75bap-1"],
+        b=["0x1.4a8f1eefbecf2p-1", "0x1.9223fc0edf764p-1", "0x1.cf7b4fb22d6d7p-1"],
         clamped_fits=2,
     ),
 }
@@ -154,6 +154,26 @@ class TestGoldenCampaigns:
         assert got == SHORT[name]
 
 
+class TestAgainstMonteCarlo:
+    def test_tracking_ais_stops_no_later_than_monte_carlo_at_the_same_bound(self):
+        # The bundled campaign (paper-exact, w_bar 10 = 1 / mix_p) against
+        # the same config with Monte Carlo draws on the same stream. The
+        # declared bound enters both radii alike, so a proposal that
+        # adapts to the measure must not need more tests.
+        doc = bundled_tracking_config()
+        ais = CampaignConfig.from_dict(doc)
+        mc = CampaignConfig.from_dict(dict(doc, sampler={"kind": "monte_carlo"}))
+        assert ais.w_bar == mc.w_bar == 10.0
+        assert ais.range_term_mode == mc.range_term_mode == "paper-exact"
+        part = build_partition(ais.m_low, ais.m_high, compute_alpha(ais.accuracy), 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ClampWarning)
+            by_ais = run_quantized_sq(ais, part, campaign_stream(ais.seed, 0, 0))
+        by_mc = run_quantized_sq(mc, part, campaign_stream(mc.seed, 0, 0))
+        assert by_ais.terminated and by_mc.terminated
+        assert by_ais.n <= by_mc.n
+
+
 # ---------------------------------------------------------------------------
 # Scalar references: one dimension and one point at a time.
 
@@ -163,7 +183,12 @@ def fit_beta_reference(x, lo, hi):
     for a degenerate column, else (a, b, clamped)."""
     u = (np.asarray(x, dtype=np.float64) - lo) / (hi - lo)
     mean = float(np.mean(u))
-    var = float(np.mean((u - mean) ** 2))
+    return moment_fit_reference(mean, float(np.mean((u - mean) ** 2)))
+
+
+def moment_fit_reference(mean, var):
+    """Beta shapes from a mean and a variance on [0, 1]; None when they
+    carry no shape information, else (a, b, clamped)."""
     if var <= 1e-12 or mean <= 1e-12 or mean >= 1.0 - 1e-12:
         return None
     k = mean * (1.0 - mean) / var - 1.0
@@ -188,6 +213,57 @@ def ais_update_reference(current, pts, l_r):
         new_b[k] = min(max((1.0 - l_r) * new_b[k] + l_r * fit[1], SHAPE_MIN), SHAPE_MAX)
         clamped += fit[2]
     return new_a, new_b, clamped
+
+
+def weighted_refit_reference(current, batches, values, l_r):
+    """The cumulative weighted refit, one dimension at a time: after each
+    batch, sum v, sum v u and sum v u^2 with v = |value| over every batch
+    so far, a moment fit to them, and the moving average. A refit whose
+    totals carry no weight keeps the shapes and counts one clamp.
+    Returns (a, b, clamped count) after each batch."""
+    dims = current.domain.dims
+    lo = np.asarray(current.domain.lo)
+    width = np.asarray(current.domain.hi) - lo
+    a, b = current.a.copy(), current.b.copy()
+    s0, s1, s2 = 0.0, [0.0] * dims, [0.0] * dims
+    out = []
+    for pts, vals in zip(batches, values):
+        v = np.abs(np.asarray(vals, dtype=np.float64))
+        s0 += float(np.add.reduce(v))
+        clamped = 0
+        a, b = a.copy(), b.copy()
+        for k in range(dims):
+            u = (np.ascontiguousarray(pts[:, k]) - lo[k]) / width[k]
+            s1[k] += float(np.add.reduce(v * u))
+            s2[k] += float(np.add.reduce(v * u * u))
+            if not s0 > 0.0:
+                continue
+            mean = s1[k] / s0
+            fit = moment_fit_reference(mean, s2[k] / s0 - mean * mean)
+            if fit is None:
+                continue
+            a[k] = min(max((1.0 - l_r) * a[k] + l_r * fit[0], SHAPE_MIN), SHAPE_MAX)
+            b[k] = min(max((1.0 - l_r) * b[k] + l_r * fit[1], SHAPE_MIN), SHAPE_MAX)
+            clamped += fit[2]
+        out.append((a, b, clamped if s0 > 0.0 else 1))
+    return out
+
+
+def random_values(rng, d):
+    """psi * w of a batch: spread, sparse, one heavy point, negative
+    (weighed by magnitude) or all zero."""
+    kind = rng.integers(5)
+    if kind == 0:
+        return rng.uniform(0.0, 10.0, size=d)
+    if kind == 1:
+        return rng.uniform(0.0, 1.0, size=d) * (rng.random(d) < 0.3)
+    if kind == 2:
+        v = np.zeros(d)
+        v[rng.integers(d)] = rng.uniform(0.1, 10.0)
+        return v
+    if kind == 3:
+        return -rng.uniform(0.0, 1.0, size=d)
+    return np.zeros(d)
 
 
 def density_reference(q, x):
@@ -267,6 +343,59 @@ class TestBatchedRefit:
             fresh = BetaProposal(domain, want_a, want_b)
             x = random_batch(rng, domain, 12)
             assert got.density_many(x).tobytes() == fresh.density_many(x).tobytes()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_cumulative_weighted_refit_equals_the_scalar_reference(self, seed):
+        rng = np.random.default_rng(5700 + seed)
+        for _ in range(25):
+            domain = BOXES[rng.integers(len(BOXES))]
+            d = int(rng.choice([2, 3, 7, 8, 9, 10, 16, 17]))
+            l_r = float(rng.choice([1.0, 0.5, 0.1, rng.uniform(0.01, 1.0)]))
+            current = BetaProposal(domain, rng.uniform(SHAPE_MIN, 30.0, size=domain.dims),
+                                   rng.uniform(SHAPE_MIN, 30.0, size=domain.dims))
+            count = int(rng.integers(1, 12))
+            batches = [random_batch(rng, domain, d) for _ in range(count)]
+            values = [random_values(rng, d) for _ in range(count)]
+            zeros = int(rng.integers(0, 4))  # a zero-weight prefix
+            values[:zeros] = [np.zeros(d)] * min(zeros, count)
+            want = weighted_refit_reference(current, batches, values, l_r)
+            policy = AisPolicy(d=d, l_r=l_r)
+            sums = np.zeros((3, domain.dims))
+            q = current
+            for pts, vals, (want_a, want_b, want_clamped) in zip(batches, values, want):
+                q = ais_update(q, pts, policy, vals, sums)
+                assert q.a.tobytes() == want_a.tobytes()
+                assert q.b.tobytes() == want_b.tobytes()
+                assert q.refit_clamps == want_clamped
+            # Without carried sums the fit is the batch's own.
+            first = ais_update(current, batches[0], policy, values[0])
+            assert first.a.tobytes() == want[0][0].tobytes()
+            assert first.b.tobytes() == want[0][1].tobytes()
+
+    def test_zero_weight_prefix_keeps_the_proposal(self):
+        box = BoxDomain([0.0, 0.0], [1.0, 1.0])
+        current = BetaProposal(box, [2.0, 3.0], [4.0, 5.0])
+        batch = [[0.1, 0.2], [0.7, 0.9], [0.4, 0.5]]
+        sums = np.zeros((3, 2))
+        kept = ais_update(current, batch, AisPolicy(d=3, l_r=1.0), [0.0, 0.0, 0.0], sums)
+        assert kept.a.tolist() == [2.0, 3.0] and kept.b.tolist() == [4.0, 5.0]
+        assert kept.refit_clamps == 1
+        assert not sums.any()
+        moved = ais_update(kept, batch, AisPolicy(d=3, l_r=1.0), [1.0, 1.0, 1.0], sums)
+        unweighted = ais_update(kept, batch, AisPolicy(d=3, l_r=1.0))
+        assert moved.a == pytest.approx(unweighted.a, rel=1e-12)
+        assert moved.b == pytest.approx(unweighted.b, rel=1e-12)
+        assert sums[0].tolist() == [3.0, 3.0]
+
+    def test_bad_values_and_sums_are_rejected(self):
+        current = BetaProposal(BoxDomain([0.0], [1.0]), [1.0], [1.0])
+        batch = [[0.2], [0.6]]
+        policy = AisPolicy(d=2)
+        for values in ([1.0], [1.0, np.nan], [np.inf, 1.0]):
+            with pytest.raises(DomainError):
+                ais_update(current, batch, policy, values)
+        with pytest.raises(DomainError):
+            ais_update(current, batch, policy, [1.0, 1.0], np.zeros((3, 2)))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_fit_beta_equals_the_scalar_moments(self, seed):
@@ -443,6 +572,27 @@ class TestClampTelemetry:
             updated = ais_update(current, batch, AisPolicy(d=2, l_r=1.0))
         assert updated.refit_clamps == 1
         assert list(updated.a) == [SHAPE_MIN, 1.5, 1.0]
+
+    def test_campaign_without_weight_keeps_its_proposal(self):
+        # A loss that is identically 0 gives every refit zero weight: the
+        # proposal stays as initialised and each refit counts as clamped.
+        bed = tracking_testbed(zero_noise=True)
+        cfg = CampaignConfig(
+            accuracy=AccuracySpec(0.04, 0.05, 0.1), m_low=0.0, m_high=1.0, w_bar=10.0,
+            joint=None, sampler={"kind": "ais", "mix_p": 0.1, "d": 10, "init_shape": 0.99},
+            testbed=bed.to_spec(), seed=4, range_term_mode="linear-range",
+        )
+        part = build_partition(0.0, 1.0, compute_alpha(cfg.accuracy), 0.0)
+        with pytest.warns(ClampWarning) as caught:
+            res = run_quantized_sq(cfg, part, campaign_stream(4, 0, 0), testbed=bed)
+        assert res.raw_estimate == 0.0
+        assert res.clamped_fits == res.chunks - 1  # every batch but the last refits
+        assert [str(w.message) for w in caught] == [
+            f"{res.clamped_fits} adaptive refits were clamped to the proposal shape "
+            f"bounds or had no weight to fit"
+        ]
+        snapshot = res.ais_final_proposal
+        assert snapshot["shapes_a"] == snapshot["shapes_b"] == [0.99] * 3
 
     def test_counter_is_an_ais_only_result_field(self):
         bed = displacement_testbed()

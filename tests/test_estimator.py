@@ -18,9 +18,18 @@ from repsq.estimator import (
     bernstein_radius,
     hoeffding_radius,
     required_n_hoeffding,
-    should_terminate,
     update,
 )
+
+
+def should_terminate(state, gamma, bounds, n_min=2):
+    """The paper-exact stopping rule, one state at a time: true once the
+    smaller of the two radii has reached gamma, never before
+    n = max(2, n_min)."""
+    if state.n < max(2, n_min):
+        return False
+    radius = min(bernstein_radius(state, bounds), hoeffding_radius(state.n, bounds))
+    return radius <= gamma
 
 
 def feed_constant(value, count):

@@ -19,13 +19,22 @@ from repsq.estimator import (
     bernstein_radius,
     hoeffding_radius,
     required_n_hoeffding,
-    should_terminate,
     update,
 )
 
 
+def should_terminate(state, gamma, bounds, n_min=2):
+    """The paper-exact stopping rule, one state at a time: true once the
+    smaller of the two radii has reached gamma, never before
+    n = max(2, n_min)."""
+    if state.n < max(2, n_min):
+        return False
+    radius = min(bernstein_radius(state, bounds), hoeffding_radius(state.n, bounds))
+    return radius <= gamma
+
+
 def scalar_reference_run(values, gamma, bounds, n_min=2):
-    """Feed values one at a time through the public scalar API."""
+    """Feed values one at a time through the scalar estimator."""
     state = EstimatorState()
     for v in values:
         state = update(state, float(v))

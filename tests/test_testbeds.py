@@ -302,10 +302,11 @@ class TestTrackingTestbed:
 
     @pytest.mark.parametrize("sim_gap,zero_noise", [(0.0, False), (0.7, False), (0.0, True)])
     def test_evaluation_matches_the_direct_expression(self, sim_gap, zero_noise):
-        # Bitwise against the sufficient-statistic expression written
-        # out with fresh temporaries: np.linalg.norm, then
-        # 2 sigma^2 G + (sigma Z + sqrt(150) b r)^2 from one Gamma draw
-        # and one normal draw, in that order, and nothing else drawn.
+        # Bitwise against the exact law written out with fresh
+        # temporaries: np.linalg.norm, then sigma^2 times one noncentral
+        # chi-square(450, (sqrt(150) b r / sigma)^2) draw per command, one
+        # command at a time, and nothing else drawn. A noise-free bed
+        # draws nothing and its loss is exactly 0.
         bed = tracking_testbed(sim_gap, zero_noise=zero_noise)
         rng = np.random.default_rng(83)
         for n in (1, 7, 10, 64):
@@ -316,13 +317,39 @@ class TestTrackingTestbed:
             rng.bit_generator.state = state
             norms = np.linalg.norm(x, axis=1)
             sigma = bed._noise_scale(norms)
-            g = rng.standard_gamma(0.5 * (3 * TRAJECTORY_STEPS - 1), n)
-            z = rng.standard_normal(n)
-            shift = math.sqrt(TRAJECTORY_STEPS) * bed.bias_gain * norms
-            total = 2.0 * g * sigma**2 + (sigma * z + shift) ** 2
+            shift = norms * (math.sqrt(TRAJECTORY_STEPS) * bed.bias_gain)
+            if zero_noise:
+                total = shift * shift
+            else:
+                total = np.array([
+                    rng.noncentral_chisquare(3 * TRAJECTORY_STEPS, (m / s) ** 2) * (s * s)
+                    for m, s in zip(shift, sigma)
+                ])
             want = -np.expm1(-6.0 * total)
             assert got.tobytes() == want.tobytes()
             assert rng.bit_generator.state == after
+            if zero_noise:
+                assert not got.any()
+
+    def test_noise_free_commands_draw_nothing(self):
+        # sigma = 0 at the origin when the noise has no base: that command's
+        # deviation is deterministic and the others draw as if it were absent.
+        bed = tracking_testbed()
+        bed.noise_base = 0.0
+        x = np.array([[0.1, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.2, -0.1]])
+        got = bed.evaluate_many(x, np.random.default_rng(84))
+        want = bed.evaluate_many(x[[0, 2]], np.random.default_rng(84))
+        assert got[[0, 2]].tobytes() == want.tobytes()
+        assert got[1] == 0.0
+        # With no noise at all, a biased command tracks deterministically.
+        bed.noise_slope = 0.0
+        rng = np.random.default_rng(85)
+        state = rng.bit_generator.state
+        got = bed.evaluate_many(x, rng)
+        assert rng.bit_generator.state == state
+        r = np.linalg.norm(x, axis=1)
+        assert got == pytest.approx(-np.expm1(-6.0 * TRAJECTORY_STEPS * (bed.bias_gain * r) ** 2),
+                                    rel=1e-13, abs=0.0)
 
 
 def noncentral_chisquare_mean(bed, seed, draws, chunk=250_000):
