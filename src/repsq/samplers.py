@@ -421,11 +421,12 @@ def ais_update(
     With ``values``, the measured psi * w of each point, the fit is the
     cumulative cross-entropy step of the module docstring: the batch's
     sum v, sum v u and sum v u^2 per dimension, with v = |psi * w|, are
-    added into ``sums``, a (3, dims) float array advanced in place
-    (zeros when None), and each dimension is fitted by moments to those
-    totals. A fit to every batch so far is not collapsed by one heavy
-    point, as a fit to the batch alone is. While the totals carry no
-    weight the proposal is kept, which counts as one clamped fit.
+    added into ``sums``, the caller's (3, dims) float array of running
+    totals (zeros before the first batch), advanced in place, and each
+    dimension is fitted by moments to those totals. A fit to every
+    batch so far is not collapsed by one heavy point, as a fit to the
+    batch alone is. While the totals carry no weight the proposal is
+    kept, which counts as one clamped fit.
 
     The returned proposal's ``refit_clamps`` counts the dimensions
     whose fit was clamped; no warning is raised.
@@ -450,8 +451,8 @@ def ais_update(
         if v.shape != (policy.d,):
             raise DomainError(f"values must be {policy.d} numbers, got shape {v.shape}")
         if sums is None:
-            sums = np.zeros((3, dims))
-        elif sums.shape != (3, dims):
+            raise DomainError("a weighted refit needs the running sums of every batch so far")
+        if sums.shape != (3, dims):
             raise DomainError(f"sums must have shape (3, {dims}), got {sums.shape}")
         fits = _weighted_fits(u, v, sums)
         if fits is None:

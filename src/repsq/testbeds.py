@@ -421,7 +421,7 @@ class TrackingTestbed:
     (Z + sqrt(lambda))^2, which is what rotating the 450 Gaussian
     deviations so that their mean lies on one axis leaves; so a batch
     of commands uses the stream as the same commands one at a time
-    would. A command with sigma = 0 (a noise-free bed) has the
+    would. A command with sigma^2 = 0 (a noise-free bed) has the
     deterministic deviation 150 (b r)^2 and draws nothing.
 
     The oracle is exact and draws nothing. The moment generating
@@ -475,24 +475,24 @@ class TrackingTestbed:
         deviation: sigma^2 noncentral_chisquare(450, lambda) with
         lambda = (sqrt(150) b r / sigma)^2, one draw per command in
         command order, so the stream's use does not depend on how the
-        commands are batched. A command with sigma = 0 draws nothing:
-        its deviation is (sqrt(150) b r)^2 exactly."""
+        commands are batched. Like the oracle, the law reads sigma only
+        through sigma^2. A command whose sigma^2 is 0 (a noise-free bed,
+        or a sigma that underflows when squared) or whose lambda
+        overflows has a negligible noise term and draws nothing: its
+        deviation is (sqrt(150) b r)^2 exactly."""
         x = np.atleast_2d(np.asarray(points, dtype=np.float64))
         norms = np.sqrt(np.add.reduce(x * x, axis=1))  # np.linalg.norm's arithmetic
         sigma = self._noise_scale(norms)
         shift = norms * (math.sqrt(TRAJECTORY_STEPS) * self.bias_gain)
-        dofs = 3 * TRAJECTORY_STEPS
-        if x.shape[0] and sigma.min() > 0.0:  # every command noisy: no masks
+        variance = sigma * sigma
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             ratio = shift / sigma
-            total = rng.noncentral_chisquare(dofs, ratio * ratio)
-            total *= sigma * sigma
-        else:
-            total = shift * shift
-            noisy = sigma > 0.0
-            if noisy.any():
-                scale = sigma[noisy]
-                ratio = shift[noisy] / scale
-                total[noisy] = rng.noncentral_chisquare(dofs, ratio * ratio) * (scale * scale)
+            lam = ratio * ratio
+        noisy = (variance > 0.0) & np.isfinite(lam)
+        total = shift * shift
+        if noisy.any():
+            draws = rng.noncentral_chisquare(3 * TRAJECTORY_STEPS, lam[noisy])
+            total[noisy] = draws * variance[noisy]
         total *= -6.0
         return -np.expm1(total)
 

@@ -367,10 +367,6 @@ class TestBatchedRefit:
                 assert q.a.tobytes() == want_a.tobytes()
                 assert q.b.tobytes() == want_b.tobytes()
                 assert q.refit_clamps == want_clamped
-            # Without carried sums the fit is the batch's own.
-            first = ais_update(current, batches[0], policy, values[0])
-            assert first.a.tobytes() == want[0][0].tobytes()
-            assert first.b.tobytes() == want[0][1].tobytes()
 
     def test_zero_weight_prefix_keeps_the_proposal(self):
         box = BoxDomain([0.0, 0.0], [1.0, 1.0])
@@ -393,9 +389,11 @@ class TestBatchedRefit:
         policy = AisPolicy(d=2)
         for values in ([1.0], [1.0, np.nan], [np.inf, 1.0]):
             with pytest.raises(DomainError):
-                ais_update(current, batch, policy, values)
+                ais_update(current, batch, policy, values, np.zeros((3, 1)))
         with pytest.raises(DomainError):
             ais_update(current, batch, policy, [1.0, 1.0], np.zeros((3, 2)))
+        with pytest.raises(DomainError, match="running sums"):
+            ais_update(current, batch, policy, [1.0, 1.0])
 
     @pytest.mark.parametrize("seed", range(4))
     def test_fit_beta_equals_the_scalar_moments(self, seed):

@@ -4,7 +4,7 @@ determinism contracts.
 The cellular oracle is cross-checked by an independent Decimal
 enumeration, and the displacement oracle's closed form against
 simulation where the clip binds. The tracking evaluator draws each
-loss from its sufficient statistic (one Gamma and one normal per
+loss from its sufficient statistic (one noncentral chi-square value per
 command): it is pinned bitwise to that expression, and its law is
 checked against the exact first two moments and, by a two-sample
 Kolmogorov-Smirnov test, against losses of simulated 150-step
@@ -350,6 +350,45 @@ class TestTrackingTestbed:
         r = np.linalg.norm(x, axis=1)
         assert got == pytest.approx(-np.expm1(-6.0 * TRAJECTORY_STEPS * (bed.bias_gain * r) ** 2),
                                     rel=1e-13, abs=0.0)
+
+    def test_a_negative_noise_scale_reads_as_its_square(self):
+        # The law and the oracle read sigma only through sigma^2, so a
+        # descriptor whose noise scale is negative gives the same bed.
+        spec = tracking_testbed().to_spec()
+        flipped = build_from_spec(dict(spec, noise_base=-spec["noise_base"],
+                                         noise_slope=-spec["noise_slope"]))
+        x = np.random.default_rng(87).uniform(-0.3, 0.3, (64, 3))
+        want = tracking_testbed().evaluate_many(x, np.random.default_rng(88))
+        got = flipped.evaluate_many(x, np.random.default_rng(88))
+        assert got.tobytes() == want.tobytes()
+        assert flipped.conditional_mean(x).tobytes() == tracking_testbed().conditional_mean(x).tobytes()
+        # A scale that changes sign across the box keeps evaluator and oracle together.
+        mixed = build_from_spec(dict(spec, noise_base=-0.005))
+        cmds = np.tile([0.1, 0.0, 0.0], (40_000, 1))  # sigma = -0.003
+        vals = mixed.evaluate_many(cmds, np.random.default_rng(89))
+        se = float(np.std(vals)) / math.sqrt(vals.size)
+        assert abs(float(np.mean(vals)) - float(mixed.conditional_mean(cmds[:1])[0])) < 4 * se
+
+    @pytest.mark.parametrize("noise_base", [1e-200, 1e-156, 5e-324])
+    def test_a_vanishing_noise_scale_is_exact(self, noise_base):
+        # sigma^2 underflows to 0 (1e-200, 5e-324) or stays positive
+        # while lambda = (sqrt(150) b r / sigma)^2 overflows (1e-156):
+        # no warning, no NaN, no draw, and the oracle's deterministic loss.
+        bed = tracking_testbed()
+        bed.noise_base = noise_base
+        bed.noise_slope = 0.0
+        x = np.array([[0.3, 0.3, 0.3], [0.1, 0.0, 0.0]])
+        rng = np.random.default_rng(90)
+        state = rng.bit_generator.state
+        got = bed.evaluate_many(x, rng)
+        assert rng.bit_generator.state == state
+        r = np.linalg.norm(x, axis=1)
+        want = -np.expm1(-6.0 * TRAJECTORY_STEPS * (bed.bias_gain * r) ** 2)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+        # At the origin lambda = 0: the loss is sigma^2 times a draw, or 0.
+        (origin,) = bed.evaluate_many([[0.0, 0.0, 0.0]], rng)
+        assert 0.0 <= origin < 1e-300
+        assert bed.conditional_mean(x) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def noncentral_chisquare_mean(bed, seed, draws, chunk=250_000):
