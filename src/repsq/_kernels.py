@@ -1,38 +1,59 @@
-"""Termination-scan kernel: one numpy scan whose bits do not depend on
-how a campaign is chunked.
+"""The stopping rule and its termination scan.
 
-Campaigns feed weighted measures to the estimator in chunks; the scan
-consumes one chunk and reports where (if anywhere) the termination rule
-fired. The carried state holds shifted sums about the campaign's first
-value (see estimator.EstimatorState): the chunk's deviations from that
-pivot are prefixed with the carried sums and accumulated with
-``np.add.accumulate`` (``np.cumsum``), a strictly sequential sum. Every prefix sum is
-therefore the same float estimator.update() would reach one value at a
-time, however the values are split into chunks, and so are the prefix
-means, m2 and radii computed from it.
+A campaign stops once either confidence radius of its running estimate
+falls to gamma. With P the declared bound on |psi*w| (BoundSpec.product,
+m*w_bar unless a joint bound is declared), c the confidence parameter
+and sigma_hat = m2/n the population variance, they are:
 
-Radius expressions here mirror estimator.bernstein_radius and
-estimator.hoeffding_radius operation for operation. The fixed-range
-radius depends on n alone and never increases with it, so the stop scan
-tests it as n >= StopRule.n_hoeffding (estimator.required_n_hoeffding
-evaluates that same expression) instead of taking a square root per
-value. The variance-adaptive radius is a square root plus the range
-term c2/(n-1), and a float sum of non-negative terms is never below
-either term, so it cannot reach gamma while c2/(n-1) > gamma: the scan
-evaluates it only from StopRule.n_range on.
+- the variance-adaptive radius
+      sqrt(2 sigma_hat ln(2/c) / n) + 7 R ln(2/c) / (3 (n-1)),
+  where R is P^2 under the default mode "paper-exact" or P under mode
+  "linear-range" (the dimensionally linear variant); and
+- the fixed-range radius
+      P sqrt(ln(2/c) / (2 n)).
+
+Both are always evaluated and the smaller one decides. Each holds at
+level 1-c for a fixed n, so by a union bound their minimum holds only at
+level 1-2c, not 1-c. The variance-adaptive radius wins by orders of
+magnitude on low-variance campaigns; the fixed-range radius wins near
+maximal variance. Two more gaps remain open: the empirical-Bernstein
+bound behind the adaptive radius (Maurer & Pontil 2009, Thm 4) is
+one-sided at ln(2/c), so a two-sided radius needs ln(4/c), and it uses
+the unbiased sample variance m2/(n-1) where this module uses m2/n; and
+a campaign stops at a data-dependent n, where a fixed-n radius promises
+nothing.
+
+StopRule.bernstein and StopRule.hoeffding are the one copy of both
+expressions, called on arrays by the scan and the trace and on floats
+for the final radii; estimator.bernstein_radius and
+estimator.hoeffding_radius are their scalar references, bit for bit.
+The scan consumes one chunk of weighted measures and reports where, if
+anywhere, the rule fired. The carried state holds shifted sums about the
+campaign's first value (see estimator.EstimatorState): the chunk's
+deviations from that pivot are prefixed with the carried sums and
+accumulated with ``np.add.accumulate``, a strictly sequential sum, so
+every prefix sum, mean, m2 and radius is the same float
+estimator.update() would reach one value at a time, however the values
+are split into chunks.
+
+The fixed-range radius depends on n alone and never increases with it,
+so the scan tests it as n >= StopRule.n_hoeffding instead of taking a
+square root per value. The variance-adaptive radius is a square root
+plus the range term c2/(n-1), and a float sum of non-negative terms is
+never below either term, so it cannot reach gamma while c2/(n-1) >
+gamma: the scan evaluates it only from StopRule.n_range on.
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .estimator import (
-    MAX_SAMPLES,
     BoundSpec,
     EstimatorState,
+    _smallest_n,
     bernstein_second_coef,
     required_n_hoeffding,
 )
@@ -49,12 +70,12 @@ ACTIVE_BACKEND = "numpy-shifted-cumsum"
 
 
 class StopRule(NamedTuple):
-    """Constants of one campaign's termination rule."""
+    """Constants of one campaign's stopping rule, and its radii."""
 
     gamma: float
-    log_term: float
-    c2: float  # estimator.bernstein_second_coef
-    product: float  # the declared bound on |psi*w|
+    log_term: float  # ln(2/c)
+    c2: float  # 7 R ln(2/c) / 3, estimator.bernstein_second_coef
+    product: float  # the declared bound P on |psi*w|
     n_hoeffding: int  # smallest n whose fixed-range radius is <= gamma
     n_min: int  # termination floor, >= 2
     n_range: int  # smallest n >= 2 whose range term c2/(n-1) is <= gamma
@@ -74,20 +95,25 @@ class StopRule(NamedTuple):
             _required_n_range(gamma, c2),
         )
 
+    def bernstein(self, n, sigma):
+        """Variance-adaptive radius at count n >= 2 and population
+        variance sigma."""
+        return np.sqrt(2.0 * sigma * self.log_term / n) + self.c2 / (n - 1.0)
+
+    def hoeffding(self, n):
+        """Fixed-range radius at count n >= 1."""
+        return self.product * np.sqrt(self.log_term / (2.0 * n))
+
+    def final(self, state: EstimatorState) -> tuple[float, float]:
+        """(bernstein, hoeffding) radii of a state with n >= 2."""
+        n = float(state.n)
+        return float(self.bernstein(n, state.m2 / n)), float(self.hoeffding(n))
+
 
 def _required_n_range(gamma: float, c2: float) -> int:
     """Smallest n >= 2 with c2 / (n - 1.0) <= gamma, as the scan
     evaluates the quotient; MAX_SAMPLES + 1 when no campaign reaches it."""
-    ratio = c2 / gamma
-    if not ratio < 2.0 * MAX_SAMPLES:
-        return MAX_SAMPLES + 1
-    n = max(2, math.ceil(ratio) + 1)
-    # The rounded ratio can put the closed form one off; settle it.
-    while c2 / (n - 1.0) > gamma:
-        n += 1
-    while n > 2 and c2 / (n - 2.0) <= gamma:
-        n -= 1
-    return n
+    return _smallest_n(c2 / gamma + 1.0, 2, lambda n: c2 / (n - 1.0) <= gamma)
 
 
 def _prefix_sums(values, state: EstimatorState):
@@ -115,11 +141,6 @@ def _sigma(n_arr, s1, s2):
     return m2 / n_arr
 
 
-def _bernstein(n_arr, sigma, rule: StopRule):
-    """Variance-adaptive radius of prefixes with n >= 2."""
-    return np.sqrt(2.0 * sigma * rule.log_term / n_arr) + rule.c2 / (n_arr - 1.0)
-
-
 def scan_terminate(values, state: EstimatorState, rule: StopRule):
     """Scan one chunk; returns (stop_index, state).
 
@@ -143,7 +164,7 @@ def scan_terminate(values, state: EstimatorState, rule: StopRule):
     start = max(first, rule.n_range - state.n - 1)
     if start < end:
         n_on = _counts(state, start, end)
-        hit = _bernstein(n_on, _sigma(n_on, s1[start:end], s2[start:end]), rule) <= rule.gamma
+        hit = rule.bernstein(n_on, _sigma(n_on, s1[start:end], s2[start:end])) <= rule.gamma
         j = int(hit.argmax())
         if hit[j]:
             stop = start + j
@@ -166,6 +187,6 @@ def trace_radii(values, state: EstimatorState, rule: StopRule):
     bern = np.full(n_arr.shape, np.nan)
     hoef = np.full(n_arr.shape, np.nan)
     young = max(0, rule.n_min - state.n - 1)  # first index with n >= n_min
-    bern[young:] = _bernstein(n_arr[young:], sigma[young:], rule)
-    hoef[young:] = rule.product * np.sqrt(rule.log_term / (2.0 * n_arr[young:]))
+    bern[young:] = rule.bernstein(n_arr[young:], sigma[young:])
+    hoef[young:] = rule.hoeffding(n_arr[young:])
     return n_arr.astype(np.int64), mean, sigma, bern, hoef

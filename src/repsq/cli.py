@@ -50,6 +50,7 @@ from .errors import (
     NonTerminated,
     RepsqError,
 )
+from .estimator import RANGE_TERM_MODES
 from .harness import (
     CampaignConfig,
     effort_comparison,
@@ -278,7 +279,7 @@ def _add_campaign_flags(sub, *, offset: bool = True) -> None:
     sub.add_argument("--seed", type=int, default=None, help="override the config seed")
     sub.add_argument("--n-max", type=int, default=None, dest="n_max",
                      help="override the sample budget")
-    sub.add_argument("--range-term-mode", choices=["paper-exact", "linear-range"],
+    sub.add_argument("--range-term-mode", choices=RANGE_TERM_MODES,
                      default=None, dest="range_term_mode",
                      help="second-order term variant of the adaptive stopping radius")
     if offset:

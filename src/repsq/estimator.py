@@ -1,36 +1,16 @@
-"""Online weighted-measure estimator and its two termination radii.
+"""Online weighted-measure estimator and the scalar reference radii.
 
 The estimator ingests one weighted measure psi(x)*w(x) per test and keeps
 shifted sums about a pivot, the first value it ingests (Chan, Golub &
 LeVeque 1983): s1 = sum(x - pivot) and s2 = sum((x - pivot)^2). The
-running estimate mean = pivot + s1/n and the sum of squared deviations
-m2 = s2 - s1^2/n follow in O(1) per update, and so does the population
-variance sigma_hat = m2/n. A campaign stops once either confidence radius
-falls to gamma:
+running estimate mean = pivot + s1/n, the sum of squared deviations
+m2 = s2 - s1^2/n and the population variance sigma_hat = m2/n follow in
+O(1) per update.
 
-- the variance-adaptive radius
-      sqrt(2 sigma_hat ln(2/c) / n) + 7 R ln(2/c) / (3 (n-1)),
-  where R is (m*w_bar)^2 under the default mode "paper-exact" or m*w_bar
-  under mode "linear-range" (the dimensionally linear variant); and
-- the fixed-range radius
-      (m*w_bar) sqrt(ln(2/c) / (2 n)).
-
-Both are always evaluated and the smaller one decides. Each holds at
-level 1-c for a fixed n, so by a union bound their minimum holds only at
-level 1-2c, not 1-c. The variance-adaptive radius wins by orders of
-magnitude on low-variance campaigns; the fixed-range radius wins near
-maximal variance. Two more gaps remain open: the empirical-Bernstein
-bound behind the adaptive radius (Maurer & Pontil 2009, Thm 4) is
-one-sided at ln(2/c), so a two-sided radius needs ln(4/c), and it uses
-the unbiased sample variance m2/(n-1) where this module uses m2/n; and
-a campaign stops at a data-dependent n, where a fixed-n radius promises
-nothing.
-
-Expression order in this module is pinned: the scan kernel replicates
-these formulas operation for operation, and advances s1 and s2 with the
-same additions in the same order as update(), so the scalar path and the
-kernel give the same bits for every prefix, however the values are
-chunked.
+The radii and the stopping rule are described, and evaluated, in
+_kernels.StopRule. bernstein_radius and hoeffding_radius are its scalar
+references: update() makes the same additions in the same order as the
+scan, so both give the same bits for every prefix, however chunked.
 """
 
 from __future__ import annotations
@@ -51,7 +31,13 @@ __all__ = [
     "MAX_SAMPLES",
 ]
 
-RANGE_TERM_MODES = ("paper-exact", "linear-range")
+# R in the variance-adaptive radius's range term, per mode, as a function
+# of the declared bound on |psi*w| (see _kernels); the first is the default.
+_RANGE_R = {
+    "paper-exact": lambda product: product * product,
+    "linear-range": lambda product: product,
+}
+RANGE_TERM_MODES = tuple(_RANGE_R)
 
 # Largest sample count a campaign may reach. The radii are evaluated on
 # float(n), which is exact only up to 2**53.
@@ -146,29 +132,21 @@ class BoundSpec:
         return math.log(2.0 / self.c)
 
 
-def _range_coef(bounds: BoundSpec, range_term_mode: str) -> float:
-    if range_term_mode == "paper-exact":
-        return bounds.product * bounds.product
-    if range_term_mode == "linear-range":
-        return bounds.product
-    raise DomainError(
-        f"range_term_mode must be one of {RANGE_TERM_MODES}, got {range_term_mode!r}"
-    )
-
-
-def bernstein_second_coef(bounds: BoundSpec, range_term_mode: str = "paper-exact") -> float:
-    """The constant C in the deterministic radius term C / (n-1).
-
-    Shared with the scan kernels so every code path evaluates the same
-    float.
-    """
-    return 7.0 * _range_coef(bounds, range_term_mode) * bounds.log_term / 3.0
+def bernstein_second_coef(
+    bounds: BoundSpec, range_term_mode: str = RANGE_TERM_MODES[0]
+) -> float:
+    """The constant C = 7 R ln(2/c) / 3 in the range term C / (n-1)."""
+    if range_term_mode not in RANGE_TERM_MODES:
+        raise DomainError(
+            f"range_term_mode must be one of {RANGE_TERM_MODES}, got {range_term_mode!r}"
+        )
+    return 7.0 * _RANGE_R[range_term_mode](bounds.product) * bounds.log_term / 3.0
 
 
 def bernstein_radius(
-    state: EstimatorState, bounds: BoundSpec, range_term_mode: str = "paper-exact"
+    state: EstimatorState, bounds: BoundSpec, range_term_mode: str = RANGE_TERM_MODES[0]
 ) -> float:
-    """Variance-adaptive two-sided confidence radius at the current n."""
+    """Variance-adaptive radius at the current n (StopRule.bernstein)."""
     if state.n < 2:
         raise InsufficientSamples(f"radius needs n >= 2, have n = {state.n}")
     n = float(state.n)
@@ -178,31 +156,33 @@ def bernstein_radius(
 
 
 def hoeffding_radius(n: int, bounds: BoundSpec) -> float:
-    """Fixed-range confidence radius at sample count n."""
+    """Fixed-range radius at sample count n (StopRule.hoeffding)."""
     if n < 1:
         raise InsufficientSamples(f"radius needs n >= 1, have n = {n}")
     return bounds.product * math.sqrt(bounds.log_term / (2.0 * float(n)))
 
 
 def required_n_hoeffding(gamma: float, bounds: BoundSpec) -> int:
-    """Smallest n whose fixed-range radius is <= gamma.
-
-    Far beyond MAX_SAMPLES, where no campaign gets, the closed form is
-    returned without settling it exactly (float(n) cannot tell
-    neighbouring counts apart there), and MAX_SAMPLES + 1 if it
-    overflows.
-    """
+    """Smallest n whose fixed-range radius is <= gamma; MAX_SAMPLES + 1
+    when no campaign reaches it."""
     if not (math.isfinite(gamma) and gamma > 0.0):
         raise DomainError(f"gamma must be finite and positive, got {gamma}")
     ratio = bounds.product / gamma
-    guess = ratio * ratio * bounds.log_term / 2.0
+    return _smallest_n(
+        ratio * ratio * bounds.log_term / 2.0, 1, lambda n: hoeffding_radius(n, bounds) <= gamma
+    )
+
+
+def _smallest_n(guess: float, lo: int, reached) -> int:
+    """Smallest n >= lo with reached(n), a predicate that holds from some n
+    on, settled from its closed-form guess; MAX_SAMPLES + 1 far beyond
+    MAX_SAMPLES, where float(n) cannot tell neighbouring counts apart."""
     if not guess < 2.0 * MAX_SAMPLES:
-        return math.ceil(guess) if math.isfinite(guess) else MAX_SAMPLES + 1
-    n = max(1, math.ceil(guess))
-    # The closed form can land one off after rounding; settle it exactly.
-    while hoeffding_radius(n, bounds) > gamma:
+        return MAX_SAMPLES + 1
+    n = max(lo, math.ceil(guess))
+    # The rounded closed form can be one off; settle it exactly.
+    while not reached(n):
         n += 1
-    while n > 1 and hoeffding_radius(n - 1, bounds) <= gamma:
+    while n > lo and reached(n - 1):
         n -= 1
     return n
-

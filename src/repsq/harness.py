@@ -68,9 +68,6 @@ from .estimator import (
     BoundSpec,
     MAX_SAMPLES,
     EstimatorState,
-    bernstein_radius,
-    hoeffding_radius,
-    required_n_hoeffding,
 )
 from .quantize import AccuracySpec, Partition, build_partition, compute_alpha, quantize
 from .samplers import AisPolicy, ais_update, mixture_sample_many, proposal_snapshot
@@ -171,6 +168,12 @@ class CampaignConfig:
             w_bar=self.w_bar,
             c=self.accuracy.c,
             joint=self.joint,
+        )
+
+    @property
+    def stop_rule(self) -> _kernels.StopRule:
+        return _kernels.StopRule.for_campaign(
+            self.accuracy.gamma, self.bound_spec, self.range_term_mode, self.n_min
         )
 
     def ais_policy(self) -> AisPolicy:
@@ -462,11 +465,7 @@ def run_quantized_sq(
         raise DomainError(f"chunk_size must be >= 1, got {chunk_size}")
     t0 = time.perf_counter()
     bed = testbed if testbed is not None else config.build_testbed()
-    bounds = config.bound_spec
-    gamma = config.accuracy.gamma
-    rule = _kernels.StopRule.for_campaign(
-        gamma, bounds, config.range_term_mode, config.n_min
-    )
+    rule = config.stop_rule
     kind = config.sampler["kind"]
     sampler = _make_sampler(config, bed)
     ais = isinstance(sampler, _AisSampler)
@@ -491,10 +490,11 @@ def run_quantized_sq(
         evaluated += k
         chunks += 1
         worst = float(np.abs(values).max())
-        if worst > rule.product * _BOUND_SLACK:
+        if not worst <= rule.product * _BOUND_SLACK:  # NaN included
             raise BoundViolation(
-                f"weighted measure {worst:.6g} exceeds the declared bound "
-                f"{rule.product:.6g}; the termination radii are void"
+                f"testbed {config.testbed.get('kind')!r} gave weighted measure "
+                f"{worst:.6g}, outside the declared bound {rule.product:.6g}; "
+                f"the termination radii are void"
             )
         if record_trace:
             trace_parts.append(_kernels.trace_radii(values, state, rule))
@@ -508,8 +508,8 @@ def run_quantized_sq(
     wall = time.perf_counter() - t0
 
     n = state.n
-    bern = bernstein_radius(state, bounds, config.range_term_mode)
-    hoef = hoeffding_radius(n, bounds)
+    bern, hoef = rule.final(state)
+    radius = min(bern, hoef)
     trace = None
     if record_trace:
         cols = [np.concatenate([part[j] for part in trace_parts]) for j in range(5)]
@@ -541,7 +541,7 @@ def run_quantized_sq(
     if not stopped:
         raise NonTerminated(
             f"campaign reached n_max = {config.n_max} with min radius "
-            f"{min(bern, hoef):.6g} still above gamma = {gamma:.6g}",
+            f"{radius:.6g} still above gamma = {rule.gamma:.6g}",
             result=result,
         )
     if cap_violations:
@@ -564,10 +564,10 @@ def run_quantized_sq(
             f"quantized estimate {result.quantized_estimate!r} is not the "
             f"midpoint of its cell {result.cell}"
         )
-    if not min(bern, hoef) <= gamma * _BOUND_SLACK:
+    if not radius <= rule.gamma * _BOUND_SLACK:
         raise ContractViolation(
-            f"campaign stopped at n = {n} with min radius {min(bern, hoef)!r} "
-            f"above gamma = {gamma!r}"
+            f"campaign stopped at n = {n} with min radius {radius!r} "
+            f"above gamma = {rule.gamma!r}"
         )
     return result
 
@@ -919,7 +919,7 @@ def effort_comparison(config: CampaignConfig) -> EffortComparison:
         gamma=gamma,
         n_terminated=result.n,
         terminated_by=by,
-        required_n_hoeffding=required_n_hoeffding(gamma, config.bound_spec),
+        required_n_hoeffding=config.stop_rule.n_hoeffding,
         result=result,
     )
 

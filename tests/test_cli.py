@@ -5,6 +5,7 @@ argparse itself is folded into the returned code so every invocation
 reduces to (exit_code, stdout, stderr).
 """
 
+import argparse
 import csv
 import hashlib
 import json
@@ -21,7 +22,8 @@ import pytest
 from repsq import _kernels, harness
 from repsq import artifact as art_mod
 from repsq.artifact import partition_from_payload
-from repsq.cli import _json_text, main
+from repsq.cli import _json_text, build_parser, main
+from repsq.estimator import RANGE_TERM_MODES
 from repsq.harness import CampaignConfig, initiator
 
 
@@ -346,6 +348,16 @@ class TestEffort:
 
 
 class TestEntryPoints:
+    def test_range_term_mode_choices_are_the_estimator_modes(self):
+        commands = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        for name in ("init", "pairwise", "effort"):
+            flag = next(
+                a for a in commands.choices[name]._actions if a.dest == "range_term_mode"
+            )
+            assert tuple(flag.choices) == RANGE_TERM_MODES
+
     def test_module_invocation_reports_version(self):
         proc = subprocess.run(
             [sys.executable, "-m", "repsq.cli", "--version"],

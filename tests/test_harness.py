@@ -14,9 +14,10 @@ from importlib import resources
 
 import numpy as np
 import pytest
+import scipy.stats
 
+from repsq import _kernels, harness
 from repsq import artifact as art_mod
-from repsq import harness
 from repsq.artifact import (
     build_artifact,
     dump_artifact,
@@ -32,7 +33,7 @@ from repsq.errors import (
     NonTerminated,
     OracleBudgetError,
 )
-from repsq.estimator import MAX_SAMPLES
+from repsq.estimator import MAX_SAMPLES, required_n_hoeffding
 from repsq.harness import (
     CampaignConfig,
     campaign_stream,
@@ -51,6 +52,7 @@ from repsq.testbeds import (
     displacement_testbed,
     moderate_cellular_testbed,
     rare_event_acceptance_testbed,
+    rare_event_testbed,
     tracking_testbed,
 )
 
@@ -480,8 +482,7 @@ class TestRunQuantizedSq:
             run_quantized_sq(cfg, make_partition(cfg), campaign_stream(1, 0, 0))
 
     def test_stop_above_gamma_raises(self, monkeypatch):
-        monkeypatch.setattr(harness, "bernstein_radius", lambda *args: 0.5)
-        monkeypatch.setattr(harness, "hoeffding_radius", lambda *args: 0.5)
+        monkeypatch.setattr(_kernels.StopRule, "final", lambda rule, state: (0.5, 0.5))
         cfg = zero_variance_config()
         with pytest.raises(ContractViolation, match="above gamma"):
             run_quantized_sq(cfg, make_partition(cfg), campaign_stream(1, 0, 0))
@@ -493,6 +494,28 @@ class TestRunQuantizedSq:
         part = make_partition(cfg)
         with pytest.raises(BoundViolation):
             run_quantized_sq(cfg, part, campaign_stream(7, 0, 0))
+
+    def test_nan_measure_raises_bound_violation_at_the_first_chunk(self):
+        # NaN > bound is False, so the check must read "not <= bound".
+        tracking = json.loads(
+            (resources.files("repsq") / "configs" / "tracking_ais.json").read_text()
+        )
+        tracking.update(sampler={"kind": "monte_carlo"}, range_term_mode="linear-range")
+        tracking["bounds"]["w_bar"] = 1.0
+        cfg = CampaignConfig.from_dict(tracking)
+        bed = cfg.build_testbed()
+        chunks = []
+
+        def evaluate_with_nan(points, rng):
+            psi = type(bed).evaluate_many(bed, points, rng)
+            psi[-1] = np.nan
+            chunks.append(len(points))
+            return psi
+
+        bed.evaluate_many = evaluate_with_nan
+        with pytest.raises(BoundViolation, match="testbed 'tracking-sim' gave weighted measure nan"):
+            run_quantized_sq(cfg, make_partition(cfg), campaign_stream(1, 0, 0), testbed=bed)
+        assert len(chunks) == 1
 
     def test_trace_covers_exactly_the_consumed_prefix(self):
         cfg = zero_variance_config()
@@ -762,6 +785,45 @@ class TestPairwiseExperiment:
         with pytest.raises(DomainError):
             pairwise_experiment(rare_config(), 0)
 
+    @staticmethod
+    def small_bound_report(range_term_mode):
+        """200 pairs on a 2-cell bed whose declared bound on |psi*w| is
+        0.02, below 1, where R^2 < R in the range term."""
+        bed = rare_event_testbed(2, 0, masses=[0.01, 0.99], failure_probs=[0.2, 0])
+        cfg = CampaignConfig(
+            accuracy=AccuracySpec(5e-4, 0.05, 0.1),
+            m_low=0.0,
+            m_high=1.0,
+            w_bar=2.0,
+            joint=0.02,
+            sampler={"kind": "importance"},
+            testbed=bed.to_spec(),
+            seed=20260821,
+            range_term_mode=range_term_mode,
+        )
+        return pairwise_experiment(cfg, 200)
+
+    @staticmethod
+    def raw_hit_rate_upper_bound(report):
+        """Two-sided 95% Clopper-Pearson upper bound on P(|raw - r*| <= gamma)."""
+        k, n = report.raw_gamma_hits, report.n_trials
+        return 1.0 if k == n else float(scipy.stats.beta.ppf(0.975, k + 1, n - k))
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="paper-exact puts R^2 in the range term, which is smaller than "
+        "the empirical-Bernstein bound's R when R < 1: 251/400 raw hits, "
+        "upper bound 0.675",
+    )
+    def test_paper_exact_radius_holds_with_a_bound_below_one(self):
+        report = self.small_bound_report("paper-exact")
+        assert self.raw_hit_rate_upper_bound(report) >= 1.0 - 0.05
+
+    def test_linear_range_radius_holds_with_a_bound_below_one(self):
+        report = self.small_bound_report("linear-range")
+        assert report.raw_gamma_hits == report.n_trials == 400
+        assert self.raw_hit_rate_upper_bound(report) >= 1.0 - 0.05
+
 
 class TestEffortComparison:
     def test_zero_variance_anchor_rows(self):
@@ -869,9 +931,11 @@ class TestBundledConfigs:
 
     @pytest.mark.parametrize("name", CELLULAR)
     def test_effort_trace_ends_at_the_result(self, name):
-        comp = effort_comparison(self.config(name))
+        cfg = self.config(name)
+        comp = effort_comparison(cfg)
         res = comp.result
         n, estimate, sigma_hat, bern, hoef, _ = comp.rows()[-1]
+        assert comp.required_n_hoeffding == required_n_hoeffding(comp.gamma, cfg.bound_spec)
         assert (n, estimate, sigma_hat, bern, hoef) == (
             res.n,
             res.raw_estimate,
