@@ -52,6 +52,7 @@ from .errors import (
 )
 from .estimator import RANGE_TERM_MODES
 from .harness import (
+    OFFSET_POLICIES,
     CampaignConfig,
     effort_comparison,
     initiator,
@@ -283,7 +284,7 @@ def _add_campaign_flags(sub, *, offset: bool = True) -> None:
                      default=None, dest="range_term_mode",
                      help="second-order term variant of the adaptive stopping radius")
     if offset:
-        sub.add_argument("--offset-policy", choices=["zero", "uniform-random"],
+        sub.add_argument("--offset-policy", choices=OFFSET_POLICIES,
                          default=None, dest="offset_policy",
                          help="grid offset selection policy")
 

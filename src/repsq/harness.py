@@ -211,7 +211,8 @@ class CampaignConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "CampaignConfig":
         """Parse a JSON-shaped config; a missing field or a field of the
-        wrong JSON type raises DomainError."""
+        wrong JSON type raises DomainError; a missing optional field takes
+        its dataclass default (the class attribute of that name)."""
         d = mapping(d, "campaign config")
         try:
             acc = mapping(d["accuracy"], "accuracy")
@@ -229,10 +230,10 @@ class CampaignConfig:
                 sampler=dict(mapping(d["sampler"], "sampler")),
                 testbed=dict(mapping(d["testbed"], "testbed")),
                 seed=whole(d["seed"], "seed"),
-                offset_policy=d.get("offset_policy", "zero"),
-                n_min=whole(d.get("n_min", 2), "n_min"),
-                n_max=whole(d.get("n_max", 10_000_000), "n_max"),
-                range_term_mode=d.get("range_term_mode", "paper-exact"),
+                offset_policy=d.get("offset_policy", cls.offset_policy),
+                n_min=whole(d.get("n_min", cls.n_min), "n_min"),
+                n_max=whole(d.get("n_max", cls.n_max), "n_max"),
+                range_term_mode=d.get("range_term_mode", cls.range_term_mode),
             )
         except KeyError as exc:
             raise DomainError(f"campaign config missing field {exc.args[0]!r}") from exc

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._fields import flag, mapping, real, reals, whole
+from ._fields import flag, mapping, real, reals
 from .errors import DomainError
 from .samplers import BoxDomain, BoxUniform, DiscreteDistribution
 
@@ -99,7 +99,8 @@ class CellularTestbed:
 
     psi(cell) ~ Bernoulli(failure_probs[cell]); r_star is the exact
     enumerated sum of mass * failure probability. Ships a companion
-    proposal with provably bounded target/proposal mass ratio.
+    proposal that covers every cell with target mass; the cap on the
+    mass ratio is declared once, in the campaign config's bounds.
     """
 
     kind = "cellular-bernoulli"
@@ -109,7 +110,6 @@ class CellularTestbed:
         masses: Sequence[float],
         failure_probs: Sequence[float],
         proposal_masses: Sequence[float],
-        w_bar: float,
     ) -> None:
         p = np.asarray(masses, dtype=np.float64)
         f = np.asarray(failure_probs, dtype=np.float64)
@@ -121,15 +121,8 @@ class CellularTestbed:
         self.target = DiscreteDistribution(p)
         self.proposal = DiscreteDistribution(q)
         self.failure_probs = f
-        ratios = np.divide(p, q, out=np.zeros_like(p), where=q > 0.0)
         if np.any((q == 0.0) & (p > 0.0)):
             raise DomainError("proposal must cover every cell with target mass")
-        max_ratio = float(np.max(ratios))
-        if max_ratio > w_bar:
-            raise DomainError(
-                f"declared w_bar {w_bar} below actual max mass ratio {max_ratio}"
-            )
-        self.w_bar = float(w_bar)
         self.m_low = 0.0
         self.m_high = 1.0
         self.oracle_se = 0.0
@@ -164,7 +157,6 @@ class CellularTestbed:
             "masses": [float(v) for v in self.target.masses],
             "failure_probs": [float(v) for v in self.failure_probs],
             "proposal_masses": [float(v) for v in self.proposal.masses],
-            "w_bar": self.w_bar,
             "m_low": self.m_low,
             "m_high": self.m_high,
         }
@@ -175,7 +167,6 @@ class CellularTestbed:
             reals(spec["masses"], "masses"),
             reals(spec["failure_probs"], "failure_probs"),
             reals(spec["proposal_masses"], "proposal_masses"),
-            real(spec["w_bar"], "w_bar"),
         )
 
 
@@ -220,10 +211,7 @@ def rare_event_testbed(K: int, seed, *,
             raise DomainError(
                 f"r_target {r_target} unreachable: risky cells carry too little mass"
             )
-    q = _companion_proposal(p, f, proposal_mass_on_risky)
-    ratios = p[q > 0] / q[q > 0]
-    w_bar = float(2.0 ** math.ceil(math.log2(max(float(np.max(ratios)), 1.0))))
-    return CellularTestbed(p, f, q, w_bar)
+    return CellularTestbed(p, f, _companion_proposal(p, f, proposal_mass_on_risky))
 
 
 def _companion_proposal(p: np.ndarray, f: np.ndarray, q_risky: float) -> np.ndarray:
@@ -255,7 +243,7 @@ def rare_event_acceptance_testbed() -> CellularTestbed:
     weighted measures are either 0 or r_star/0.998 and campaigns
     terminate in tens of samples with estimates tightly packed around
     r_star. The safe-cell mass ratio is just under 500, hence the
-    declared ratio cap 512.
+    bundled config's weight cap 512.
     """
     risky = _power_law_masses(5, 3.2e-8)
     safe = _power_law_masses(35, 1.0 - 3.2e-8)
@@ -263,7 +251,7 @@ def rare_event_acceptance_testbed() -> CellularTestbed:
     f = np.concatenate([np.ones(5), np.zeros(35)])
     q = np.concatenate([0.998 * risky / risky.sum(), 0.002 * safe / safe.sum()])
     q /= math.fsum(q.tolist())
-    return CellularTestbed(p, f, q, 512.0)
+    return CellularTestbed(p, f, q)
 
 
 def moderate_cellular_testbed() -> CellularTestbed:
@@ -277,7 +265,7 @@ def moderate_cellular_testbed() -> CellularTestbed:
     f = np.concatenate([np.full(10, 0.5), np.zeros(20)])
     q = np.concatenate([0.5 * risky / risky.sum(), 0.5 * safe / safe.sum()])
     q /= math.fsum(q.tolist())
-    return CellularTestbed(p, f, q, 2.0)
+    return CellularTestbed(p, f, q)
 
 
 def convergence_study_testbed() -> CellularTestbed:
@@ -307,16 +295,7 @@ def convergence_study_testbed() -> CellularTestbed:
     # nudge q_heavy off the exact power-of-two relation with p_heavy.
     q_light = light * ((1.0 - q_heavy) / math.fsum(light.tolist()))
     q = np.concatenate([[q_heavy], q_light])
-    return CellularTestbed(p, f, q, 512.0)
-
-
-def _oracle_seed(value) -> int:
-    """An oracle seed: a non-negative integer, as np.random.default_rng
-    requires (a numpy integer is accepted too)."""
-    seed = int(value) if isinstance(value, np.integer) else whole(value, "oracle_seed")
-    if seed < 0:
-        raise DomainError(f"oracle_seed must be a non-negative integer, got {seed}")
-    return seed
+    return CellularTestbed(p, f, q)
 
 
 class DisplacementTestbed:
@@ -329,24 +308,18 @@ class DisplacementTestbed:
     safety net, not an operating regime.
 
     The oracle is exact and draws nothing, so oracle_se is 0.
-    oracle_seed is kept only so that descriptors, bundled configs and
-    sealed artifacts that carry it stay valid; the oracle does not read
-    it.
     """
 
     kind = "displacement-field"
 
-    def __init__(self, oracle_seed=0, *, noise: bool = True,
-                 mean_constant: float | None = None) -> None:
+    def __init__(self, *, noise: bool = True, mean_constant: float | None = None) -> None:
         if mean_constant is not None and not 0.0 <= mean_constant <= 6.0:
             raise DomainError(f"mean_constant must lie in [0, 6], got {mean_constant}")
-        self.oracle_seed = _oracle_seed(oracle_seed)
         self.noise = bool(noise)
         self.mean_constant = mean_constant
         self.domain = BoxDomain([0.0, 0.0], [1.0, 1.0])
         self.target = BoxUniform(self.domain)
         self.proposal = None
-        self.w_bar = 1.0
         self.m_low = 0.0
         self.m_high = 6.0
         self.oracle_se = 0.0
@@ -381,7 +354,6 @@ class DisplacementTestbed:
     def to_spec(self) -> dict:
         return {
             "kind": self.kind,
-            "oracle_seed": self.oracle_seed,
             "noise": self.noise,
             "mean_constant": self.mean_constant,
             "m_low": self.m_low,
@@ -392,15 +364,14 @@ class DisplacementTestbed:
     def from_spec(cls, spec: dict) -> "DisplacementTestbed":
         mean_constant = spec["mean_constant"]
         return cls(
-            spec["oracle_seed"],
             noise=flag(spec["noise"], "noise"),
             mean_constant=None if mean_constant is None else real(mean_constant, "mean_constant"),
         )
 
 
-def displacement_testbed(seed=0, *, noise: bool = True,
+def displacement_testbed(*, noise: bool = True,
                          mean_constant: float | None = None) -> DisplacementTestbed:
-    return DisplacementTestbed(seed, noise=noise, mean_constant=mean_constant)
+    return DisplacementTestbed(noise=noise, mean_constant=mean_constant)
 
 
 class TrackingTestbed:
@@ -434,28 +405,22 @@ class TrackingTestbed:
     number: the gap between the 48- and 32-node rules plus the
     floating-point bound n^3 eps r_star on the 48^3-term sum. It is
     positive (except on a bed whose loss is identically 0) and far
-    below 1e-9. oracle_seed is kept only so that descriptors, bundled
-    configs and sealed artifacts that carry it stay valid; the oracle
-    does not read it.
+    below 1e-9.
     """
 
     kind = "tracking-sim"
 
-    def __init__(self, sim_gap: float = 0.0, oracle_seed=0, *,
-                 bias_gain: float = 0.05, noise_base: float = 0.005,
-                 noise_slope: float = 0.02, zero_noise: bool = False) -> None:
+    def __init__(self, sim_gap: float = 0.0, *, bias_gain: float = 0.05,
+                 noise_base: float = 0.005, noise_slope: float = 0.02) -> None:
         if sim_gap < 0.0:
             raise DomainError(f"sim_gap must be nonnegative, got {sim_gap}")
         self.sim_gap = float(sim_gap)
-        self.oracle_seed = _oracle_seed(oracle_seed)
-        self.zero_noise = bool(zero_noise)
-        self.bias_gain = 0.0 if zero_noise else float(bias_gain)
-        self.noise_base = 0.0 if zero_noise else float(noise_base)
-        self.noise_slope = 0.0 if zero_noise else float(noise_slope)
+        self.bias_gain = float(bias_gain)
+        self.noise_base = float(noise_base)
+        self.noise_slope = float(noise_slope)
         self.domain = BoxDomain([-0.3] * 3, [0.3] * 3)
         self.target = BoxUniform(self.domain)
         self.proposal = None
-        self.w_bar = 1.0
         self.m_low = 0.0
         self.m_high = 1.0
 
@@ -523,10 +488,7 @@ class TrackingTestbed:
         return float(np.sum(vals))
 
     def _oracle(self):
-        if self.zero_noise:
-            return 0.0, 0.0
-        key = (self.kind, self.sim_gap, self.bias_gain, self.noise_base,
-               self.noise_slope, self.zero_noise)
+        key = (self.kind, self.sim_gap, self.bias_gain, self.noise_base, self.noise_slope)
         if key not in _oracle_cache:
             mean = self._octant_mean(_QUADRATURE_NODES)
             gap = abs(mean - self._octant_mean(_CHECK_NODES))
@@ -546,31 +508,25 @@ class TrackingTestbed:
         return {
             "kind": self.kind,
             "sim_gap": self.sim_gap,
-            "oracle_seed": self.oracle_seed,
             "bias_gain": self.bias_gain,
             "noise_base": self.noise_base,
             "noise_slope": self.noise_slope,
-            "zero_noise": self.zero_noise,
             "m_low": self.m_low,
             "m_high": self.m_high,
         }
 
     @classmethod
     def from_spec(cls, spec: dict) -> "TrackingTestbed":
-        bed = cls(
+        return cls(
             real(spec["sim_gap"], "sim_gap"),
-            spec["oracle_seed"],
-            zero_noise=flag(spec["zero_noise"], "zero_noise"),
+            bias_gain=real(spec["bias_gain"], "bias_gain"),
+            noise_base=real(spec["noise_base"], "noise_base"),
+            noise_slope=real(spec["noise_slope"], "noise_slope"),
         )
-        if not bed.zero_noise:
-            bed.bias_gain = real(spec["bias_gain"], "bias_gain")
-            bed.noise_base = real(spec["noise_base"], "noise_base")
-            bed.noise_slope = real(spec["noise_slope"], "noise_slope")
-        return bed
 
 
-def tracking_testbed(sim_gap: float = 0.0, seed=0, *, zero_noise: bool = False) -> TrackingTestbed:
-    return TrackingTestbed(sim_gap, seed, zero_noise=zero_noise)
+def tracking_testbed(sim_gap: float = 0.0) -> TrackingTestbed:
+    return TrackingTestbed(sim_gap)
 
 
 _KINDS = {

@@ -37,7 +37,7 @@ from repsq.samplers import (
     beta_density,
     fit_beta,
 )
-from repsq.testbeds import displacement_testbed, tracking_testbed
+from repsq.testbeds import TrackingTestbed, displacement_testbed, tracking_testbed
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -574,7 +574,7 @@ class TestClampTelemetry:
     def test_campaign_without_weight_keeps_its_proposal(self):
         # A loss that is identically 0 gives every refit zero weight: the
         # proposal stays as initialised and each refit counts as clamped.
-        bed = tracking_testbed(zero_noise=True)
+        bed = TrackingTestbed(bias_gain=0.0, noise_base=0.0, noise_slope=0.0)
         cfg = CampaignConfig(
             accuracy=AccuracySpec(0.04, 0.05, 0.1), m_low=0.0, m_high=1.0, w_bar=10.0,
             joint=None, sampler={"kind": "ais", "mix_p": 0.1, "d": 10, "init_shape": 0.99},

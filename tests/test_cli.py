@@ -10,11 +10,13 @@ import csv
 import hashlib
 import json
 import math
+import os
 import platform
 import shutil
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -357,12 +359,23 @@ class TestEntryPoints:
                 a for a in commands.choices[name]._actions if a.dest == "range_term_mode"
             )
             assert tuple(flag.choices) == RANGE_TERM_MODES
+        for name in ("init", "pairwise"):
+            flag = next(
+                a for a in commands.choices[name]._actions if a.dest == "offset_policy"
+            )
+            assert tuple(flag.choices) == harness.OFFSET_POLICIES
 
     def test_module_invocation_reports_version(self):
+        # The subprocess does not see pytest's pythonpath setting, so it
+        # gets the package's parent directory on PYTHONPATH itself.
+        src = str(Path(harness.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run(
             [sys.executable, "-m", "repsq.cli", "--version"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "repsq 0.1.0"

@@ -95,7 +95,7 @@ def moderate_config(sampler_kind="monte_carlo", seed=7, **overrides) -> Campaign
 
 
 def zero_variance_config(seed=1) -> CampaignConfig:
-    bed = displacement_testbed(0, noise=False, mean_constant=0.02)
+    bed = displacement_testbed(noise=False, mean_constant=0.02)
     return CampaignConfig(
         accuracy=AccuracySpec(0.1, 0.05, 0.1),
         m_low=0.0,
@@ -245,6 +245,16 @@ class TestCampaignConfig:
         with pytest.raises(DomainError, match=field):
             CampaignConfig.from_dict(d)
 
+    def test_missing_optional_fields_take_the_dataclass_defaults(self):
+        d = rare_config(offset_policy="uniform-random", n_min=5, n_max=1000,
+                        range_term_mode="linear-range").to_dict()
+        for key in ("offset_policy", "n_min", "n_max", "range_term_mode"):
+            del d[key]
+        cfg = CampaignConfig.from_dict(d)
+        for f in dataclasses.fields(CampaignConfig):
+            if f.default is not dataclasses.MISSING:
+                assert getattr(cfg, f.name) == f.default
+
     def test_integral_float_count_is_accepted(self):
         d = rare_config().to_dict()
         d["n_max"] = 1e6
@@ -302,7 +312,7 @@ class TestCampaignConfig:
 
 class TestRunQuantizedSq:
     def test_huge_gamma_terminates_at_floor(self):
-        bed = CellularTestbed([0.99, 0.01], [0.0, 3e-6], [0.99, 0.01], 1.0)
+        bed = CellularTestbed([0.99, 0.01], [0.0, 3e-6], [0.99, 0.01])
         cfg = CampaignConfig(
             accuracy=AccuracySpec(1.0, 0.05, 0.1),
             m_low=0.0,
@@ -318,7 +328,7 @@ class TestRunQuantizedSq:
         assert res.terminated
 
     def test_n_min_floor_is_respected(self):
-        bed = CellularTestbed([0.99, 0.01], [0.0, 3e-6], [0.99, 0.01], 1.0)
+        bed = CellularTestbed([0.99, 0.01], [0.0, 3e-6], [0.99, 0.01])
         cfg = CampaignConfig(
             accuracy=AccuracySpec(1.0, 0.05, 0.1),
             m_low=0.0,
@@ -339,7 +349,7 @@ class TestRunQuantizedSq:
         # bit for bit.
         p = [0.55, 0.25, 0.2]
         f = [0.1, 0.4, 0.05]
-        bed = CellularTestbed(p, f, p, 1.0)
+        bed = CellularTestbed(p, f, p)
         common = dict(
             accuracy=AccuracySpec(0.02, 0.05, 0.1),
             m_low=0.0,
@@ -847,7 +857,7 @@ class TestEffortComparison:
         # Bernoulli(0.5) values with product 1: the variance term of the
         # adaptive radius equals the fixed-range radius, so the extra
         # deterministic term keeps it strictly larger at every n.
-        bed = CellularTestbed([0.5, 0.5], [0.5, 0.5], [0.5, 0.5], 1.0)
+        bed = CellularTestbed([0.5, 0.5], [0.5, 0.5], [0.5, 0.5])
         cfg = CampaignConfig(
             accuracy=AccuracySpec(0.05, 0.05, 0.1),
             m_low=0.0,

@@ -39,7 +39,6 @@ CONFIG_REQUIRED = [
     ("seed",),
     ("testbed",),
     ("testbed", "kind"),
-    ("testbed", "oracle_seed"),
     ("testbed", "noise"),
     ("testbed", "mean_constant"),
 ]
@@ -80,6 +79,33 @@ FORMAT_2_ARTIFACT = {
         "noise": False,
         "oracle_seed": 0,
     },
+}
+
+# A format-3 artifact of the bundled zero_variance config, as written
+# while testbed descriptors still carried oracle_seed.
+FORMAT_3_ARTIFACT = {
+    "checksum": "f5c4c53094d271cec7d38815c5bb85d37a5f3fbc3035406f9d7b9e5026e11328",
+    "config": {
+        "accuracy": {"beta": 0.1, "c": 0.05, "gamma": 0.1},
+        "bounds": {"joint": 1.0, "w_bar": 1.0},
+        "interval": {"m_high": 6.0, "m_low": 0.0},
+        "n_max": 10000,
+        "n_min": 2,
+        "offset_policy": "zero",
+        "range_term_mode": "paper-exact",
+        "sampler": {"kind": "monte_carlo"},
+        "testbed": {
+            "kind": "displacement-field",
+            "m_high": 6.0,
+            "m_low": 0.0,
+            "mean_constant": 0.02,
+            "noise": False,
+            "oracle_seed": 0,
+        },
+    },
+    "format_version": "repsq-artifact-3",
+    "grid": {"alpha": 0.18947368421052643, "n_cells": 32, "offset": 0.0},
+    "rng_algorithm": "numpy-pcg64-ss1",
 }
 
 # Strings of letters never parse as finite numbers, so a string standing
@@ -219,11 +245,6 @@ class TestMalformedConfig:
         assert code == 1
         assert "campaign config must be an object" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["zero_variance", "tracking_ais"])
-    def test_negative_oracle_seed_exits_1(self, workdir, name):
-        cfg = json.loads((resources.files("repsq") / "configs" / f"{name}.json").read_text())
-        assert init_code(edited(cfg, ("testbed", "oracle_seed"), -1), workdir) == 1
-
     @FUZZ
     @given(
         cfg=malformed(
@@ -279,9 +300,12 @@ class TestMalformedArtifact:
     def test_content_a_config_cannot_hold_exits_4(self, workdir, artifact, path, value, drop):
         assert replicate_code(edited(artifact, path, value, drop), workdir) == 4
 
-    def test_format_2_artifact_exits_4(self, workdir, capsys):
-        assert replicate_code(FORMAT_2_ARTIFACT, workdir, reseal=False) == 4
-        assert "repsq-artifact-2" in capsys.readouterr().err
+    @pytest.mark.parametrize("old", [FORMAT_2_ARTIFACT, FORMAT_3_ARTIFACT],
+                             ids=["format-2", "format-3"])
+    def test_retired_format_artifact_exits_4(self, workdir, capsys, old):
+        assert art_mod.artifact_checksum(old) == old["checksum"]
+        assert replicate_code(old, workdir, reseal=False) == 4
+        assert old["format_version"] in capsys.readouterr().err
 
     def test_resealed_original_still_runs(self, workdir, artifact):
         assert replicate_code(artifact, workdir) == 0

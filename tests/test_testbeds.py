@@ -14,6 +14,7 @@ noncentral chi-square Monte Carlo, a finer rule and the mean of the
 evaluator's draws over the box.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -29,7 +30,9 @@ import pytest
 from scipy import stats
 
 import repsq.testbeds as testbeds_mod
-from repsq.errors import DomainError
+from repsq.errors import BoundViolation, DomainError
+from repsq.harness import CampaignConfig
+from repsq.quantize import AccuracySpec
 from repsq.testbeds import (
     TRAJECTORY_STEPS,
     CellularTestbed,
@@ -115,7 +118,16 @@ class TestCellularTestbed:
         q = bed.proposal.masses
         covered = q > 0
         assert np.all(covered | (p == 0))
-        assert float(np.max(p[covered] / q[covered])) <= bed.w_bar
+        # The campaign config declares the cap: one at the worst mass
+        # ratio holds, one below it is refused.
+        worst = float(np.max(p[covered] / q[covered]))
+        cfg = CampaignConfig(
+            accuracy=AccuracySpec(1e-8, 0.05, 0.1), m_low=0.0, m_high=1.0, w_bar=worst,
+            joint=None, sampler={"kind": "importance"}, testbed=bed.to_spec(), seed=0,
+        )
+        cfg.build_testbed()
+        with pytest.raises(BoundViolation):
+            dataclasses.replace(cfg, w_bar=worst * (1.0 - 1e-6)).build_testbed()
 
     def test_generation_is_seed_deterministic(self):
         a = rare_event_testbed(60, 3)
@@ -130,7 +142,7 @@ class TestCellularTestbed:
         assert bed.oracle_r_star == pytest.approx(3.2e-8, rel=1e-12)
         assert bed.max_weighted_measure() == pytest.approx(3.2e-8 / 0.998, rel=1e-12)
         ratios = bed.target.masses / bed.proposal.masses
-        assert float(np.max(ratios)) <= bed.w_bar == 512.0
+        assert float(np.max(ratios)) <= 512.0
 
     def test_moderate_fixture_numbers(self):
         bed = moderate_cellular_testbed()
@@ -163,11 +175,9 @@ class TestCellularTestbed:
 
     def test_construction_guards(self):
         with pytest.raises(DomainError):
-            CellularTestbed([0.5, 0.5], [0.0, 1.5], [0.5, 0.5], 10.0)
+            CellularTestbed([0.5, 0.5], [0.0, 1.5], [0.5, 0.5])
         with pytest.raises(DomainError):
-            CellularTestbed([0.5, 0.5], [0.0, 1.0], [1.0, 0.0], 10.0)
-        with pytest.raises(DomainError):
-            CellularTestbed([0.9, 0.1], [0.0, 1.0], [0.5, 0.5], 1.0)
+            CellularTestbed([0.5, 0.5], [0.0, 1.0], [1.0, 0.0])
         with pytest.raises(DomainError):
             rare_event_testbed(1, 0)
 
@@ -193,9 +203,6 @@ class TestDisplacementTestbed:
         first = displacement_testbed().oracle_r_star
         assert displacement_testbed().oracle_r_star == first
 
-    def test_independent_oracle_seeds_agree(self):
-        assert displacement_testbed(0).oracle_r_star == displacement_testbed(1).oracle_r_star
-
     @pytest.mark.parametrize("constant", [0.3, 5.9])
     def test_clipped_oracle_matches_simulation(self, constant):
         # The noise reaches below 0 (or above 6), where the clip binds.
@@ -214,24 +221,24 @@ class TestDisplacementTestbed:
         assert np.all((vals >= 0.0) & (vals <= 6.0))
 
     def test_spec_round_trip(self):
-        bed = displacement_testbed(4, noise=False, mean_constant=0.02)
+        bed = displacement_testbed(noise=False, mean_constant=0.02)
         back = build_from_spec(bed.to_spec())
         assert back.oracle_r_star == bed.oracle_r_star
         assert back.to_spec() == bed.to_spec()
 
-    def test_negative_oracle_seed_is_rejected(self):
-        spec = dict(displacement_testbed().to_spec(), oracle_seed=-1)
-        with pytest.raises(DomainError, match="oracle_seed"):
-            build_from_spec(spec)
-
 
 class TestTrackingTestbed:
     def test_zero_noise_config(self):
-        bed = tracking_testbed(zero_noise=True)
+        # A noise-free bed is the three noise fields at 0: its loss is 0,
+        # it draws nothing and its oracle is exact.
+        bed = TrackingTestbed(0.4, bias_gain=0.0, noise_base=0.0, noise_slope=0.0)
         rng = np.random.default_rng(74)
-        vals = bed.evaluate_many(bed.target.sample_many(rng, 1000), rng)
+        x = bed.target.sample_many(rng, 1000)
+        state = rng.bit_generator.state
+        vals = bed.evaluate_many(x, rng)
+        assert rng.bit_generator.state == state
         assert np.all(vals == 0.0)
-        assert bed.oracle_r_star == 0.0
+        assert (bed.oracle_r_star, bed.oracle_se) == (0.0, 0.0)
 
     def test_losses_grow_with_command_magnitude(self):
         bed = tracking_testbed()
@@ -265,14 +272,12 @@ class TestTrackingTestbed:
         sim_se = float(np.std(sims)) / math.sqrt(sims.size)
         assert abs(sim_mean - bed.oracle_r_star) < 4 * math.hypot(sim_se, bed.oracle_se)
 
-    def test_oracle_determinism_and_seed_independence(self):
-        a = tracking_testbed(0.0, 0)
+    def test_oracle_is_deterministic(self):
+        a = tracking_testbed(0.0)
         first = a.oracle_r_star
-        key = (a.kind, a.sim_gap, a.bias_gain, a.noise_base, a.noise_slope, a.zero_noise)
+        key = (a.kind, a.sim_gap, a.bias_gain, a.noise_base, a.noise_slope)
         testbeds_mod._oracle_cache.pop(key)
-        assert tracking_testbed(0.0, 0).oracle_r_star == first
-        testbeds_mod._oracle_cache.pop(key)
-        assert tracking_testbed(0.0, 1).oracle_r_star == first
+        assert tracking_testbed(0.0).oracle_r_star == first
 
     def test_simulate_composes_with_loss(self):
         bed = tracking_testbed()
@@ -291,23 +296,19 @@ class TestTrackingTestbed:
             tracking_testbed(-0.1)
 
     def test_spec_round_trip(self):
-        bed = tracking_testbed(0.5, 9)
+        bed = tracking_testbed(0.5)
         back = build_from_spec(bed.to_spec())
         assert back.to_spec() == bed.to_spec()
 
-    def test_negative_oracle_seed_is_rejected(self):
-        spec = dict(tracking_testbed().to_spec(), oracle_seed=-3)
-        with pytest.raises(DomainError, match="oracle_seed"):
-            build_from_spec(spec)
-
-    @pytest.mark.parametrize("sim_gap,zero_noise", [(0.0, False), (0.7, False), (0.0, True)])
-    def test_evaluation_matches_the_direct_expression(self, sim_gap, zero_noise):
+    @pytest.mark.parametrize("sim_gap,noise_free", [(0.0, False), (0.7, False), (0.0, True)])
+    def test_evaluation_matches_the_direct_expression(self, sim_gap, noise_free):
         # Bitwise against the exact law written out with fresh
         # temporaries: np.linalg.norm, then sigma^2 times one noncentral
         # chi-square(450, (sqrt(150) b r / sigma)^2) draw per command, one
         # command at a time, and nothing else drawn. A noise-free bed
         # draws nothing and its loss is exactly 0.
-        bed = tracking_testbed(sim_gap, zero_noise=zero_noise)
+        bed = (TrackingTestbed(sim_gap, bias_gain=0.0, noise_base=0.0, noise_slope=0.0)
+               if noise_free else tracking_testbed(sim_gap))
         rng = np.random.default_rng(83)
         for n in (1, 7, 10, 64):
             x = bed.target.sample_many(rng, n)
@@ -318,7 +319,7 @@ class TestTrackingTestbed:
             norms = np.linalg.norm(x, axis=1)
             sigma = bed._noise_scale(norms)
             shift = norms * (math.sqrt(TRAJECTORY_STEPS) * bed.bias_gain)
-            if zero_noise:
+            if noise_free:
                 total = shift * shift
             else:
                 total = np.array([
@@ -328,7 +329,7 @@ class TestTrackingTestbed:
             want = -np.expm1(-6.0 * total)
             assert got.tobytes() == want.tobytes()
             assert rng.bit_generator.state == after
-            if zero_noise:
+            if noise_free:
                 assert not got.any()
 
     def test_noise_free_commands_draw_nothing(self):
@@ -490,8 +491,7 @@ class TestExactTrackingOracle:
         # A sample-based oracle peaks above 100 MB; the quadrature needs
         # a few arrays of 48^3 values.
         bed = tracking_testbed(0.3)
-        key = (bed.kind, bed.sim_gap, bed.bias_gain, bed.noise_base, bed.noise_slope,
-               bed.zero_noise)
+        key = (bed.kind, bed.sim_gap, bed.bias_gain, bed.noise_base, bed.noise_slope)
         testbeds_mod._oracle_cache.pop(key, None)
         tracemalloc.start()
         try:
@@ -521,15 +521,6 @@ class TestExactTrackingOracle:
         out = json.loads(proc.stdout.strip().splitlines()[-1])
         assert out["before"] is False and out["after"] is True
         assert out["r_star"] == tracking_testbed().oracle_r_star.hex()
-
-
-class TestOracleSeedValidation:
-    @pytest.mark.parametrize("seed", [-1, 1.5, True])
-    @pytest.mark.parametrize("factory", [displacement_testbed, tracking_testbed],
-                             ids=["displacement", "tracking"])
-    def test_bad_seed_is_a_domain_error(self, factory, seed):
-        with pytest.raises(DomainError, match="oracle_seed"):
-            factory(seed=seed)
 
 
 class TestConvergenceStudyBed:
@@ -565,10 +556,23 @@ class TestConvergenceStudyBed:
         back = build_from_spec(bed.to_spec())
         assert np.array_equal(back.target.masses, bed.target.masses)
         assert np.array_equal(back.proposal.masses, bed.proposal.masses)
-        assert back.w_bar == bed.w_bar
+        assert back.to_spec() == bed.to_spec()
+
+
+WORKLOADS = sorted((Path(__file__).resolve().parents[1] / "campaign_bench" / "workloads").glob("*.json"))
 
 
 class TestSpecDispatch:
+    @pytest.mark.parametrize("path", WORKLOADS, ids=lambda p: p.stem)
+    def test_frozen_workloads_describe_their_source_beds(self, path):
+        # The benchmark workloads were frozen while descriptors still
+        # carried oracle_seed, zero_noise and a cellular w_bar; the reader
+        # ignores those keys, so each workload builds its source's bed.
+        workload = json.loads(path.read_text())
+        source = json.loads((path.parents[2] / workload["source"]).read_text())
+        assert (build_from_spec(workload["config"]["testbed"]).to_spec()
+                == build_from_spec(source["testbed"]).to_spec())
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(DomainError):
             build_from_spec({"kind": "unheard-of"})
