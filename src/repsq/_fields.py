@@ -25,6 +25,11 @@ def real(value, name: str) -> float:
     raise DomainError(f"{name} must be a number, got {value!r}")
 
 
+def real_or_null(value, name: str) -> float | None:
+    """A JSON number, as a float, or null, as None."""
+    return None if value is None else real(value, name)
+
+
 def reals(value, name: str) -> np.ndarray:
     """A JSON array of numbers, as a float64 vector."""
     try:

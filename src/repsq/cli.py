@@ -219,15 +219,7 @@ def cmd_pairwise(args) -> int:
     config, config_path = _load_config(args)
     out = _prepare_out(args)
     report = pairwise_experiment(config, args.pairs)
-    header = [
-        "pair_id",
-        "arm",
-        "raw_estimate",
-        "quantized_estimate",
-        "n",
-        "sigma_hat",
-        "repeat",
-    ]
+    header = list(report.rows[0])
     rows = [[row[k] for k in header] for row in report.rows]
     _atomic_write(out / "pairs.csv", _csv_text(header, rows))
     _atomic_write(out / "report.json", _json_text(report.to_dict()))

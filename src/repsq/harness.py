@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from ._fields import mapping, real, whole
+from ._fields import mapping, real, real_or_null, whole
 from .artifact import (
     RNG_ALGORITHM,
     build_artifact,
@@ -71,7 +71,7 @@ from .estimator import (
 )
 from .quantize import AccuracySpec, Partition, build_partition, compute_alpha, quantize
 from .samplers import AisPolicy, ais_update, mixture_sample_many, proposal_snapshot
-from .testbeds import testbed_from_spec
+from .testbeds import testbed_class, testbed_from_spec
 
 __all__ = [
     "SAMPLER_KINDS",
@@ -92,7 +92,6 @@ __all__ = [
     "convergence_study",
 ]
 
-SAMPLER_KINDS = ("monte_carlo", "importance", "ais")
 OFFSET_POLICIES = ("zero", "uniform-random")
 
 INITIATOR_ARM = 0
@@ -109,6 +108,14 @@ _BOUND_SLACK = 1.0 + 1e-9
 # The AIS sampler fields and their readers; a missing field takes the
 # AisPolicy default.
 _AIS_FIELDS = {"mix_p": real, "d": whole, "l_r": real, "init_shape": real}
+# Each sampler kind and the fields it reads besides ``kind``.
+_SAMPLER_FIELDS = {"monte_carlo": {}, "importance": {}, "ais": _AIS_FIELDS}
+SAMPLER_KINDS = tuple(_SAMPLER_FIELDS)
+# Fields of a result record that its to_dict leaves out: wall time
+# (timings belong in the run manifest, so result files stay byte-stable),
+# the per-sample and per-pair tables (written as CSV files of their own)
+# and the campaign an effort comparison was taken from.
+_UNRECORDED = ("trace", "wall_time_s", "rows", "result")
 
 
 @dataclass(frozen=True)
@@ -116,9 +123,11 @@ class CampaignConfig:
     """Everything a campaign needs, in one serializable bundle.
 
     ``sampler`` and ``testbed`` are plain JSON-shaped dicts (the
-    testbed dict is whatever the testbed's to_spec produced). The
-    declared interval must match the testbed's declared measure range;
-    the bound m is always m_high - m_low.
+    testbed dict is whatever the testbed's to_spec produced). A sampler
+    key its kind does not read is rejected; a testbed key its kind does
+    not read is ignored and left out of ``to_dict``. The declared
+    interval must match the testbed's declared measure range; the bound
+    m is always m_high - m_low.
     """
 
     accuracy: AccuracySpec
@@ -147,8 +156,11 @@ class CampaignConfig:
                 f"got {self.range_term_mode!r}"
             )
         kind = self.sampler.get("kind") if isinstance(self.sampler, dict) else None
-        if kind not in SAMPLER_KINDS:
+        if not isinstance(kind, str) or kind not in _SAMPLER_FIELDS:
             raise DomainError(f"sampler kind must be one of {SAMPLER_KINDS}, got {kind!r}")
+        unread = sorted(k for k in self.sampler if k != "kind" and k not in _SAMPLER_FIELDS[kind])
+        if unread:
+            raise DomainError(f"{kind} sampler does not read {unread}")
         if kind == "ais":
             self.ais_policy()  # validates the policy fields up front
         _check_seed(self.seed)
@@ -191,6 +203,7 @@ class CampaignConfig:
         return bed
 
     def to_dict(self) -> dict:
+        sealed = ("kind", "m_low", "m_high", *testbed_class(self.testbed).fields)
         return {
             "accuracy": {
                 "gamma": self.accuracy.gamma,
@@ -200,7 +213,7 @@ class CampaignConfig:
             "interval": {"m_low": self.m_low, "m_high": self.m_high},
             "bounds": {"w_bar": self.w_bar, "joint": self.joint},
             "sampler": dict(self.sampler),
-            "testbed": dict(self.testbed),
+            "testbed": {k: v for k, v in self.testbed.items() if k in sealed},
             "seed": self.seed,
             "offset_policy": self.offset_policy,
             "n_min": self.n_min,
@@ -218,7 +231,6 @@ class CampaignConfig:
             acc = mapping(d["accuracy"], "accuracy")
             interval = mapping(d["interval"], "interval")
             bounds = mapping(d.get("bounds", {}), "bounds")
-            joint = bounds.get("joint")
             return cls(
                 accuracy=AccuracySpec(
                     real(acc["gamma"], "gamma"), real(acc["c"], "c"), real(acc["beta"], "beta")
@@ -226,7 +238,7 @@ class CampaignConfig:
                 m_low=real(interval["m_low"], "m_low"),
                 m_high=real(interval["m_high"], "m_high"),
                 w_bar=real(bounds.get("w_bar", 1.0), "w_bar"),
-                joint=None if joint is None else real(joint, "joint"),
+                joint=real_or_null(bounds.get("joint"), "joint"),
                 sampler=dict(mapping(d["sampler"], "sampler")),
                 testbed=dict(mapping(d["testbed"], "testbed")),
                 seed=whole(d["seed"], "seed"),
@@ -251,7 +263,7 @@ def _check_sampler_bounds(config: CampaignConfig, testbed) -> None:
     if kind == "monte_carlo":
         return  # weights are identically 1 <= w_bar
     if kind == "importance":
-        q = getattr(testbed, "proposal", None)
+        q = testbed.proposal
         if q is None or not hasattr(q, "masses"):
             return  # falls back to q = target; weights identically 1
         p = testbed.target.masses
@@ -265,7 +277,7 @@ def _check_sampler_bounds(config: CampaignConfig, testbed) -> None:
             )
         return
     if kind == "ais":
-        if getattr(testbed, "domain", None) is None:
+        if testbed.domain is None:
             raise DomainError("ais sampling needs a box-domain testbed")
         mix_p = config.ais_policy().mix_p
         if mix_p <= 0.0:
@@ -279,6 +291,20 @@ def _check_sampler_bounds(config: CampaignConfig, testbed) -> None:
             )
         return
     raise DomainError(f"unknown sampler kind {kind!r}")
+
+
+def _record_dict(record, *derived: str) -> dict:
+    """A result record's JSON-shaped summary: each dataclass field but
+    the _UNRECORDED ones and the optional ones (default None) that are
+    None, then each named derived property."""
+    d = {}
+    for f in dataclasses.fields(record):
+        value = getattr(record, f.name)
+        if f.name not in _UNRECORDED and not (value is None and f.default is None):
+            d[f.name] = value
+    for name in derived:
+        d[name] = getattr(record, name)
+    return d
 
 
 @dataclass(frozen=True)
@@ -319,29 +345,7 @@ class TrialResult:
     clamped_fits: int | None = None
 
     def to_dict(self) -> dict:
-        """JSON-shaped summary; wall time is deliberately excluded so
-        result files are byte-stable across re-runs (timing belongs in
-        the run manifest)."""
-        d = {
-            "raw_estimate": self.raw_estimate,
-            "quantized_estimate": self.quantized_estimate,
-            "cell": self.cell,
-            "clamped": self.clamped,
-            "n": self.n,
-            "sigma_hat_final": self.sigma_hat_final,
-            "bernstein_radius_final": self.bernstein_radius_final,
-            "hoeffding_radius_final": self.hoeffding_radius_final,
-            "terminated": self.terminated,
-            "sampler_kind": self.sampler_kind,
-            "weight_cap_violations": self.weight_cap_violations,
-            "evaluated_n": self.evaluated_n,
-            "chunks": self.chunks,
-        }
-        if self.ais_final_proposal is not None:
-            d["ais_final_proposal"] = self.ais_final_proposal
-        if self.clamped_fits is not None:
-            d["clamped_fits"] = self.clamped_fits
-        return d
+        return _record_dict(self)
 
 
 def campaign_stream(seed: int, pair: int, arm: int) -> np.random.SeedSequence:
@@ -362,7 +366,7 @@ class _FixedSampler:
         self.bed = bed
         self.w_bar = w_bar
         self.target = bed.target
-        q = getattr(bed, "proposal", None) if use_proposal else None
+        q = bed.proposal if use_proposal else None
         self.source = q if q is not None else self.target
         if hasattr(self.target, "masses"):
             p_m = self.target.masses
@@ -695,28 +699,7 @@ class RepeatabilityReport:
         return self.raw_gamma_hits / self.n_trials
 
     def to_dict(self) -> dict:
-        return {
-            "n_pairs": self.n_pairs,
-            "star": self.star,
-            "repeat_count": self.repeat_count,
-            "repeat_rate": self.repeat_rate,
-            "n_trials": self.n_trials,
-            "accuracy_hits": self.accuracy_hits,
-            "accuracy_hit_rate": self.accuracy_hit_rate,
-            "raw_gamma_hits": self.raw_gamma_hits,
-            "raw_gamma_hit_rate": self.raw_gamma_hit_rate,
-            "alpha": self.alpha,
-            "gamma": self.gamma,
-            "tolerance": self.tolerance,
-            "oracle_r_star": self.oracle_r_star,
-            "oracle_se": self.oracle_se,
-            "partition_checksum": self.partition_checksum,
-            "sampler_initiator": self.sampler_initiator,
-            "sampler_replicator": self.sampler_replicator,
-            "range_term_mode": self.range_term_mode,
-            "seed": self.seed,
-            "effort": self.effort,
-        }
+        return _record_dict(self, "repeat_rate", "accuracy_hit_rate", "raw_gamma_hit_rate")
 
 
 def _effort_stats(ns: list[int]) -> dict:
@@ -894,13 +877,7 @@ class EffortComparison:
         return out
 
     def to_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "n_terminated": self.n_terminated,
-            "terminated_by": self.terminated_by,
-            "required_n_hoeffding": self.required_n_hoeffding,
-            "effort_ratio": self.effort_ratio,
-        }
+        return _record_dict(self, "effort_ratio")
 
 
 def effort_comparison(config: CampaignConfig) -> EffortComparison:

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._fields import flag, mapping, real, reals
+from ._fields import flag, mapping, real, real_or_null, reals
 from .errors import DomainError
 from .samplers import BoxDomain, BoxUniform, DiscreteDistribution
 
@@ -94,7 +94,42 @@ def tracking_loss(observed, commanded) -> float:
     return -math.expm1(-6.0 * total)
 
 
-class CellularTestbed:
+class _Testbed:
+    """The descriptor a testbed is sealed as, and the defaults testbeds
+    share.
+
+    A testbed class declares ``kind`` and ``fields``, a map from each
+    settable descriptor key to the ``_fields`` reader of its JSON value.
+    Each key is also the constructor keyword and the attribute that
+    holds the value, so the one map yields both the descriptor reader
+    (``from_spec``) and its writer (``to_spec``). The descriptor also
+    carries the measure range, fixed by the class: ``testbed_from_spec``
+    checks a given ``m_low``/``m_high`` against it.
+    """
+
+    kind: str
+    fields: dict
+    m_low = 0.0
+    m_high = 1.0
+    oracle_se = 0.0
+    proposal = None
+    domain = None
+
+    def to_spec(self) -> dict:
+        spec = {"kind": self.kind}
+        for key in self.fields:
+            value = getattr(self, key)
+            spec[key] = value.tolist() if isinstance(value, np.ndarray) else value
+        spec["m_low"] = self.m_low
+        spec["m_high"] = self.m_high
+        return spec
+
+    @classmethod
+    def from_spec(cls, spec: dict):
+        return cls(**{key: read(spec[key], key) for key, read in cls.fields.items()})
+
+
+class CellularTestbed(_Testbed):
     """Finite scenario cells with Bernoulli failure indicators.
 
     psi(cell) ~ Bernoulli(failure_probs[cell]); r_star is the exact
@@ -104,6 +139,7 @@ class CellularTestbed:
     """
 
     kind = "cellular-bernoulli"
+    fields = {"masses": reals, "failure_probs": reals, "proposal_masses": reals}
 
     def __init__(
         self,
@@ -118,22 +154,15 @@ class CellularTestbed:
             raise DomainError("masses, failure_probs, proposal_masses must align")
         if np.any(f < 0.0) or np.any(f > 1.0):
             raise DomainError("failure probabilities must lie in [0, 1]")
+        self.masses, self.failure_probs, self.proposal_masses = p, f, q
         self.target = DiscreteDistribution(p)
         self.proposal = DiscreteDistribution(q)
-        self.failure_probs = f
         if np.any((q == 0.0) & (p > 0.0)):
             raise DomainError("proposal must cover every cell with target mass")
-        self.m_low = 0.0
-        self.m_high = 1.0
-        self.oracle_se = 0.0
 
     @property
     def n_cells(self) -> int:
         return self.target.n_cells
-
-    @property
-    def domain(self):
-        return None
 
     @property
     def oracle_r_star(self) -> float:
@@ -142,32 +171,6 @@ class CellularTestbed:
     def evaluate_many(self, cells, rng):
         idx = np.asarray(cells, dtype=np.int64)
         return (rng.random(idx.shape[0]) < self.failure_probs[idx]).astype(np.float64)
-
-    def max_weighted_measure(self) -> float:
-        """Largest possible psi * (p/q) over cells that can fail."""
-        can_fail = self.failure_probs > 0.0
-        if not np.any(can_fail):
-            return 0.0
-        ratios = self.target.masses[can_fail] / self.proposal.masses[can_fail]
-        return float(np.max(ratios))
-
-    def to_spec(self) -> dict:
-        return {
-            "kind": self.kind,
-            "masses": [float(v) for v in self.target.masses],
-            "failure_probs": [float(v) for v in self.failure_probs],
-            "proposal_masses": [float(v) for v in self.proposal.masses],
-            "m_low": self.m_low,
-            "m_high": self.m_high,
-        }
-
-    @classmethod
-    def from_spec(cls, spec: dict) -> "CellularTestbed":
-        return cls(
-            reals(spec["masses"], "masses"),
-            reals(spec["failure_probs"], "failure_probs"),
-            reals(spec["proposal_masses"], "proposal_masses"),
-        )
 
 
 def _power_law_masses(count: int, total: float) -> np.ndarray:
@@ -298,7 +301,7 @@ def convergence_study_testbed() -> CellularTestbed:
     return CellularTestbed(p, f, q)
 
 
-class DisplacementTestbed:
+class DisplacementTestbed(_Testbed):
     """Planar workspace with a stochastic displacement measure in
     [0, 6].
 
@@ -311,6 +314,8 @@ class DisplacementTestbed:
     """
 
     kind = "displacement-field"
+    fields = {"noise": flag, "mean_constant": real_or_null}
+    m_high = 6.0
 
     def __init__(self, *, noise: bool = True, mean_constant: float | None = None) -> None:
         if mean_constant is not None and not 0.0 <= mean_constant <= 6.0:
@@ -319,10 +324,6 @@ class DisplacementTestbed:
         self.mean_constant = mean_constant
         self.domain = BoxDomain([0.0, 0.0], [1.0, 1.0])
         self.target = BoxUniform(self.domain)
-        self.proposal = None
-        self.m_low = 0.0
-        self.m_high = 6.0
-        self.oracle_se = 0.0
 
     def _mean_field(self, points: np.ndarray) -> np.ndarray:
         if self.mean_constant is not None:
@@ -351,30 +352,13 @@ class DisplacementTestbed:
             return (c + 0.6) ** 2 / 2.4
         return c - (c - 5.4) ** 2 / 2.4
 
-    def to_spec(self) -> dict:
-        return {
-            "kind": self.kind,
-            "noise": self.noise,
-            "mean_constant": self.mean_constant,
-            "m_low": self.m_low,
-            "m_high": self.m_high,
-        }
-
-    @classmethod
-    def from_spec(cls, spec: dict) -> "DisplacementTestbed":
-        mean_constant = spec["mean_constant"]
-        return cls(
-            noise=flag(spec["noise"], "noise"),
-            mean_constant=None if mean_constant is None else real(mean_constant, "mean_constant"),
-        )
-
 
 def displacement_testbed(*, noise: bool = True,
                          mean_constant: float | None = None) -> DisplacementTestbed:
     return DisplacementTestbed(noise=noise, mean_constant=mean_constant)
 
 
-class TrackingTestbed:
+class TrackingTestbed(_Testbed):
     """Command-tracking simulator over the [-0.3, 0.3]^3 command box.
 
     A commanded state held for 150 steps picks up a proportional bias
@@ -409,6 +393,7 @@ class TrackingTestbed:
     """
 
     kind = "tracking-sim"
+    fields = {"sim_gap": real, "bias_gain": real, "noise_base": real, "noise_slope": real}
 
     def __init__(self, sim_gap: float = 0.0, *, bias_gain: float = 0.05,
                  noise_base: float = 0.005, noise_slope: float = 0.02) -> None:
@@ -420,9 +405,6 @@ class TrackingTestbed:
         self.noise_slope = float(noise_slope)
         self.domain = BoxDomain([-0.3] * 3, [0.3] * 3)
         self.target = BoxUniform(self.domain)
-        self.proposal = None
-        self.m_low = 0.0
-        self.m_high = 1.0
 
     def _noise_scale(self, cmd_norm: np.ndarray) -> np.ndarray:
         return (self.noise_base + self.noise_slope * cmd_norm) * (1.0 + self.sim_gap)
@@ -488,7 +470,7 @@ class TrackingTestbed:
         return float(np.sum(vals))
 
     def _oracle(self):
-        key = (self.kind, self.sim_gap, self.bias_gain, self.noise_base, self.noise_slope)
+        key = (self.kind, *(getattr(self, k) for k in self.fields))
         if key not in _oracle_cache:
             mean = self._octant_mean(_QUADRATURE_NODES)
             gap = abs(mean - self._octant_mean(_CHECK_NODES))
@@ -504,26 +486,6 @@ class TrackingTestbed:
     def oracle_se(self) -> float:
         return self._oracle()[1]
 
-    def to_spec(self) -> dict:
-        return {
-            "kind": self.kind,
-            "sim_gap": self.sim_gap,
-            "bias_gain": self.bias_gain,
-            "noise_base": self.noise_base,
-            "noise_slope": self.noise_slope,
-            "m_low": self.m_low,
-            "m_high": self.m_high,
-        }
-
-    @classmethod
-    def from_spec(cls, spec: dict) -> "TrackingTestbed":
-        return cls(
-            real(spec["sim_gap"], "sim_gap"),
-            bias_gain=real(spec["bias_gain"], "bias_gain"),
-            noise_base=real(spec["noise_base"], "noise_base"),
-            noise_slope=real(spec["noise_slope"], "noise_slope"),
-        )
-
 
 def tracking_testbed(sim_gap: float = 0.0) -> TrackingTestbed:
     return TrackingTestbed(sim_gap)
@@ -536,16 +498,25 @@ _KINDS = {
 }
 
 
-def testbed_from_spec(spec: dict):
-    """Rebuild a testbed from its JSON descriptor; a missing field or a
-    field of the wrong JSON type raises DomainError."""
+def testbed_class(spec: dict) -> type:
+    """The testbed class a JSON descriptor names by its ``kind``; a
+    descriptor that is not an object or names no known kind raises
+    DomainError."""
     kind = mapping(spec, "testbed").get("kind")
     if not isinstance(kind, str) or kind not in _KINDS:
         raise DomainError(f"unknown testbed kind {kind!r}")
+    return _KINDS[kind]
+
+
+def testbed_from_spec(spec: dict):
+    """Rebuild a testbed from its JSON descriptor; a missing field or a
+    field of the wrong JSON type raises DomainError. Keys the testbed
+    does not read are ignored."""
+    cls = testbed_class(spec)
     try:
-        bed = _KINDS[kind].from_spec(spec)
+        bed = cls.from_spec(spec)
     except KeyError as exc:
-        raise DomainError(f"{kind} testbed descriptor missing field {exc.args[0]!r}") from exc
+        raise DomainError(f"{cls.kind} testbed descriptor missing field {exc.args[0]!r}") from exc
     for bound in ("m_low", "m_high"):
         if bound in spec and real(spec[bound], bound) != getattr(bed, bound):
             raise DomainError(f"descriptor {bound} disagrees with testbed definition")

@@ -349,6 +349,36 @@ class TestEffort:
         assert first["hoeffding_radius"] == ""
 
 
+# sha256 of result files, recorded while each result record still wrote
+# its to_dict key by key; a dropped, renamed or re-typed key, or a moved
+# number, changes a digest.
+OUTPUT_DIGESTS = {
+    "init/result.json": "7caec35548f791d01ff7a1ed333404a2e8d29aefc231e1cafe643ad0300850a1",
+    "rep/result.json": "7caec35548f791d01ff7a1ed333404a2e8d29aefc231e1cafe643ad0300850a1",
+    "pair/pairs.csv": "4e21f4cf0b24091337fb93fe2a3be5b40ff4bade82a63b0dd0ba901352f283f9",
+    "pair/report.json": "797354949b7f4632a06e0abacce492e98d68832ff002bc5966638d0b5aeb825f",
+    "effort/effort.csv": "fcc319c8867da9f38e068fb7d1a729f2d93175e05ff33061bf344c5909932053",
+    "effort/report.json": "9003091f12321d2694d5653d07fb72cc6bb3deea4ab3b012792e2adc4201fd3a",
+}
+
+
+class TestOutputBytes:
+    def test_result_files_are_pinned(self, capsys, tmp_path):
+        runs = [
+            ("init", "--config", "zero_variance"),
+            ("replicate", "--artifact", str(tmp_path / "init" / "artifact.json"), "--seed", "7"),
+            ("pairwise", "--config", "zero_variance", "--pairs", "20"),
+            ("effort", "--config", "displacement_star"),
+        ]
+        for argv, out in zip(runs, ["init", "rep", "pair", "effort"]):
+            assert run_cli(capsys, *argv, "--out", str(tmp_path / out))[0] == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in OUTPUT_DIGESTS
+        }
+        assert digests == OUTPUT_DIGESTS
+
+
 class TestEntryPoints:
     def test_range_term_mode_choices_are_the_estimator_modes(self):
         commands = next(

@@ -245,6 +245,19 @@ class TestMalformedConfig:
         assert code == 1
         assert "campaign config must be an object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "sampler,message",
+        [
+            # runs with mix_p 1.0 alone
+            ({"kind": "ais", "mix_p": 1.0, "mixp": 0.5}, "ais sampler does not read ['mixp']"),
+            ({"kind": "monte_carlo", "d": 10}, "monte_carlo sampler does not read ['d']"),
+        ],
+        ids=["ais-mixp", "monte-carlo-d"],
+    )
+    def test_sampler_key_the_kind_does_not_read_exits_1(self, workdir, capsys, sampler, message):
+        assert init_code(dict(ZERO_VARIANCE, sampler=sampler), workdir) == 1
+        assert message in capsys.readouterr().err
+
     @FUZZ
     @given(
         cfg=malformed(
@@ -286,7 +299,9 @@ class TestMalformedArtifact:
             (("config", "bounds", "w_bar"), "0.5", False),
             (("config", "range_term_mode"), "nope", False),
             (("config", "sampler", "kind"), 5, False),
+            (("config", "sampler", "mix_p"), 0.5, False),  # monte_carlo reads no mix_p
             (("config", "testbed", "noise"), None, True),
+            (("config", "testbed", "oracle_seed"), 0, False),  # read by no testbed
         ],
         ids=[
             "n-min-fraction",
@@ -294,7 +309,9 @@ class TestMalformedArtifact:
             "w-bar-string",
             "range-term-mode-nope",
             "sampler-kind-number",
+            "sampler-unread-key",
             "testbed-no-noise",
+            "testbed-unread-key",
         ],
     )
     def test_content_a_config_cannot_hold_exits_4(self, workdir, artifact, path, value, drop):

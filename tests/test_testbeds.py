@@ -30,9 +30,10 @@ import pytest
 from scipy import stats
 
 import repsq.testbeds as testbeds_mod
+from repsq.artifact import build_artifact
 from repsq.errors import BoundViolation, DomainError
 from repsq.harness import CampaignConfig
-from repsq.quantize import AccuracySpec
+from repsq.quantize import AccuracySpec, build_partition, compute_alpha
 from repsq.testbeds import (
     TRAJECTORY_STEPS,
     CellularTestbed,
@@ -93,6 +94,13 @@ class TestTrackingLoss:
             tracking_loss(np.zeros((TRAJECTORY_STEPS, 3)), np.zeros(2))
 
 
+def worst_failing_ratio(bed: CellularTestbed) -> float:
+    """Largest possible psi * (p/q): the largest mass ratio over the
+    cells that can fail."""
+    can_fail = bed.failure_probs > 0.0
+    return float(np.max(bed.target.masses[can_fail] / bed.proposal.masses[can_fail]))
+
+
 def decimal_enumeration(bed: CellularTestbed) -> float:
     total = Decimal(0)
     for p, f in zip(bed.target.masses, bed.failure_probs):
@@ -140,14 +148,14 @@ class TestCellularTestbed:
         bed = rare_event_acceptance_testbed()
         assert bed.n_cells == 40
         assert bed.oracle_r_star == pytest.approx(3.2e-8, rel=1e-12)
-        assert bed.max_weighted_measure() == pytest.approx(3.2e-8 / 0.998, rel=1e-12)
+        assert worst_failing_ratio(bed) == pytest.approx(3.2e-8 / 0.998, rel=1e-12)
         ratios = bed.target.masses / bed.proposal.masses
         assert float(np.max(ratios)) <= 512.0
 
     def test_moderate_fixture_numbers(self):
         bed = moderate_cellular_testbed()
         assert bed.oracle_r_star == pytest.approx(0.05, rel=1e-14)
-        assert bed.max_weighted_measure() == pytest.approx(0.2, rel=1e-12)
+        assert worst_failing_ratio(bed) == pytest.approx(0.2, rel=1e-12)
         ratios = np.unique(np.round(bed.target.masses / bed.proposal.masses, 9))
         assert list(ratios) == [pytest.approx(0.2), pytest.approx(1.8)]
 
@@ -572,6 +580,14 @@ class TestSpecDispatch:
         source = json.loads((path.parents[2] / workload["source"]).read_text())
         assert (build_from_spec(workload["config"]["testbed"]).to_spec()
                 == build_from_spec(source["testbed"]).to_spec())
+
+    @pytest.mark.parametrize("path", WORKLOADS, ids=lambda p: p.stem)
+    def test_frozen_workloads_seal_only_what_their_beds_read(self, path):
+        # The retired keys those workloads still carry are not sealed.
+        cfg = CampaignConfig.from_dict(json.loads(path.read_text())["config"])
+        grid = build_partition(cfg.m_low, cfg.m_high, compute_alpha(cfg.accuracy), 0.0)
+        sealed = build_artifact(cfg, grid)["config"]["testbed"]
+        assert sealed == cfg.build_testbed().to_spec()
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(DomainError):
