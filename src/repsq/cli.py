@@ -95,12 +95,14 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _csv_text(header, rows) -> str:
+def _csv_text(rows: list[dict]) -> str:
+    """CSV of named rows, with the first row's keys as the header."""
+    header = list(rows[0])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([_csv_cell(v) for v in row])
+        writer.writerow([_csv_cell(row[k]) for k in header])
     return buf.getvalue()
 
 
@@ -219,9 +221,7 @@ def cmd_pairwise(args) -> int:
     config, config_path = _load_config(args)
     out = _prepare_out(args)
     report = pairwise_experiment(config, args.pairs)
-    header = list(report.rows[0])
-    rows = [[row[k] for k in header] for row in report.rows]
-    _atomic_write(out / "pairs.csv", _csv_text(header, rows))
+    _atomic_write(out / "pairs.csv", _csv_text(report.rows))
     _atomic_write(out / "report.json", _json_text(report.to_dict()))
     _write_manifest(
         out,
@@ -238,15 +238,7 @@ def cmd_effort(args) -> int:
     config, config_path = _load_config(args)
     out = _prepare_out(args)
     comp = effort_comparison(config)
-    header = [
-        "n",
-        "estimate",
-        "sigma_hat",
-        "bernstein_radius",
-        "hoeffding_radius",
-        "terminated_by",
-    ]
-    _atomic_write(out / "effort.csv", _csv_text(header, comp.rows()))
+    _atomic_write(out / "effort.csv", _csv_text(comp.rows()))
     _atomic_write(out / "report.json", _json_text(comp.to_dict()))
     _write_manifest(
         out,

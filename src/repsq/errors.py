@@ -46,7 +46,8 @@ class DegenerateBatch(RepsqError):
 
 
 class ZeroProposalDensity(RepsqError):
-    """The proposal assigns zero density to a point the target supports."""
+    """A discrete proposal leaves a cell with target mass uncovered, so
+    that cell's importance weight p/q is undefined."""
 
 
 class NonTerminated(RepsqError):

@@ -105,12 +105,6 @@ _FIRST_CHUNK = 64
 _CONVERGENCE_CHUNK = 250_000
 # Relative slack for float dust when checking declared bounds.
 _BOUND_SLACK = 1.0 + 1e-9
-# The AIS sampler fields and their readers; a missing field takes the
-# AisPolicy default.
-_AIS_FIELDS = {"mix_p": real, "d": whole, "l_r": real, "init_shape": real}
-# Each sampler kind and the fields it reads besides ``kind``.
-_SAMPLER_FIELDS = {"monte_carlo": {}, "importance": {}, "ais": _AIS_FIELDS}
-SAMPLER_KINDS = tuple(_SAMPLER_FIELDS)
 # Fields of a result record that its to_dict leaves out: wall time
 # (timings belong in the run manifest, so result files stay byte-stable),
 # the per-sample and per-pair tables (written as CSV files of their own)
@@ -156,14 +150,14 @@ class CampaignConfig:
                 f"got {self.range_term_mode!r}"
             )
         kind = self.sampler.get("kind") if isinstance(self.sampler, dict) else None
-        if not isinstance(kind, str) or kind not in _SAMPLER_FIELDS:
+        if not isinstance(kind, str) or kind not in _SAMPLERS:
             raise DomainError(f"sampler kind must be one of {SAMPLER_KINDS}, got {kind!r}")
-        unread = sorted(k for k in self.sampler if k != "kind" and k not in _SAMPLER_FIELDS[kind])
+        fields = _SAMPLERS[kind].fields
+        unread = sorted(k for k in self.sampler if k != "kind" and k not in fields)
         if unread:
             raise DomainError(f"{kind} sampler does not read {unread}")
-        if kind == "ais":
-            self.ais_policy()  # validates the policy fields up front
-        _check_seed(self.seed)
+        _SAMPLERS[kind].options(self.sampler)  # validates the fields up front
+        object.__setattr__(self, "seed", _read_seed(self.seed))
         if self.n_min < 1:
             raise DomainError(f"n_min must be >= 1, got {self.n_min}")
         if self.n_max < max(2, self.n_min):
@@ -189,8 +183,7 @@ class CampaignConfig:
         )
 
     def ais_policy(self) -> AisPolicy:
-        s = self.sampler
-        return AisPolicy(**{k: read(s[k], k) for k, read in _AIS_FIELDS.items() if k in s})
+        return _Ais.options(self.sampler)
 
     def build_testbed(self):
         bed = testbed_from_spec(self.testbed)
@@ -199,7 +192,7 @@ class CampaignConfig:
                 f"config interval [{self.m_low}, {self.m_high}] does not match "
                 f"testbed interval [{bed.m_low}, {bed.m_high}]"
             )
-        _check_sampler_bounds(self, bed)
+        _SAMPLERS[self.sampler["kind"]].check(self, bed)
         return bed
 
     def to_dict(self) -> dict:
@@ -251,46 +244,11 @@ class CampaignConfig:
             raise DomainError(f"campaign config missing field {exc.args[0]!r}") from exc
 
 
-def _check_seed(seed) -> None:
-    if not isinstance(seed, int) or seed < 0:
+def _read_seed(seed) -> int:
+    seed = whole(seed, "seed")
+    if seed < 0:
         raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
-
-
-def _check_sampler_bounds(config: CampaignConfig, testbed) -> None:
-    """Reject a sampler that cannot honor the declared weight cap."""
-    kind = config.sampler["kind"]
-    w_bar = config.w_bar
-    if kind == "monte_carlo":
-        return  # weights are identically 1 <= w_bar
-    if kind == "importance":
-        q = testbed.proposal
-        if q is None or not hasattr(q, "masses"):
-            return  # falls back to q = target; weights identically 1
-        p = testbed.target.masses
-        live = p > 0.0
-        ratios = p[live] / q.masses[live]
-        worst = float(np.max(ratios)) if ratios.size else 1.0
-        if worst > w_bar * _BOUND_SLACK:
-            raise BoundViolation(
-                f"importance sampler's worst mass ratio {worst:.6g} exceeds "
-                f"the declared cap {w_bar:.6g}"
-            )
-        return
-    if kind == "ais":
-        if testbed.domain is None:
-            raise DomainError("ais sampling needs a box-domain testbed")
-        mix_p = config.ais_policy().mix_p
-        if mix_p <= 0.0:
-            raise BoundViolation(
-                "ais with mix_p = 0 has no provable weight cap; declare mix_p > 0"
-            )
-        if 1.0 / mix_p > w_bar * _BOUND_SLACK:
-            raise BoundViolation(
-                f"ais weight cap 1/mix_p = {1.0 / mix_p:.6g} exceeds the "
-                f"declared cap {w_bar:.6g}"
-            )
-        return
-    raise DomainError(f"unknown sampler kind {kind!r}")
+    return seed
 
 
 def _record_dict(record, *derived: str) -> dict:
@@ -353,76 +311,131 @@ def campaign_stream(seed: int, pair: int, arm: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed, spawn_key=(pair, arm))
 
 
-class _FixedSampler:
-    """Draw values for monte_carlo and fixed-proposal importance runs.
+def _mass_ratio(bed) -> np.ndarray:
+    """The importance weight p/q of each cell of a bed with a discrete
+    proposal q; 0 on a cell where neither has mass."""
+    q = bed.proposal
+    if not hasattr(q, "masses"):
+        raise DomainError("importance sampling needs a testbed with a discrete proposal")
+    p_m, q_m = bed.target.masses, q.masses
+    if not np.all((q_m > 0.0) | (p_m == 0.0)):
+        raise ZeroProposalDensity("proposal assigns zero mass to a cell with target mass")
+    return np.divide(p_m, q_m, out=np.zeros_like(p_m), where=q_m > 0.0)
 
-    Monte Carlo is importance sampling with q = p run through the same
-    code path: the weight computes as p(x)/p(x) = 1.0 exactly, so an
-    importance run whose proposal equals the target produces the bit-
-    identical value stream a monte_carlo run would.
+
+class _Sampler:
+    """One sampler kind: the config fields it reads besides ``kind``, the
+    bed and weight cap it needs, and its draws. ``draw(rng_s, rng_e, k)``
+    returns the k weighted values psi * w, their points and the number
+    of weights above the cap; ``post_chunk`` sees each chunk that did
+    not stop the campaign.
+
+    What the campaign loop reads besides: ``batch``, the chunk size the
+    kind fixes (None: the doubling schedule), and ``clamped_fits`` and
+    ``snapshot``, what the kind adapted (None: it does not adapt).
     """
 
-    def __init__(self, bed, use_proposal: bool, w_bar: float) -> None:
-        self.bed = bed
-        self.w_bar = w_bar
-        self.target = bed.target
-        q = bed.proposal if use_proposal else None
-        self.source = q if q is not None else self.target
-        if hasattr(self.target, "masses"):
-            p_m = self.target.masses
-            q_m = self.source.masses
-            covered = (q_m > 0.0) | (p_m == 0.0)
-            if not covered.all():
-                raise ZeroProposalDensity(
-                    "proposal assigns zero mass to a cell with target mass"
-                )
-            self.ratio = np.divide(
-                p_m, q_m, out=np.zeros_like(p_m), where=q_m > 0.0
-            )
-        else:
-            self.ratio = None
+    fields: dict = {}
+    batch: int | None = None
+    clamped_fits: int | None = None
 
-    def draw(self, rng_s, rng_e, k: int):
-        xs = self.source.sample_many(rng_s, k)
-        psi = self.bed.evaluate_many(xs, rng_e)
-        if self.ratio is not None:
-            w = self.ratio[np.asarray(xs, dtype=np.int64)]
-        else:
-            p_d = self.target.density_many(xs)
-            q_d = self.source.density_many(xs)
-            starved = (q_d <= 0.0) & (p_d > 0.0)
-            if np.any(starved):
-                raise ZeroProposalDensity(
-                    "proposal density vanished at a sampled point with "
-                    "positive target density"
-                )
-            w = np.divide(p_d, q_d, out=np.zeros(k), where=q_d > 0.0)
-        violations = int(np.count_nonzero(w > self.w_bar * _BOUND_SLACK))
-        return psi * w, xs, violations
+    def __init__(self, config: CampaignConfig, bed) -> None:
+        self.bed = bed
+        self.cap = config.w_bar * _BOUND_SLACK
+
+    @staticmethod
+    def options(sampler: dict):
+        """The kind's validated options, from a sampler dict that holds
+        only ``kind`` and keys in ``fields``."""
+        return None
+
+    @staticmethod
+    def check(config: CampaignConfig, bed) -> None:
+        """Reject a bed the kind cannot draw from or a declared weight
+        cap w_bar it cannot honor."""
 
     def post_chunk(self, xs, values) -> None:
         pass
 
+    def snapshot(self, seed: int) -> dict | None:
+        return None
 
-class _AisSampler:
+
+class _MonteCarlo(_Sampler):
+    """Draws from the target. Every weight is 1 <= w_bar, and psi * 1.0
+    is psi bit for bit, so no weight is applied."""
+
+    def draw(self, rng_s, rng_e, k: int):
+        xs = self.bed.target.sample_many(rng_s, k)
+        return self.bed.evaluate_many(xs, rng_e), xs, 0
+
+
+class _Importance(_Sampler):
+    """Draws from the bed's discrete proposal, weighted by the mass ratio
+    of the drawn cell. With the proposal equal to the target every
+    weight is 1.0, and the run is bit-identical to a Monte Carlo run."""
+
+    def __init__(self, config: CampaignConfig, bed) -> None:
+        super().__init__(config, bed)
+        self.ratio = _mass_ratio(bed)
+
+    @staticmethod
+    def check(config: CampaignConfig, bed) -> None:
+        worst = float(np.max(_mass_ratio(bed)))
+        if worst > config.w_bar * _BOUND_SLACK:
+            raise BoundViolation(
+                f"importance sampler's worst mass ratio {worst:.6g} exceeds "
+                f"the declared cap {config.w_bar:.6g}"
+            )
+
+    def draw(self, rng_s, rng_e, k: int):
+        xs = self.bed.proposal.sample_many(rng_s, k)
+        psi = self.bed.evaluate_many(xs, rng_e)
+        w = self.ratio[xs]
+        return psi * w, xs, int(np.count_nonzero(w > self.cap))
+
+
+class _Ais(_Sampler):
     """Mixture-of-target-and-adapted-Beta draws, refitted after every
-    batch on the psi * w-weighted moments of all batches so far."""
+    batch on the psi * w-weighted moments of all batches so far. A
+    missing field takes the AisPolicy default."""
 
-    def __init__(self, bed, policy: AisPolicy, w_bar: float) -> None:
-        self.bed = bed
-        self.policy = policy
-        self.w_bar = w_bar
-        self.q = policy.initial_proposal(bed.domain)
+    fields = {"mix_p": real, "d": whole, "l_r": real, "init_shape": real}
+
+    def __init__(self, config: CampaignConfig, bed) -> None:
+        super().__init__(config, bed)
+        self.policy = self.options(config.sampler)
+        self.batch = self.policy.d
+        self.q = self.policy.initial_proposal(bed.domain)
         self.sums = np.zeros((3, bed.domain.dims))  # see ais_update
         self.clamped_fits = 0
+
+    @classmethod
+    def options(cls, sampler: dict) -> AisPolicy:
+        given = {k: read(sampler[k], k) for k, read in cls.fields.items() if k in sampler}
+        return AisPolicy(**given)
+
+    @staticmethod
+    def check(config: CampaignConfig, bed) -> None:
+        if bed.domain is None:
+            raise DomainError("ais sampling needs a box-domain testbed")
+        mix_p = config.ais_policy().mix_p
+        if mix_p <= 0.0:
+            raise BoundViolation(
+                "ais with mix_p = 0 has no provable weight cap; declare mix_p > 0"
+            )
+        if 1.0 / mix_p > config.w_bar * _BOUND_SLACK:
+            raise BoundViolation(
+                f"ais weight cap 1/mix_p = {1.0 / mix_p:.6g} exceeds the "
+                f"declared cap {config.w_bar:.6g}"
+            )
 
     def draw(self, rng_s, rng_e, k: int):
         pts, w = mixture_sample_many(
             self.bed.target, self.q, self.policy.mix_p, rng_s, k
         )
         psi = self.bed.evaluate_many(pts, rng_e)
-        violations = int(np.count_nonzero(w > self.w_bar * _BOUND_SLACK))
-        return psi * w, pts, violations
+        return psi * w, pts, int(np.count_nonzero(w > self.cap))
 
     def post_chunk(self, xs, values) -> None:
         # Refit only on full batches; a truncated final batch carries no
@@ -433,14 +446,13 @@ class _AisSampler:
         self.q = ais_update(self.q, xs, self.policy, values, self.sums)
         self.clamped_fits += self.q.refit_clamps
 
+    def snapshot(self, seed: int) -> dict:
+        return proposal_snapshot(self.q, self.policy, RNG_ALGORITHM, seed)
 
-def _make_sampler(config: CampaignConfig, bed):
-    kind = config.sampler["kind"]
-    if kind == "monte_carlo":
-        return _FixedSampler(bed, use_proposal=False, w_bar=config.w_bar)
-    if kind == "importance":
-        return _FixedSampler(bed, use_proposal=True, w_bar=config.w_bar)
-    return _AisSampler(bed, config.ais_policy(), config.w_bar)
+
+# Each sampler kind and the class that reads, checks and draws it.
+_SAMPLERS = {"monte_carlo": _MonteCarlo, "importance": _Importance, "ais": _Ais}
+SAMPLER_KINDS = tuple(_SAMPLERS)
 
 
 def run_quantized_sq(
@@ -472,8 +484,7 @@ def run_quantized_sq(
     bed = testbed if testbed is not None else config.build_testbed()
     rule = config.stop_rule
     kind = config.sampler["kind"]
-    sampler = _make_sampler(config, bed)
-    ais = isinstance(sampler, _AisSampler)
+    sampler = _SAMPLERS[kind](config, bed)
 
     ss = rng_stream
     if not isinstance(ss, np.random.SeedSequence):
@@ -489,7 +500,7 @@ def run_quantized_sq(
     stopped = False
     trace_parts: list | None = [] if record_trace else None
     while not stopped and state.n < config.n_max:
-        k = sampler.policy.d if ais else min(chunk_size, state.n + _FIRST_CHUNK)
+        k = sampler.batch or min(chunk_size, state.n + _FIRST_CHUNK)
         k = min(k, config.n_max - state.n)
         values, xs, violations = sampler.draw(rng_s, rng_e, k)
         evaluated += k
@@ -519,10 +530,6 @@ def run_quantized_sq(
     if record_trace:
         cols = [np.concatenate([part[j] for part in trace_parts]) for j in range(5)]
         trace = RadiusTrace(*cols)
-    snapshot = clamped_fits = None
-    if ais:
-        snapshot = proposal_snapshot(sampler.q, sampler.policy, RNG_ALGORITHM, config.seed)
-        clamped_fits = sampler.clamped_fits
     qv = quantize(state.mean, partition)
     result = TrialResult(
         raw_estimate=state.mean,
@@ -540,8 +547,8 @@ def run_quantized_sq(
         chunks=chunks,
         wall_time_s=wall,
         trace=trace,
-        ais_final_proposal=snapshot,
-        clamped_fits=clamped_fits,
+        ais_final_proposal=sampler.snapshot(config.seed),
+        clamped_fits=sampler.clamped_fits,
     )
     if not stopped:
         raise NonTerminated(
@@ -556,9 +563,9 @@ def run_quantized_sq(
             WeightCapExceeded,
             stacklevel=2,
         )
-    if clamped_fits:
+    if result.clamped_fits:
         warnings.warn(
-            f"{clamped_fits} adaptive refits were clamped to the proposal "
+            f"{result.clamped_fits} adaptive refits were clamped to the proposal "
             f"shape bounds or had no weight to fit",
             ClampWarning,
             stacklevel=2,
@@ -614,7 +621,7 @@ def config_from_artifact(art: dict, seed: int) -> CampaignConfig:
     parse or to compare raises ArtifactVersionMismatch; an invalid
     ``seed`` raises DomainError.
     """
-    _check_seed(seed)
+    seed = _read_seed(seed)
     with sealed_content("config"):
         sealed = mapping(art["config"], "config")
         config = CampaignConfig.from_dict({**sealed, "seed": seed})
@@ -651,9 +658,9 @@ def replicator(
         bed = config.build_testbed()
     if sampler_override is not None:
         config = dataclasses.replace(config, sampler=dict(sampler_override))
-        _check_sampler_bounds(config, bed)
+        _SAMPLERS[config.sampler["kind"]].check(config, bed)
     return run_quantized_sq(
-        config, partition, campaign_stream(seed, 0, REPLICATOR_ARM), testbed=bed
+        config, partition, campaign_stream(config.seed, 0, REPLICATOR_ARM), testbed=bed
     )
 
 
@@ -749,7 +756,7 @@ def pairwise_experiment(
 
     rep_sampler = replicator_sampler if replicator_sampler is not None else config.sampler
     rep_config = dataclasses.replace(config, sampler=dict(rep_sampler))
-    rep_config.build_testbed()  # validate the replicator sampler's bounds
+    _SAMPLERS[rep_config.sampler["kind"]].check(rep_config, bed)
 
     rows = []
     init_ns: list[int] = []
@@ -857,24 +864,23 @@ class EffortComparison:
     def effort_ratio(self) -> float:
         return self.n_terminated / self.required_n_hoeffding
 
-    def rows(self):
-        """(n, estimate, sigma_hat, bernstein, hoeffding, terminated_by)
-        per consumed sample; the final row carries the binding rule."""
+    def rows(self) -> list[dict]:
+        """One row per consumed sample: n, estimate, sigma_hat, the two
+        radii and terminated_by, which only the final row fills in with
+        the binding rule."""
         t = self.trace
-        out = []
         last = len(t) - 1
-        for i in range(len(t)):
-            out.append(
-                (
-                    int(t.n[i]),
-                    float(t.estimate[i]),
-                    float(t.sigma_hat[i]),
-                    float(t.bernstein[i]),
-                    float(t.hoeffding[i]),
-                    self.terminated_by if i == last else "",
-                )
-            )
-        return out
+        return [
+            {
+                "n": int(t.n[i]),
+                "estimate": float(t.estimate[i]),
+                "sigma_hat": float(t.sigma_hat[i]),
+                "bernstein_radius": float(t.bernstein[i]),
+                "hoeffding_radius": float(t.hoeffding[i]),
+                "terminated_by": self.terminated_by if i == last else "",
+            }
+            for i in range(len(t))
+        ]
 
     def to_dict(self) -> dict:
         return _record_dict(self, "effort_ratio")
@@ -926,20 +932,18 @@ def convergence_study(testbed, seeds, checkpoints=(10**3, 10**6)) -> Convergence
     """Track |running mean - r_star| at fixed sample counts with the
     termination rule switched off, one independent stream per seed.
 
-    Needs a cellular testbed (the per-sample value sd is computed by
-    exact enumeration so checkpoint errors can be graded in oracle
-    units). Samples come from the testbed's proposal when it has one,
-    drawn and weighted as an importance campaign draws them, with one
-    stream for the draws and the evaluator noise.
+    Needs a cellular testbed, whose discrete proposal the samples come
+    from, drawn and weighted as an importance campaign draws them, with
+    one stream for the draws and the evaluator noise. The per-sample
+    value sd is computed by exact enumeration, so checkpoint errors can
+    be graded in oracle units.
     """
-    if not hasattr(testbed.target, "masses"):
-        raise DomainError("convergence study needs a cellular testbed")
+    ratio = _mass_ratio(testbed)
     cps = tuple(sorted(int(c) for c in checkpoints))
     if len(cps) < 2 or cps[0] < 1:
         raise DomainError(f"need >= 2 positive checkpoints, got {checkpoints}")
-    sampler = _FixedSampler(testbed, use_proposal=True, w_bar=math.inf)
-    q = sampler.source.masses
-    ratio = sampler.ratio
+    proposal = testbed.proposal
+    q = proposal.masses
     f = testbed.failure_probs
     r_star = testbed.oracle_r_star
     second_moment = math.fsum((q * f * ratio * ratio).tolist())
@@ -953,7 +957,8 @@ def convergence_study(testbed, seeds, checkpoints=(10**3, 10**6)) -> Convergence
         for ci, cp in enumerate(cps):
             while n < cp:
                 k = min(_CONVERGENCE_CHUNK, cp - n)
-                values, _, _ = sampler.draw(rng, rng, k)
+                xs = proposal.sample_many(rng, k)
+                values = testbed.evaluate_many(xs, rng) * ratio[xs]
                 total += float(np.sum(values))
                 n += k
             errors[si, ci] = abs(total / n - r_star)

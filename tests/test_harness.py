@@ -46,6 +46,7 @@ from repsq.harness import (
     run_quantized_sq,
 )
 from repsq.quantize import AccuracySpec, build_partition, compute_alpha
+from repsq.samplers import BetaProposal, BoxUniform, DiscreteDistribution
 from repsq.testbeds import (
     CellularTestbed,
     convergence_study_testbed,
@@ -303,6 +304,18 @@ class TestCampaignConfig:
         with pytest.raises(DomainError):
             cfg.build_testbed()
 
+    def test_importance_rejects_testbed_without_proposal(self):
+        """displacement_star's bed has a box domain and no proposal, so
+        an importance run there has no weights to apply."""
+        path = resources.files("repsq") / "configs" / "displacement_star.json"
+        raw = json.loads(path.read_text())
+        cfg = CampaignConfig.from_dict(dict(raw, sampler={"kind": "importance"}))
+        with pytest.raises(DomainError, match="discrete proposal"):
+            initiator(cfg)
+        art, _ = initiator(CampaignConfig.from_dict(raw))
+        with pytest.raises(DomainError, match="discrete proposal"):
+            replicator(art, seed=1, sampler_override={"kind": "importance"})
+
     def test_monte_carlo_accepts_conservative_w_bar(self):
         # A shared artifact may declare a cap sized for an importance
         # replicator; the monte-carlo arm stays valid under it.
@@ -367,6 +380,19 @@ class TestRunQuantizedSq:
         assert r1.raw_estimate == r2.raw_estimate
         assert r1.quantized_estimate == r2.quantized_estimate
         assert r1.sigma_hat_final == r2.sigma_hat_final
+
+    def test_monte_carlo_weighs_no_draw(self, monkeypatch):
+        calls = []
+        for cls in (BoxUniform, BetaProposal, DiscreteDistribution):
+            def counted(dist, points, _original=cls.density_many):
+                calls.append(len(points))
+                return _original(dist, points)
+
+            monkeypatch.setattr(cls, "density_many", counted)
+        cfg = zero_variance_config()
+        res = run_quantized_sq(cfg, make_partition(cfg), campaign_stream(cfg.seed, 0, 0))
+        assert res.terminated and res.chunks > 1
+        assert calls == []
 
     def test_same_stream_reproduces_bitwise(self):
         cfg = rare_config()
@@ -701,8 +727,8 @@ class TestInitiatorReplicator:
 
     def test_replicator_input_errors_are_not_artifact_errors(self):
         art, _ = initiator(moderate_config("monte_carlo", w_bar=2.0))
-        for seed in (-1, 2.5):
-            with pytest.raises(DomainError):
+        for seed in (-1, 2.5, True, False):
+            with pytest.raises(DomainError, match="seed"):
                 replicator(art, seed=seed)
         with pytest.raises(DomainError):
             replicator(art, seed=1, sampler_override={"kind": "nope"})
@@ -842,8 +868,8 @@ class TestEffortComparison:
         assert comp.required_n_hoeffding == 185
         assert comp.terminated_by == "bernstein"
         rows = comp.rows()
-        assert rows[-1][0] == 88 and rows[-1][5] == "bernstein"
-        assert all(r[5] == "" for r in rows[:-1])
+        assert rows[-1]["n"] == 88 and rows[-1]["terminated_by"] == "bernstein"
+        assert all(r["terminated_by"] == "" for r in rows[:-1])
         assert comp.effort_ratio == pytest.approx(88 / 185, rel=1e-12)
 
     def test_low_variance_rare_campaign_beats_fixed_range_hugely(self):
@@ -944,9 +970,15 @@ class TestBundledConfigs:
         cfg = self.config(name)
         comp = effort_comparison(cfg)
         res = comp.result
-        n, estimate, sigma_hat, bern, hoef, _ = comp.rows()[-1]
+        last = comp.rows()[-1]
         assert comp.required_n_hoeffding == required_n_hoeffding(comp.gamma, cfg.bound_spec)
-        assert (n, estimate, sigma_hat, bern, hoef) == (
+        assert (
+            last["n"],
+            last["estimate"],
+            last["sigma_hat"],
+            last["bernstein_radius"],
+            last["hoeffding_radius"],
+        ) == (
             res.n,
             res.raw_estimate,
             res.sigma_hat_final,

@@ -258,6 +258,10 @@ class TestMalformedConfig:
         assert init_code(dict(ZERO_VARIANCE, sampler=sampler), workdir) == 1
         assert message in capsys.readouterr().err
 
+    def test_importance_without_a_proposal_exits_1(self, workdir, capsys):
+        assert init_code(dict(ZERO_VARIANCE, sampler={"kind": "importance"}), workdir) == 1
+        assert "needs a testbed with a discrete proposal" in capsys.readouterr().err
+
     @FUZZ
     @given(
         cfg=malformed(
@@ -300,6 +304,7 @@ class TestMalformedArtifact:
             (("config", "range_term_mode"), "nope", False),
             (("config", "sampler", "kind"), 5, False),
             (("config", "sampler", "mix_p"), 0.5, False),  # monte_carlo reads no mix_p
+            (("config", "sampler", "kind"), "importance", False),  # the bed has no proposal
             (("config", "testbed", "noise"), None, True),
             (("config", "testbed", "oracle_seed"), 0, False),  # read by no testbed
         ],
@@ -310,6 +315,7 @@ class TestMalformedArtifact:
             "range-term-mode-nope",
             "sampler-kind-number",
             "sampler-unread-key",
+            "importance-without-proposal",
             "testbed-no-noise",
             "testbed-unread-key",
         ],

@@ -3,7 +3,8 @@
 Continuous-density expectations are graded against scipy quadrature and
 analytic Beta moments; frozen constants were computed independently
 with mpmath at 50 significant digits. Fixed-proposal importance weights
-are formed by the harness's sampler and are checked through it.
+are formed by the harness's importance sampler and are checked through
+it on discrete stub testbeds.
 """
 
 import json
@@ -29,7 +30,8 @@ from repsq.errors import (
     WeightCapExceeded,
     ZeroProposalDensity,
 )
-from repsq.harness import CampaignConfig, _FixedSampler, run_quantized_sq
+from repsq import harness
+from repsq.harness import CampaignConfig, run_quantized_sq
 from repsq.quantize import AccuracySpec, build_partition
 from repsq.samplers import (
     GUIDE_BUCKETS,
@@ -552,87 +554,70 @@ class TestMixture:
 
 
 class _ConstantBed:
-    """Testbed stub: psi = 1 everywhere, so a campaign's values are its
-    importance weights p(x)/q(x) with q = ``proposal``."""
+    """Testbed stub: discrete target and proposal masses and psi = 1 in
+    every cell, so a campaign's values are its importance weights p/q."""
 
-    def __init__(self, target, proposal) -> None:
-        self.target = target
-        self.proposal = proposal
+    def __init__(self, target_masses, proposal_masses) -> None:
+        self.target = DiscreteDistribution(target_masses)
+        self.proposal = DiscreteDistribution(proposal_masses)
 
     def evaluate_many(self, xs, rng):
         return np.ones(len(xs))
 
 
-class _OffSupport(BoxUniform):
-    """A proposal that draws outside its own support (a broken sampler)."""
+def stub_config(w_bar: float) -> CampaignConfig:
+    return CampaignConfig(
+        accuracy=AccuracySpec(0.25, 0.05, 0.1),
+        m_low=0.0,
+        m_high=1.0,
+        w_bar=w_bar,
+        joint=2.0,  # psi*w <= 2 holds on every stub below
+        sampler={"kind": "importance"},
+        testbed={},
+        seed=1,
+    )
 
-    def sample_many(self, rng, size: int):
-        return np.full((size, self.domain.dims), 1.5)
 
-
-def fixed_weights(p, q, size=2_000, w_bar=1.0):
-    """(points, weights, cap violations) from one fixed-proposal draw."""
-    sampler = _FixedSampler(_ConstantBed(p, q), use_proposal=True, w_bar=w_bar)
+def importance_draw(p, q, size=2_000, w_bar=1.0):
+    """(cells, weights, cap violations) from one importance draw."""
+    sampler = harness._SAMPLERS["importance"](stub_config(w_bar), _ConstantBed(p, q))
     rng = np.random.default_rng(30)
     weights, xs, violations = sampler.draw(rng, rng, size)
-    return np.asarray(xs), weights, violations
+    return xs, weights, violations
 
 
 class TestImportanceWeight:
     def test_identical_distributions(self):
-        p = BoxUniform(UNIT)
-        _, w, _ = fixed_weights(p, p)
+        _, w, _ = importance_draw([0.3, 0.7], [0.3, 0.7])
         assert w.tolist() == [1.0] * w.size
 
-    def test_uniform_ratio(self):
-        p = BoxUniform(UNIT)
-        q = BoxUniform(BoxDomain([0.0], [2.0]))
-        xs, w, _ = fixed_weights(p, q, w_bar=2.0)
-        inside = xs[:, 0] <= 1.0
-        assert inside.any()
-        assert w[inside] == pytest.approx(2.0, rel=1e-12)
-
     def test_discrete_mass_ratio(self):
-        p = DiscreteDistribution([0.9, 0.1])
-        q = DiscreteDistribution([0.5, 0.5])
-        xs, w, _ = fixed_weights(p, q, w_bar=1.8)
-        assert np.any(xs == 1)
+        xs, w, violations = importance_draw([0.9, 0.1], [0.5, 0.5], w_bar=1.8)
+        assert np.any(xs == 0) and np.any(xs == 1)
+        assert w[xs == 0] == pytest.approx(1.8, rel=1e-12)
         assert w[xs == 1] == pytest.approx(0.2, rel=1e-12)
+        assert violations == 0
 
     def test_zero_proposal_density(self):
-        p = BoxUniform(BoxDomain([0.0], [2.0]))
+        """A proposal that leaves a cell with target mass uncovered."""
         with pytest.raises(ZeroProposalDensity):
-            fixed_weights(p, _OffSupport(UNIT))
-        with pytest.raises(ZeroProposalDensity):  # zero mass on a target cell
-            fixed_weights(DiscreteDistribution([0.5, 0.5]), DiscreteDistribution([1.0, 0.0]))
+            importance_draw([0.5, 0.5], [1.0, 0.0])
 
     def test_zero_target_density_gives_zero_weight(self):
-        p = BoxUniform(UNIT)
-        q = BoxUniform(BoxDomain([0.0], [2.0]))
-        xs, w, _ = fixed_weights(p, q, w_bar=2.0)
-        outside = xs[:, 0] > 1.0
-        assert outside.any()
-        assert w[outside].tolist() == [0.0] * int(outside.sum())
+        xs, w, _ = importance_draw([1.0, 0.0], [0.5, 0.5], w_bar=2.0)
+        assert np.any(xs == 1)
+        assert w[xs == 1].tolist() == [0.0] * int(np.count_nonzero(xs == 1))
+        assert w[xs == 0].tolist() == [2.0] * int(np.count_nonzero(xs == 0))
 
     def test_cap_warning(self):
         """Weights of 2 against a declared cap of 1.5 are counted and,
-        once the campaign ends, warned about."""
-        p = BoxUniform(UNIT)
-        q = BoxUniform(BoxDomain([0.0], [2.0]))
-        _, w, violations = fixed_weights(p, q, w_bar=1.5)
+        once the campaign ends, warned about. A caller-built testbed
+        skips the config's cap check, so the count stays live."""
+        _, w, violations = importance_draw([1.0, 0.0], [0.5, 0.5], w_bar=1.5)
         assert violations == int(np.count_nonzero(w == 2.0)) > 0
-        config = CampaignConfig(
-            accuracy=AccuracySpec(0.25, 0.05, 0.1),
-            m_low=0.0,
-            m_high=1.0,
-            w_bar=1.5,
-            joint=2.0,  # psi*w <= 2 holds, so the radii stay valid
-            sampler={"kind": "importance"},
-            testbed={},
-            seed=1,
-        )
+        bed = _ConstantBed([1.0, 0.0], [0.5, 0.5])
         partition = build_partition(0.0, 1.0, 0.25, 0.0)
         with pytest.warns(WeightCapExceeded):
-            res = run_quantized_sq(config, partition, 31, testbed=_ConstantBed(p, q))
+            res = run_quantized_sq(stub_config(1.5), partition, 31, testbed=bed)
         assert res.terminated
         assert 0 < res.weight_cap_violations <= res.evaluated_n
