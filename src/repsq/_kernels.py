@@ -6,22 +6,35 @@ m*w_bar unless a joint bound is declared), c the confidence parameter
 and sigma_hat = m2/n the population variance, they are:
 
 - the variance-adaptive radius
-      sqrt(2 sigma_hat ln(2/c) / n) + 7 R ln(2/c) / (3 (n-1)),
-  where R is P^2 under the default mode "paper-exact" or P under mode
-  "linear-range" (the dimensionally linear variant); and
+      sqrt(2 sigma_hat ln(2/c) / n) + 7 R ln(2/c) / (3 (n-1)); and
 - the fixed-range radius
       P sqrt(ln(2/c) / (2 n)).
 
-Both are always evaluated and the smaller one decides. Each holds at
-level 1-c for a fixed n, so by a union bound their minimum holds only at
-level 1-2c, not 1-c. The variance-adaptive radius wins by orders of
-magnitude on low-variance campaigns; the fixed-range radius wins near
-maximal variance. Two more gaps remain open: the empirical-Bernstein
-bound behind the adaptive radius (Maurer & Pontil 2009, Thm 4) is
-one-sided at ln(2/c), so a two-sided radius needs ln(4/c), and it uses
-the unbiased sample variance m2/(n-1) where this module uses m2/n; and
-a campaign stops at a data-dependent n, where a fixed-n radius promises
-nothing.
+The radius mode fixes R. _MODES maps each mode to its StopRule class,
+and its keys are RANGE_TERM_MODES; the first is the default:
+
+- "paper-exact" (_PaperExact) takes R = P^2, as the paper prints it;
+- "linear-range" (_LinearRange) takes R = P, the dimensionally linear
+  variant.
+
+StopRule.for_campaign is the one place a mode name is read and
+checked. Both radii are always evaluated and the smaller one decides:
+the variance-adaptive radius wins by orders of magnitude on
+low-variance campaigns, the fixed-range radius near maximal variance.
+
+Neither mode gives a valid confidence radius at the stopping n, for
+reasons every mode shares: each radius holds at level 1-c for a fixed
+n, but a campaign stops at a data-dependent n, where a fixed-n radius
+promises nothing; by a union bound the minimum of the two holds only
+at level 1-2c, not 1-c; and the empirical-Bernstein bound behind the
+adaptive radius (Maurer & Pontil 2009, Thm 4) is one-sided at ln(2/c),
+so a two-sided radius needs ln(4/c), and it uses the unbiased sample
+variance m2/(n-1) where this module uses m2/n. "paper-exact" has one
+gap more: that bound is linear in R = P, so when P < 1 its P^2 range
+term is smaller than the bound's and the radius is too narrow even at
+a fixed n. A rule's range_term_sound says whether its range term is at
+least the bound's: always for "linear-range", only when P >= 1 for
+"paper-exact".
 
 StopRule.bernstein and StopRule.hoeffding are the one copy of both
 expressions, called on arrays by the scan and the trace and on floats
@@ -50,16 +63,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimator import (
-    BoundSpec,
-    EstimatorState,
-    _smallest_n,
-    bernstein_second_coef,
-    required_n_hoeffding,
-)
+from .errors import DomainError
+from .estimator import BoundSpec, EstimatorState, _smallest_n, required_n_hoeffding
 
 __all__ = [
     "ACTIVE_BACKEND",
+    "RANGE_TERM_MODES",
     "StopRule",
     "scan_terminate",
     "trace_radii",
@@ -70,22 +79,32 @@ ACTIVE_BACKEND = "numpy-shifted-cumsum"
 
 
 class StopRule(NamedTuple):
-    """Constants of one campaign's stopping rule, and its radii."""
+    """Constants of one campaign's stopping rule, and its radii.
+
+    A rule is an instance of its radius mode's class (see _MODES), which
+    adds the mode's R(P) and range_term_sound.
+    """
 
     gamma: float
     log_term: float  # ln(2/c)
-    c2: float  # 7 R ln(2/c) / 3, estimator.bernstein_second_coef
+    c2: float  # 7 R ln(2/c) / 3
     product: float  # the declared bound P on |psi*w|
     n_hoeffding: int  # smallest n whose fixed-range radius is <= gamma
     n_min: int  # termination floor, >= 2
     n_range: int  # smallest n >= 2 whose range term c2/(n-1) is <= gamma
 
-    @classmethod
+    @staticmethod
     def for_campaign(
-        cls, gamma: float, bounds: BoundSpec, range_term_mode: str, n_min: int
+        gamma: float, bounds: BoundSpec, range_term_mode: str, n_min: int
     ) -> "StopRule":
-        c2 = bernstein_second_coef(bounds, range_term_mode)
-        return cls(
+        """The rule of a campaign in the named radius mode."""
+        mode = _MODES.get(range_term_mode) if isinstance(range_term_mode, str) else None
+        if mode is None:
+            raise DomainError(
+                f"range_term_mode must be one of {RANGE_TERM_MODES}, got {range_term_mode!r}"
+            )
+        c2 = 7.0 * mode.R(bounds.product) * bounds.log_term / 3.0
+        return mode(
             gamma,
             bounds.log_term,
             c2,
@@ -108,6 +127,22 @@ class StopRule(NamedTuple):
         """(bernstein, hoeffding) radii of a state with n >= 2."""
         n = float(state.n)
         return float(self.bernstein(n, state.m2 / n)), float(self.hoeffding(n))
+
+
+class _PaperExact(StopRule):
+    __slots__ = ()
+    R = staticmethod(lambda product: product * product)
+    range_term_sound = property(lambda rule: rule.product >= 1.0)
+
+
+class _LinearRange(StopRule):
+    __slots__ = ()
+    R = staticmethod(lambda product: product)
+    range_term_sound = True
+
+
+_MODES = {"paper-exact": _PaperExact, "linear-range": _LinearRange}
+RANGE_TERM_MODES = tuple(_MODES)
 
 
 def _required_n_range(gamma: float, c2: float) -> int:

@@ -6,7 +6,8 @@ tolerance implied by a repeatability contract; ``init``, ``replicate``,
 and write machine-readable outputs into a directory.
 
 Every run directory gets a ``manifest.json`` holding the command, the
-resolved configuration, timing, and a checksum per output file; the
+resolved configuration, the stopping rule's radius mode and whether
+its range term is sound, timing, and a checksum per output file; the
 manifest is written last, after all result files, and all writes go
 through a temp-file-plus-rename so a crashed run leaves no partial
 output behind. Result files themselves carry no timestamps, so
@@ -50,10 +51,11 @@ from .errors import (
     NonTerminated,
     RepsqError,
 )
-from .estimator import RANGE_TERM_MODES
+from ._kernels import RANGE_TERM_MODES
 from .harness import (
     OFFSET_POLICIES,
     CampaignConfig,
+    config_from_artifact,
     effort_comparison,
     initiator,
     pairwise_experiment,
@@ -135,11 +137,26 @@ def _load_config(args) -> tuple[CampaignConfig, str]:
     return CampaignConfig.from_dict(raw), str(path)
 
 
+def _stop_rule_entry(config: CampaignConfig) -> dict:
+    """The manifest's ``stop_rule`` entry; warns on stderr when the
+    rule's range term is too small to make a valid confidence radius."""
+    sound = config.stop_rule.range_term_sound
+    if not sound:
+        print(
+            f"repsq: warning: range_term_mode {config.range_term_mode!r} is not a valid "
+            f"confidence radius at the declared bound {config.stop_rule.product:.6g}; "
+            f"the accuracy of the estimate is not guaranteed",
+            file=sys.stderr,
+        )
+    return {"range_term_mode": config.range_term_mode, "range_term_sound": sound}
+
+
 def _write_manifest(
     out_dir: Path,
     command: str,
     started: float,
     invocation: dict,
+    stop_rule: dict,
     outputs: list[str],
 ) -> None:
     checksums = {
@@ -151,6 +168,7 @@ def _write_manifest(
         "tool_version": __version__,
         "command": command,
         "invocation": invocation,
+        "stop_rule": stop_rule,
         "outputs": checksums,
         "environment": {
             "python": platform.python_version(),
@@ -183,6 +201,7 @@ def cmd_alpha(args) -> int:
 def cmd_init(args) -> int:
     started = time.monotonic()
     config, config_path = _load_config(args)
+    stop_rule = _stop_rule_entry(config)
     out = _prepare_out(args)
     artifact, result = initiator(config)
     _atomic_write(out / "artifact.json", dump_artifact(artifact))
@@ -192,6 +211,7 @@ def cmd_init(args) -> int:
         "init",
         started,
         {"config": config_path, "resolved": config.to_dict()},
+        stop_rule,
         ["artifact.json", "result.json"],
     )
     return EXIT_OK
@@ -204,6 +224,7 @@ def cmd_replicate(args) -> int:
         raise DomainError(f"artifact not found: {path}")
     artifact = load_artifact(path.read_text(encoding="utf-8"))
     result = replicator(artifact, seed=args.seed)
+    stop_rule = _stop_rule_entry(config_from_artifact(artifact, args.seed))
     out = _prepare_out(args)
     _atomic_write(out / "result.json", _json_text(result.to_dict()))
     _write_manifest(
@@ -211,6 +232,7 @@ def cmd_replicate(args) -> int:
         "replicate",
         started,
         {"artifact": str(path), "seed": args.seed, "checksum": artifact["checksum"]},
+        stop_rule,
         ["result.json"],
     )
     return EXIT_OK
@@ -219,6 +241,7 @@ def cmd_replicate(args) -> int:
 def cmd_pairwise(args) -> int:
     started = time.monotonic()
     config, config_path = _load_config(args)
+    stop_rule = _stop_rule_entry(config)
     out = _prepare_out(args)
     report = pairwise_experiment(config, args.pairs)
     _atomic_write(out / "pairs.csv", _csv_text(report.rows))
@@ -228,6 +251,7 @@ def cmd_pairwise(args) -> int:
         "pairwise",
         started,
         {"config": config_path, "pairs": args.pairs, "resolved": config.to_dict()},
+        stop_rule,
         ["pairs.csv", "report.json"],
     )
     return EXIT_OK
@@ -236,6 +260,7 @@ def cmd_pairwise(args) -> int:
 def cmd_effort(args) -> int:
     started = time.monotonic()
     config, config_path = _load_config(args)
+    stop_rule = _stop_rule_entry(config)
     out = _prepare_out(args)
     comp = effort_comparison(config)
     _atomic_write(out / "effort.csv", _csv_text(comp.rows()))
@@ -245,6 +270,7 @@ def cmd_effort(args) -> int:
         "effort",
         started,
         {"config": config_path, "resolved": config.to_dict()},
+        stop_rule,
         ["effort.csv", "report.json"],
     )
     return EXIT_OK

@@ -7,10 +7,11 @@ running estimate mean = pivot + s1/n, the sum of squared deviations
 m2 = s2 - s1^2/n and the population variance sigma_hat = m2/n follow in
 O(1) per update.
 
-The radii and the stopping rule are described, and evaluated, in
-_kernels.StopRule. bernstein_radius and hoeffding_radius are its scalar
-references: update() makes the same additions in the same order as the
-scan, so both give the same bits for every prefix, however chunked.
+The radii, the radius modes and the stopping rule are described, and
+evaluated, in _kernels. bernstein_radius and hoeffding_radius are the
+scalar references of its StopRule, written out on their own:
+update() makes the same additions in the same order as the scan, so
+both give the same bits for every prefix, however chunked.
 """
 
 from __future__ import annotations
@@ -23,21 +24,12 @@ from .errors import DomainError, InsufficientSamples
 __all__ = [
     "EstimatorState",
     "BoundSpec",
-    "RANGE_TERM_MODES",
     "update",
     "bernstein_radius",
     "hoeffding_radius",
     "required_n_hoeffding",
     "MAX_SAMPLES",
 ]
-
-# R in the variance-adaptive radius's range term, per mode, as a function
-# of the declared bound on |psi*w| (see _kernels); the first is the default.
-_RANGE_R = {
-    "paper-exact": lambda product: product * product,
-    "linear-range": lambda product: product,
-}
-RANGE_TERM_MODES = tuple(_RANGE_R)
 
 # Largest sample count a campaign may reach. The radii are evaluated on
 # float(n), which is exact only up to 2**53.
@@ -132,26 +124,20 @@ class BoundSpec:
         return math.log(2.0 / self.c)
 
 
-def bernstein_second_coef(
-    bounds: BoundSpec, range_term_mode: str = RANGE_TERM_MODES[0]
-) -> float:
-    """The constant C = 7 R ln(2/c) / 3 in the range term C / (n-1)."""
-    if range_term_mode not in RANGE_TERM_MODES:
-        raise DomainError(
-            f"range_term_mode must be one of {RANGE_TERM_MODES}, got {range_term_mode!r}"
-        )
-    return 7.0 * _RANGE_R[range_term_mode](bounds.product) * bounds.log_term / 3.0
-
-
 def bernstein_radius(
-    state: EstimatorState, bounds: BoundSpec, range_term_mode: str = RANGE_TERM_MODES[0]
+    state: EstimatorState, bounds: BoundSpec, range_term_mode: str = "paper-exact"
 ) -> float:
-    """Variance-adaptive radius at the current n (StopRule.bernstein)."""
+    """Variance-adaptive radius at the current n (StopRule.bernstein),
+    with R = P^2 under "paper-exact" and R = P under "linear-range"."""
     if state.n < 2:
         raise InsufficientSamples(f"radius needs n >= 2, have n = {state.n}")
+    p = bounds.product
+    range_r = {"paper-exact": p * p, "linear-range": p}
+    if range_term_mode not in range_r:
+        raise DomainError(f"unknown range_term_mode {range_term_mode!r}")
     n = float(state.n)
     sigma = state.m2 / n
-    c2 = bernstein_second_coef(bounds, range_term_mode)
+    c2 = 7.0 * range_r[range_term_mode] * bounds.log_term / 3.0
     return math.sqrt(2.0 * sigma * bounds.log_term / n) + c2 / (n - 1.0)
 
 

@@ -63,12 +63,7 @@ from .errors import (
     WeightCapExceeded,
     ZeroProposalDensity,
 )
-from .estimator import (
-    RANGE_TERM_MODES,
-    BoundSpec,
-    MAX_SAMPLES,
-    EstimatorState,
-)
+from .estimator import BoundSpec, MAX_SAMPLES, EstimatorState
 from .quantize import AccuracySpec, Partition, build_partition, compute_alpha, quantize
 from .samplers import AisPolicy, ais_update, mixture_sample_many, proposal_snapshot
 from .testbeds import testbed_class, testbed_from_spec
@@ -136,6 +131,7 @@ class CampaignConfig:
     n_min: int = 2
     n_max: int = 10_000_000
     range_term_mode: str = "paper-exact"
+    stop_rule: _kernels.StopRule = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.m_high > self.m_low:
@@ -143,11 +139,6 @@ class CampaignConfig:
         if self.offset_policy not in OFFSET_POLICIES:
             raise DomainError(
                 f"offset_policy must be one of {OFFSET_POLICIES}, got {self.offset_policy!r}"
-            )
-        if self.range_term_mode not in RANGE_TERM_MODES:
-            raise DomainError(
-                f"range_term_mode must be one of {RANGE_TERM_MODES}, "
-                f"got {self.range_term_mode!r}"
             )
         kind = self.sampler.get("kind") if isinstance(self.sampler, dict) else None
         if not isinstance(kind, str) or kind not in _SAMPLERS:
@@ -164,8 +155,11 @@ class CampaignConfig:
             raise DomainError(f"n_max {self.n_max} below the termination floor")
         if self.n_max > MAX_SAMPLES:
             raise DomainError(f"n_max {self.n_max} above the 2**53 sample limit")
-        # Constructing the BoundSpec validates w_bar, c, joint.
-        self.bound_spec
+        # Building the rule validates w_bar, c, joint and the mode.
+        rule = _kernels.StopRule.for_campaign(
+            self.accuracy.gamma, self.bound_spec, self.range_term_mode, self.n_min
+        )
+        object.__setattr__(self, "stop_rule", rule)
 
     @property
     def bound_spec(self) -> BoundSpec:
@@ -174,12 +168,6 @@ class CampaignConfig:
             w_bar=self.w_bar,
             c=self.accuracy.c,
             joint=self.joint,
-        )
-
-    @property
-    def stop_rule(self) -> _kernels.StopRule:
-        return _kernels.StopRule.for_campaign(
-            self.accuracy.gamma, self.bound_spec, self.range_term_mode, self.n_min
         )
 
     def ais_policy(self) -> AisPolicy:

@@ -25,7 +25,7 @@ from repsq import _kernels, harness
 from repsq import artifact as art_mod
 from repsq.artifact import partition_from_payload
 from repsq.cli import _json_text, build_parser, main
-from repsq.estimator import RANGE_TERM_MODES
+from repsq._kernels import RANGE_TERM_MODES
 from repsq.harness import CampaignConfig, initiator
 
 
@@ -360,6 +360,72 @@ OUTPUT_DIGESTS = {
     "effort/effort.csv": "fcc319c8867da9f38e068fb7d1a729f2d93175e05ff33061bf344c5909932053",
     "effort/report.json": "9003091f12321d2694d5653d07fb72cc6bb3deea4ab3b012792e2adc4201fd3a",
 }
+
+
+class TestStopRuleManifest:
+    """Every manifest names the radius mode that ran and whether its
+    range term is sound; a run whose range term is not also warns, once,
+    on stderr."""
+
+    @staticmethod
+    def stop_rule(out):
+        return json.loads((out / "manifest.json").read_text())["stop_rule"]
+
+    @staticmethod
+    def warnings(err):
+        return [line for line in err.splitlines() if "warning:" in line]
+
+    @pytest.mark.parametrize(
+        "command,extra", [("init", []), ("pairwise", ["--pairs", "2"]), ("effort", [])]
+    )
+    def test_paper_exact_below_p_one_is_unsound(self, capsys, tmp_path, command, extra):
+        out = tmp_path / command
+        code, _, err = run_cli(
+            capsys, command, "--config", "rare_event_acceptance", "--out", str(out), *extra
+        )
+        assert code == 0
+        assert self.stop_rule(out) == {
+            "range_term_mode": "paper-exact",
+            "range_term_sound": False,
+        }
+        assert len(self.warnings(err)) == 1
+
+    def test_replicate_of_an_unsound_artifact_warns(self, capsys, tmp_path):
+        init_dir, rep_dir = tmp_path / "init", tmp_path / "rep"
+        run_cli(capsys, "init", "--config", "rare_event_acceptance", "--out", str(init_dir))
+        code, _, err = run_cli(
+            capsys, "replicate", "--artifact", str(init_dir / "artifact.json"),
+            "--seed", "5", "--out", str(rep_dir),
+        )
+        assert code == 0
+        assert self.stop_rule(rep_dir)["range_term_sound"] is False
+        assert len(self.warnings(err)) == 1
+
+    def test_linear_range_at_the_same_bound_is_sound(self, capsys, tmp_path):
+        out = tmp_path / "run"
+        code, _, err = run_cli(
+            capsys, "init", "--config", "rare_event_acceptance", "--out", str(out),
+            "--range-term-mode", "linear-range",
+        )
+        assert code == 0
+        assert self.stop_rule(out) == {
+            "range_term_mode": "linear-range",
+            "range_term_sound": True,
+        }
+        assert self.warnings(err) == []
+
+    @pytest.mark.parametrize(
+        "name", ["moderate_cellular", "displacement_star", "zero_variance", "tracking_ais"]
+    )
+    def test_bundled_configs_declaring_p_at_least_one_are_sound(self, capsys, tmp_path, name):
+        out = tmp_path / name
+        code, _, err = run_cli(capsys, "init", "--config", name, "--out", str(out))
+        assert code == 0
+        assert self.stop_rule(out) == {
+            "range_term_mode": "paper-exact",
+            "range_term_sound": True,
+        }
+        assert self.warnings(err) == []
 
 
 class TestOutputBytes:

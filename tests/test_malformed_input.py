@@ -222,8 +222,19 @@ class TestMalformedConfig:
             (("accuracy",), [1], False),
             (("testbed",), None, False),
             (("testbed", "noise"), None, True),
+            (("range_term_mode",), [], False),
+            (("range_term_mode",), {}, False),
+            (("range_term_mode",), 5, False),
         ],
-        ids=["gamma-string", "accuracy-array", "testbed-null", "testbed-no-noise"],
+        ids=[
+            "gamma-string",
+            "accuracy-array",
+            "testbed-null",
+            "testbed-no-noise",
+            "range-term-mode-array",
+            "range-term-mode-object",
+            "range-term-mode-number",
+        ],
     )
     def test_former_crashes_exit_1(self, workdir, path, value, drop):
         assert init_code(edited(ZERO_VARIANCE, path, value, drop), workdir) == 1
@@ -302,6 +313,9 @@ class TestMalformedArtifact:
             (("grid", "offset"), 0.5, False),  # above alpha = 0.189...
             (("config", "bounds", "w_bar"), "0.5", False),
             (("config", "range_term_mode"), "nope", False),
+            (("config", "range_term_mode"), [], False),
+            (("config", "range_term_mode"), {}, False),
+            (("config", "range_term_mode"), 5, False),
             (("config", "sampler", "kind"), 5, False),
             (("config", "sampler", "mix_p"), 0.5, False),  # monte_carlo reads no mix_p
             (("config", "sampler", "kind"), "importance", False),  # the bed has no proposal
@@ -313,6 +327,9 @@ class TestMalformedArtifact:
             "offset-above-alpha",
             "w-bar-string",
             "range-term-mode-nope",
+            "range-term-mode-array",
+            "range-term-mode-object",
+            "range-term-mode-number",
             "sampler-kind-number",
             "sampler-unread-key",
             "importance-without-proposal",

@@ -4,21 +4,27 @@ estimator.bernstein_radius and estimator.hoeffding_radius are the
 reference semantics of StopRule.bernstein and StopRule.hoeffding. The
 array calls are checked through the scan and the trace in
 test_kernels.py; here the rule's final radii, which call the same
-methods on floats, are checked on every prefix of random streams.
+methods on floats, are checked on every prefix of random streams. The
+rule's range_term_sound and its mode check are tested here too.
 """
+
+import re
 
 import numpy as np
 import pytest
 
 from repsq import _kernels
+from repsq._kernels import RANGE_TERM_MODES
+from repsq.errors import DomainError
 from repsq.estimator import (
-    RANGE_TERM_MODES,
     BoundSpec,
     EstimatorState,
     bernstein_radius,
     hoeffding_radius,
     update,
 )
+from repsq.harness import CampaignConfig
+from repsq.quantize import AccuracySpec
 
 
 @pytest.mark.parametrize("mode", RANGE_TERM_MODES)
@@ -42,3 +48,32 @@ def test_final_radii_equal_the_scalar_references(mode, joint):
             assert bern == bernstein_radius(state, bounds, mode)
             assert hoef == hoeffding_radius(state.n, bounds)
             assert rule.hoeffding(float(state.n)) == hoef
+
+
+@pytest.mark.parametrize(
+    "mode,joint,sound",
+    [("paper-exact", joint, joint >= 1.0) for joint in (1e-4, 0.999, 1.0, 30.0)]
+    + [("linear-range", joint, True) for joint in (1e-8, 1e-4, 0.999, 1.0, 30.0)],
+)
+def test_range_term_is_sound_where_it_is_at_least_the_bounds(mode, joint, sound):
+    """paper-exact's P^2 is at least P only from P = 1 on; linear-range's
+    P always is."""
+    bounds = BoundSpec(m=1.0, w_bar=50.0, c=0.05, joint=joint)
+    rule = _kernels.StopRule.for_campaign(0.01, bounds, mode, 2)
+    assert rule.range_term_sound is sound
+
+
+@pytest.mark.parametrize("mode", ["exact", "", None, 5, [], {}])
+def test_unknown_mode_is_rejected_by_for_campaign_alone(mode):
+    bounds = BoundSpec(m=1.0, w_bar=1.0, c=0.05)
+    named = re.escape(f"one of {RANGE_TERM_MODES}")
+    with pytest.raises(DomainError, match=named) as direct:
+        _kernels.StopRule.for_campaign(0.01, bounds, mode, 2)
+    with pytest.raises(DomainError, match=named) as configured:
+        CampaignConfig(
+            accuracy=AccuracySpec(0.1, 0.05, 0.1), m_low=0.0, m_high=1.0, w_bar=1.0,
+            joint=None, sampler={"kind": "monte_carlo"}, testbed={}, seed=0,
+            range_term_mode=mode,
+        )
+    for raised in (direct, configured):
+        assert raised.traceback[-1].name == "for_campaign"
