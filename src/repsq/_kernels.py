@@ -55,10 +55,17 @@ square root per value. The variance-adaptive radius is a square root
 plus the range term c2/(n-1), and a float sum of non-negative terms is
 never below either term, so it cannot reach gamma while c2/(n-1) >
 gamma: the scan evaluates it only from StopRule.n_range on.
+
+The same two thresholds size a campaign's draws. StopRule.first_stop
+gives the first n at which the rule can fire while the population
+variance stays at a given value. At variance 0 that is StopRule.n_floor,
+max(n_min, min(n_range, n_hoeffding)), and no campaign stops before it,
+whatever its values.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -92,6 +99,7 @@ class StopRule(NamedTuple):
     n_hoeffding: int  # smallest n whose fixed-range radius is <= gamma
     n_min: int  # termination floor, >= 2
     n_range: int  # smallest n >= 2 whose range term c2/(n-1) is <= gamma
+    n_floor: int  # first_stop(0.0): no campaign stops before it
 
     @staticmethod
     def for_campaign(
@@ -104,14 +112,12 @@ class StopRule(NamedTuple):
                 f"range_term_mode must be one of {RANGE_TERM_MODES}, got {range_term_mode!r}"
             )
         c2 = 7.0 * mode.R(bounds.product) * bounds.log_term / 3.0
+        n_hoeffding = required_n_hoeffding(gamma, bounds)
+        n_min = max(2, n_min)
+        n_range = _required_n_range(gamma, c2)
+        n_floor = max(n_min, min(n_range, n_hoeffding))
         return mode(
-            gamma,
-            bounds.log_term,
-            c2,
-            bounds.product,
-            required_n_hoeffding(gamma, bounds),
-            max(2, n_min),
-            _required_n_range(gamma, c2),
+            gamma, bounds.log_term, c2, bounds.product, n_hoeffding, n_min, n_range, n_floor
         )
 
     def bernstein(self, n, sigma):
@@ -122,6 +128,24 @@ class StopRule(NamedTuple):
     def hoeffding(self, n):
         """Fixed-range radius at count n >= 1."""
         return self.product * np.sqrt(self.log_term / (2.0 * n))
+
+    def first_stop(self, sigma: float) -> int:
+        """First n at which the rule can fire while the population
+        variance stays sigma; MAX_SAMPLES + 1 when it cannot.
+
+        That is the smaller of n_hoeffding and the smallest n >= n_range
+        whose variance-adaptive radius at sigma is <= gamma (the radius
+        never increases with n at a fixed sigma), and at least n_min.
+        At sigma = 0 it is n_floor.
+        """
+        lo = max(self.n_min, self.n_range)
+        if lo >= self.n_hoeffding:
+            return max(self.n_min, self.n_hoeffding)
+        # sqrt(b^2 / n) + c2 / n = gamma is a quadratic in t = sqrt(n).
+        b = math.sqrt(2.0 * sigma * self.log_term)
+        t = (b + math.sqrt(b * b + 4.0 * self.gamma * self.c2)) / (2.0 * self.gamma)
+        n = _smallest_n(t * t, lo, lambda n: self.bernstein(float(n), sigma) <= self.gamma)
+        return min(self.n_hoeffding, n)
 
     def final(self, state: EstimatorState) -> tuple[float, float]:
         """(bernstein, hoeffding) radii of a state with n >= 2."""

@@ -25,12 +25,17 @@ Campaigns draw and evaluate in chunks, so the chunk that holds the
 terminating test also evaluates the tests after it in that chunk; those
 speculative evaluations are discarded, as in a physical campaign that
 stops at the terminating test, but they are real test executions.
-``evaluated_n`` counts them all and ``chunks`` counts the draws. Chunks
-grow as 64, 128, 256, ... samples up to the ``chunk_size`` cap (the next
-chunk is min(cap, n + 64) samples), so a campaign that stops at n has
-evaluated at most 2n + 64 tests; AIS draws one batch of d samples per
-chunk and evaluates at most n + d - 1. The scan kernel's result does not
-depend on the chunking, so neither does any estimate.
+``evaluated_n`` counts them all and ``chunks`` counts the draws. The
+stopping rule sizes each chunk, up to the ``chunk_size`` cap, so that
+few tests are drawn past the stop. The first chunk runs to the rule's
+stop floor (StopRule.n_floor), before which no campaign stops, and is
+consumed whole. Each later chunk runs to StopRule.first_stop at the
+current variance, the first n at which the rule could fire if the
+variance stayed there, and holds at most max(n, 64) samples; so a
+campaign that stops at n has evaluated at most 2n + 64 tests. AIS draws
+one batch of d samples per chunk and evaluates at most n + d - 1. The
+scan kernel's result does not depend on the chunking, so neither does
+any estimate.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ import dataclasses
 import math
 import time
 import warnings
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,7 +102,7 @@ REPLICATOR_ARM = 1
 _OFFSET_STREAM_KEY = 0x0FF5E7
 
 _CHUNK = 8192  # default cap on the chunk size
-_FIRST_CHUNK = 64
+_SPECULATION = 64  # a chunk after the first holds at most max(n, 64) samples
 _CONVERGENCE_CHUNK = 250_000
 # Relative slack for float dust when checking declared bounds.
 _BOUND_SLACK = 1.0 + 1e-9
@@ -280,6 +286,7 @@ class TrialResult:
     bernstein_radius_final: float
     hoeffding_radius_final: float
     terminated: bool
+    range_term_sound: bool  # see StopRule.range_term_sound
     sampler_kind: str
     weight_cap_violations: int
     evaluated_n: int  # test executions, speculative ones included
@@ -299,16 +306,25 @@ def campaign_stream(seed: int, pair: int, arm: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed, spawn_key=(pair, arm))
 
 
+# Each bed's mass ratio, computed once: the config check and the sampler
+# of a campaign both read it.
+_MASS_RATIOS = weakref.WeakKeyDictionary()
+
+
 def _mass_ratio(bed) -> np.ndarray:
     """The importance weight p/q of each cell of a bed with a discrete
     proposal q; 0 on a cell where neither has mass."""
+    ratio = _MASS_RATIOS.get(bed)
+    if ratio is not None:
+        return ratio
     q = bed.proposal
     if not hasattr(q, "masses"):
         raise DomainError("importance sampling needs a testbed with a discrete proposal")
     p_m, q_m = bed.target.masses, q.masses
     if not np.all((q_m > 0.0) | (p_m == 0.0)):
         raise ZeroProposalDensity("proposal assigns zero mass to a cell with target mass")
-    return np.divide(p_m, q_m, out=np.zeros_like(p_m), where=q_m > 0.0)
+    ratio = _MASS_RATIOS[bed] = np.divide(p_m, q_m, out=np.zeros_like(p_m), where=q_m > 0.0)
+    return ratio
 
 
 class _Sampler:
@@ -319,8 +335,9 @@ class _Sampler:
     not stop the campaign.
 
     What the campaign loop reads besides: ``batch``, the chunk size the
-    kind fixes (None: the doubling schedule), and ``clamped_fits`` and
-    ``snapshot``, what the kind adapted (None: it does not adapt).
+    kind fixes (None: the stopping rule sizes the chunks), and
+    ``clamped_fits`` and ``snapshot``, what the kind adapted (None: it
+    does not adapt).
     """
 
     fields: dict = {}
@@ -456,13 +473,15 @@ def run_quantized_sq(
     termination radius reaches gamma, then quantize the running mean.
 
     ``rng_stream`` is a numpy SeedSequence (an int is promoted to one).
-    Chunks grow 64, 128, 256, ... up to ``chunk_size`` (AIS draws one
-    batch of d per chunk instead); see the module docstring for what
-    that costs in speculative evaluations. The sampler and
-    evaluator-noise streams are consumed position-aligned and the scan
-    kernel's sums do not depend on where the chunks split, so every field but
-    ``evaluated_n``, ``chunks`` and the wall time is bit-identical for
-    any ``chunk_size``.
+    Each chunk holds at most ``chunk_size`` samples: the first runs to
+    the stop floor, each later one to where the rule could first fire at
+    the current variance, at most max(n, 64) (AIS draws one batch of d
+    per chunk instead); see the module docstring for what that costs in
+    speculative evaluations. The sampler and evaluator-noise streams are
+    consumed position-aligned and the scan kernel's sums do not depend
+    on where the chunks split, so every field but ``evaluated_n``,
+    ``chunks`` and the wall time is bit-identical for any
+    ``chunk_size``.
 
     Raises NonTerminated at n_max with the partial result attached.
     """
@@ -488,7 +507,7 @@ def run_quantized_sq(
     stopped = False
     trace_parts: list | None = [] if record_trace else None
     while not stopped and state.n < config.n_max:
-        k = sampler.batch or min(chunk_size, state.n + _FIRST_CHUNK)
+        k = sampler.batch or _next_chunk(rule, state, chunk_size)
         k = min(k, config.n_max - state.n)
         values, xs, violations = sampler.draw(rng_s, rng_e, k)
         evaluated += k
@@ -529,6 +548,7 @@ def run_quantized_sq(
         bernstein_radius_final=bern,
         hoeffding_radius_final=hoef,
         terminated=stopped,
+        range_term_sound=rule.range_term_sound,
         sampler_kind=kind,
         weight_cap_violations=cap_violations,
         evaluated_n=evaluated,
@@ -570,6 +590,18 @@ def run_quantized_sq(
             f"above gamma = {rule.gamma!r}"
         )
     return result
+
+
+def _next_chunk(rule: _kernels.StopRule, state: EstimatorState, cap: int) -> int:
+    """At most cap samples: the first chunk runs to the stop floor, a
+    later one to the first n at which the rule can fire if the variance
+    stays where it is, and holds at most max(n, 64) samples."""
+    if state.n == 0:
+        return min(cap, rule.n_floor)
+    most = min(cap, max(state.n, _SPECULATION))
+    if state.n + most <= rule.n_floor:  # first_stop is never below the floor
+        return most
+    return min(most, max(1, rule.first_stop(state.variance) - state.n))
 
 
 def _draw_offset(config: CampaignConfig, alpha: float) -> float:
@@ -671,6 +703,7 @@ class RepeatabilityReport:
     sampler_initiator: str
     sampler_replicator: str
     range_term_mode: str
+    range_term_sound: bool
     seed: int
     effort: dict
     rows: list = field(repr=False)
@@ -697,11 +730,20 @@ class RepeatabilityReport:
         return _record_dict(self, "repeat_rate", "accuracy_hit_rate", "raw_gamma_hit_rate")
 
 
-def _effort_stats(ns: list[int]) -> dict:
+def _spread(counts: list[int]) -> dict:
     return {
-        "min": int(min(ns)),
-        "mean": float(np.mean(ns)),
-        "max": int(max(ns)),
+        "min": int(min(counts)),
+        "mean": float(np.mean(counts)),
+        "max": int(max(counts)),
+    }
+
+
+def _effort_stats(results: list[TrialResult]) -> dict:
+    """Spread of an arm's consumed n, and under ``evaluated_n`` of its
+    test executions."""
+    return {
+        **_spread([r.n for r in results]),
+        "evaluated_n": _spread([r.evaluated_n for r in results]),
     }
 
 
@@ -747,8 +789,8 @@ def pairwise_experiment(
     _SAMPLERS[rep_config.sampler["kind"]].check(rep_config, bed)
 
     rows = []
-    init_ns: list[int] = []
-    rep_ns: list[int] = []
+    init_runs: list[TrialResult] = []
+    rep_runs: list[TrialResult] = []
     repeat_count = 0
     accuracy_hits = 0
     raw_hits = 0
@@ -767,6 +809,7 @@ def pairwise_experiment(
             "raw_estimate": res.raw_estimate,
             "quantized_estimate": res.quantized_estimate,
             "n": res.n,
+            "evaluated_n": res.evaluated_n,
             "sigma_hat": res.sigma_hat_final,
             "repeat": same,
         }
@@ -780,7 +823,7 @@ def pairwise_experiment(
             testbed=bed,
         )
         grade(shared_init)
-        init_ns.append(shared_init.n)
+        init_runs.append(shared_init)
     for pair in range(n_pairs):
         if star:
             init_res = shared_init
@@ -792,7 +835,7 @@ def pairwise_experiment(
                 testbed=bed,
             )
             grade(init_res)
-            init_ns.append(init_res.n)
+            init_runs.append(init_res)
         rep_res = run_quantized_sq(
             rep_config,
             partition,
@@ -800,7 +843,7 @@ def pairwise_experiment(
             testbed=bed,
         )
         grade(rep_res)
-        rep_ns.append(rep_res.n)
+        rep_runs.append(rep_res)
         same = (
             init_res.cell == rep_res.cell
             and init_res.quantized_estimate == rep_res.quantized_estimate
@@ -828,10 +871,11 @@ def pairwise_experiment(
         sampler_initiator=config.sampler["kind"],
         sampler_replicator=rep_config.sampler["kind"],
         range_term_mode=config.range_term_mode,
+        range_term_sound=config.stop_rule.range_term_sound,
         seed=config.seed,
         effort={
-            "initiator": _effort_stats(init_ns),
-            "replicator": _effort_stats(rep_ns),
+            "initiator": _effort_stats(init_runs),
+            "replicator": _effort_stats(rep_runs),
         },
         rows=rows,
     )
@@ -852,6 +896,10 @@ class EffortComparison:
     def effort_ratio(self) -> float:
         return self.n_terminated / self.required_n_hoeffding
 
+    @property
+    def range_term_sound(self) -> bool:
+        return self.result.range_term_sound
+
     def rows(self) -> list[dict]:
         """One row per consumed sample: n, estimate, sigma_hat, the two
         radii and terminated_by, which only the final row fills in with
@@ -871,7 +919,7 @@ class EffortComparison:
         ]
 
     def to_dict(self) -> dict:
-        return _record_dict(self, "effort_ratio")
+        return _record_dict(self, "effort_ratio", "range_term_sound")
 
 
 def effort_comparison(config: CampaignConfig) -> EffortComparison:

@@ -294,6 +294,7 @@ class TestPairwise:
             "raw_estimate",
             "quantized_estimate",
             "n",
+            "evaluated_n",
             "sigma_hat",
             "repeat",
         }
@@ -349,16 +350,18 @@ class TestEffort:
         assert first["hoeffding_radius"] == ""
 
 
-# sha256 of result files, recorded while each result record still wrote
-# its to_dict key by key; a dropped, renamed or re-typed key, or a moved
-# number, changes a digest.
+# sha256 of result files; a dropped, renamed or re-typed key, or a moved
+# number, changes a digest. Re-recorded when chunks came to be sized from
+# the stopping rule (evaluated_n and chunks moved) and range_term_sound
+# and the evaluated_n spreads and column were added; effort.csv and
+# every other value kept their bytes.
 OUTPUT_DIGESTS = {
-    "init/result.json": "7caec35548f791d01ff7a1ed333404a2e8d29aefc231e1cafe643ad0300850a1",
-    "rep/result.json": "7caec35548f791d01ff7a1ed333404a2e8d29aefc231e1cafe643ad0300850a1",
-    "pair/pairs.csv": "4e21f4cf0b24091337fb93fe2a3be5b40ff4bade82a63b0dd0ba901352f283f9",
-    "pair/report.json": "797354949b7f4632a06e0abacce492e98d68832ff002bc5966638d0b5aeb825f",
+    "init/result.json": "ff1aaa5ddb5b21f820a86f8c9927e945283ec3e00adf313a619d75e4fbb74b95",
+    "rep/result.json": "ff1aaa5ddb5b21f820a86f8c9927e945283ec3e00adf313a619d75e4fbb74b95",
+    "pair/pairs.csv": "fe2fd2b043c9f98d866f3b84cefd23dde6875455d2bf6bac1da3367f867d6788",
+    "pair/report.json": "a502324b7670fa905a407d0674798c4c0b2697978caea3f3e846e1089d157291",
     "effort/effort.csv": "fcc319c8867da9f38e068fb7d1a729f2d93175e05ff33061bf344c5909932053",
-    "effort/report.json": "9003091f12321d2694d5653d07fb72cc6bb3deea4ab3b012792e2adc4201fd3a",
+    "effort/report.json": "c369e89de670c1bb8b06dc533e59072563cb9e108888118d0a4faf769a17a1f4",
 }
 
 

@@ -10,7 +10,9 @@ import dataclasses
 import json
 import math
 import warnings
+import weakref
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -390,9 +392,28 @@ class TestRunQuantizedSq:
 
             monkeypatch.setattr(cls, "density_many", counted)
         cfg = zero_variance_config()
-        res = run_quantized_sq(cfg, make_partition(cfg), campaign_stream(cfg.seed, 0, 0))
+        res = run_quantized_sq(
+            cfg, make_partition(cfg), campaign_stream(cfg.seed, 0, 0), chunk_size=16
+        )
         assert res.terminated and res.chunks > 1
         assert calls == []
+
+    def test_mass_ratio_is_computed_once_per_bed(self, monkeypatch):
+        class Counted(weakref.WeakKeyDictionary):
+            stores = 0
+
+            def __setitem__(self, bed, ratio):
+                Counted.stores += 1
+                super().__setitem__(bed, ratio)
+
+        monkeypatch.setattr(harness, "_MASS_RATIOS", Counted())
+        cfg = rare_config()
+        art, _ = initiator(cfg)  # checks the config, then draws
+        assert Counted.stores == 1
+        replicator(art, 5)  # a bed of its own
+        assert Counted.stores == 2
+        pairwise_experiment(cfg, 3)  # one bed for all six campaigns
+        assert Counted.stores == 3
 
     def test_same_stream_reproduces_bitwise(self):
         cfg = rare_config()
@@ -433,19 +454,52 @@ class TestRunQuantizedSq:
             ]
             assert len({json.dumps(outcome(r)) for r in results}) == 1
 
-    @pytest.mark.parametrize("cap", [7, 64, 1000, 8192])
-    def test_chunks_double_from_64_up_to_the_cap(self, cap):
-        cfg = moderate_config()
-        res = run_quantized_sq(
-            cfg, make_partition(cfg), campaign_stream(cfg.seed, 2, 0), chunk_size=cap
+    @staticmethod
+    def sized_run(cfg, **kwargs):
+        """run_quantized_sq on a bed that records the size of each chunk."""
+        bed = cfg.build_testbed()
+        sizes = []
+
+        def evaluate(points, rng):
+            sizes.append(len(points))
+            return type(bed).evaluate_many(bed, points, rng)
+
+        bed.evaluate_many = evaluate
+        part = make_partition(cfg)
+        return sizes, lambda: run_quantized_sq(
+            cfg, part, campaign_stream(cfg.seed, 2, 0), testbed=bed, **kwargs
         )
-        drawn = 0
-        for _ in range(res.chunks):
-            last = min(cap, drawn + 64)
-            drawn += last
-        assert res.evaluated_n == drawn
-        assert drawn - last < res.n <= drawn
+
+    @pytest.mark.parametrize("cap", [7, 64, 1000, 8192])
+    def test_chunks_run_to_where_the_rule_can_fire(self, cap):
+        # The first chunk runs to the stop floor, before which no campaign
+        # stops, and is consumed whole. Each later chunk runs to where the
+        # rule would fire if the variance stayed where it is, at most
+        # max(n, 64) samples, so evaluated_n <= 2n + 64.
+        cfg = moderate_config()
+        rule = cfg.stop_rule
+        sizes, run = self.sized_run(cfg, chunk_size=cap, record_trace=True)
+        res = run()
+        assert sizes[0] == min(cap, cfg.n_max, rule.n_floor) <= res.n
+        drawn = sizes[0]
+        for k in sizes[1:]:
+            sigma = float(res.trace.sigma_hat[drawn - 1])  # at n = drawn
+            assert k == min(cap, rule.first_stop(sigma) - drawn, max(drawn, 64))
+            assert 1 <= k <= min(cap, max(drawn, 64))
+            drawn += k
+        assert (res.chunks, res.evaluated_n) == (len(sizes), drawn)
+        assert drawn - sizes[-1] < res.n <= drawn
         assert res.evaluated_n <= 2 * res.n + 64
+        assert len(sizes) > 1
+
+    def test_first_chunk_stops_at_n_max_below_the_floor(self):
+        cfg = moderate_config(n_max=500)
+        assert cfg.stop_rule.n_floor > 500
+        sizes, run = self.sized_run(cfg)
+        with pytest.raises(NonTerminated) as raised:
+            run()
+        assert sizes == [500]
+        assert (raised.value.result.n, raised.value.result.evaluated_n) == (500, 500)
 
     def test_chunk_size_must_be_positive(self):
         cfg = zero_variance_config()
@@ -763,9 +817,11 @@ class TestPairwiseExperiment:
                 "raw_estimate",
                 "quantized_estimate",
                 "n",
+                "evaluated_n",
                 "sigma_hat",
                 "repeat",
             }
+            assert row["n"] <= row["evaluated_n"]
 
     def test_mixed_sampler_pairs_meet_the_floor(self):
         cfg = moderate_config("monte_carlo", seed=909)
@@ -959,6 +1015,23 @@ class TestBundledConfigs:
         for size in (7, 64, 997):
             assert outcome(run(name, size)) == base
 
+    @pytest.mark.parametrize("name", CELLULAR + ["early_stop", "deep_scan"])
+    def test_no_campaign_stops_before_the_floor(self, name):
+        # The Bernstein radius is never below its range term, so the
+        # first chunk, n_floor long, is never drawn past the stop.
+        if name in self.CELLULAR:
+            cfg = self.config(name)
+        else:
+            path = Path(__file__).resolve().parents[1] / "campaign_bench" / "workloads"
+            spec = json.loads((path / f"{name}.json").read_text())
+            cfg = CampaignConfig.from_dict(spec["config"])
+        rule = cfg.stop_rule
+        assert rule.n_floor == rule.first_stop(0.0)
+        part = make_partition(cfg)
+        for pair in range(4):
+            res = run_quantized_sq(cfg, part, campaign_stream(cfg.seed, pair, 1))
+            assert res.n >= rule.n_floor
+
     @pytest.mark.parametrize("name", NAMES)
     def test_to_dict_is_byte_stable_across_reruns(self, run, name):
         first = json.dumps(run(name).to_dict(), sort_keys=True)
@@ -1035,6 +1108,15 @@ class TestReportInvariants:
         assert report.effort["replicator"]["mean"] == pytest.approx(
             sum(rep_ns) / len(rep_ns)
         )
+        for arm in ("initiator", "replicator"):
+            evaluated = [r["evaluated_n"] for r in report.rows if r["arm"] == arm]
+            assert report.effort[arm]["evaluated_n"] == {
+                "min": min(evaluated),
+                "mean": pytest.approx(sum(evaluated) / len(evaluated)),
+                "max": max(evaluated),
+            }
+        assert report.range_term_sound is False  # paper-exact at P = 1e-4
+        assert report.to_dict()["range_term_sound"] is False
 
     def test_uniform_random_offset_is_seed_stable(self):
         cfg = dataclasses.replace(rare_config(), offset_policy="uniform-random")

@@ -77,3 +77,40 @@ def test_unknown_mode_is_rejected_by_for_campaign_alone(mode):
         )
     for raised in (direct, configured):
         assert raised.traceback[-1].name == "for_campaign"
+
+
+@pytest.mark.parametrize("mode", RANGE_TERM_MODES)
+@pytest.mark.parametrize("joint", [0.02, 1.0, 30.0])
+@pytest.mark.parametrize("n_min", [2, 300])
+def test_first_stop_is_the_first_n_the_rule_can_fire_at(mode, joint, n_min):
+    """first_stop settles a closed form; here the count is found by
+    walking n up from n_min."""
+    gamma = 0.05 * joint
+    rule = _kernels.StopRule.for_campaign(gamma, BoundSpec(1.0, 50.0, 0.05, joint), mode, n_min)
+
+    def fires(n, sigma):
+        if n >= rule.n_hoeffding:
+            return True
+        return n >= rule.n_range and rule.bernstein(float(n), sigma) <= gamma
+
+    for share in (0.0, 1e-6, 1e-3, 0.01, 0.05, 0.1, 0.25, 1.0):
+        sigma = share * joint * joint
+        n = rule.n_min
+        while not fires(n, sigma):
+            n += 1
+        assert rule.first_stop(sigma) == n
+    assert rule.first_stop(0.0) == rule.n_floor
+    assert rule.n_floor == max(rule.n_min, min(rule.n_range, rule.n_hoeffding))
+
+
+def test_first_stop_out_of_reach_is_max_samples_plus_one():
+    from repsq.estimator import MAX_SAMPLES
+
+    # Neither radius reaches gamma.
+    rule = _kernels.StopRule.for_campaign(1e-300, BoundSpec(1.0, 1.0, 0.05), "linear-range", 2)
+    assert rule.first_stop(0.25) == rule.n_floor == MAX_SAMPLES + 1
+    # Only the variance-adaptive radius can, and only at a small variance.
+    rule = _kernels.StopRule.for_campaign(1e-9, BoundSpec(1.0, 1.0, 0.05), "linear-range", 2)
+    assert rule.n_hoeffding == MAX_SAMPLES + 1
+    assert rule.first_stop(0.0) == rule.n_range < MAX_SAMPLES
+    assert rule.first_stop(0.25) == MAX_SAMPLES + 1
