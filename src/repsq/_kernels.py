@@ -41,13 +41,14 @@ expressions, called on arrays by the scan and the trace and on floats
 for the final radii; estimator.bernstein_radius and
 estimator.hoeffding_radius are their scalar references, bit for bit.
 The scan consumes one chunk of weighted measures and reports where, if
-anywhere, the rule fired. The carried state holds shifted sums about the
-campaign's first value (see estimator.EstimatorState): the chunk's
-deviations from that pivot are prefixed with the carried sums and
-accumulated with ``np.add.accumulate``, a strictly sequential sum, so
-every prefix sum, mean, m2 and radius is the same float
+anywhere, the rule fired. The carried state is estimator.EstimatorState,
+the count and the shifted sums about the campaign's first value: the
+chunk's deviations from that pivot are prefixed with the carried sums
+and accumulated with ``np.add.accumulate``, a strictly sequential sum,
+so every prefix sum, mean, m2 and radius is the same float
 estimator.update() would reach one value at a time, however the values
-are split into chunks.
+are split into chunks. The trace needs no carried state of its own: it
+replays a campaign's consumed values through one such pass.
 
 The fixed-range radius depends on n alone and never increases with it,
 so the scan tests it as n >= StopRule.n_hoeffding instead of taking a
@@ -229,23 +230,24 @@ def scan_terminate(values, state: EstimatorState, rule: StopRule):
             stop = start + j
     last = stop if stop >= 0 else k - 1
     n = state.n + last + 1
-    return stop, EstimatorState.from_sums(n, pivot, float(s1[last]), float(s2[last]))
+    return stop, EstimatorState(n=n, pivot=pivot, s1=float(s1[last]), s2=float(s2[last]))
 
 
-def trace_radii(values, state: EstimatorState, rule: StopRule):
-    """Per-prefix state and radii over the chunk, for diagnostics export.
+def trace_radii(values, rule: StopRule):
+    """Per-prefix state and radii of a campaign's consumed values, for
+    diagnostics export; the prefix sums are the scan's, bit for bit.
 
     Returns (n, mean, sigma_hat, bernstein, hoeffding) arrays; entries
     with n < rule.n_min carry NaN radii (the rule never consults them).
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
-    pivot, s1, s2 = _prefix_sums(values, state)
-    n_arr = _counts(state, 0, values.shape[0])
+    pivot, s1, s2 = _prefix_sums(values, EstimatorState())
+    n_arr = np.arange(1, values.shape[0] + 1, dtype=np.float64)
     mean = pivot + s1 / n_arr
     sigma = _sigma(n_arr, s1, s2)
     bern = np.full(n_arr.shape, np.nan)
     hoef = np.full(n_arr.shape, np.nan)
-    young = max(0, rule.n_min - state.n - 1)  # first index with n >= n_min
+    young = rule.n_min - 1  # first index with n >= n_min
     bern[young:] = rule.bernstein(n_arr[young:], sigma[young:])
     hoef[young:] = rule.hoeffding(n_arr[young:])
     return n_arr.astype(np.int64), mean, sigma, bern, hoef

@@ -79,7 +79,10 @@ class OracleBudgetError(RepsqError):
 
 
 class ClampWarning(UserWarning):
-    """A raw estimate left the measure interval and was clamped."""
+    """A Beta shape fit was clamped to [SHAPE_MIN, SHAPE_MAX]: by
+    samplers.fit_beta, or in an AIS campaign's refits, which also count
+    a refit with no weight to fit. A raw estimate clamped into the
+    measure interval warns of nothing; it only sets TrialResult.clamped."""
 
 
 class WeightCapExceeded(UserWarning):

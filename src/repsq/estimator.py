@@ -1,11 +1,11 @@
 """Online weighted-measure estimator and the scalar reference radii.
 
-The estimator ingests one weighted measure psi(x)*w(x) per test and keeps
-shifted sums about a pivot, the first value it ingests (Chan, Golub &
-LeVeque 1983): s1 = sum(x - pivot) and s2 = sum((x - pivot)^2). The
-running estimate mean = pivot + s1/n, the sum of squared deviations
-m2 = s2 - s1^2/n and the population variance sigma_hat = m2/n follow in
-O(1) per update.
+The estimator ingests one weighted measure psi(x)*w(x) per test. Its
+state is the count n and the shifted sums about a pivot, the first value
+it ingests (Chan, Golub & LeVeque 1983): s1 = sum(x - pivot) and
+s2 = sum((x - pivot)^2). The running estimate mean = pivot + s1/n, the
+sum of squared deviations m2 = s2 - s1^2/n and the population variance
+sigma_hat = m2/n are read from them in O(1).
 
 The radii, the radius modes and the stopping rule are described, and
 evaluated, in _kernels. bernstein_radius and hoeffding_radius are the
@@ -17,7 +17,7 @@ both give the same bits for every prefix, however chunked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DomainError, InsufficientSamples
 
@@ -36,42 +36,38 @@ __all__ = [
 MAX_SAMPLES = 2**53
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class EstimatorState:
-    """Running count, mean, and sum of squared deviations.
+    """Count n and shifted sums s1 = sum(x - pivot), s2 = sum((x - pivot)^2)
+    of the values seen so far; pivot is the first of them.
 
-    variance() is the population variance m2/n (division by n, not n-1),
-    matching the termination radius definition.
-
-    The shifted sums behind mean and m2 ride along (``pivot``, ``s1``,
-    ``s2``). A state built from (n, mean, m2) alone is shifted by its own
-    mean: pivot = mean, s1 = 0 and s2 = m2, which reproduce mean and m2
-    exactly.
+    mean, m2 and variance are read from the sums. variance is the
+    population variance m2/n (division by n, not n-1), matching the
+    termination radius definition. The fields are keyword-only, so a
+    call that passes (n, mean, m2) by position fails instead of being
+    read as (n, pivot, s1).
     """
 
     n: int = 0
-    mean: float = 0.0
-    m2: float = 0.0
-    pivot: float | None = field(default=None, repr=False)
-    s1: float = field(default=0.0, repr=False)
-    s2: float | None = field(default=None, repr=False)
+    pivot: float = 0.0
+    s1: float = 0.0
+    s2: float = 0.0
 
     def __post_init__(self) -> None:
         if self.n < 0:
             raise DomainError(f"negative count {self.n}")
-        if self.n == 0 and (self.mean != 0.0 or self.m2 != 0.0):
-            raise DomainError("empty state must have mean = m2 = 0")
-        if self.m2 < 0.0:
-            raise DomainError(f"negative m2 {self.m2}")
-        if self.pivot is None:
-            object.__setattr__(self, "pivot", self.mean)
-        if self.s2 is None:
-            object.__setattr__(self, "s2", self.m2)
+        if self.n == 0 and (self.s1 != 0.0 or self.s2 != 0.0):
+            raise DomainError("empty state must have s1 = s2 = 0")
+        if self.s2 < 0.0:
+            raise DomainError(f"negative s2 {self.s2}")
 
-    @classmethod
-    def from_sums(cls, n: int, pivot: float, s1: float, s2: float) -> "EstimatorState":
-        """The state of n values with shifted sums s1 and s2 about pivot."""
-        return cls(n, pivot + s1 / n, max(s2 - s1 * s1 / n, 0.0), pivot, s1, s2)
+    @property
+    def mean(self) -> float:
+        return self.pivot + self.s1 / self.n if self.n > 0 else 0.0
+
+    @property
+    def m2(self) -> float:
+        return max(self.s2 - self.s1 * self.s1 / self.n, 0.0) if self.n > 0 else 0.0
 
     @property
     def variance(self) -> float:
@@ -85,7 +81,7 @@ def update(state: EstimatorState, weighted_measure: float) -> EstimatorState:
         raise DomainError(f"non-finite weighted measure {weighted_measure}")
     pivot = weighted_measure if state.n == 0 else state.pivot
     d = weighted_measure - pivot
-    return EstimatorState.from_sums(state.n + 1, pivot, state.s1 + d, state.s2 + d * d)
+    return EstimatorState(n=state.n + 1, pivot=pivot, s1=state.s1 + d, s2=state.s2 + d * d)
 
 
 @dataclass(frozen=True)

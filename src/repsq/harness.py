@@ -505,7 +505,7 @@ def run_quantized_sq(
     evaluated = 0
     chunks = 0
     stopped = False
-    trace_parts: list | None = [] if record_trace else None
+    consumed = []  # each chunk's consumed values, kept only for the trace
     while not stopped and state.n < config.n_max:
         k = sampler.batch or _next_chunk(rule, state, chunk_size)
         k = min(k, config.n_max - state.n)
@@ -519,12 +519,10 @@ def run_quantized_sq(
                 f"{worst:.6g}, outside the declared bound {rule.product:.6g}; "
                 f"the termination radii are void"
             )
-        if record_trace:
-            trace_parts.append(_kernels.trace_radii(values, state, rule))
         i, state = _kernels.scan_terminate(values, state, rule)
         stopped = i >= 0
-        if record_trace and stopped:
-            trace_parts[-1] = tuple(col[: i + 1] for col in trace_parts[-1])
+        if record_trace:
+            consumed.append(values[: i + 1] if stopped else values)
         cap_violations += violations
         if not stopped:
             sampler.post_chunk(xs, values)
@@ -535,8 +533,7 @@ def run_quantized_sq(
     radius = min(bern, hoef)
     trace = None
     if record_trace:
-        cols = [np.concatenate([part[j] for part in trace_parts]) for j in range(5)]
-        trace = RadiusTrace(*cols)
+        trace = RadiusTrace(*_kernels.trace_radii(np.concatenate(consumed), rule))
     qv = quantize(state.mean, partition)
     result = TrialResult(
         raw_estimate=state.mean,
@@ -760,9 +757,11 @@ def pairwise_experiment(
     In star mode a single initiator arm is compared against n_pairs
     replicator arms (the one-artifact-many-replicators deployment); the
     default mode runs a fresh initiator arm per pair. Arms draw from
-    disjoint sub-streams keyed by (pair, arm), so pairs could execute
-    in any order or in parallel without changing a single bit of the
-    report; this implementation runs them sequentially.
+    disjoint sub-streams keyed by (pair, arm) and no campaign changes
+    the shared testbed, so the arms could run in any order or in
+    parallel without changing a single bit of the report; this
+    implementation runs every initiator arm first, then every
+    replicator arm, one at a time.
 
     Accuracy is graded against the testbed oracle with the quantized
     tolerance gamma + alpha/2 (raw estimates are also graded against
@@ -788,19 +787,10 @@ def pairwise_experiment(
     rep_config = dataclasses.replace(config, sampler=dict(rep_sampler))
     _SAMPLERS[rep_config.sampler["kind"]].check(rep_config, bed)
 
-    rows = []
-    init_runs: list[TrialResult] = []
-    rep_runs: list[TrialResult] = []
-    repeat_count = 0
-    accuracy_hits = 0
-    raw_hits = 0
-    n_trials = 0
-
-    def grade(res: TrialResult) -> None:
-        nonlocal accuracy_hits, raw_hits, n_trials
-        n_trials += 1
-        accuracy_hits += abs(res.quantized_estimate - r_star) <= tolerance
-        raw_hits += abs(res.raw_estimate - r_star) <= gamma
+    def run(cfg: CampaignConfig, pair: int, arm: int) -> TrialResult:
+        return run_quantized_sq(
+            cfg, partition, campaign_stream(config.seed, pair, arm), testbed=bed
+        )
 
     def row(pair: int, arm: str, res: TrialResult, same: bool) -> dict:
         return {
@@ -814,36 +804,16 @@ def pairwise_experiment(
             "repeat": same,
         }
 
-    shared_init: TrialResult | None = None
-    if star:
-        shared_init = run_quantized_sq(
-            config,
-            partition,
-            campaign_stream(config.seed, 0, INITIATOR_ARM),
-            testbed=bed,
-        )
-        grade(shared_init)
-        init_runs.append(shared_init)
-    for pair in range(n_pairs):
-        if star:
-            init_res = shared_init
-        else:
-            init_res = run_quantized_sq(
-                config,
-                partition,
-                campaign_stream(config.seed, pair, INITIATOR_ARM),
-                testbed=bed,
-            )
-            grade(init_res)
-            init_runs.append(init_res)
-        rep_res = run_quantized_sq(
-            rep_config,
-            partition,
-            campaign_stream(config.seed, pair, REPLICATOR_ARM),
-            testbed=bed,
-        )
-        grade(rep_res)
-        rep_runs.append(rep_res)
+    init_runs = [run(config, pair, INITIATOR_ARM) for pair in range(1 if star else n_pairs)]
+    rep_runs = [run(rep_config, pair, REPLICATOR_ARM) for pair in range(n_pairs)]
+    runs = init_runs + rep_runs
+    accuracy_hits = sum(abs(r.quantized_estimate - r_star) <= tolerance for r in runs)
+    raw_hits = sum(abs(r.raw_estimate - r_star) <= gamma for r in runs)
+
+    rows = [row(0, "initiator", init_runs[0], True)] if star else []
+    repeat_count = 0
+    for pair, rep_res in enumerate(rep_runs):
+        init_res = init_runs[0 if star else pair]
         same = (
             init_res.cell == rep_res.cell
             and init_res.quantized_estimate == rep_res.quantized_estimate
@@ -852,14 +822,12 @@ def pairwise_experiment(
         if not star:
             rows.append(row(pair, "initiator", init_res, same))
         rows.append(row(pair, "replicator", rep_res, same))
-    if star:
-        rows.insert(0, row(0, "initiator", shared_init, True))
 
     return RepeatabilityReport(
         n_pairs=n_pairs,
         star=star,
         repeat_count=repeat_count,
-        n_trials=n_trials,
+        n_trials=len(runs),
         accuracy_hits=accuracy_hits,
         raw_gamma_hits=raw_hits,
         alpha=partition.alpha,

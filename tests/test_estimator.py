@@ -84,9 +84,22 @@ class TestState:
         with pytest.raises(DomainError):
             EstimatorState(n=-1)
         with pytest.raises(DomainError):
-            EstimatorState(n=0, mean=1.0)
+            EstimatorState(n=0, s1=1.0)
         with pytest.raises(DomainError):
-            EstimatorState(n=3, mean=0.0, m2=-1e-9)
+            EstimatorState(n=0, s2=1.0)
+        with pytest.raises(DomainError):
+            EstimatorState(n=3, pivot=0.5, s2=-1e-9)
+
+    def test_fields_are_keyword_only(self):
+        # A positional (n, mean, m2) would otherwise read as (n, pivot, s1).
+        with pytest.raises(TypeError):
+            EstimatorState(3, 0.5, 0.25)
+
+    def test_moments_are_read_from_the_sums(self):
+        s = EstimatorState(n=4, pivot=1.0, s1=2.0, s2=3.0)
+        assert s.mean == 1.0 + 2.0 / 4
+        assert s.m2 == 3.0 - 2.0 * 2.0 / 4
+        assert s.variance == s.m2 / 4
 
 
 class TestBoundSpec:

@@ -545,6 +545,23 @@ class TestRunQuantizedSq:
         assert not partial.terminated
         assert 0.0 <= partial.raw_estimate <= 1.0
 
+    def test_non_terminated_partial_result_traces_n_max_rows(self):
+        cfg = moderate_config(n_max=500)
+        with pytest.raises(NonTerminated) as info:
+            run_quantized_sq(
+                cfg, make_partition(cfg), campaign_stream(7, 0, 0), record_trace=True
+            )
+        partial = info.value.result
+        t = partial.trace
+        assert len(t) == cfg.n_max == partial.n
+        assert list(t.n) == list(range(1, cfg.n_max + 1))
+        assert t.estimate[-1] == partial.raw_estimate
+        assert t.sigma_hat[-1] == partial.sigma_hat_final
+        assert (t.bernstein[-1], t.hoeffding[-1]) == (
+            partial.bernstein_radius_final,
+            partial.hoeffding_radius_final,
+        )
+
     @pytest.mark.parametrize(
         "overrides",
         [
@@ -855,6 +872,78 @@ class TestPairwiseExperiment:
         assert report.repeat_rate == 1.0  # midpoint sits 16 sigma from the edges
         assert report.effort["initiator"]["min"] == report.effort["initiator"]["max"]
 
+    @pytest.mark.parametrize(
+        "star, replicator_sampler",
+        [(False, None), (True, None), (False, {"kind": "importance"})],
+        ids=["default", "star", "override"],
+    )
+    def test_report_does_not_depend_on_run_order(self, star, replicator_sampler):
+        # Each arm run on its own, pairs in reverse order, gives the
+        # report's rows and counts.
+        cfg = moderate_config("monte_carlo", seed=31)
+        n_pairs = 5
+        report = pairwise_experiment(
+            cfg, n_pairs, replicator_sampler=replicator_sampler, star=star
+        )
+        bed = cfg.build_testbed()
+        part = make_partition(cfg)
+        rep_cfg = cfg
+        if replicator_sampler is not None:
+            rep_cfg = dataclasses.replace(cfg, sampler=replicator_sampler)
+
+        def arm(config, pair, arm_id):
+            stream = campaign_stream(cfg.seed, pair, arm_id)
+            return run_quantized_sq(config, part, stream, testbed=bed)
+
+        reps = {p: arm(rep_cfg, p, 1) for p in reversed(range(n_pairs))}
+        inits = {p: arm(cfg, p, 0) for p in reversed(range(1 if star else n_pairs))}
+
+        def row(pair, name, res, same):
+            return {
+                "pair_id": pair,
+                "arm": name,
+                "raw_estimate": res.raw_estimate,
+                "quantized_estimate": res.quantized_estimate,
+                "n": res.n,
+                "evaluated_n": res.evaluated_n,
+                "sigma_hat": res.sigma_hat_final,
+                "repeat": same,
+            }
+
+        rows = [row(0, "initiator", inits[0], True)] if star else []
+        repeats = 0
+        for p in range(n_pairs):
+            init, rep = inits[0 if star else p], reps[p]
+            same = init.cell == rep.cell and init.quantized_estimate == rep.quantized_estimate
+            repeats += same
+            if not star:
+                rows.append(row(p, "initiator", init, same))
+            rows.append(row(p, "replicator", rep, same))
+        trials = list(inits.values()) + list(reps.values())
+        r_star = bed.oracle_r_star
+        assert report.rows == rows
+        assert report.repeat_count == repeats
+        assert report.n_trials == len(trials) == n_pairs + (1 if star else n_pairs)
+        assert report.accuracy_hits == sum(
+            abs(r.quantized_estimate - r_star) <= report.tolerance for r in trials
+        )
+        assert report.raw_gamma_hits == sum(
+            abs(r.raw_estimate - r_star) <= report.gamma for r in trials
+        )
+        for name, runs in (("initiator", inits), ("replicator", reps)):
+            ns = [runs[p].n for p in sorted(runs)]
+            evaluated = [runs[p].evaluated_n for p in sorted(runs)]
+            assert report.effort[name] == {
+                "min": min(ns),
+                "mean": float(np.mean(ns)),
+                "max": max(ns),
+                "evaluated_n": {
+                    "min": min(evaluated),
+                    "mean": float(np.mean(evaluated)),
+                    "max": max(evaluated),
+                },
+            }
+
     def test_oracle_too_coarse_refuses_grading(self):
         # The tracking quadrature's error estimate, ~1e-11, is above
         # gamma/10 at gamma = 1e-11.
@@ -1014,6 +1103,22 @@ class TestBundledConfigs:
         base = outcome(run(name))
         for size in (7, 64, 997):
             assert outcome(run(name, size)) == base
+
+    def test_trace_is_bitwise_chunk_invariant(self):
+        # The trace replays the consumed values in one pass, so it is the
+        # same however the campaign was chunked.
+        cfg = self.config("moderate_cellular")
+        part = make_partition(cfg)
+        traces = []
+        for size in (1, 7, 64, 8192):
+            res = run_quantized_sq(
+                cfg, part, campaign_stream(cfg.seed, 0, 0), record_trace=True, chunk_size=size
+            )
+            assert len(res.trace) == res.n
+            traces.append(dataclasses.astuple(res.trace))
+        for cols in traces[1:]:
+            for got, want in zip(cols, traces[0]):
+                np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("name", CELLULAR + ["early_stop", "deep_scan"])
     def test_no_campaign_stops_before_the_floor(self, name):

@@ -167,25 +167,27 @@ class TestChunkingInvariance:
 
     @pytest.mark.parametrize("chunk", [1, 7, 64, 997, 8192])
     def test_every_prefix_is_bitwise_chunk_invariant(self, chunk):
+        # The state the scan carries out of each chunk is the trace's row
+        # for that prefix; chunks of 1 reach every prefix.
         rng = np.random.default_rng(51)
         values = rng.lognormal(0.0, 1.0, size=20_003)
         bounds = BoundSpec(m=100.0, w_bar=1.0, c=0.05)
         rule = make_rule(1e-9, bounds)
-        whole = _kernels.trace_radii(values, EstimatorState(), rule)
+        n_arr, mean, sigma, bern, hoef = _kernels.trace_radii(values, rule)
         state = EstimatorState()
-        parts = []
         for start in range(0, values.size, chunk):
-            block = values[start : start + chunk]
-            parts.append(_kernels.trace_radii(block, state, rule))
-            i, state = _kernels.scan_terminate(block, state, rule)
+            i, state = _kernels.scan_terminate(values[start : start + chunk], state, rule)
             assert i == -1
-        for col, got in zip(whole, map(np.concatenate, zip(*parts))):
-            np.testing.assert_array_equal(got, col)
+            row = state.n - 1
+            assert n_arr[row] == state.n
+            assert mean[row] == state.mean
+            assert sigma[row] == state.variance
+            if state.n >= rule.n_min:
+                assert (bern[row], hoef[row]) == rule.final(state)
         assert state.n == values.size
-        assert state.mean == whole[1][-1]
 
     def test_empty_chunk_is_identity(self):
-        state = EstimatorState(7, 1.5, 0.25)
+        state = EstimatorState(n=7, pivot=1.5, s1=0.5, s2=0.25)
         rule = make_rule(0.1, BoundSpec(m=1.0, w_bar=1.0, c=0.05))
         got = _kernels.scan_terminate(np.empty(0), state, rule)
         assert got == (-1, state)
@@ -197,7 +199,7 @@ class TestTraceRadii:
         values = rng.uniform(0.2, 0.8, size=400)
         bounds = BoundSpec(m=1.0, w_bar=1.0, c=0.05)
         n_arr, mean_arr, sigma, bern, hoef = _kernels.trace_radii(
-            values, EstimatorState(), make_rule(0.05, bounds)
+            values, make_rule(0.05, bounds)
         )
         assert n_arr[0] == 1 and n_arr[-1] == 400
         assert math.isnan(bern[0]) and math.isnan(hoef[0])
@@ -210,22 +212,6 @@ class TestTraceRadii:
                 continue
             assert bern[idx] == bernstein_radius(state, bounds)
             assert hoef[idx] == hoeffding_radius(state.n, bounds)
-
-    def test_carries_prior_state(self):
-        values = np.array([0.1, 0.9, 0.4, 0.6])
-        bounds = BoundSpec(m=1.0, w_bar=1.0, c=0.1)
-        state = EstimatorState()
-        for v in [0.5, 0.2, 0.7]:
-            state = update(state, v)
-        n_arr, _, sigma, bern, _ = _kernels.trace_radii(
-            values, state, make_rule(0.05, bounds)
-        )
-        assert list(n_arr) == [4, 5, 6, 7]
-        check = state
-        for idx, v in enumerate(values):
-            check = update(check, float(v))
-            assert sigma[idx] == check.variance
-            assert bern[idx] == bernstein_radius(check, bounds)
 
 
 class TestRangeTermCut:
