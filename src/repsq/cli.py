@@ -5,13 +5,15 @@ tolerance implied by a repeatability contract; ``init``, ``replicate``,
 ``pairwise``, and ``effort`` run the corresponding harness workflows
 and write machine-readable outputs into a directory.
 
-Every run directory gets a ``manifest.json`` holding the command, the
-resolved configuration, the stopping rule's radius mode and whether
-its range term is sound, timing, and a checksum per output file; the
-manifest is written last, after all result files, and all writes go
-through a temp-file-plus-rename so a crashed run leaves no partial
-output behind. Result files themselves carry no timestamps, so
-re-running a command reproduces them byte for byte.
+Each command renders its output files as texts; one writer then makes
+the directory, writes each file through a temp-file-plus-rename, and
+writes ``manifest.json`` last. The manifest holds the command, the
+resolved configuration (for ``replicate``, the one read from the
+artifact), the stopping rule's radius mode and whether its range term
+is sound, timing, and a checksum of each output file. A run that fails
+before writing leaves no output directory. Result files themselves
+carry no timestamps, so re-running a command reproduces them byte for
+byte.
 
 Exit codes: 0 success, 1 configuration or input errors, 2 infeasible
 repeatability contract, 3 campaign hit its sample budget without
@@ -72,15 +74,11 @@ EXIT_NON_TERMINATED = 3
 EXIT_ARTIFACT = 4
 
 
-def _verbose() -> bool:
-    return os.environ.get("REPSQ_VERBOSE", "") not in ("", "0")
-
-
 def _atomic_write(path: Path, text: str) -> None:
     tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
-    if _verbose():
+    if os.environ.get("REPSQ_VERBOSE", "") not in ("", "0"):
         print(f"wrote {path}", file=sys.stderr)
 
 
@@ -120,21 +118,20 @@ def _resolve_config_path(value: str) -> Path:
     raise DomainError(f"config not found: {value}")
 
 
-def _load_config(args) -> tuple[CampaignConfig, str]:
+def _load_config(args) -> tuple[CampaignConfig, dict]:
+    """The config a run uses, with the flags that override it, and the
+    manifest's invocation entry naming the file and the resolved config."""
     path = _resolve_config_path(args.config)
     try:
         raw = mapping(json.loads(path.read_text(encoding="utf-8")), "campaign config")
     except json.JSONDecodeError as exc:
         raise DomainError(f"config {path} is not valid JSON: {exc}") from exc
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.n_max is not None:
-        raw["n_max"] = args.n_max
-    if args.range_term_mode is not None:
-        raw["range_term_mode"] = args.range_term_mode
-    if getattr(args, "offset_policy", None) is not None:
-        raw["offset_policy"] = args.offset_policy
-    return CampaignConfig.from_dict(raw), str(path)
+    # Each overriding flag's dest is the config key it overrides.
+    for key in ("seed", "n_max", "range_term_mode", "offset_policy"):
+        if getattr(args, key, None) is not None:
+            raw[key] = getattr(args, key)
+    config = CampaignConfig.from_dict(raw)
+    return config, {"config": str(path), "resolved": config.to_dict()}
 
 
 def _stop_rule_entry(config: CampaignConfig) -> dict:
@@ -151,40 +148,33 @@ def _stop_rule_entry(config: CampaignConfig) -> dict:
     return {"range_term_mode": config.range_term_mode, "range_term_sound": sound}
 
 
-def _write_manifest(
-    out_dir: Path,
-    command: str,
-    started: float,
-    invocation: dict,
-    stop_rule: dict,
-    outputs: list[str],
-) -> None:
-    checksums = {
-        name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
-        for name in outputs
-    }
+def _write_run(args, invocation: dict, stop_rule: dict, outputs: dict[str, str]) -> int:
+    """Make the output directory, write each rendered output, then the
+    manifest with a checksum of each file as written. Called only once
+    every output is rendered, so a failed run leaves no directory."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in outputs.items():
+        _atomic_write(out / name, text)
     manifest = {
         "manifest_version": MANIFEST_VERSION,
         "tool_version": __version__,
-        "command": command,
+        "command": args.command,
         "invocation": invocation,
         "stop_rule": stop_rule,
-        "outputs": checksums,
+        "outputs": {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in outputs
+        },
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
             "kernel_backend": _kernels.ACTIVE_BACKEND,
         },
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "wall_time_s": time.monotonic() - started,
+        "wall_time_s": time.monotonic() - args.started,
     }
-    _atomic_write(out_dir / "manifest.json", _json_text(manifest))
-
-
-def _prepare_out(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    _atomic_write(out / "manifest.json", _json_text(manifest))
+    return EXIT_OK
 
 
 def cmd_alpha(args) -> int:
@@ -199,81 +189,51 @@ def cmd_alpha(args) -> int:
 
 
 def cmd_init(args) -> int:
-    started = time.monotonic()
-    config, config_path = _load_config(args)
+    config, invocation = _load_config(args)
     stop_rule = _stop_rule_entry(config)
-    out = _prepare_out(args)
     artifact, result = initiator(config)
-    _atomic_write(out / "artifact.json", dump_artifact(artifact))
-    _atomic_write(out / "result.json", _json_text(result.to_dict()))
-    _write_manifest(
-        out,
-        "init",
-        started,
-        {"config": config_path, "resolved": config.to_dict()},
-        stop_rule,
-        ["artifact.json", "result.json"],
-    )
-    return EXIT_OK
+    return _write_run(args, invocation, stop_rule, {
+        "artifact.json": dump_artifact(artifact),
+        "result.json": _json_text(result.to_dict()),
+    })
 
 
 def cmd_replicate(args) -> int:
-    started = time.monotonic()
     path = Path(args.artifact)
     if not path.exists():
         raise DomainError(f"artifact not found: {path}")
     artifact = load_artifact(path.read_text(encoding="utf-8"))
     result = replicator(artifact, seed=args.seed)
-    stop_rule = _stop_rule_entry(config_from_artifact(artifact, args.seed))
-    out = _prepare_out(args)
-    _atomic_write(out / "result.json", _json_text(result.to_dict()))
-    _write_manifest(
-        out,
-        "replicate",
-        started,
-        {"artifact": str(path), "seed": args.seed, "checksum": artifact["checksum"]},
-        stop_rule,
-        ["result.json"],
-    )
-    return EXIT_OK
+    config = config_from_artifact(artifact, args.seed)
+    invocation = {
+        "artifact": str(path),
+        "seed": args.seed,
+        "checksum": artifact["checksum"],
+        "resolved": config.to_dict(),
+    }
+    return _write_run(args, invocation, _stop_rule_entry(config), {
+        "result.json": _json_text(result.to_dict()),
+    })
 
 
 def cmd_pairwise(args) -> int:
-    started = time.monotonic()
-    config, config_path = _load_config(args)
+    config, invocation = _load_config(args)
     stop_rule = _stop_rule_entry(config)
-    out = _prepare_out(args)
     report = pairwise_experiment(config, args.pairs)
-    _atomic_write(out / "pairs.csv", _csv_text(report.rows))
-    _atomic_write(out / "report.json", _json_text(report.to_dict()))
-    _write_manifest(
-        out,
-        "pairwise",
-        started,
-        {"config": config_path, "pairs": args.pairs, "resolved": config.to_dict()},
-        stop_rule,
-        ["pairs.csv", "report.json"],
-    )
-    return EXIT_OK
+    return _write_run(args, {**invocation, "pairs": args.pairs}, stop_rule, {
+        "pairs.csv": _csv_text(report.rows),
+        "report.json": _json_text(report.to_dict()),
+    })
 
 
 def cmd_effort(args) -> int:
-    started = time.monotonic()
-    config, config_path = _load_config(args)
+    config, invocation = _load_config(args)
     stop_rule = _stop_rule_entry(config)
-    out = _prepare_out(args)
     comp = effort_comparison(config)
-    _atomic_write(out / "effort.csv", _csv_text(comp.rows()))
-    _atomic_write(out / "report.json", _json_text(comp.to_dict()))
-    _write_manifest(
-        out,
-        "effort",
-        started,
-        {"config": config_path, "resolved": config.to_dict()},
-        stop_rule,
-        ["effort.csv", "report.json"],
-    )
-    return EXIT_OK
+    return _write_run(args, invocation, stop_rule, {
+        "effort.csv": _csv_text(comp.rows()),
+        "report.json": _json_text(comp.to_dict()),
+    })
 
 
 class _Parser(argparse.ArgumentParser):
@@ -345,6 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    args.started = time.monotonic()
     try:
         return args.func(args)
     except InfeasibleRepeatability as exc:

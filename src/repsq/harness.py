@@ -181,11 +181,7 @@ class CampaignConfig:
 
     def build_testbed(self):
         bed = testbed_from_spec(self.testbed)
-        if bed.m_low != self.m_low or bed.m_high != self.m_high:
-            raise DomainError(
-                f"config interval [{self.m_low}, {self.m_high}] does not match "
-                f"testbed interval [{bed.m_low}, {bed.m_high}]"
-            )
+        _check_interval(self, bed, "testbed")
         _SAMPLERS[self.sampler["kind"]].check(self, bed)
         return bed
 
@@ -236,6 +232,15 @@ class CampaignConfig:
             )
         except KeyError as exc:
             raise DomainError(f"campaign config missing field {exc.args[0]!r}") from exc
+
+
+def _check_interval(config: CampaignConfig, other, what: str) -> None:
+    """Reject a testbed or partition over another interval than the config's."""
+    if other.m_low != config.m_low or other.m_high != config.m_high:
+        raise DomainError(
+            f"config interval [{config.m_low}, {config.m_high}] does not match "
+            f"{what} interval [{other.m_low}, {other.m_high}]"
+        )
 
 
 def _read_seed(seed) -> int:
@@ -409,6 +414,8 @@ class _Ais(_Sampler):
 
     def __init__(self, config: CampaignConfig, bed) -> None:
         super().__init__(config, bed)
+        if bed.domain is None:
+            raise DomainError("ais sampling needs a box-domain testbed")
         self.policy = self.options(config.sampler)
         self.batch = self.policy.d
         self.q = self.policy.initial_proposal(bed.domain)
@@ -489,6 +496,8 @@ def run_quantized_sq(
         raise DomainError(f"chunk_size must be >= 1, got {chunk_size}")
     t0 = time.perf_counter()
     bed = testbed if testbed is not None else config.build_testbed()
+    _check_interval(config, bed, "testbed")
+    _check_interval(config, partition, "partition")
     rule = config.stop_rule
     kind = config.sampler["kind"]
     sampler = _SAMPLERS[kind](config, bed)

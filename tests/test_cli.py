@@ -319,7 +319,7 @@ class TestPairwise:
         )
         assert code == 3
         assert "n_max" in err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
 
 class TestEffort:
@@ -348,6 +348,74 @@ class TestEffort:
         assert first["n"] == "1"
         assert first["bernstein_radius"] == ""
         assert first["hoeffding_radius"] == ""
+
+
+def zero_variance_config(seed: int) -> CampaignConfig:
+    raw = json.loads((resources.files("repsq") / "configs" / "zero_variance.json").read_text())
+    return CampaignConfig.from_dict({**raw, "seed": seed})
+
+
+class TestManifestContract:
+    """Every command writes exactly the files its manifest checksums,
+    records the config that ran, and writes nothing when it fails."""
+
+    COMMANDS = ["init", "replicate", "pairwise", "effort"]
+
+    @staticmethod
+    def argv(capsys, tmp_path, command):
+        """The command's arguments for a zero_variance run at seed 99;
+        replicate's artifact comes from an init run at the bundled seed."""
+        if command == "replicate":
+            init_dir = tmp_path / "source"
+            assert run_cli(capsys, "init", "--config", "zero_variance", "--out", str(init_dir))[0] == 0
+            return ["--artifact", str(init_dir / "artifact.json"), "--seed", "99"]
+        extra = ["--pairs", "2"] if command == "pairwise" else []
+        return ["--config", "zero_variance", "--seed", "99", *extra]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_manifest_lists_every_output_and_the_resolved_config(self, capsys, tmp_path, command):
+        argv = self.argv(capsys, tmp_path, command)
+        out = tmp_path / command
+        assert run_cli(capsys, command, *argv, "--out", str(out))[0] == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == command
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [*manifest["outputs"], "manifest.json"]
+        )
+        for name, digest in manifest["outputs"].items():
+            assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest()
+        resolved = CampaignConfig.from_dict(manifest["invocation"]["resolved"])
+        assert resolved == zero_variance_config(99)
+
+    @pytest.mark.parametrize("command", ["init", "pairwise", "effort"])
+    def test_budget_exhausted_run_leaves_no_directory(self, capsys, tmp_path, command):
+        extra = ["--pairs", "2"] if command == "pairwise" else []
+        out = tmp_path / command
+        code, _, err = run_cli(
+            capsys, command, "--config", "moderate_cellular", "--n-max", "100",
+            "--out", str(out), *extra,
+        )
+        assert code == 3
+        assert "n_max" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,record",
+        [
+            ("init", harness.TrialResult),
+            ("replicate", harness.TrialResult),
+            ("pairwise", harness.RepeatabilityReport),
+            ("effort", harness.EffortComparison),
+        ],
+    )
+    def test_render_failure_leaves_no_directory(self, capsys, tmp_path, monkeypatch, command, record):
+        argv = self.argv(capsys, tmp_path, command)
+        monkeypatch.setattr(record, "to_dict", lambda self: {"x": math.nan})
+        out = tmp_path / command
+        code, _, err = run_cli(capsys, command, *argv, "--out", str(out))
+        assert code == 1
+        assert "JSON" in err
+        assert not out.exists()
 
 
 # sha256 of result files; a dropped, renamed or re-typed key, or a moved

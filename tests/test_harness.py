@@ -624,6 +624,28 @@ class TestRunQuantizedSq:
             run_quantized_sq(cfg, make_partition(cfg), campaign_stream(1, 0, 0), testbed=bed)
         assert len(chunks) == 1
 
+    def test_callers_bed_over_another_interval_is_rejected(self):
+        # The displacement bed measures on [0, 6], tracking_ais on [0, 1].
+        cfg = TestBundledConfigs.config("tracking_ais")
+        with pytest.raises(DomainError, match=r"testbed interval \[0.0, 6.0\]"):
+            run_quantized_sq(
+                cfg, make_partition(cfg), campaign_stream(1, 0, 0), testbed=displacement_testbed()
+            )
+
+    def test_partition_over_another_interval_is_rejected(self):
+        cfg = TestBundledConfigs.config("tracking_ais")
+        part = build_partition(0.0, 6.0, compute_alpha(cfg.accuracy), 0.0)
+        with pytest.raises(DomainError, match=r"partition interval \[0.0, 6.0\]"):
+            run_quantized_sq(cfg, part, campaign_stream(1, 0, 0))
+
+    def test_ais_on_a_callers_bed_without_a_box_domain_is_a_domain_error(self):
+        cfg = TestBundledConfigs.config("tracking_ais")
+        with pytest.raises(DomainError, match="box-domain"):
+            run_quantized_sq(
+                cfg, make_partition(cfg), campaign_stream(1, 0, 0),
+                testbed=moderate_cellular_testbed(),
+            )
+
     def test_trace_covers_exactly_the_consumed_prefix(self):
         cfg = zero_variance_config()
         part = make_partition(cfg)

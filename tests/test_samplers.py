@@ -557,6 +557,9 @@ class _ConstantBed:
     """Testbed stub: discrete target and proposal masses and psi = 1 in
     every cell, so a campaign's values are its importance weights p/q."""
 
+    m_low = 0.0
+    m_high = 1.0
+
     def __init__(self, target_masses, proposal_masses) -> None:
         self.target = DiscreteDistribution(target_masses)
         self.proposal = DiscreteDistribution(proposal_masses)
