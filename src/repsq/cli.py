@@ -203,7 +203,12 @@ def cmd_replicate(args) -> int:
     if not path.exists():
         raise DomainError(f"artifact not found: {path}")
     artifact = load_artifact(path.read_text(encoding="utf-8"))
-    result = replicator(artifact, seed=args.seed)
+    try:
+        result = replicator(artifact, seed=args.seed)
+    except NonTerminated:
+        # The run is not written, but an unsound radius is still named.
+        _stop_rule_entry(config_from_artifact(artifact, args.seed))
+        raise
     config = config_from_artifact(artifact, args.seed)
     invocation = {
         "artifact": str(path),

@@ -17,7 +17,6 @@ __all__ = [
     "ContractViolation",
     "OracleBudgetError",
     "ClampWarning",
-    "WeightCapExceeded",
 ]
 
 
@@ -83,10 +82,3 @@ class ClampWarning(UserWarning):
     samplers.fit_beta, or in an AIS campaign's refits, which also count
     a refit with no weight to fit. A raw estimate clamped into the
     measure interval warns of nothing; it only sets TrialResult.clamped."""
-
-
-class WeightCapExceeded(UserWarning):
-    """An observed importance weight exceeded the declared cap.
-
-    Diagnostic only: the campaign continues, the count is reported.
-    """

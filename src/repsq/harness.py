@@ -66,7 +66,6 @@ from .errors import (
     DomainError,
     NonTerminated,
     OracleBudgetError,
-    WeightCapExceeded,
     ZeroProposalDensity,
 )
 from .estimator import BoundSpec, MAX_SAMPLES, EstimatorState
@@ -176,14 +175,8 @@ class CampaignConfig:
             joint=self.joint,
         )
 
-    def ais_policy(self) -> AisPolicy:
-        return _Ais.options(self.sampler)
-
     def build_testbed(self):
-        bed = testbed_from_spec(self.testbed)
-        _check_interval(self, bed, "testbed")
-        _SAMPLERS[self.sampler["kind"]].check(self, bed)
-        return bed
+        return _check_bed(self, testbed_from_spec(self.testbed))
 
     def to_dict(self) -> dict:
         sealed = ("kind", "m_low", "m_high", *testbed_class(self.testbed).fields)
@@ -243,6 +236,14 @@ def _check_interval(config: CampaignConfig, other, what: str) -> None:
         )
 
 
+def _check_bed(config: CampaignConfig, bed):
+    """``bed``, once over the config's interval and passed by its sampler
+    kind's check; every bed a campaign draws from passes here."""
+    _check_interval(config, bed, "testbed")
+    _SAMPLERS[config.sampler["kind"]].check(config, bed)
+    return bed
+
+
 def _read_seed(seed) -> int:
     seed = whole(seed, "seed")
     if seed < 0:
@@ -293,7 +294,6 @@ class TrialResult:
     terminated: bool
     range_term_sound: bool  # see StopRule.range_term_sound
     sampler_kind: str
-    weight_cap_violations: int
     evaluated_n: int  # test executions, speculative ones included
     chunks: int
     wall_time_s: float
@@ -318,26 +318,33 @@ _MASS_RATIOS = weakref.WeakKeyDictionary()
 
 def _mass_ratio(bed) -> np.ndarray:
     """The importance weight p/q of each cell of a bed with a discrete
-    proposal q; 0 on a cell where neither has mass."""
-    ratio = _MASS_RATIOS.get(bed)
-    if ratio is not None:
-        return ratio
+    proposal q; 0 on a cell where neither has mass. Cached per bed but
+    a bed that cannot be a weak key (a dataclass, which has no hash)."""
+    try:
+        ratio = _MASS_RATIOS.get(bed)
+    except TypeError:
+        return _uncached_mass_ratio(bed)
+    if ratio is None:
+        ratio = _MASS_RATIOS[bed] = _uncached_mass_ratio(bed)
+    return ratio
+
+
+def _uncached_mass_ratio(bed) -> np.ndarray:
     q = bed.proposal
     if not hasattr(q, "masses"):
         raise DomainError("importance sampling needs a testbed with a discrete proposal")
     p_m, q_m = bed.target.masses, q.masses
     if not np.all((q_m > 0.0) | (p_m == 0.0)):
         raise ZeroProposalDensity("proposal assigns zero mass to a cell with target mass")
-    ratio = _MASS_RATIOS[bed] = np.divide(p_m, q_m, out=np.zeros_like(p_m), where=q_m > 0.0)
-    return ratio
+    return np.divide(p_m, q_m, out=np.zeros_like(p_m), where=q_m > 0.0)
 
 
 class _Sampler:
     """One sampler kind: the config fields it reads besides ``kind``, the
     bed and weight cap it needs, and its draws. ``draw(rng_s, rng_e, k)``
-    returns the k weighted values psi * w, their points and the number
-    of weights above the cap; ``post_chunk`` sees each chunk that did
-    not stop the campaign.
+    returns the k weighted values psi * w and their points; ``check``
+    has already held every weight a draw can give to the declared cap.
+    ``post_chunk`` sees each chunk that did not stop the campaign.
 
     What the campaign loop reads besides: ``batch``, the chunk size the
     kind fixes (None: the stopping rule sizes the chunks), and
@@ -351,7 +358,6 @@ class _Sampler:
 
     def __init__(self, config: CampaignConfig, bed) -> None:
         self.bed = bed
-        self.cap = config.w_bar * _BOUND_SLACK
 
     @staticmethod
     def options(sampler: dict):
@@ -377,7 +383,7 @@ class _MonteCarlo(_Sampler):
 
     def draw(self, rng_s, rng_e, k: int):
         xs = self.bed.target.sample_many(rng_s, k)
-        return self.bed.evaluate_many(xs, rng_e), xs, 0
+        return self.bed.evaluate_many(xs, rng_e), xs
 
 
 class _Importance(_Sampler):
@@ -401,8 +407,7 @@ class _Importance(_Sampler):
     def draw(self, rng_s, rng_e, k: int):
         xs = self.bed.proposal.sample_many(rng_s, k)
         psi = self.bed.evaluate_many(xs, rng_e)
-        w = self.ratio[xs]
-        return psi * w, xs, int(np.count_nonzero(w > self.cap))
+        return psi * self.ratio[xs], xs
 
 
 class _Ais(_Sampler):
@@ -414,8 +419,6 @@ class _Ais(_Sampler):
 
     def __init__(self, config: CampaignConfig, bed) -> None:
         super().__init__(config, bed)
-        if bed.domain is None:
-            raise DomainError("ais sampling needs a box-domain testbed")
         self.policy = self.options(config.sampler)
         self.batch = self.policy.d
         self.q = self.policy.initial_proposal(bed.domain)
@@ -431,7 +434,7 @@ class _Ais(_Sampler):
     def check(config: CampaignConfig, bed) -> None:
         if bed.domain is None:
             raise DomainError("ais sampling needs a box-domain testbed")
-        mix_p = config.ais_policy().mix_p
+        mix_p = _Ais.options(config.sampler).mix_p
         if mix_p <= 0.0:
             raise BoundViolation(
                 "ais with mix_p = 0 has no provable weight cap; declare mix_p > 0"
@@ -446,8 +449,7 @@ class _Ais(_Sampler):
         pts, w = mixture_sample_many(
             self.bed.target, self.q, self.policy.mix_p, rng_s, k
         )
-        psi = self.bed.evaluate_many(pts, rng_e)
-        return psi * w, pts, int(np.count_nonzero(w > self.cap))
+        return self.bed.evaluate_many(pts, rng_e) * w, pts
 
     def post_chunk(self, xs, values) -> None:
         # Refit only on full batches; a truncated final batch carries no
@@ -495,8 +497,7 @@ def run_quantized_sq(
     if chunk_size < 1:
         raise DomainError(f"chunk_size must be >= 1, got {chunk_size}")
     t0 = time.perf_counter()
-    bed = testbed if testbed is not None else config.build_testbed()
-    _check_interval(config, bed, "testbed")
+    bed = config.build_testbed() if testbed is None else _check_bed(config, testbed)
     _check_interval(config, partition, "partition")
     rule = config.stop_rule
     kind = config.sampler["kind"]
@@ -510,7 +511,6 @@ def run_quantized_sq(
     rng_e = np.random.default_rng(s_noise)
 
     state = EstimatorState()
-    cap_violations = 0
     evaluated = 0
     chunks = 0
     stopped = False
@@ -518,7 +518,7 @@ def run_quantized_sq(
     while not stopped and state.n < config.n_max:
         k = sampler.batch or _next_chunk(rule, state, chunk_size)
         k = min(k, config.n_max - state.n)
-        values, xs, violations = sampler.draw(rng_s, rng_e, k)
+        values, xs = sampler.draw(rng_s, rng_e, k)
         evaluated += k
         chunks += 1
         worst = float(np.abs(values).max())
@@ -532,7 +532,6 @@ def run_quantized_sq(
         stopped = i >= 0
         if record_trace:
             consumed.append(values[: i + 1] if stopped else values)
-        cap_violations += violations
         if not stopped:
             sampler.post_chunk(xs, values)
     wall = time.perf_counter() - t0
@@ -556,7 +555,6 @@ def run_quantized_sq(
         terminated=stopped,
         range_term_sound=rule.range_term_sound,
         sampler_kind=kind,
-        weight_cap_violations=cap_violations,
         evaluated_n=evaluated,
         chunks=chunks,
         wall_time_s=wall,
@@ -569,13 +567,6 @@ def run_quantized_sq(
             f"campaign reached n_max = {config.n_max} with min radius "
             f"{radius:.6g} still above gamma = {rule.gamma:.6g}",
             result=result,
-        )
-    if cap_violations:
-        warnings.warn(
-            f"{cap_violations} importance weights exceeded the declared cap "
-            f"{config.w_bar:.6g}",
-            WeightCapExceeded,
-            stacklevel=2,
         )
     if result.clamped_fits:
         warnings.warn(
@@ -683,8 +674,8 @@ def replicator(
     with sealed_content("testbed"):
         bed = config.build_testbed()
     if sampler_override is not None:
-        config = dataclasses.replace(config, sampler=dict(sampler_override))
-        _SAMPLERS[config.sampler["kind"]].check(config, bed)
+        sampler = mapping(sampler_override, "sampler_override")
+        config = dataclasses.replace(config, sampler=dict(sampler))
     return run_quantized_sq(
         config, partition, campaign_stream(config.seed, 0, REPLICATOR_ARM), testbed=bed
     )
@@ -792,9 +783,11 @@ def pairwise_experiment(
     checksum = build_artifact(config, partition)["checksum"]
     tolerance = gamma + 0.5 * partition.alpha
 
-    rep_sampler = replicator_sampler if replicator_sampler is not None else config.sampler
-    rep_config = dataclasses.replace(config, sampler=dict(rep_sampler))
-    _SAMPLERS[rep_config.sampler["kind"]].check(rep_config, bed)
+    rep_sampler = config.sampler if replicator_sampler is None else replicator_sampler
+    rep_config = dataclasses.replace(
+        config, sampler=dict(mapping(rep_sampler, "replicator_sampler"))
+    )
+    _check_bed(rep_config, bed)  # a bad sampler fails before any campaign runs
 
     def run(cfg: CampaignConfig, pair: int, arm: int) -> TrialResult:
         return run_quantized_sq(

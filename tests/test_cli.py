@@ -424,8 +424,8 @@ class TestManifestContract:
 # and the evaluated_n spreads and column were added; effort.csv and
 # every other value kept their bytes.
 OUTPUT_DIGESTS = {
-    "init/result.json": "ff1aaa5ddb5b21f820a86f8c9927e945283ec3e00adf313a619d75e4fbb74b95",
-    "rep/result.json": "ff1aaa5ddb5b21f820a86f8c9927e945283ec3e00adf313a619d75e4fbb74b95",
+    "init/result.json": "b518e4714dc161f73cd89aec8f459847a270d0d48a09c38697c2e0992e817034",
+    "rep/result.json": "b518e4714dc161f73cd89aec8f459847a270d0d48a09c38697c2e0992e817034",
     "pair/pairs.csv": "fe2fd2b043c9f98d866f3b84cefd23dde6875455d2bf6bac1da3367f867d6788",
     "pair/report.json": "a502324b7670fa905a407d0674798c4c0b2697978caea3f3e846e1089d157291",
     "effort/effort.csv": "fcc319c8867da9f38e068fb7d1a729f2d93175e05ff33061bf344c5909932053",
@@ -471,6 +471,23 @@ class TestStopRuleManifest:
         assert code == 0
         assert self.stop_rule(rep_dir)["range_term_sound"] is False
         assert len(self.warnings(err)) == 1
+
+    def test_replicate_that_exits_3_still_warns(self, capsys, tmp_path):
+        init_dir, rep_dir = tmp_path / "init", tmp_path / "rep"
+        run_cli(capsys, "init", "--config", "rare_event_acceptance", "--out", str(init_dir))
+        art = json.loads((init_dir / "artifact.json").read_text())
+        art["config"]["n_max"] = 10
+        art["checksum"] = art_mod.artifact_checksum(art)
+        resealed = tmp_path / "resealed.json"
+        resealed.write_text(json.dumps(art))
+        code, _, err = run_cli(
+            capsys, "replicate", "--artifact", str(resealed),
+            "--seed", "5", "--out", str(rep_dir),
+        )
+        assert code == 3
+        assert "n_max" in err
+        assert len(self.warnings(err)) == 1
+        assert not rep_dir.exists()
 
     def test_linear_range_at_the_same_bound_is_sound(self, capsys, tmp_path):
         out = tmp_path / "run"

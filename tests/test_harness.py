@@ -717,7 +717,6 @@ class TestRunQuantizedSq:
         assert res.clamped_fits == 0
         assert [str(w.message) for w in caught] == []
         assert res.terminated
-        assert res.weight_cap_violations == 0
         assert res.ais_final_proposal is not None
         assert abs(res.quantized_estimate - bed.oracle_r_star) <= 0.04 + 0.5 * part.alpha
         shapes = res.ais_final_proposal["shapes_a"]
@@ -825,6 +824,15 @@ class TestInitiatorReplicator:
                 replicator(art, seed=seed)
         with pytest.raises(DomainError):
             replicator(art, seed=1, sampler_override={"kind": "nope"})
+
+    @pytest.mark.parametrize("sampler", ["monte_carlo", 5, ["kind"]])
+    def test_a_sampler_that_is_not_an_object_is_an_input_error(self, sampler):
+        cfg = moderate_config("monte_carlo", w_bar=2.0)
+        art, _ = initiator(cfg)
+        with pytest.raises(DomainError, match="sampler_override must be an object"):
+            replicator(art, seed=1, sampler_override=sampler)
+        with pytest.raises(DomainError, match="replicator_sampler must be an object"):
+            pairwise_experiment(cfg, 1, replicator_sampler=sampler)
 
 
 class TestPairwiseExperiment:
@@ -1113,7 +1121,7 @@ class TestBundledConfigs:
         res = run(name)
         assert res.n <= res.evaluated_n
         if name == "tracking_ais":
-            d = self.config(name).ais_policy().d
+            d = harness._Ais.options(self.config(name).sampler).d
             assert res.evaluated_n <= res.n + d - 1
             assert res.chunks == math.ceil(res.evaluated_n / d)
         else:

@@ -7,10 +7,13 @@ deep_scan workload configs, under both offset policies, the records in
 ``replicator(load_artifact(dump_artifact(artifact)), 12345).to_dict()``
 with every float as ``float.hex()``. They were recorded before the
 artifact became a sealed config (format 3), so they show that the
-format change moved no result bit. They were re-recorded once since,
-when chunks came to be sized from the stopping rule: that moved only
-``evaluated_n`` and ``chunks``, and added ``range_term_sound``. AIS
-campaigns are pinned in ``test_ais_bits.py``.
+format change moved no result bit. They were re-recorded twice since.
+First, when chunks came to be sized from the stopping rule: that moved
+only ``evaluated_n`` and ``chunks``, and added ``range_term_sound``.
+Second, when every bed came to be checked against the declared weight
+cap: a checked bed draws no weight above it, so the count of such
+weights, ``weight_cap_violations``, was deleted from every record; no
+other value moved. AIS campaigns are pinned in ``test_ais_bits.py``.
 """
 
 import json

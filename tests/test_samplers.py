@@ -13,21 +13,22 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
 import repsq
 
 from repsq.errors import (
+    BoundViolation,
     ClampWarning,
     DegenerateBatch,
     DomainError,
-    WeightCapExceeded,
     ZeroProposalDensity,
 )
 from repsq import harness
@@ -568,38 +569,51 @@ class _ConstantBed:
         return np.ones(len(xs))
 
 
-def stub_config(w_bar: float) -> CampaignConfig:
+def stub_config(w_bar: float, sampler=None) -> CampaignConfig:
     return CampaignConfig(
         accuracy=AccuracySpec(0.25, 0.05, 0.1),
         m_low=0.0,
         m_high=1.0,
         w_bar=w_bar,
-        joint=2.0,  # psi*w <= 2 holds on every stub below
-        sampler={"kind": "importance"},
+        joint=2.0,  # psi*w <= 2 holds on every campaign below
+        sampler=sampler or {"kind": "importance"},
         testbed={},
         seed=1,
     )
 
 
 def importance_draw(p, q, size=2_000, w_bar=1.0):
-    """(cells, weights, cap violations) from one importance draw."""
+    """(cells, weights) from one importance draw."""
     sampler = harness._SAMPLERS["importance"](stub_config(w_bar), _ConstantBed(p, q))
     rng = np.random.default_rng(30)
-    weights, xs, violations = sampler.draw(rng, rng, size)
-    return xs, weights, violations
+    weights, xs = sampler.draw(rng, rng, size)
+    return xs, weights
+
+
+@dataclass
+class _DataclassBed:
+    """A caller's bed as a plain dataclass: eq=True leaves it unhashable,
+    so it cannot key the mass-ratio cache."""
+
+    target: DiscreteDistribution
+    proposal: DiscreteDistribution
+    m_low: float = 0.0
+    m_high: float = 1.0
+
+    def evaluate_many(self, xs, rng):
+        return np.ones(len(xs))
 
 
 class TestImportanceWeight:
     def test_identical_distributions(self):
-        _, w, _ = importance_draw([0.3, 0.7], [0.3, 0.7])
+        _, w = importance_draw([0.3, 0.7], [0.3, 0.7])
         assert w.tolist() == [1.0] * w.size
 
     def test_discrete_mass_ratio(self):
-        xs, w, violations = importance_draw([0.9, 0.1], [0.5, 0.5], w_bar=1.8)
+        xs, w = importance_draw([0.9, 0.1], [0.5, 0.5], w_bar=1.8)
         assert np.any(xs == 0) and np.any(xs == 1)
         assert w[xs == 0] == pytest.approx(1.8, rel=1e-12)
         assert w[xs == 1] == pytest.approx(0.2, rel=1e-12)
-        assert violations == 0
 
     def test_zero_proposal_density(self):
         """A proposal that leaves a cell with target mass uncovered."""
@@ -607,20 +621,99 @@ class TestImportanceWeight:
             importance_draw([0.5, 0.5], [1.0, 0.0])
 
     def test_zero_target_density_gives_zero_weight(self):
-        xs, w, _ = importance_draw([1.0, 0.0], [0.5, 0.5], w_bar=2.0)
+        xs, w = importance_draw([1.0, 0.0], [0.5, 0.5], w_bar=2.0)
         assert np.any(xs == 1)
         assert w[xs == 1].tolist() == [0.0] * int(np.count_nonzero(xs == 1))
         assert w[xs == 0].tolist() == [2.0] * int(np.count_nonzero(xs == 0))
 
-    def test_cap_warning(self):
-        """Weights of 2 against a declared cap of 1.5 are counted and,
-        once the campaign ends, warned about. A caller-built testbed
-        skips the config's cap check, so the count stays live."""
-        _, w, violations = importance_draw([1.0, 0.0], [0.5, 0.5], w_bar=1.5)
-        assert violations == int(np.count_nonzero(w == 2.0)) > 0
+    def test_caller_bed_over_the_cap_is_rejected(self):
+        """Weights of 2 against a declared cap of 1.5: a caller's bed is
+        held to the cap as the config's own bed is, before any draw."""
         bed = _ConstantBed([1.0, 0.0], [0.5, 0.5])
         partition = build_partition(0.0, 1.0, 0.25, 0.0)
-        with pytest.warns(WeightCapExceeded):
-            res = run_quantized_sq(stub_config(1.5), partition, 31, testbed=bed)
+        with pytest.raises(BoundViolation, match="declared cap 1.5"):
+            run_quantized_sq(stub_config(1.5), partition, 31, testbed=bed)
+
+    def test_unhashable_caller_bed(self):
+        """A bed that cannot be a weak key has its mass ratio computed
+        uncached, and runs bit for bit as a hashable bed does."""
+        p, q = [1.0, 0.0], [0.5, 0.5]
+        partition = build_partition(0.0, 1.0, 0.25, 0.0)
+        bed = _DataclassBed(DiscreteDistribution(p), DiscreteDistribution(q))
+        res = run_quantized_sq(stub_config(2.0), partition, 3, testbed=bed)
+        same = run_quantized_sq(stub_config(2.0), partition, 3, testbed=_ConstantBed(p, q))
         assert res.terminated
-        assert 0 < res.weight_cap_violations <= res.evaluated_n
+        assert res.to_dict() == same.to_dict()
+
+
+def normalized(raw) -> list:
+    return (np.asarray(raw) / math.fsum(raw)).tolist()
+
+
+@st.composite
+def covered_masses(draw):
+    """A target p and a proposal q over the same 1 to 12 cells, with
+    q > 0 wherever p > 0."""
+    k = draw(st.integers(1, 12))
+    cell = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
+    q = draw(st.lists(cell, min_size=k, max_size=k).filter(lambda raw: sum(raw) > 0.0))
+    p = draw(st.lists(cell, min_size=k, max_size=k))
+    p = [pi if qi > 0.0 else 0.0 for pi, qi in zip(p, q)]
+    assume(sum(p) > 0.0)
+    return normalized(p), normalized(q)
+
+
+class _BoxBed:
+    """Testbed stub: a uniform target over a box and psi = 1, so a
+    campaign's values are its mixture weights."""
+
+    m_low = 0.0
+    m_high = 1.0
+
+    def __init__(self, dims: int) -> None:
+        self.domain = BoxDomain([0.0] * dims, [1.0] * dims)
+        self.target = BoxUniform(self.domain)
+
+    def evaluate_many(self, xs, rng):
+        return np.ones(len(xs))
+
+
+class TestCapCheckIsEnough:
+    """A bed that passes its sampler kind's check draws no weight above
+    the declared cap w_bar, up to the check's own 1e-9 slack. So every
+    campaign runs within the cap, and there is nothing left to count."""
+
+    SLACK = 1.0 + 1e-9
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(masses=covered_masses(), seed=st.integers(0, 2**32 - 1))
+    def test_importance_at_the_worst_mass_ratio(self, masses, seed):
+        p, q = masses
+        w_bar = max(1.0, max(pi / qi for pi, qi in zip(p, q) if qi > 0.0))
+        cfg, bed = stub_config(w_bar), _ConstantBed(p, q)
+        harness._check_bed(cfg, bed)
+        rng = np.random.default_rng(seed)
+        weights, _ = harness._SAMPLERS["importance"](cfg, bed).draw(rng, rng, 2_000)
+        assert float(np.max(weights)) <= w_bar * self.SLACK
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        mix_p=st.floats(1e-3, 1.0),
+        shapes=st.lists(
+            st.tuples(st.floats(SHAPE_MIN, SHAPE_MAX), st.floats(SHAPE_MIN, SHAPE_MAX)),
+            min_size=1,
+            max_size=3,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_ais_at_one_over_mix_p(self, mix_p, shapes, seed):
+        w_bar = 1.0 / mix_p
+        cfg = stub_config(w_bar, {"kind": "ais", "mix_p": mix_p})
+        bed = _BoxBed(len(shapes))
+        harness._check_bed(cfg, bed)
+        sampler = harness._SAMPLERS["ais"](cfg, bed)
+        a, b = zip(*shapes)
+        sampler.q = BetaProposal(bed.domain, list(a), list(b))
+        rng = np.random.default_rng(seed)
+        weights, _ = sampler.draw(rng, rng, 2_000)
+        assert float(np.max(weights)) <= w_bar * self.SLACK
