@@ -59,8 +59,11 @@ def flag(value, name: str) -> bool:
     return value
 
 
-def mapping(value, name: str) -> dict:
-    """A JSON object."""
+def mapping(value, name: str, keys=None) -> dict:
+    """A JSON object; given ``keys``, one that holds no other key."""
     if not isinstance(value, dict):
         raise DomainError(f"{name} must be an object, got {value!r}")
+    unread = [] if keys is None else sorted((k for k in value if k not in keys), key=str)
+    if unread:
+        raise DomainError(f"{name} does not read {unread}")
     return value

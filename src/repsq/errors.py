@@ -10,7 +10,6 @@ __all__ = [
     "InfeasibleRepeatability",
     "InsufficientSamples",
     "DegenerateBatch",
-    "ZeroProposalDensity",
     "NonTerminated",
     "ArtifactVersionMismatch",
     "BoundViolation",
@@ -42,11 +41,6 @@ class InsufficientSamples(RepsqError):
 
 class DegenerateBatch(RepsqError):
     """A batch has too little spread for a moment-based distribution fit."""
-
-
-class ZeroProposalDensity(RepsqError):
-    """A discrete proposal leaves a cell with target mass uncovered, so
-    that cell's importance weight p/q is undefined."""
 
 
 class NonTerminated(RepsqError):

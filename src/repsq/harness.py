@@ -44,7 +44,6 @@ import dataclasses
 import math
 import time
 import warnings
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,7 +65,6 @@ from .errors import (
     DomainError,
     NonTerminated,
     OracleBudgetError,
-    ZeroProposalDensity,
 )
 from .estimator import BoundSpec, MAX_SAMPLES, EstimatorState
 from .quantize import AccuracySpec, Partition, build_partition, compute_alpha, quantize
@@ -110,6 +108,11 @@ _BOUND_SLACK = 1.0 + 1e-9
 # the per-sample and per-pair tables (written as CSV files of their own)
 # and the campaign an effort comparison was taken from.
 _UNRECORDED = ("trace", "wall_time_s", "rows", "result")
+# The top-level keys of a campaign config, as to_dict writes them.
+_CONFIG_KEYS = (
+    "accuracy", "interval", "bounds", "sampler", "testbed", "seed",
+    "offset_policy", "n_min", "n_max", "range_term_mode",
+)
 
 
 @dataclass(frozen=True)
@@ -148,10 +151,7 @@ class CampaignConfig:
         kind = self.sampler.get("kind") if isinstance(self.sampler, dict) else None
         if not isinstance(kind, str) or kind not in _SAMPLERS:
             raise DomainError(f"sampler kind must be one of {SAMPLER_KINDS}, got {kind!r}")
-        fields = _SAMPLERS[kind].fields
-        unread = sorted(k for k in self.sampler if k != "kind" and k not in fields)
-        if unread:
-            raise DomainError(f"{kind} sampler does not read {unread}")
+        mapping(self.sampler, f"{kind} sampler", ("kind", *_SAMPLERS[kind].fields))
         _SAMPLERS[kind].options(self.sampler)  # validates the fields up front
         object.__setattr__(self, "seed", _read_seed(self.seed))
         if self.n_min < 1:
@@ -199,14 +199,15 @@ class CampaignConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CampaignConfig":
-        """Parse a JSON-shaped config; a missing field or a field of the
-        wrong JSON type raises DomainError; a missing optional field takes
+        """Parse a JSON-shaped config; a missing field, a field of the
+        wrong JSON type or a key the reader does not read (outside the
+        testbed block) raises DomainError; a missing optional field takes
         its dataclass default (the class attribute of that name)."""
-        d = mapping(d, "campaign config")
+        d = mapping(d, "campaign config", _CONFIG_KEYS)
         try:
-            acc = mapping(d["accuracy"], "accuracy")
-            interval = mapping(d["interval"], "interval")
-            bounds = mapping(d.get("bounds", {}), "bounds")
+            acc = mapping(d["accuracy"], "accuracy", ("gamma", "c", "beta"))
+            interval = mapping(d["interval"], "interval", ("m_low", "m_high"))
+            bounds = mapping(d.get("bounds", {}), "bounds", ("w_bar", "joint"))
             return cls(
                 accuracy=AccuracySpec(
                     real(acc["gamma"], "gamma"), real(acc["c"], "c"), real(acc["beta"], "beta")
@@ -244,11 +245,12 @@ def _check_bed(config: CampaignConfig, bed):
     return bed
 
 
-def _read_seed(seed) -> int:
-    seed = whole(seed, "seed")
-    if seed < 0:
-        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
-    return seed
+def _read_seed(value, name: str = "seed") -> int:
+    """A seed, pair or arm index: a nonnegative integer."""
+    value = whole(value, name)
+    if value < 0:
+        raise DomainError(f"{name} must be a nonnegative integer, got {value!r}")
+    return value
 
 
 def _record_dict(record, *derived: str) -> dict:
@@ -308,35 +310,17 @@ class TrialResult:
 
 def campaign_stream(seed: int, pair: int, arm: int) -> np.random.SeedSequence:
     """The deterministic sub-stream for one campaign arm."""
-    return np.random.SeedSequence(seed, spawn_key=(pair, arm))
+    return np.random.SeedSequence(
+        _read_seed(seed), spawn_key=(_read_seed(pair, "pair"), _read_seed(arm, "arm"))
+    )
 
 
-# Each bed's mass ratio, computed once: the config check and the sampler
-# of a campaign both read it.
-_MASS_RATIOS = weakref.WeakKeyDictionary()
-
-
-def _mass_ratio(bed) -> np.ndarray:
-    """The importance weight p/q of each cell of a bed with a discrete
-    proposal q; 0 on a cell where neither has mass. Cached per bed but
-    a bed that cannot be a weak key (a dataclass, which has no hash)."""
-    try:
-        ratio = _MASS_RATIOS.get(bed)
-    except TypeError:
-        return _uncached_mass_ratio(bed)
+def _declared_mass_ratio(bed) -> np.ndarray:
+    """The importance weight p/q of each cell, as the bed declares it."""
+    ratio = getattr(bed, "mass_ratio", None)
     if ratio is None:
-        ratio = _MASS_RATIOS[bed] = _uncached_mass_ratio(bed)
-    return ratio
-
-
-def _uncached_mass_ratio(bed) -> np.ndarray:
-    q = bed.proposal
-    if not hasattr(q, "masses"):
         raise DomainError("importance sampling needs a testbed with a discrete proposal")
-    p_m, q_m = bed.target.masses, q.masses
-    if not np.all((q_m > 0.0) | (p_m == 0.0)):
-        raise ZeroProposalDensity("proposal assigns zero mass to a cell with target mass")
-    return np.divide(p_m, q_m, out=np.zeros_like(p_m), where=q_m > 0.0)
+    return ratio
 
 
 class _Sampler:
@@ -393,12 +377,12 @@ class _Importance(_Sampler):
 
     def __init__(self, config: CampaignConfig, bed) -> None:
         super().__init__(config, bed)
-        self.ratio = _mass_ratio(bed)
+        self.ratio = bed.mass_ratio
 
     @staticmethod
     def check(config: CampaignConfig, bed) -> None:
-        worst = float(np.max(_mass_ratio(bed)))
-        if worst > config.w_bar * _BOUND_SLACK:
+        worst = float(np.max(_declared_mass_ratio(bed)))
+        if not worst <= config.w_bar * _BOUND_SLACK:  # NaN included
             raise BoundViolation(
                 f"importance sampler's worst mass ratio {worst:.6g} exceeds "
                 f"the declared cap {config.w_bar:.6g}"
@@ -494,6 +478,7 @@ def run_quantized_sq(
 
     Raises NonTerminated at n_max with the partial result attached.
     """
+    chunk_size = whole(chunk_size, "chunk_size")
     if chunk_size < 1:
         raise DomainError(f"chunk_size must be >= 1, got {chunk_size}")
     t0 = time.perf_counter()
@@ -505,7 +490,7 @@ def run_quantized_sq(
 
     ss = rng_stream
     if not isinstance(ss, np.random.SeedSequence):
-        ss = np.random.SeedSequence(ss)
+        ss = np.random.SeedSequence(_read_seed(ss, "rng_stream"))
     s_sample, s_noise = ss.spawn(2)
     rng_s = np.random.default_rng(s_sample)
     rng_e = np.random.default_rng(s_noise)
@@ -633,8 +618,9 @@ def config_from_artifact(art: dict, seed: int) -> CampaignConfig:
 
     The config reader parses the sealed dict, which must then be exactly
     the ``to_dict()`` of what it parsed to, without the seed: a dropped
-    key that the reader would fill with its default, an extra key and a
-    sealed seed all fail that comparison. Sealed content that fails to
+    key that the reader would fill with its default, an extra testbed
+    key and a sealed seed all fail that comparison (the reader itself
+    rejects any other extra key). Sealed content that fails to
     parse or to compare raises ArtifactVersionMismatch; an invalid
     ``seed`` raises DomainError.
     """
@@ -769,6 +755,7 @@ def pairwise_experiment(
     (oracle_se: 0 for an exact oracle, or a quadrature's error
     estimate) is above gamma/10.
     """
+    n_pairs = whole(n_pairs, "n_pairs")
     if n_pairs < 1:
         raise DomainError(f"n_pairs must be >= 1, got {n_pairs}")
     bed = config.build_testbed()
@@ -944,7 +931,8 @@ def convergence_study(testbed, seeds, checkpoints=(10**3, 10**6)) -> Convergence
     value sd is computed by exact enumeration, so checkpoint errors can
     be graded in oracle units.
     """
-    ratio = _mass_ratio(testbed)
+    ratio = _declared_mass_ratio(testbed)
+    seeds = tuple(_read_seed(s) for s in seeds)
     cps = tuple(sorted(int(c) for c in checkpoints))
     if len(cps) < 2 or cps[0] < 1:
         raise DomainError(f"need >= 2 positive checkpoints, got {checkpoints}")
@@ -970,7 +958,7 @@ def convergence_study(testbed, seeds, checkpoints=(10**3, 10**6)) -> Convergence
             errors[si, ci] = abs(total / n - r_star)
     return ConvergenceStudy(
         checkpoints=cps,
-        seeds=tuple(int(s) for s in seeds),
+        seeds=seeds,
         errors=errors,
         oracle_r_star=r_star,
         value_sd=value_sd,

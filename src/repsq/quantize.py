@@ -23,6 +23,7 @@ Conventions
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -206,6 +207,9 @@ class Partition:
     # -- validation ----------------------------------------------------
 
     def __post_init__(self) -> None:
+        for name in ("m_low", "m_high", "offset"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.m_high > self.m_low:
             raise DomainError(f"empty interval [{self.m_low}, {self.m_high}]")
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
@@ -227,22 +231,11 @@ def build_partition(
     interval no wider than alpha yields the single cell [m_low, m_high].
     """
 
-    for name, val in (("m_low", m_low), ("m_high", m_high), ("alpha", alpha), ("offset", offset)):
-        if not math.isfinite(val):
-            raise DomainError(f"{name} must be finite, got {val}")
-    if not m_high > m_low:
-        raise DomainError(f"empty or inverted interval [{m_low}, {m_high}]")
-    if alpha <= 0.0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
-    if not 0.0 <= offset <= alpha:
-        raise DomainError(f"offset {offset} outside [0, {alpha}]")
+    grid = Partition(m_low, m_high, alpha, offset, 1)  # validates the scalars
+    if m_high - m_low <= alpha:
+        return grid
 
-    total = m_high - m_low
-    if total <= alpha:
-        return Partition(m_low, m_high, alpha, offset, 1)
-
-    first = alpha if (offset == 0.0 or offset == alpha) else offset
-    b1 = m_low + first
+    b1 = grid._b1
     cutoff = m_high - _SNAP_REL * alpha
     if b1 >= cutoff:
         n_interior = 0
@@ -255,7 +248,7 @@ def build_partition(
         while k >= 0 and b1 + k * alpha >= cutoff:
             k -= 1
         n_interior = k + 1
-    return Partition(m_low, m_high, alpha, offset, n_interior + 1)
+    return dataclasses.replace(grid, n_cells=n_interior + 1)
 
 
 def quantize(value: float, partition: Partition) -> QuantizedValue:

@@ -104,7 +104,8 @@ class _Testbed:
     holds the value, so the one map yields both the descriptor reader
     (``from_spec``) and its writer (``to_spec``). The descriptor also
     carries the measure range, fixed by the class: ``testbed_from_spec``
-    checks a given ``m_low``/``m_high`` against it.
+    checks a given ``m_low``/``m_high`` against it. A bed with a discrete
+    proposal sets ``mass_ratio``, the importance weight of each cell.
     """
 
     kind: str
@@ -114,6 +115,7 @@ class _Testbed:
     oracle_se = 0.0
     proposal = None
     domain = None
+    mass_ratio = None
 
     def to_spec(self) -> dict:
         spec = {"kind": self.kind}
@@ -134,8 +136,9 @@ class CellularTestbed(_Testbed):
 
     psi(cell) ~ Bernoulli(failure_probs[cell]); r_star is the exact
     enumerated sum of mass * failure probability. Ships a companion
-    proposal that covers every cell with target mass; the cap on the
-    mass ratio is declared once, in the campaign config's bounds.
+    proposal that covers every cell with target mass, and each cell's
+    importance weight p/q as ``mass_ratio`` (0 where q is 0); the cap on
+    the mass ratio is declared once, in the campaign config's bounds.
     """
 
     kind = "cellular-bernoulli"
@@ -159,6 +162,7 @@ class CellularTestbed(_Testbed):
         self.proposal = DiscreteDistribution(q)
         if np.any((q == 0.0) & (p > 0.0)):
             raise DomainError("proposal must cover every cell with target mass")
+        self.mass_ratio = np.divide(p, q, out=np.zeros_like(p), where=q > 0.0)
 
     @property
     def n_cells(self) -> int:

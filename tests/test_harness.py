@@ -10,7 +10,6 @@ import dataclasses
 import json
 import math
 import warnings
-import weakref
 from importlib import resources
 from pathlib import Path
 
@@ -325,6 +324,43 @@ class TestCampaignConfig:
         cfg.build_testbed()
 
 
+class TestPublicArguments:
+    """A bad count, seed, pair or arm given to the public API raises
+    DomainError, never numpy's TypeError or ValueError."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda cfg, part: pairwise_experiment(cfg, 2.5),
+            lambda cfg, part: pairwise_experiment(cfg, "3"),
+            lambda cfg, part: run_quantized_sq(cfg, part, 1, chunk_size=2.5),
+            lambda cfg, part: run_quantized_sq(cfg, part, -1),
+            lambda cfg, part: campaign_stream(-1, 0, 0),
+            lambda cfg, part: campaign_stream(1, -1, 0),
+            lambda cfg, part: campaign_stream(1, 0, -1),
+            lambda cfg, part: campaign_stream(1.5, 0, 0),
+            lambda cfg, part: campaign_stream(True, 0, 0),
+            lambda cfg, part: convergence_study(convergence_study_testbed(), seeds=[-1]),
+        ],
+        ids=[
+            "n-pairs-fraction",
+            "n-pairs-string",
+            "chunk-size-fraction",
+            "negative-stream",
+            "negative-seed",
+            "negative-pair",
+            "negative-arm",
+            "fractional-seed",
+            "bool-seed",
+            "negative-study-seed",
+        ],
+    )
+    def test_is_a_domain_error(self, call):
+        cfg = moderate_config()
+        with pytest.raises(DomainError):
+            call(cfg, make_partition(cfg))
+
+
 class TestRunQuantizedSq:
     def test_huge_gamma_terminates_at_floor(self):
         bed = CellularTestbed([0.99, 0.01], [0.0, 3e-6], [0.99, 0.01])
@@ -398,22 +434,26 @@ class TestRunQuantizedSq:
         assert res.terminated and res.chunks > 1
         assert calls == []
 
-    def test_mass_ratio_is_computed_once_per_bed(self, monkeypatch):
-        class Counted(weakref.WeakKeyDictionary):
-            stores = 0
-
-            def __setitem__(self, bed, ratio):
-                Counted.stores += 1
-                super().__setitem__(bed, ratio)
-
-        monkeypatch.setattr(harness, "_MASS_RATIOS", Counted())
-        cfg = rare_config()
-        art, _ = initiator(cfg)  # checks the config, then draws
-        assert Counted.stores == 1
-        replicator(art, 5)  # a bed of its own
-        assert Counted.stores == 2
-        pairwise_experiment(cfg, 3)  # one bed for all six campaigns
-        assert Counted.stores == 3
+    @pytest.mark.parametrize(
+        "bed",
+        [
+            rare_event_acceptance_testbed(),
+            moderate_cellular_testbed(),
+            convergence_study_testbed(),
+            rare_event_testbed(50, 7),
+            CellularTestbed([0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.25, 0.75, 0.0]),
+        ],
+        ids=["rare_event_acceptance", "moderate_cellular", "convergence_study",
+             "rare_event_50_7", "uncovered-empty-cell"],
+    )
+    def test_cellular_bed_carries_its_mass_ratio(self, bed):
+        """A cellular bed's mass_ratio is p/q, 0 where q is 0, and the
+        importance sampler weighs by that very array."""
+        p, q = bed.target.masses, bed.proposal.masses
+        want = [pi / qi if qi > 0.0 else 0.0 for pi, qi in zip(p.tolist(), q.tolist())]
+        assert bed.mass_ratio.tolist() == want
+        sampler = harness._SAMPLERS["importance"](rare_config(w_bar=600.0), bed)
+        assert sampler.ratio is bed.mass_ratio
 
     def test_same_stream_reproduces_bitwise(self):
         cfg = rare_config()
@@ -800,21 +840,22 @@ class TestInitiatorReplicator:
         assert back == dataclasses.replace(cfg, seed=55)
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit, message",
         [
-            lambda c: c.pop("n_min"),  # the reader would fill in the default
-            lambda c: c.__setitem__("seed", 3),
-            lambda c: c.__setitem__("extra", 1),
-            lambda c: c["bounds"].pop("joint"),
+            # the reader would fill in the default
+            (lambda c: c.pop("n_min"), "as a config writes it"),
+            (lambda c: c.__setitem__("seed", 3), "as a config writes it"),
+            (lambda c: c.__setitem__("extra", 1), r"does not read \['extra'\]"),
+            (lambda c: c["bounds"].pop("joint"), "as a config writes it"),
         ],
         ids=["dropped-default", "sealed-seed", "extra-key", "dropped-joint"],
     )
-    def test_sealed_config_must_read_back_as_written(self, edit):
+    def test_sealed_config_must_read_back_as_written(self, edit, message):
         art, _ = initiator(zero_variance_config())
         bad = json.loads(json.dumps(art))
         edit(bad["config"])
         bad["checksum"] = art_mod.artifact_checksum(bad)
-        with pytest.raises(ArtifactVersionMismatch, match="as a config writes it"):
+        with pytest.raises(ArtifactVersionMismatch, match=message):
             replicator(load_artifact(dump_artifact(bad)), seed=1)
 
     def test_replicator_input_errors_are_not_artifact_errors(self):

@@ -1,7 +1,8 @@
 """Malformed configs and artifacts map to the documented exit codes.
 
-A config with a missing field or a field of the wrong JSON type exits 1;
-an artifact whose checksum is valid but whose body is malformed exits 4,
+A config with a missing field, a field of the wrong JSON type or a key
+its reader does not read (outside the testbed block) exits 1; an
+artifact whose checksum is valid but whose body is malformed exits 4,
 including a sealed config that a config file could not hold. Neither
 may escape main() as a traceback. The explicit cases are the ones that
 used to crash or to exit 1; the hypothesis tests edit the bundled
@@ -268,6 +269,25 @@ class TestMalformedConfig:
     def test_sampler_key_the_kind_does_not_read_exits_1(self, workdir, capsys, sampler, message):
         assert init_code(dict(ZERO_VARIANCE, sampler=sampler), workdir) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path,message",
+        [
+            (("n_mx",), "campaign config does not read ['n_mx']"),
+            (("accuracy", "gama"), "accuracy does not read ['gama']"),
+            (("interval", "mlow"), "interval does not read ['mlow']"),
+            (("bounds", "wbar"), "bounds does not read ['wbar']"),
+        ],
+        ids=["top-level", "accuracy", "interval", "bounds"],
+    )
+    def test_config_key_the_reader_does_not_read_exits_1(self, workdir, capsys, path, message):
+        """A misspelt key would otherwise leave its field at the default."""
+        assert init_code(edited(ZERO_VARIANCE, path, 5), workdir) == 1
+        assert message in capsys.readouterr().err
+
+    def test_testbed_key_no_testbed_reads_is_ignored(self, workdir):
+        cfg = edited(ZERO_VARIANCE, ("testbed", "oracle_seed"), 0)
+        assert init_code(cfg, workdir) == 0
 
     def test_importance_without_a_proposal_exits_1(self, workdir, capsys):
         assert init_code(dict(ZERO_VARIANCE, sampler={"kind": "importance"}), workdir) == 1

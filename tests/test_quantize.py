@@ -153,6 +153,20 @@ class TestBuildPartition:
         with pytest.raises(DomainError):
             build_partition(0.0, 1.0, 0.2, 0.3)
 
+    @pytest.mark.parametrize(
+        "m_low,m_high,offset",
+        [(0.0, math.inf, 0.0), (-math.inf, 1.0, 0.0), (0.0, 1.0, math.nan)],
+        ids=["inf-high", "inf-low", "nan-offset"],
+    )
+    def test_non_finite_partition_is_rejected(self, m_low, m_high, offset):
+        """A grid over an infinite interval has no midpoints: quantize
+        would return inf or overflow. Both the constructor and
+        build_partition refuse it."""
+        with pytest.raises(DomainError, match="must be finite"):
+            Partition(m_low, m_high, 0.1, offset, 3)
+        with pytest.raises(DomainError, match="must be finite"):
+            build_partition(m_low, m_high, 0.1, offset)
+
     def test_cell_rule_matches_bisect_reference(self):
         """The arithmetic cell rule resolves every boundary, both its float
         neighbours and uniform values exactly as a bisect over the

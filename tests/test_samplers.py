@@ -29,7 +29,6 @@ from repsq.errors import (
     ClampWarning,
     DegenerateBatch,
     DomainError,
-    ZeroProposalDensity,
 )
 from repsq import harness
 from repsq.harness import CampaignConfig, run_quantized_sq
@@ -49,6 +48,7 @@ from repsq.samplers import (
     mixture_sample_many,
     proposal_snapshot,
 )
+from repsq.testbeds import CellularTestbed
 
 UNIT = BoxDomain([0.0], [1.0])
 ROOT = Path(__file__).resolve().parents[1]
@@ -554,16 +554,14 @@ class TestMixture:
         assert np.array_equal(pts1, pts2) and np.array_equal(w1, w2)
 
 
-class _ConstantBed:
-    """Testbed stub: discrete target and proposal masses and psi = 1 in
-    every cell, so a campaign's values are its importance weights p/q."""
-
-    m_low = 0.0
-    m_high = 1.0
+class _ConstantBed(CellularTestbed):
+    """A cellular bed with psi = 1 in every cell, so a campaign's values
+    are its importance weights p/q; the bed's own constructor checks the
+    proposal's coverage and derives the mass ratio."""
 
     def __init__(self, target_masses, proposal_masses) -> None:
-        self.target = DiscreteDistribution(target_masses)
-        self.proposal = DiscreteDistribution(proposal_masses)
+        ones = np.ones(len(target_masses))
+        super().__init__(target_masses, ones, proposal_masses)
 
     def evaluate_many(self, xs, rng):
         return np.ones(len(xs))
@@ -592,11 +590,12 @@ def importance_draw(p, q, size=2_000, w_bar=1.0):
 
 @dataclass
 class _DataclassBed:
-    """A caller's bed as a plain dataclass: eq=True leaves it unhashable,
-    so it cannot key the mass-ratio cache."""
+    """A caller's bed as a plain dataclass (eq=True leaves it
+    unhashable) that declares its own mass ratio."""
 
     target: DiscreteDistribution
     proposal: DiscreteDistribution
+    mass_ratio: np.ndarray
     m_low: float = 0.0
     m_high: float = 1.0
 
@@ -615,11 +614,6 @@ class TestImportanceWeight:
         assert w[xs == 0] == pytest.approx(1.8, rel=1e-12)
         assert w[xs == 1] == pytest.approx(0.2, rel=1e-12)
 
-    def test_zero_proposal_density(self):
-        """A proposal that leaves a cell with target mass uncovered."""
-        with pytest.raises(ZeroProposalDensity):
-            importance_draw([0.5, 0.5], [1.0, 0.0])
-
     def test_zero_target_density_gives_zero_weight(self):
         xs, w = importance_draw([1.0, 0.0], [0.5, 0.5], w_bar=2.0)
         assert np.any(xs == 1)
@@ -635,15 +629,53 @@ class TestImportanceWeight:
             run_quantized_sq(stub_config(1.5), partition, 31, testbed=bed)
 
     def test_unhashable_caller_bed(self):
-        """A bed that cannot be a weak key has its mass ratio computed
-        uncached, and runs bit for bit as a hashable bed does."""
+        """A caller's bed that declares its mass ratio, and cannot be
+        hashed, runs bit for bit as the cellular bed with that ratio."""
         p, q = [1.0, 0.0], [0.5, 0.5]
         partition = build_partition(0.0, 1.0, 0.25, 0.0)
-        bed = _DataclassBed(DiscreteDistribution(p), DiscreteDistribution(q))
+        bed = _DataclassBed(
+            DiscreteDistribution(p), DiscreteDistribution(q), np.array([2.0, 0.0])
+        )
         res = run_quantized_sq(stub_config(2.0), partition, 3, testbed=bed)
         same = run_quantized_sq(stub_config(2.0), partition, 3, testbed=_ConstantBed(p, q))
         assert res.terminated
         assert res.to_dict() == same.to_dict()
+
+    def test_caller_bed_declaring_a_nan_weight_is_rejected_before_any_draw(self):
+        """The cap check reads the declared ratio, not the masses: a NaN
+        there fails the cap before the bed runs a single test."""
+        calls = []
+
+        class Counted(_DataclassBed):
+            def evaluate_many(self, xs, rng):
+                calls.append(len(xs))
+                return np.ones(len(xs))
+
+        p, q = [0.5, 0.5], [0.5, 0.5]
+        bed = Counted(
+            DiscreteDistribution(p), DiscreteDistribution(q), np.array([1.0, math.nan])
+        )
+        partition = build_partition(0.0, 1.0, 0.25, 0.0)
+        with pytest.raises(BoundViolation, match="mass ratio nan"):
+            run_quantized_sq(stub_config(2.0), partition, 3, testbed=bed)
+        assert calls == []
+
+    def test_caller_bed_without_a_mass_ratio_is_rejected(self):
+        """A discrete proposal alone is not enough: the bed must declare
+        the weight of each cell."""
+
+        class Undeclared:
+            m_low = 0.0
+            m_high = 1.0
+            target = DiscreteDistribution([0.5, 0.5])
+            proposal = DiscreteDistribution([0.5, 0.5])
+
+            def evaluate_many(self, xs, rng):
+                return np.ones(len(xs))
+
+        partition = build_partition(0.0, 1.0, 0.25, 0.0)
+        with pytest.raises(DomainError, match="discrete proposal"):
+            run_quantized_sq(stub_config(2.0), partition, 3, testbed=Undeclared())
 
 
 def normalized(raw) -> list:
