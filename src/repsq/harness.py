@@ -9,6 +9,9 @@ and runs its own campaign with an independent seed (and possibly a
 different sampler). Both sides report cell midpoints; agreement is what
 the repeatability contract promises.
 
+A CampaignConfig holds the testbed its campaigns draw from, a bundled
+or a caller's own bed, and checks it once, when the config is built.
+
 Randomness contract
 -------------------
 All randomness flows from numpy SeedSequence spawning. A campaign's
@@ -69,7 +72,7 @@ from .errors import (
 from .estimator import BoundSpec, MAX_SAMPLES, EstimatorState
 from .quantize import AccuracySpec, Partition, build_partition, compute_alpha, quantize
 from .samplers import AisPolicy, ais_update, mixture_sample_many, proposal_snapshot
-from .testbeds import testbed_class, testbed_from_spec
+from .testbeds import testbed_from_spec
 
 __all__ = [
     "SAMPLER_KINDS",
@@ -117,14 +120,13 @@ _CONFIG_KEYS = (
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Everything a campaign needs, in one serializable bundle.
+    """Everything a campaign needs, in one bundle.
 
-    ``sampler`` and ``testbed`` are plain JSON-shaped dicts (the
-    testbed dict is whatever the testbed's to_spec produced). A sampler
-    key its kind does not read is rejected; a testbed key its kind does
-    not read is ignored and left out of ``to_dict``. The declared
-    interval must match the testbed's declared measure range; the bound
-    m is always m_high - m_low.
+    ``sampler`` is a JSON-shaped dict; a key its kind does not read is
+    rejected. ``testbed`` is a built bed (``from_dict`` reads a
+    descriptor, ``to_dict`` writes its ``to_spec()``), checked here
+    against the interval and by the sampler kind's ``check``, so also
+    on ``dataclasses.replace``. The bound m is always m_high - m_low.
     """
 
     accuracy: AccuracySpec
@@ -133,7 +135,7 @@ class CampaignConfig:
     w_bar: float
     joint: float | None
     sampler: dict
-    testbed: dict
+    testbed: object
     seed: int
     offset_policy: str = "zero"
     n_min: int = 2
@@ -142,6 +144,10 @@ class CampaignConfig:
     stop_rule: _kernels.StopRule = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if isinstance(self.testbed, dict):
+            raise DomainError("testbed must be a built bed; from_dict reads a descriptor")
+        for name, read in _SCALARS.items():
+            object.__setattr__(self, name, read(getattr(self, name), name))
         if not self.m_high > self.m_low:
             raise DomainError(f"empty interval [{self.m_low}, {self.m_high}]")
         if self.offset_policy not in OFFSET_POLICIES:
@@ -153,7 +159,6 @@ class CampaignConfig:
             raise DomainError(f"sampler kind must be one of {SAMPLER_KINDS}, got {kind!r}")
         mapping(self.sampler, f"{kind} sampler", ("kind", *_SAMPLERS[kind].fields))
         _SAMPLERS[kind].options(self.sampler)  # validates the fields up front
-        object.__setattr__(self, "seed", _read_seed(self.seed))
         if self.n_min < 1:
             raise DomainError(f"n_min must be >= 1, got {self.n_min}")
         if self.n_max < max(2, self.n_min):
@@ -165,6 +170,8 @@ class CampaignConfig:
             self.accuracy.gamma, self.bound_spec, self.range_term_mode, self.n_min
         )
         object.__setattr__(self, "stop_rule", rule)
+        _check_interval(self, self.testbed, "testbed")
+        _SAMPLERS[kind].check(self)
 
     @property
     def bound_spec(self) -> BoundSpec:
@@ -175,11 +182,11 @@ class CampaignConfig:
             joint=self.joint,
         )
 
+    # ``testbed`` under the name the benchmark still calls.
     def build_testbed(self):
-        return _check_bed(self, testbed_from_spec(self.testbed))
+        return self.testbed
 
     def to_dict(self) -> dict:
-        sealed = ("kind", "m_low", "m_high", *testbed_class(self.testbed).fields)
         return {
             "accuracy": {
                 "gamma": self.accuracy.gamma,
@@ -189,7 +196,7 @@ class CampaignConfig:
             "interval": {"m_low": self.m_low, "m_high": self.m_high},
             "bounds": {"w_bar": self.w_bar, "joint": self.joint},
             "sampler": dict(self.sampler),
-            "testbed": {k: v for k, v in self.testbed.items() if k in sealed},
+            "testbed": self.testbed.to_spec(),
             "seed": self.seed,
             "offset_policy": self.offset_policy,
             "n_min": self.n_min,
@@ -212,16 +219,16 @@ class CampaignConfig:
                 accuracy=AccuracySpec(
                     real(acc["gamma"], "gamma"), real(acc["c"], "c"), real(acc["beta"], "beta")
                 ),
-                m_low=real(interval["m_low"], "m_low"),
-                m_high=real(interval["m_high"], "m_high"),
-                w_bar=real(bounds.get("w_bar", 1.0), "w_bar"),
-                joint=real_or_null(bounds.get("joint"), "joint"),
+                m_low=interval["m_low"],
+                m_high=interval["m_high"],
+                w_bar=bounds.get("w_bar", 1.0),
+                joint=bounds.get("joint"),
                 sampler=dict(mapping(d["sampler"], "sampler")),
-                testbed=dict(mapping(d["testbed"], "testbed")),
-                seed=whole(d["seed"], "seed"),
+                testbed=testbed_from_spec(d["testbed"]),
+                seed=d["seed"],
                 offset_policy=d.get("offset_policy", cls.offset_policy),
-                n_min=whole(d.get("n_min", cls.n_min), "n_min"),
-                n_max=whole(d.get("n_max", cls.n_max), "n_max"),
+                n_min=d.get("n_min", cls.n_min),
+                n_max=d.get("n_max", cls.n_max),
                 range_term_mode=d.get("range_term_mode", cls.range_term_mode),
             )
         except KeyError as exc:
@@ -237,20 +244,17 @@ def _check_interval(config: CampaignConfig, other, what: str) -> None:
         )
 
 
-def _check_bed(config: CampaignConfig, bed):
-    """``bed``, once over the config's interval and passed by its sampler
-    kind's check; every bed a campaign draws from passes here."""
-    _check_interval(config, bed, "testbed")
-    _SAMPLERS[config.sampler["kind"]].check(config, bed)
-    return bed
-
-
 def _read_seed(value, name: str = "seed") -> int:
     """A seed, pair or arm index: a nonnegative integer."""
     value = whole(value, name)
     if value < 0:
         raise DomainError(f"{name} must be a nonnegative integer, got {value!r}")
     return value
+
+
+# Each scalar field of a campaign config and its reader.
+_SCALARS = {"m_low": real, "m_high": real, "w_bar": real, "joint": real_or_null,
+            "seed": _read_seed, "n_min": whole, "n_max": whole}
 
 
 def _record_dict(record, *derived: str) -> dict:
@@ -316,19 +320,23 @@ def campaign_stream(seed: int, pair: int, arm: int) -> np.random.SeedSequence:
 
 
 def _declared_mass_ratio(bed) -> np.ndarray:
-    """The importance weight p/q of each cell, as the bed declares it."""
+    """The importance weight p/q of each proposal cell, as the bed declares it."""
     ratio = getattr(bed, "mass_ratio", None)
     if ratio is None:
         raise DomainError("importance sampling needs a testbed with a discrete proposal")
+    if np.shape(ratio) != (bed.proposal.n_cells,):
+        n = bed.proposal.n_cells
+        raise DomainError(f"mass_ratio of shape {np.shape(ratio)} for {n} proposal cells")
     return ratio
 
 
 class _Sampler:
     """One sampler kind: the config fields it reads besides ``kind``, the
-    bed and weight cap it needs, and its draws. ``draw(rng_s, rng_e, k)``
-    returns the k weighted values psi * w and their points; ``check``
-    has already held every weight a draw can give to the declared cap.
-    ``post_chunk`` sees each chunk that did not stop the campaign.
+    bed and weight cap it needs, and its draws from ``config.testbed``.
+    ``draw(rng_s, rng_e, k)`` returns the k weighted values psi * w and
+    their points; ``check``, run when the config was built, has held
+    every weight a draw can give to the declared cap. ``post_chunk``
+    sees each chunk that did not stop the campaign.
 
     What the campaign loop reads besides: ``batch``, the chunk size the
     kind fixes (None: the stopping rule sizes the chunks), and
@@ -340,8 +348,8 @@ class _Sampler:
     batch: int | None = None
     clamped_fits: int | None = None
 
-    def __init__(self, config: CampaignConfig, bed) -> None:
-        self.bed = bed
+    def __init__(self, config: CampaignConfig) -> None:
+        self.bed = config.testbed
 
     @staticmethod
     def options(sampler: dict):
@@ -350,9 +358,9 @@ class _Sampler:
         return None
 
     @staticmethod
-    def check(config: CampaignConfig, bed) -> None:
-        """Reject a bed the kind cannot draw from or a declared weight
-        cap w_bar it cannot honor."""
+    def check(config: CampaignConfig) -> None:
+        """Reject the config's bed if the kind cannot draw from it, or
+        the declared weight cap w_bar if the kind cannot honor it."""
 
     def post_chunk(self, xs, values) -> None:
         pass
@@ -375,13 +383,13 @@ class _Importance(_Sampler):
     of the drawn cell. With the proposal equal to the target every
     weight is 1.0, and the run is bit-identical to a Monte Carlo run."""
 
-    def __init__(self, config: CampaignConfig, bed) -> None:
-        super().__init__(config, bed)
-        self.ratio = bed.mass_ratio
+    def __init__(self, config: CampaignConfig) -> None:
+        super().__init__(config)
+        self.ratio = self.bed.mass_ratio
 
     @staticmethod
-    def check(config: CampaignConfig, bed) -> None:
-        worst = float(np.max(_declared_mass_ratio(bed)))
+    def check(config: CampaignConfig) -> None:
+        worst = float(np.max(_declared_mass_ratio(config.testbed)))
         if not worst <= config.w_bar * _BOUND_SLACK:  # NaN included
             raise BoundViolation(
                 f"importance sampler's worst mass ratio {worst:.6g} exceeds "
@@ -401,12 +409,12 @@ class _Ais(_Sampler):
 
     fields = {"mix_p": real, "d": whole, "l_r": real, "init_shape": real}
 
-    def __init__(self, config: CampaignConfig, bed) -> None:
-        super().__init__(config, bed)
+    def __init__(self, config: CampaignConfig) -> None:
+        super().__init__(config)
         self.policy = self.options(config.sampler)
         self.batch = self.policy.d
-        self.q = self.policy.initial_proposal(bed.domain)
-        self.sums = np.zeros((3, bed.domain.dims))  # see ais_update
+        self.q = self.policy.initial_proposal(self.bed.domain)
+        self.sums = np.zeros((3, self.bed.domain.dims))  # see ais_update
         self.clamped_fits = 0
 
     @classmethod
@@ -415,8 +423,8 @@ class _Ais(_Sampler):
         return AisPolicy(**given)
 
     @staticmethod
-    def check(config: CampaignConfig, bed) -> None:
-        if bed.domain is None:
+    def check(config: CampaignConfig) -> None:
+        if config.testbed.domain is None:
             raise DomainError("ais sampling needs a box-domain testbed")
         mix_p = _Ais.options(config.sampler).mix_p
         if mix_p <= 0.0:
@@ -458,7 +466,6 @@ def run_quantized_sq(
     partition: Partition,
     rng_stream,
     *,
-    testbed=None,
     record_trace: bool = False,
     chunk_size: int = _CHUNK,
 ) -> TrialResult:
@@ -476,17 +483,17 @@ def run_quantized_sq(
     ``chunks`` and the wall time is bit-identical for any
     ``chunk_size``.
 
-    Raises NonTerminated at n_max with the partial result attached.
+    Draws from ``config.testbed``. Raises NonTerminated at n_max with
+    the partial result attached.
     """
     chunk_size = whole(chunk_size, "chunk_size")
     if chunk_size < 1:
         raise DomainError(f"chunk_size must be >= 1, got {chunk_size}")
     t0 = time.perf_counter()
-    bed = config.build_testbed() if testbed is None else _check_bed(config, testbed)
     _check_interval(config, partition, "partition")
     rule = config.stop_rule
     kind = config.sampler["kind"]
-    sampler = _SAMPLERS[kind](config, bed)
+    sampler = _SAMPLERS[kind](config)
 
     ss = rng_stream
     if not isinstance(ss, np.random.SeedSequence):
@@ -509,7 +516,7 @@ def run_quantized_sq(
         worst = float(np.abs(values).max())
         if not worst <= rule.product * _BOUND_SLACK:  # NaN included
             raise BoundViolation(
-                f"testbed {config.testbed.get('kind')!r} gave weighted measure "
+                f"testbed {getattr(config.testbed, 'kind', None)!r} gave weighted measure "
                 f"{worst:.6g}, outside the declared bound {rule.product:.6g}; "
                 f"the termination radii are void"
             )
@@ -618,11 +625,11 @@ def config_from_artifact(art: dict, seed: int) -> CampaignConfig:
 
     The config reader parses the sealed dict, which must then be exactly
     the ``to_dict()`` of what it parsed to, without the seed: a dropped
-    key that the reader would fill with its default, an extra testbed
-    key and a sealed seed all fail that comparison (the reader itself
-    rejects any other extra key). Sealed content that fails to
-    parse or to compare raises ArtifactVersionMismatch; an invalid
-    ``seed`` raises DomainError.
+    key that the reader would fill with its default (a testbed's m_low
+    or m_high too), an extra testbed key and a sealed seed all fail that
+    comparison (the reader itself rejects any other extra key). Sealed
+    content that fails to parse or to compare raises
+    ArtifactVersionMismatch; an invalid ``seed`` raises DomainError.
     """
     seed = _read_seed(seed)
     with sealed_content("config"):
@@ -647,7 +654,7 @@ def replicator(
     The artifact is integrity-checked, the partition is rebuilt bit for
     bit, and the rebuilt cell width is cross-checked against the
     accuracy contract it claims to come from. Invalid sealed content
-    (config, grid or testbed) raises ArtifactVersionMismatch; an invalid
+    (config, testbed or grid) raises ArtifactVersionMismatch; an invalid
     seed or ``sampler_override`` is the replicator's own input error.
     """
     art = verify_artifact(art)
@@ -657,14 +664,10 @@ def replicator(
         raise ArtifactVersionMismatch(
             "artifact cell width does not come from its own accuracy contract"
         )
-    with sealed_content("testbed"):
-        bed = config.build_testbed()
     if sampler_override is not None:
         sampler = mapping(sampler_override, "sampler_override")
         config = dataclasses.replace(config, sampler=dict(sampler))
-    return run_quantized_sq(
-        config, partition, campaign_stream(config.seed, 0, REPLICATOR_ARM), testbed=bed
-    )
+    return run_quantized_sq(config, partition, campaign_stream(config.seed, 0, REPLICATOR_ARM))
 
 
 @dataclass(frozen=True)
@@ -758,7 +761,7 @@ def pairwise_experiment(
     n_pairs = whole(n_pairs, "n_pairs")
     if n_pairs < 1:
         raise DomainError(f"n_pairs must be >= 1, got {n_pairs}")
-    bed = config.build_testbed()
+    bed = config.testbed
     gamma = config.accuracy.gamma
     if bed.oracle_se > gamma / 10.0:
         raise OracleBudgetError(
@@ -774,12 +777,9 @@ def pairwise_experiment(
     rep_config = dataclasses.replace(
         config, sampler=dict(mapping(rep_sampler, "replicator_sampler"))
     )
-    _check_bed(rep_config, bed)  # a bad sampler fails before any campaign runs
 
     def run(cfg: CampaignConfig, pair: int, arm: int) -> TrialResult:
-        return run_quantized_sq(
-            cfg, partition, campaign_stream(config.seed, pair, arm), testbed=bed
-        )
+        return run_quantized_sq(cfg, partition, campaign_stream(config.seed, pair, arm))
 
     def row(pair: int, arm: str, res: TrialResult, same: bool) -> dict:
         return {

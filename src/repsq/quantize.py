@@ -23,7 +23,6 @@ Conventions
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -139,15 +138,16 @@ class Partition:
     """Almost-uniform tiling of [m_low, m_high] with cell width alpha.
 
     ``offset`` is the requested first-cell length: 0 (or alpha) means the
-    first cell has full width. ``n_cells`` is fixed by build_partition;
-    every boundary follows from the scalars by the canonical rule.
+    first cell has full width. The scalars fix ``n_cells``: left out, it
+    is derived from them, and given, it must be that count. Every
+    boundary follows from the scalars by the canonical rule.
     """
 
     m_low: float
     m_high: float
     alpha: float
     offset: float
-    n_cells: int
+    n_cells: int | None = None
 
     # -- canonical grid ------------------------------------------------
 
@@ -216,39 +216,35 @@ class Partition:
             raise DomainError(f"alpha must be finite and positive, got {self.alpha}")
         if not 0.0 <= self.offset <= self.alpha:
             raise DomainError(f"offset {self.offset} outside [0, alpha={self.alpha}]")
-        if self.n_cells < 1:
-            raise DomainError(f"n_cells must be >= 1, got {self.n_cells}")
+        count = self._cell_count()
+        if self.n_cells is None:
+            object.__setattr__(self, "n_cells", count)
+        elif type(self.n_cells) is not int or self.n_cells != count:
+            raise DomainError(f"n_cells {self.n_cells!r} is not the {count} cells of the grid")
+
+    def _cell_count(self) -> int:
+        """The first cell and one per interior boundary b1 + k*alpha; one
+        within 1e-9*alpha of m_high is snapped onto it instead."""
+        b1 = self._b1
+        cutoff = self.m_high - _SNAP_REL * self.alpha
+        if self.m_high - self.m_low <= self.alpha or b1 >= cutoff:
+            return 1
+        # Closed-form count, then a local scan to absorb float rounding at
+        # the cutoff; interior boundary k sits at b1 + k*alpha.
+        k = max(0, int(math.floor((cutoff - b1) / self.alpha)) - 2)
+        while b1 + (k + 1) * self.alpha < cutoff:
+            k += 1
+        while k >= 0 and b1 + k * self.alpha >= cutoff:
+            k -= 1
+        return k + 2
 
 
 def build_partition(
     m_low: float, m_high: float, alpha: float, offset: float = 0.0
 ) -> Partition:
-    """Tile [m_low, m_high] with cells of width alpha, first cell ``offset``.
-
-    The grid anchor is b1 = m_low + first_len; the k-th interior boundary
-    sits at b1 + k*alpha. A generated boundary within 1e-9*alpha of
-    m_high is snapped onto m_high rather than leaving a sliver cell. An
-    interval no wider than alpha yields the single cell [m_low, m_high].
-    """
-
-    grid = Partition(m_low, m_high, alpha, offset, 1)  # validates the scalars
-    if m_high - m_low <= alpha:
-        return grid
-
-    b1 = grid._b1
-    cutoff = m_high - _SNAP_REL * alpha
-    if b1 >= cutoff:
-        n_interior = 0
-    else:
-        # Closed-form count, then a local scan to absorb float rounding at
-        # the cutoff; interior boundary k sits at b1 + k*alpha.
-        k = max(0, int(math.floor((cutoff - b1) / alpha)) - 2)
-        while b1 + (k + 1) * alpha < cutoff:
-            k += 1
-        while k >= 0 and b1 + k * alpha >= cutoff:
-            k -= 1
-        n_interior = k + 1
-    return dataclasses.replace(grid, n_cells=n_interior + 1)
+    """Tile [m_low, m_high] with cells of width alpha, first cell
+    ``offset``: the Partition whose cell count the scalars imply."""
+    return Partition(m_low, m_high, alpha, offset)
 
 
 def quantize(value: float, partition: Partition) -> QuantizedValue:

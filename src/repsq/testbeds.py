@@ -104,8 +104,9 @@ class _Testbed:
     holds the value, so the one map yields both the descriptor reader
     (``from_spec``) and its writer (``to_spec``). The descriptor also
     carries the measure range, fixed by the class: ``testbed_from_spec``
-    checks a given ``m_low``/``m_high`` against it. A bed with a discrete
-    proposal sets ``mass_ratio``, the importance weight of each cell.
+    checks a given ``m_low``/``m_high`` against it. Two beds are equal
+    when they write the same descriptor. A bed with a discrete proposal
+    sets ``mass_ratio``, the importance weight of each cell.
     """
 
     kind: str
@@ -125,6 +126,11 @@ class _Testbed:
         spec["m_low"] = self.m_low
         spec["m_high"] = self.m_high
         return spec
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, _Testbed):
+            return NotImplemented
+        return self.to_spec() == other.to_spec()
 
     @classmethod
     def from_spec(cls, spec: dict):
@@ -502,21 +508,15 @@ _KINDS = {
 }
 
 
-def testbed_class(spec: dict) -> type:
-    """The testbed class a JSON descriptor names by its ``kind``; a
-    descriptor that is not an object or names no known kind raises
-    DomainError."""
+def testbed_from_spec(spec: dict):
+    """Rebuild a testbed from its JSON descriptor; a descriptor that is
+    not an object or names no known kind, a missing field or a field of
+    the wrong JSON type raises DomainError. Keys the testbed does not
+    read are ignored."""
     kind = mapping(spec, "testbed").get("kind")
     if not isinstance(kind, str) or kind not in _KINDS:
         raise DomainError(f"unknown testbed kind {kind!r}")
-    return _KINDS[kind]
-
-
-def testbed_from_spec(spec: dict):
-    """Rebuild a testbed from its JSON descriptor; a missing field or a
-    field of the wrong JSON type raises DomainError. Keys the testbed
-    does not read are ignored."""
-    cls = testbed_class(spec)
+    cls = _KINDS[kind]
     try:
         bed = cls.from_spec(spec)
     except KeyError as exc:

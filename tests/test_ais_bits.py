@@ -138,7 +138,7 @@ class TestGoldenCampaigns:
             accuracy=AccuracySpec(gamma, 0.05, 0.1), m_low=bed.m_low, m_high=bed.m_high,
             w_bar=w_bar, joint=None,
             sampler={"kind": "ais", "mix_p": mix_p, "d": d, "l_r": l_r, "init_shape": shape},
-            testbed=bed.to_spec(), seed=77, n_max=200_000, range_term_mode="linear-range",
+            testbed=bed, seed=77, n_max=200_000, range_term_mode="linear-range",
         )
         part = build_partition(cfg.m_low, cfg.m_high, compute_alpha(cfg.accuracy), 0.0)
         with pytest.warns(ClampWarning, match=f"^{SHORT[name]['clamped_fits']} adaptive refits"):
@@ -458,13 +458,13 @@ class TestBatchedRefit:
             accuracy=AccuracySpec(0.5, 0.05, 0.1), m_low=bed.m_low, m_high=bed.m_high,
             w_bar=2.0, joint=None,
             sampler={"kind": "ais", "mix_p": 0.5, "d": 2, "l_r": 0.3, "init_shape": 0.05},
-            testbed=bed.to_spec(), seed=0, n_max=200_000, range_term_mode="linear-range",
+            testbed=bed, seed=0, n_max=200_000, range_term_mode="linear-range",
         )
         part = build_partition(cfg.m_low, cfg.m_high, compute_alpha(cfg.accuracy), 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ClampWarning)
             for seed in range(20):
-                res = run_quantized_sq(cfg, part, campaign_stream(seed, 0, 0), testbed=bed)
+                res = run_quantized_sq(cfg, part, campaign_stream(seed, 0, 0))
                 assert res.terminated
 
 
@@ -578,11 +578,11 @@ class TestClampTelemetry:
         cfg = CampaignConfig(
             accuracy=AccuracySpec(0.04, 0.05, 0.1), m_low=0.0, m_high=1.0, w_bar=10.0,
             joint=None, sampler={"kind": "ais", "mix_p": 0.1, "d": 10, "init_shape": 0.99},
-            testbed=bed.to_spec(), seed=4, range_term_mode="linear-range",
+            testbed=bed, seed=4, range_term_mode="linear-range",
         )
         part = build_partition(0.0, 1.0, compute_alpha(cfg.accuracy), 0.0)
         with pytest.warns(ClampWarning) as caught:
-            res = run_quantized_sq(cfg, part, campaign_stream(4, 0, 0), testbed=bed)
+            res = run_quantized_sq(cfg, part, campaign_stream(4, 0, 0))
         assert res.raw_estimate == 0.0
         assert res.clamped_fits == res.chunks - 1  # every batch but the last refits
         assert [str(w.message) for w in caught] == [
@@ -597,13 +597,13 @@ class TestClampTelemetry:
         for sampler in ({"kind": "monte_carlo"}, {"kind": "ais", "mix_p": 0.5, "d": 4}):
             cfg = CampaignConfig(
                 accuracy=AccuracySpec(0.5, 0.05, 0.1), m_low=0.0, m_high=6.0, w_bar=2.0,
-                joint=None, sampler=sampler, testbed=bed.to_spec(), seed=3,
+                joint=None, sampler=sampler, testbed=bed, seed=3,
                 range_term_mode="linear-range",
             )
             part = build_partition(0.0, 6.0, compute_alpha(cfg.accuracy), 0.0)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", ClampWarning)
-                res = run_quantized_sq(cfg, part, campaign_stream(3, 0, 0), testbed=bed)
+                res = run_quantized_sq(cfg, part, campaign_stream(3, 0, 0))
             if sampler["kind"] == "ais":
                 assert isinstance(res.clamped_fits, int)
                 assert res.to_dict()["clamped_fits"] == res.clamped_fits

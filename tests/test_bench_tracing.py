@@ -46,16 +46,14 @@ def test_traced_ais_campaign_records_draw_and_refit_spans():
         w_bar=10.0,
         joint=None,
         sampler={"kind": "ais", "mix_p": 0.1, "d": 10},
-        testbed=bed.to_spec(),
+        testbed=bed,
         seed=5,
         n_max=20_000,
     )
     partition = build_partition(0.0, 1.0, compute_alpha(cfg.accuracy), 0.0)
     tracer = tracing.Tracer()
     with tracing.patched(tracing.layer_targets(repsq, tracer)):
-        res = harness.run_quantized_sq(
-            cfg, partition, campaign_stream(5, 0, 0), testbed=bed
-        )
+        res = harness.run_quantized_sq(cfg, partition, campaign_stream(5, 0, 0))
     assert res.terminated
     counts = {}
     for span in tracer.spans:

@@ -72,7 +72,7 @@ def rare_config(seed=20260821, **overrides) -> CampaignConfig:
         w_bar=512.0,
         joint=1e-4,
         sampler={"kind": "importance"},
-        testbed=rare_event_acceptance_testbed().to_spec(),
+        testbed=rare_event_acceptance_testbed(),
         seed=seed,
         n_max=1_000_000,
     )
@@ -88,7 +88,7 @@ def moderate_config(sampler_kind="monte_carlo", seed=7, **overrides) -> Campaign
         w_bar=2.0,
         joint=1.0,
         sampler={"kind": sampler_kind},
-        testbed=moderate_cellular_testbed().to_spec(),
+        testbed=moderate_cellular_testbed(),
         seed=seed,
         n_max=1_000_000,
     )
@@ -105,7 +105,7 @@ def zero_variance_config(seed=1) -> CampaignConfig:
         w_bar=1.0,
         joint=1.0,
         sampler={"kind": "monte_carlo"},
-        testbed=bed.to_spec(),
+        testbed=bed,
         seed=seed,
         n_max=10_000,
     )
@@ -267,6 +267,48 @@ class TestCampaignConfig:
         with pytest.raises(DomainError, match="n_max"):
             rare_config(n_max=MAX_SAMPLES + 1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_max", 100.5),
+            ("n_min", 1e6 + 0.5),
+            ("n_min", 2.5),
+            ("n_min", True),
+            ("n_max", "100"),
+            ("m_high", "1"),
+            ("w_bar", True),
+            ("joint", "1e-4"),
+        ],
+    )
+    def test_constructor_reads_each_scalar_field(self, field, value):
+        """Direct construction reads the fields from_dict used to read
+        alone; a fractional n_max used to escape a campaign as numpy's
+        TypeError."""
+        with pytest.raises(DomainError, match=field):
+            rare_config(**{field: value})
+
+    def test_descriptor_given_to_the_constructor_raises(self):
+        with pytest.raises(DomainError, match="from_dict"):
+            rare_config(testbed=rare_event_acceptance_testbed().to_spec())
+
+    def test_campaigns_draw_from_the_bed_checked_at_construction(self, monkeypatch):
+        """A campaign neither rebuilds nor rechecks the config's bed;
+        dataclasses.replace builds a new config and checks it again."""
+        cfg = rare_config()
+        calls = []
+        monkeypatch.setattr(harness._Importance, "check", staticmethod(calls.append))
+        monkeypatch.setattr(harness, "testbed_from_spec", calls.append)
+        initiator(cfg)
+        run_quantized_sq(cfg, make_partition(cfg), campaign_stream(cfg.seed, 1, 0))
+        assert calls == []
+        other = dataclasses.replace(cfg, seed=1)
+        assert calls == [other] and other.testbed is cfg.testbed
+
+    def test_replace_checks_the_bed_under_the_new_sampler(self):
+        cfg = moderate_config("monte_carlo", w_bar=1.5)  # worst mass ratio 1.8
+        with pytest.raises(BoundViolation):
+            dataclasses.replace(cfg, sampler={"kind": "importance"})
+
     def test_unknown_sampler_kind_raises(self):
         with pytest.raises(DomainError):
             rare_config(sampler={"kind": "quasi_random"})
@@ -276,43 +318,37 @@ class TestCampaignConfig:
             rare_config(offset_policy="per-pair")
 
     def test_interval_must_match_testbed(self):
-        cfg = rare_config(m_low=0.0, m_high=2.0)
-        with pytest.raises(DomainError):
-            cfg.build_testbed()
+        with pytest.raises(DomainError, match="testbed interval"):
+            rare_config(m_low=0.0, m_high=2.0)
 
     def test_importance_needs_w_bar_covering_proposal(self):
-        cfg = moderate_config("importance", w_bar=1.5)  # actual worst ratio 1.8
         with pytest.raises(BoundViolation):
-            cfg.build_testbed()
+            moderate_config("importance", w_bar=1.5)  # actual worst ratio 1.8
 
     def test_ais_cap_must_fit_declared_w_bar(self):
-        bed = tracking_testbed()
-        cfg = CampaignConfig(
-            accuracy=AccuracySpec(0.04, 0.05, 0.1),
-            m_low=0.0,
-            m_high=1.0,
-            w_bar=5.0,
-            joint=None,
-            sampler={"kind": "ais", "mix_p": 0.1},  # cap 10 > declared 5
-            testbed=bed.to_spec(),
-            seed=0,
-        )
         with pytest.raises(BoundViolation):
-            cfg.build_testbed()
+            CampaignConfig(
+                accuracy=AccuracySpec(0.04, 0.05, 0.1),
+                m_low=0.0,
+                m_high=1.0,
+                w_bar=5.0,
+                joint=None,
+                sampler={"kind": "ais", "mix_p": 0.1},  # cap 10 > declared 5
+                testbed=tracking_testbed(),
+                seed=0,
+            )
 
     def test_ais_rejects_cellular_testbed(self):
-        cfg = moderate_config(sampler={"kind": "ais", "mix_p": 0.5}, w_bar=2.0)
-        with pytest.raises(DomainError):
-            cfg.build_testbed()
+        with pytest.raises(DomainError, match="box-domain"):
+            moderate_config(sampler={"kind": "ais", "mix_p": 0.5}, w_bar=2.0)
 
     def test_importance_rejects_testbed_without_proposal(self):
         """displacement_star's bed has a box domain and no proposal, so
         an importance run there has no weights to apply."""
         path = resources.files("repsq") / "configs" / "displacement_star.json"
         raw = json.loads(path.read_text())
-        cfg = CampaignConfig.from_dict(dict(raw, sampler={"kind": "importance"}))
         with pytest.raises(DomainError, match="discrete proposal"):
-            initiator(cfg)
+            CampaignConfig.from_dict(dict(raw, sampler={"kind": "importance"}))
         art, _ = initiator(CampaignConfig.from_dict(raw))
         with pytest.raises(DomainError, match="discrete proposal"):
             replicator(art, seed=1, sampler_override={"kind": "importance"})
@@ -320,8 +356,7 @@ class TestCampaignConfig:
     def test_monte_carlo_accepts_conservative_w_bar(self):
         # A shared artifact may declare a cap sized for an importance
         # replicator; the monte-carlo arm stays valid under it.
-        cfg = moderate_config("monte_carlo", w_bar=2.0)
-        cfg.build_testbed()
+        assert moderate_config("monte_carlo", w_bar=2.0).w_bar == 2.0
 
 
 class TestPublicArguments:
@@ -371,7 +406,7 @@ class TestRunQuantizedSq:
             w_bar=1.0,
             joint=None,
             sampler={"kind": "monte_carlo"},
-            testbed=bed.to_spec(),
+            testbed=bed,
             seed=3,
         )
         res = run_quantized_sq(cfg, make_partition(cfg), campaign_stream(3, 0, 0))
@@ -387,7 +422,7 @@ class TestRunQuantizedSq:
             w_bar=1.0,
             joint=None,
             sampler={"kind": "monte_carlo"},
-            testbed=bed.to_spec(),
+            testbed=bed,
             seed=3,
             n_min=17,
         )
@@ -407,7 +442,7 @@ class TestRunQuantizedSq:
             m_high=1.0,
             w_bar=1.0,
             joint=1.0,
-            testbed=bed.to_spec(),
+            testbed=bed,
             seed=91,
         )
         mc = CampaignConfig(sampler={"kind": "monte_carlo"}, **common)
@@ -452,8 +487,8 @@ class TestRunQuantizedSq:
         p, q = bed.target.masses, bed.proposal.masses
         want = [pi / qi if qi > 0.0 else 0.0 for pi, qi in zip(p.tolist(), q.tolist())]
         assert bed.mass_ratio.tolist() == want
-        sampler = harness._SAMPLERS["importance"](rare_config(w_bar=600.0), bed)
-        assert sampler.ratio is bed.mass_ratio
+        cfg = rare_config(w_bar=float(bed.mass_ratio.max()), testbed=bed)
+        assert harness._SAMPLERS["importance"](cfg).ratio is bed.mass_ratio
 
     def test_same_stream_reproduces_bitwise(self):
         cfg = rare_config()
@@ -497,7 +532,7 @@ class TestRunQuantizedSq:
     @staticmethod
     def sized_run(cfg, **kwargs):
         """run_quantized_sq on a bed that records the size of each chunk."""
-        bed = cfg.build_testbed()
+        bed = cfg.testbed
         sizes = []
 
         def evaluate(points, rng):
@@ -507,7 +542,7 @@ class TestRunQuantizedSq:
         bed.evaluate_many = evaluate
         part = make_partition(cfg)
         return sizes, lambda: run_quantized_sq(
-            cfg, part, campaign_stream(cfg.seed, 2, 0), testbed=bed, **kwargs
+            cfg, part, campaign_stream(cfg.seed, 2, 0), **kwargs
         )
 
     @pytest.mark.parametrize("cap", [7, 64, 1000, 8192])
@@ -555,7 +590,7 @@ class TestRunQuantizedSq:
             w_bar=1.0,
             joint=None,
             sampler={"kind": "monte_carlo"},
-            testbed=bed.to_spec(),
+            testbed=bed,
             seed=11,
             n_max=100_000,
         )
@@ -650,7 +685,7 @@ class TestRunQuantizedSq:
         tracking.update(sampler={"kind": "monte_carlo"}, range_term_mode="linear-range")
         tracking["bounds"]["w_bar"] = 1.0
         cfg = CampaignConfig.from_dict(tracking)
-        bed = cfg.build_testbed()
+        bed = cfg.testbed
         chunks = []
 
         def evaluate_with_nan(points, rng):
@@ -661,16 +696,14 @@ class TestRunQuantizedSq:
 
         bed.evaluate_many = evaluate_with_nan
         with pytest.raises(BoundViolation, match="testbed 'tracking-sim' gave weighted measure nan"):
-            run_quantized_sq(cfg, make_partition(cfg), campaign_stream(1, 0, 0), testbed=bed)
+            run_quantized_sq(cfg, make_partition(cfg), campaign_stream(1, 0, 0))
         assert len(chunks) == 1
 
     def test_callers_bed_over_another_interval_is_rejected(self):
         # The displacement bed measures on [0, 6], tracking_ais on [0, 1].
         cfg = TestBundledConfigs.config("tracking_ais")
         with pytest.raises(DomainError, match=r"testbed interval \[0.0, 6.0\]"):
-            run_quantized_sq(
-                cfg, make_partition(cfg), campaign_stream(1, 0, 0), testbed=displacement_testbed()
-            )
+            dataclasses.replace(cfg, testbed=displacement_testbed())
 
     def test_partition_over_another_interval_is_rejected(self):
         cfg = TestBundledConfigs.config("tracking_ais")
@@ -681,10 +714,7 @@ class TestRunQuantizedSq:
     def test_ais_on_a_callers_bed_without_a_box_domain_is_a_domain_error(self):
         cfg = TestBundledConfigs.config("tracking_ais")
         with pytest.raises(DomainError, match="box-domain"):
-            run_quantized_sq(
-                cfg, make_partition(cfg), campaign_stream(1, 0, 0),
-                testbed=moderate_cellular_testbed(),
-            )
+            dataclasses.replace(cfg, testbed=moderate_cellular_testbed())
 
     def test_trace_covers_exactly_the_consumed_prefix(self):
         cfg = zero_variance_config()
@@ -716,7 +746,7 @@ class TestRunQuantizedSq:
             w_bar=2.0,
             joint=0.2,
             sampler={"kind": "importance"},
-            testbed=bed.to_spec(),
+            testbed=bed,
             seed=314,
             n_max=100_000,
         )
@@ -729,7 +759,6 @@ class TestRunQuantizedSq:
                 cfg,
                 part,
                 campaign_stream(cfg.seed, pair, 0),
-                testbed=bed,
                 chunk_size=1024,
             )
             hits += abs(res.quantized_estimate - r_star) <= tol
@@ -744,7 +773,7 @@ class TestRunQuantizedSq:
             w_bar=10.0,
             joint=None,
             sampler={"kind": "ais", "mix_p": 0.1, "d": 10, "l_r": 0.1},
-            testbed=bed.to_spec(),
+            testbed=bed,
             seed=5,
             n_max=200_000,
         )
@@ -753,7 +782,7 @@ class TestRunQuantizedSq:
         # campaign clamps no fit and warns of nothing.
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            res = run_quantized_sq(cfg, part, campaign_stream(5, 0, 0), testbed=bed)
+            res = run_quantized_sq(cfg, part, campaign_stream(5, 0, 0))
         assert res.clamped_fits == 0
         assert [str(w.message) for w in caught] == []
         assert res.terminated
@@ -773,7 +802,7 @@ class TestInitiatorReplicator:
             w_bar=1.0,
             joint=None,
             sampler={"kind": "monte_carlo"},
-            testbed=bed.to_spec(),
+            testbed=bed,
             seed=11,
             n_max=100_000,
         )
@@ -931,7 +960,7 @@ class TestPairwiseExperiment:
             w_bar=1.0,
             joint=None,
             sampler={"kind": "monte_carlo"},
-            testbed=bed.to_spec(),
+            testbed=bed,
             seed=17,
             n_max=100_000,
         )
@@ -956,7 +985,7 @@ class TestPairwiseExperiment:
         report = pairwise_experiment(
             cfg, n_pairs, replicator_sampler=replicator_sampler, star=star
         )
-        bed = cfg.build_testbed()
+        bed = cfg.testbed
         part = make_partition(cfg)
         rep_cfg = cfg
         if replicator_sampler is not None:
@@ -964,7 +993,7 @@ class TestPairwiseExperiment:
 
         def arm(config, pair, arm_id):
             stream = campaign_stream(cfg.seed, pair, arm_id)
-            return run_quantized_sq(config, part, stream, testbed=bed)
+            return run_quantized_sq(config, part, stream)
 
         reps = {p: arm(rep_cfg, p, 1) for p in reversed(range(n_pairs))}
         inits = {p: arm(cfg, p, 0) for p in reversed(range(1 if star else n_pairs))}
@@ -1027,7 +1056,7 @@ class TestPairwiseExperiment:
             w_bar=1.0,
             joint=None,
             sampler={"kind": "monte_carlo"},
-            testbed=bed.to_spec(),
+            testbed=bed,
             seed=3,
         )
         with pytest.raises(OracleBudgetError):
@@ -1049,7 +1078,7 @@ class TestPairwiseExperiment:
             w_bar=2.0,
             joint=0.02,
             sampler={"kind": "importance"},
-            testbed=bed.to_spec(),
+            testbed=bed,
             seed=20260821,
             range_term_mode=range_term_mode,
         )
@@ -1107,7 +1136,7 @@ class TestEffortComparison:
             w_bar=1.0,
             joint=1.0,
             sampler={"kind": "monte_carlo"},
-            testbed=bed.to_spec(),
+            testbed=bed,
             seed=23,
             n_max=10_000,
         )

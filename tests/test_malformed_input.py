@@ -46,9 +46,6 @@ CONFIG_REQUIRED = [
 # Fields for which null is a valid value ("no such bound", "no constant").
 CONFIG_NULLABLE = {("bounds", "joint"), ("testbed", "mean_constant")}
 ARTIFACT_NULLABLE = {("config",) + path for path in CONFIG_NULLABLE}
-# The testbed descriptor's interval defaults to the testbed's own, so
-# dropping it leaves the artifact valid.
-ARTIFACT_OPTIONAL = {("config", "testbed", "m_low"), ("config", "testbed", "m_high")}
 
 # A format-2 artifact of the bundled zero_variance config, as written
 # before the artifact became a sealed config.
@@ -371,14 +368,16 @@ class TestMalformedArtifact:
         assert replicate_code(artifact, workdir) == 0
 
     @pytest.mark.parametrize("key", ["m_low", "m_high"])
-    def test_dropped_testbed_interval_takes_the_default(self, workdir, artifact, key):
+    def test_dropped_testbed_interval_exits_4(self, workdir, artifact, key):
+        """A config file may leave the testbed interval out, but a config
+        always writes it: a sealed config without it is not one an
+        initiator wrote."""
         art = edited(artifact, ("config", "testbed", key), drop=True)
-        assert replicate_code(art, workdir) == 0
+        assert replicate_code(art, workdir) == 4
 
     @ARTIFACT_FUZZ
     @given(data=st.data())
     def test_any_one_field_edit_exits_4(self, workdir, artifact, data):
         paths = artifact_paths(artifact)
-        droppable = [path for path in paths if path not in ARTIFACT_OPTIONAL]
-        art = data.draw(malformed(artifact, paths, droppable, ARTIFACT_NULLABLE))
+        art = data.draw(malformed(artifact, paths, paths, ARTIFACT_NULLABLE))
         assert replicate_code(art, workdir) == 4

@@ -167,6 +167,22 @@ class TestBuildPartition:
         with pytest.raises(DomainError, match="must be finite"):
             build_partition(m_low, m_high, 0.1, offset)
 
+    @pytest.mark.parametrize("n_cells", [2.5, 2, 5, True, 4.0])
+    def test_count_the_scalars_do_not_imply_is_rejected(self, n_cells):
+        """[0, 1] at width 0.25 is four cells. A fractional count used to
+        quantize 0.9 to cell 1.5, and a count of two left a last cell
+        three times wider than alpha."""
+        assert Partition(0.0, 1.0, 0.25, 0.0, 4) == build_partition(0.0, 1.0, 0.25)
+        with pytest.raises(DomainError, match="is not the 4 cells"):
+            Partition(0.0, 1.0, 0.25, 0.0, n_cells)
+
+    def test_rare_event_grid_count_is_unchanged(self):
+        alpha = 4.2847307032624357e-9
+        assert build_partition(0.0, 1.0, alpha).n_cells == 233_386_897
+        assert Partition(0.0, 1.0, alpha, 0.0, 233_386_897).n_cells == 233_386_897
+        with pytest.raises(DomainError, match="is not the 233386897 cells"):
+            Partition(0.0, 1.0, alpha, 0.0, 233_386_896)
+
     def test_cell_rule_matches_bisect_reference(self):
         """The arithmetic cell rule resolves every boundary, both its float
         neighbours and uniform values exactly as a bisect over the

@@ -567,7 +567,8 @@ class _ConstantBed(CellularTestbed):
         return np.ones(len(xs))
 
 
-def stub_config(w_bar: float, sampler=None) -> CampaignConfig:
+def stub_config(w_bar: float, bed, sampler=None) -> CampaignConfig:
+    """A config over ``bed``; building it holds the bed to the cap."""
     return CampaignConfig(
         accuracy=AccuracySpec(0.25, 0.05, 0.1),
         m_low=0.0,
@@ -575,14 +576,14 @@ def stub_config(w_bar: float, sampler=None) -> CampaignConfig:
         w_bar=w_bar,
         joint=2.0,  # psi*w <= 2 holds on every campaign below
         sampler=sampler or {"kind": "importance"},
-        testbed={},
+        testbed=bed,
         seed=1,
     )
 
 
 def importance_draw(p, q, size=2_000, w_bar=1.0):
     """(cells, weights) from one importance draw."""
-    sampler = harness._SAMPLERS["importance"](stub_config(w_bar), _ConstantBed(p, q))
+    sampler = harness._SAMPLERS["importance"](stub_config(w_bar, _ConstantBed(p, q)))
     rng = np.random.default_rng(30)
     weights, xs = sampler.draw(rng, rng, size)
     return xs, weights
@@ -622,11 +623,10 @@ class TestImportanceWeight:
 
     def test_caller_bed_over_the_cap_is_rejected(self):
         """Weights of 2 against a declared cap of 1.5: a caller's bed is
-        held to the cap as the config's own bed is, before any draw."""
+        held to the cap when its config is built, as a bundled bed is."""
         bed = _ConstantBed([1.0, 0.0], [0.5, 0.5])
-        partition = build_partition(0.0, 1.0, 0.25, 0.0)
         with pytest.raises(BoundViolation, match="declared cap 1.5"):
-            run_quantized_sq(stub_config(1.5), partition, 31, testbed=bed)
+            stub_config(1.5, bed)
 
     def test_unhashable_caller_bed(self):
         """A caller's bed that declares its mass ratio, and cannot be
@@ -636,8 +636,8 @@ class TestImportanceWeight:
         bed = _DataclassBed(
             DiscreteDistribution(p), DiscreteDistribution(q), np.array([2.0, 0.0])
         )
-        res = run_quantized_sq(stub_config(2.0), partition, 3, testbed=bed)
-        same = run_quantized_sq(stub_config(2.0), partition, 3, testbed=_ConstantBed(p, q))
+        res = run_quantized_sq(stub_config(2.0, bed), partition, 3)
+        same = run_quantized_sq(stub_config(2.0, _ConstantBed(p, q)), partition, 3)
         assert res.terminated
         assert res.to_dict() == same.to_dict()
 
@@ -655,10 +655,17 @@ class TestImportanceWeight:
         bed = Counted(
             DiscreteDistribution(p), DiscreteDistribution(q), np.array([1.0, math.nan])
         )
-        partition = build_partition(0.0, 1.0, 0.25, 0.0)
         with pytest.raises(BoundViolation, match="mass ratio nan"):
-            run_quantized_sq(stub_config(2.0), partition, 3, testbed=bed)
+            stub_config(2.0, bed)
         assert calls == []
+
+    def test_caller_bed_with_a_short_mass_ratio_is_rejected(self):
+        """One declared weight for a two-cell proposal: the config refuses
+        the bed, where a draw of cell 1 would index past the ratio."""
+        p, q = [0.5, 0.5], [0.5, 0.5]
+        bed = _DataclassBed(DiscreteDistribution(p), DiscreteDistribution(q), np.array([1.0]))
+        with pytest.raises(DomainError, match=r"shape \(1,\) for 2 proposal cells"):
+            stub_config(2.0, bed)
 
     def test_caller_bed_without_a_mass_ratio_is_rejected(self):
         """A discrete proposal alone is not enough: the bed must declare
@@ -673,9 +680,8 @@ class TestImportanceWeight:
             def evaluate_many(self, xs, rng):
                 return np.ones(len(xs))
 
-        partition = build_partition(0.0, 1.0, 0.25, 0.0)
         with pytest.raises(DomainError, match="discrete proposal"):
-            run_quantized_sq(stub_config(2.0), partition, 3, testbed=Undeclared())
+            stub_config(2.0, Undeclared())
 
 
 def normalized(raw) -> list:
@@ -722,10 +728,9 @@ class TestCapCheckIsEnough:
     def test_importance_at_the_worst_mass_ratio(self, masses, seed):
         p, q = masses
         w_bar = max(1.0, max(pi / qi for pi, qi in zip(p, q) if qi > 0.0))
-        cfg, bed = stub_config(w_bar), _ConstantBed(p, q)
-        harness._check_bed(cfg, bed)
+        cfg = stub_config(w_bar, _ConstantBed(p, q))  # passes the cap check
         rng = np.random.default_rng(seed)
-        weights, _ = harness._SAMPLERS["importance"](cfg, bed).draw(rng, rng, 2_000)
+        weights, _ = harness._SAMPLERS["importance"](cfg).draw(rng, rng, 2_000)
         assert float(np.max(weights)) <= w_bar * self.SLACK
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -740,12 +745,10 @@ class TestCapCheckIsEnough:
     )
     def test_ais_at_one_over_mix_p(self, mix_p, shapes, seed):
         w_bar = 1.0 / mix_p
-        cfg = stub_config(w_bar, {"kind": "ais", "mix_p": mix_p})
-        bed = _BoxBed(len(shapes))
-        harness._check_bed(cfg, bed)
-        sampler = harness._SAMPLERS["ais"](cfg, bed)
+        cfg = stub_config(w_bar, _BoxBed(len(shapes)), {"kind": "ais", "mix_p": mix_p})
+        sampler = harness._SAMPLERS["ais"](cfg)
         a, b = zip(*shapes)
-        sampler.q = BetaProposal(bed.domain, list(a), list(b))
+        sampler.q = BetaProposal(cfg.testbed.domain, list(a), list(b))
         rng = np.random.default_rng(seed)
         weights, _ = sampler.draw(rng, rng, 2_000)
         assert float(np.max(weights)) <= w_bar * self.SLACK

@@ -25,6 +25,7 @@ from repsq.estimator import (
 )
 from repsq.harness import CampaignConfig
 from repsq.quantize import AccuracySpec
+from repsq.testbeds import moderate_cellular_testbed
 
 
 @pytest.mark.parametrize("mode", RANGE_TERM_MODES)
@@ -72,7 +73,8 @@ def test_unknown_mode_is_rejected_by_for_campaign_alone(mode):
     with pytest.raises(DomainError, match=named) as configured:
         CampaignConfig(
             accuracy=AccuracySpec(0.1, 0.05, 0.1), m_low=0.0, m_high=1.0, w_bar=1.0,
-            joint=None, sampler={"kind": "monte_carlo"}, testbed={}, seed=0,
+            joint=None, sampler={"kind": "monte_carlo"},
+            testbed=moderate_cellular_testbed(), seed=0,
             range_term_mode=mode,
         )
     for raised in (direct, configured):

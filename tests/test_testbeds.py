@@ -131,11 +131,10 @@ class TestCellularTestbed:
         worst = float(np.max(p[covered] / q[covered]))
         cfg = CampaignConfig(
             accuracy=AccuracySpec(1e-8, 0.05, 0.1), m_low=0.0, m_high=1.0, w_bar=worst,
-            joint=None, sampler={"kind": "importance"}, testbed=bed.to_spec(), seed=0,
+            joint=None, sampler={"kind": "importance"}, testbed=bed, seed=0,
         )
-        cfg.build_testbed()
         with pytest.raises(BoundViolation):
-            dataclasses.replace(cfg, w_bar=worst * (1.0 - 1e-6)).build_testbed()
+            dataclasses.replace(cfg, w_bar=worst * (1.0 - 1e-6))
 
     def test_generation_is_seed_deterministic(self):
         a = rare_event_testbed(60, 3)
@@ -587,7 +586,7 @@ class TestSpecDispatch:
         cfg = CampaignConfig.from_dict(json.loads(path.read_text())["config"])
         grid = build_partition(cfg.m_low, cfg.m_high, compute_alpha(cfg.accuracy), 0.0)
         sealed = build_artifact(cfg, grid)["config"]["testbed"]
-        assert sealed == cfg.build_testbed().to_spec()
+        assert sealed == cfg.testbed.to_spec()
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(DomainError):
