@@ -8,10 +8,10 @@ first-cell offset and the cell count of the partition on the config's
 interval. A sha256 checksum over the canonical JSON of the rest makes
 tampering and version drift detectable rather than silently corrupting
 repeatability. The sealed config is read back by the config reader
-itself (``harness.config_from_artifact``), so a config and an artifact
+itself (``harness.replication``), so a config and an artifact
 accept exactly the same content.
 
-``load_artifact`` only parses the text; ``harness.replicator`` checks
+``load_artifact`` only parses the text; ``harness.replication`` checks
 the seal, through ``verify_artifact``, before it reads anything sealed.
 
 Floats are JSON numbers. Python writes every float in its shortest
@@ -108,7 +108,7 @@ def build_artifact(config, partition: Partition) -> dict:
 
 def verify_artifact(art: dict) -> dict:
     """Checksum, version and key gate; returns the artifact unchanged.
-    The sealed content is read by ``harness.config_from_artifact`` and
+    The sealed content is read by ``harness.replication`` and
     ``partition_from_payload``."""
     if not isinstance(art, dict):
         raise ArtifactVersionMismatch("artifact is not a JSON object")

@@ -10,7 +10,8 @@ the directory, writes each file through a temp-file-plus-rename, and
 writes ``manifest.json`` last. The manifest holds the command, the
 resolved configuration (for ``replicate``, the one read from the
 artifact), the stopping rule's radius mode and whether its range term
-is sound, timing, and a checksum of each output file. A run that fails
+is sound, timing, the numpy SIMD target that AIS and tracking bits
+depend on, and a checksum of each output file. A run that fails
 before writing leaves no output directory. Result files themselves
 carry no timestamps, so re-running a command reproduces them byte for
 byte.
@@ -57,11 +58,11 @@ from ._kernels import RANGE_TERM_MODES
 from .harness import (
     OFFSET_POLICIES,
     CampaignConfig,
-    config_from_artifact,
     effort_comparison,
     initiator,
     pairwise_experiment,
-    replicator,
+    replication,
+    run_quantized_sq,
 )
 from .quantize import AccuracySpec, compute_alpha
 
@@ -156,6 +157,13 @@ def _write_run(args, invocation: dict, stop_rule: dict, outputs: dict[str, str])
     out.mkdir(parents=True, exist_ok=True)
     for name, text in outputs.items():
         _atomic_write(out / name, text)
+    try:  # the float64 SIMD target of the functions AIS and tracking bits depend on
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:  # numpy < 2.0 cannot say
+        dispatch = None
+    else:
+        info = opt_func_info(func_name="^(exp|log|log1p|expm1)$")
+        dispatch = {name: entry.get("dd", {}).get("current") for name, entry in info.items()}
     manifest = {
         "manifest_version": MANIFEST_VERSION,
         "tool_version": __version__,
@@ -168,6 +176,7 @@ def _write_run(args, invocation: dict, stop_rule: dict, outputs: dict[str, str])
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
+            "numpy_dispatch": dispatch,
             "kernel_backend": _kernels.ACTIVE_BACKEND,
         },
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -203,20 +212,16 @@ def cmd_replicate(args) -> int:
     if not path.exists():
         raise DomainError(f"artifact not found: {path}")
     artifact = load_artifact(path.read_text(encoding="utf-8"))
-    try:
-        result = replicator(artifact, seed=args.seed)
-    except NonTerminated:
-        # The run is not written, but an unsound radius is still named.
-        _stop_rule_entry(config_from_artifact(artifact, args.seed))
-        raise
-    config = config_from_artifact(artifact, args.seed)
+    config, partition, stream = replication(artifact, args.seed)
+    stop_rule = _stop_rule_entry(config)
+    result = run_quantized_sq(config, partition, stream)
     invocation = {
         "artifact": str(path),
         "seed": args.seed,
         "checksum": artifact["checksum"],
         "resolved": config.to_dict(),
     }
-    return _write_run(args, invocation, _stop_rule_entry(config), {
+    return _write_run(args, invocation, stop_rule, {
         "result.json": _json_text(result.to_dict()),
     })
 

@@ -16,10 +16,17 @@ Randomness contract
 -------------------
 All randomness flows from numpy SeedSequence spawning. A campaign's
 stream is SeedSequence(seed, spawn_key=(pair, arm)); inside a campaign
-that stream is split once into a sampler stream and an evaluator-noise
-stream, so switching samplers never perturbs the noise a testbed would
-have produced for the same draw positions. Reports are reproducible
-bit for bit from (config, seed) alone, regardless of execution order.
+that stream is split once into a sampler stream, from which a sampler
+proposes where to test and how to weigh each test, and an
+evaluator-noise stream, on which the campaign loop alone runs the tests;
+so switching samplers never perturbs the noise a testbed would have
+produced for the same draw positions. Reports are reproducible bit for
+bit from (config, seed) alone, regardless of execution order, on any
+host for cellular and displacement campaigns (+, -, *, / and sqrt
+only). AIS and tracking campaigns also call numpy's exp, log, log1p and
+expm1, so their raw estimate, final sigma hat, radii and final shapes
+hold only between hosts whose numpy dispatches these to the same SIMD
+target, as a run manifest's ``environment.numpy_dispatch`` records.
 
 Effort accounting
 -----------------
@@ -87,7 +94,7 @@ __all__ = [
     "run_quantized_sq",
     "initiator",
     "replicator",
-    "config_from_artifact",
+    "replication",
     "pairwise_experiment",
     "effort_comparison",
     "convergence_study",
@@ -332,11 +339,11 @@ def _declared_mass_ratio(bed) -> np.ndarray:
 
 class _Sampler:
     """One sampler kind: the config fields it reads besides ``kind``, the
-    bed and weight cap it needs, and its draws from ``config.testbed``.
-    ``draw(rng_s, rng_e, k)`` returns the k weighted values psi * w and
-    their points; ``check``, run when the config was built, has held
-    every weight a draw can give to the declared cap. ``post_chunk``
-    sees each chunk that did not stop the campaign.
+    bed and weight cap it needs, and where it tests ``config.testbed``.
+    ``propose(rng_s, k)`` returns k points and their weights (None: all
+    1), which ``check``, run when the config was built, has held to the
+    declared cap; the campaign loop runs and weighs the tests.
+    ``post_chunk`` sees each chunk that did not stop the campaign.
 
     What the campaign loop reads besides: ``batch``, the chunk size the
     kind fixes (None: the stopping rule sizes the chunks), and
@@ -373,19 +380,14 @@ class _MonteCarlo(_Sampler):
     """Draws from the target. Every weight is 1 <= w_bar, and psi * 1.0
     is psi bit for bit, so no weight is applied."""
 
-    def draw(self, rng_s, rng_e, k: int):
-        xs = self.bed.target.sample_many(rng_s, k)
-        return self.bed.evaluate_many(xs, rng_e), xs
+    def propose(self, rng_s, k: int):
+        return self.bed.target.sample_many(rng_s, k), None
 
 
 class _Importance(_Sampler):
     """Draws from the bed's discrete proposal, weighted by the mass ratio
     of the drawn cell. With the proposal equal to the target every
     weight is 1.0, and the run is bit-identical to a Monte Carlo run."""
-
-    def __init__(self, config: CampaignConfig) -> None:
-        super().__init__(config)
-        self.ratio = self.bed.mass_ratio
 
     @staticmethod
     def check(config: CampaignConfig) -> None:
@@ -396,10 +398,9 @@ class _Importance(_Sampler):
                 f"the declared cap {config.w_bar:.6g}"
             )
 
-    def draw(self, rng_s, rng_e, k: int):
+    def propose(self, rng_s, k: int):
         xs = self.bed.proposal.sample_many(rng_s, k)
-        psi = self.bed.evaluate_many(xs, rng_e)
-        return psi * self.ratio[xs], xs
+        return xs, self.bed.mass_ratio[xs]
 
 
 class _Ais(_Sampler):
@@ -437,11 +438,8 @@ class _Ais(_Sampler):
                 f"declared cap {config.w_bar:.6g}"
             )
 
-    def draw(self, rng_s, rng_e, k: int):
-        pts, w = mixture_sample_many(
-            self.bed.target, self.q, self.policy.mix_p, rng_s, k
-        )
-        return self.bed.evaluate_many(pts, rng_e) * w, pts
+    def propose(self, rng_s, k: int):
+        return mixture_sample_many(self.bed.target, self.q, self.policy.mix_p, rng_s, k)
 
     def post_chunk(self, xs, values) -> None:
         # Refit only on full batches; a truncated final batch carries no
@@ -456,7 +454,7 @@ class _Ais(_Sampler):
         return proposal_snapshot(self.q, self.policy, RNG_ALGORITHM, seed)
 
 
-# Each sampler kind and the class that reads, checks and draws it.
+# Each sampler kind and the class that reads, checks and proposes it.
 _SAMPLERS = {"monte_carlo": _MonteCarlo, "importance": _Importance, "ais": _Ais}
 SAMPLER_KINDS = tuple(_SAMPLERS)
 
@@ -477,11 +475,11 @@ def run_quantized_sq(
     the stop floor, each later one to where the rule could first fire at
     the current variance, at most max(n, 64) (AIS draws one batch of d
     per chunk instead); see the module docstring for what that costs in
-    speculative evaluations. The sampler and evaluator-noise streams are
-    consumed position-aligned and the scan kernel's sums do not depend
-    on where the chunks split, so every field but ``evaluated_n``,
-    ``chunks`` and the wall time is bit-identical for any
-    ``chunk_size``.
+    speculative evaluations. The sampler proposes and this loop runs the
+    tests; both streams are consumed position-aligned and the scan
+    kernel's sums do not depend on where the chunks split, so every
+    field but ``evaluated_n``, ``chunks`` and the wall time is
+    bit-identical for any ``chunk_size``.
 
     Draws from ``config.testbed``. Raises NonTerminated at n_max with
     the partial result attached.
@@ -510,7 +508,10 @@ def run_quantized_sq(
     while not stopped and state.n < config.n_max:
         k = sampler.batch or _next_chunk(rule, state, chunk_size)
         k = min(k, config.n_max - state.n)
-        values, xs = sampler.draw(rng_s, rng_e, k)
+        xs, weights = sampler.propose(rng_s, k)
+        values = config.testbed.evaluate_many(xs, rng_e)
+        if weights is not None:
+            values = values * weights
         evaluated += k
         chunks += 1
         worst = float(np.abs(values).max())
@@ -619,18 +620,23 @@ def initiator(config: CampaignConfig) -> tuple[dict, TrialResult]:
     return art, result
 
 
-def config_from_artifact(art: dict, seed: int) -> CampaignConfig:
-    """The sealed config of an artifact that passed ``verify_artifact``,
-    with the replicator's own seed.
+def replication(art: dict, seed: int, sampler_override: dict | None = None) -> tuple:
+    """The config, partition and stream of a replicator's campaign, all
+    read from ``art`` once, with the replicator's own seed. The stream
+    serves one campaign: spawning from a SeedSequence advances it.
 
-    The config reader parses the sealed dict, which must then be exactly
-    the ``to_dict()`` of what it parsed to, without the seed: a dropped
-    key that the reader would fill with its default (a testbed's m_low
-    or m_high too), an extra testbed key and a sealed seed all fail that
-    comparison (the reader itself rejects any other extra key). Sealed
-    content that fails to parse or to compare raises
-    ArtifactVersionMismatch; an invalid ``seed`` raises DomainError.
+    The artifact is integrity-checked first. The config reader parses
+    the sealed config, which must then be exactly the ``to_dict()`` of
+    what it parsed to, without the seed: a dropped key that the reader
+    would fill with its default (a testbed's m_low or m_high too), an
+    extra testbed key and a sealed seed all fail that comparison (the
+    reader itself rejects any other extra key). The partition is rebuilt
+    bit for bit, and its cell width is cross-checked against the
+    accuracy contract it claims to come from. Invalid sealed content
+    (config, testbed or grid) raises ArtifactVersionMismatch; an invalid
+    seed or ``sampler_override`` is the replicator's own input error.
     """
+    art = verify_artifact(art)
     seed = _read_seed(seed)
     with sealed_content("config"):
         sealed = mapping(art["config"], "config")
@@ -643,22 +649,6 @@ def config_from_artifact(art: dict, seed: int) -> CampaignConfig:
                 if k not in written or k not in sealed or written[k] != sealed[k]
             )
             raise DomainError(f"sealed config is not as a config writes it, at {keys}")
-    return config
-
-
-def replicator(
-    art: dict, seed: int, sampler_override: dict | None = None
-) -> TrialResult:
-    """Reproduce the initiator's cell structure and run independently.
-
-    The artifact is integrity-checked, the partition is rebuilt bit for
-    bit, and the rebuilt cell width is cross-checked against the
-    accuracy contract it claims to come from. Invalid sealed content
-    (config, testbed or grid) raises ArtifactVersionMismatch; an invalid
-    seed or ``sampler_override`` is the replicator's own input error.
-    """
-    art = verify_artifact(art)
-    config = config_from_artifact(art, seed)
     partition = partition_from_payload(art["grid"], config.m_low, config.m_high)
     if compute_alpha(config.accuracy) != partition.alpha:
         raise ArtifactVersionMismatch(
@@ -667,7 +657,12 @@ def replicator(
     if sampler_override is not None:
         sampler = mapping(sampler_override, "sampler_override")
         config = dataclasses.replace(config, sampler=dict(sampler))
-    return run_quantized_sq(config, partition, campaign_stream(config.seed, 0, REPLICATOR_ARM))
+    return config, partition, campaign_stream(config.seed, 0, REPLICATOR_ARM)
+
+
+def replicator(art: dict, seed: int, sampler_override: dict | None = None) -> TrialResult:
+    """Reproduce the initiator's cell structure and run independently."""
+    return run_quantized_sq(*replication(art, seed, sampler_override))
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,6 @@ an oracle for the true mean r_star = E_p[psi]:
   moment generating function), and its mean over the command box is a
   deterministic Gauss-Legendre quadrature.
 
-Evaluator noise always comes from a caller-supplied stream, kept
-separate from the sampler's stream, so switching sampling strategies
-never perturbs the noise sequence.
-
 Every oracle reports its error as oracle_se: 0 for enumeration and
 for the displacement field's closed form, and the quadrature's error
 estimate for the tracking simulator. Campaigns refuse accuracy grading

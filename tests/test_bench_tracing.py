@@ -61,4 +61,6 @@ def test_traced_ais_campaign_records_draw_and_refit_spans():
         counts[name] = counts.get(name, 0) + 1
     assert counts["samplers.mixture_sample_many"] == res.chunks
     assert counts["samplers.ais_update"] == res.chunks - 1
+    # The campaign loop runs each chunk's tests in one call.
+    assert counts["testbeds.evaluate_many"] == res.chunks
     assert counts["harness.run_quantized_sq"] == 1

@@ -29,6 +29,17 @@ from repsq._kernels import RANGE_TERM_MODES
 from repsq.harness import CampaignConfig, initiator
 
 
+def numpy_dispatch():
+    """The float64 SIMD target of each function a manifest names, read
+    here from numpy's own table; None on numpy < 2.0, which has none."""
+    if int(np.__version__.split(".")[0]) < 2:
+        return None
+    from numpy.lib.introspect import opt_func_info
+
+    info = opt_func_info()
+    return {name: info[name]["dd"]["current"] for name in ("exp", "log", "log1p", "expm1")}
+
+
 def run_cli(capsys, *argv):
     try:
         code = main(list(argv))
@@ -99,6 +110,7 @@ class TestInitReplicate:
         assert manifest["environment"] == {
             "python": platform.python_version(),
             "numpy": np.__version__,
+            "numpy_dispatch": numpy_dispatch(),
             "kernel_backend": _kernels.ACTIVE_BACKEND,
         }
 
@@ -220,6 +232,27 @@ class TestInitReplicate:
             "1",
             "--out",
             str(tmp_path / "rep"),
+        )
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_replicate_builds_the_testbed_once(self, capsys, tmp_path, monkeypatch):
+        """One replicate reads the artifact's sealed config, and so
+        builds its testbed, once; the manifest and the warning use the
+        config the campaign ran."""
+        init_dir = tmp_path / "init"
+        run_cli(capsys, "init", "--config", "zero_variance", "--out", str(init_dir))
+        calls = []
+        build = harness.testbed_from_spec
+
+        def counted(spec):
+            calls.append(spec)
+            return build(spec)
+
+        monkeypatch.setattr(harness, "testbed_from_spec", counted)
+        code, _, _ = run_cli(
+            capsys, "replicate", "--artifact", str(init_dir / "artifact.json"),
+            "--seed", "1", "--out", str(tmp_path / "rep"),
         )
         assert code == 0
         assert len(calls) == 1
@@ -386,6 +419,7 @@ class TestManifestContract:
             assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest()
         resolved = CampaignConfig.from_dict(manifest["invocation"]["resolved"])
         assert resolved == zero_variance_config(99)
+        assert manifest["environment"]["numpy_dispatch"] == numpy_dispatch()
 
     @pytest.mark.parametrize("command", ["init", "pairwise", "effort"])
     def test_budget_exhausted_run_leaves_no_directory(self, capsys, tmp_path, command):
@@ -471,6 +505,25 @@ class TestStopRuleManifest:
         assert code == 0
         assert self.stop_rule(rep_dir)["range_term_sound"] is False
         assert len(self.warnings(err)) == 1
+
+    def test_replicate_warns_before_its_campaign(self, capsys, tmp_path, monkeypatch):
+        init_dir, rep_dir = tmp_path / "init", tmp_path / "rep"
+        run_cli(capsys, "init", "--config", "rare_event_acceptance", "--out", str(init_dir))
+        before = []  # stderr as each of the campaign's scans starts
+        scan = _kernels.scan_terminate
+
+        def observed(*args):
+            before.append(capsys.readouterr().err)
+            return scan(*args)
+
+        monkeypatch.setattr(_kernels, "scan_terminate", observed)
+        code, _, err = run_cli(
+            capsys, "replicate", "--artifact", str(init_dir / "artifact.json"),
+            "--seed", "5", "--out", str(rep_dir),
+        )
+        assert code == 0
+        assert len(self.warnings(before[0])) == 1
+        assert self.warnings("".join(before[1:]) + err) == []
 
     def test_replicate_that_exits_3_still_warns(self, capsys, tmp_path):
         init_dir, rep_dir = tmp_path / "init", tmp_path / "rep"

@@ -38,11 +38,11 @@ from repsq.estimator import MAX_SAMPLES, required_n_hoeffding
 from repsq.harness import (
     CampaignConfig,
     campaign_stream,
-    config_from_artifact,
     convergence_study,
     effort_comparison,
     initiator,
     pairwise_experiment,
+    replication,
     replicator,
     run_quantized_sq,
 )
@@ -481,14 +481,22 @@ class TestRunQuantizedSq:
         ids=["rare_event_acceptance", "moderate_cellular", "convergence_study",
              "rare_event_50_7", "uncovered-empty-cell"],
     )
-    def test_cellular_bed_carries_its_mass_ratio(self, bed):
+    def test_cellular_bed_carries_its_mass_ratio(self, bed, monkeypatch):
         """A cellular bed's mass_ratio is p/q, 0 where q is 0, and the
-        importance sampler weighs by that very array."""
+        importance sampler proposes every cell with that array's weight."""
         p, q = bed.target.masses, bed.proposal.masses
         want = [pi / qi if qi > 0.0 else 0.0 for pi, qi in zip(p.tolist(), q.tolist())]
         assert bed.mass_ratio.tolist() == want
         cfg = rare_config(w_bar=float(bed.mass_ratio.max()), testbed=bed)
-        assert harness._SAMPLERS["importance"](cfg).ratio is bed.mass_ratio
+        sampler = harness._SAMPLERS["importance"](cfg)
+        xs, weights = sampler.propose(np.random.default_rng(11), 4_000)
+        assert np.array_equal(weights, bed.mass_ratio[xs])
+        # A proposal that draws each cell once reads the whole array.
+        every = np.arange(bed.n_cells)
+        monkeypatch.setattr(bed.proposal, "sample_many", lambda rng, k: every)
+        xs, weights = sampler.propose(np.random.default_rng(11), bed.n_cells)
+        assert weights.dtype == bed.mass_ratio.dtype
+        assert np.array_equal(weights, bed.mass_ratio)
 
     def test_same_stream_reproduces_bitwise(self):
         cfg = rare_config()
@@ -528,6 +536,42 @@ class TestRunQuantizedSq:
                 for size in sizes
             ]
             assert len({json.dumps(outcome(r)) for r in results}) == 1
+
+    @pytest.mark.parametrize("kind", ["monte_carlo", "importance", "ais"])
+    def test_the_campaign_loop_runs_every_test_on_the_noise_stream(self, kind):
+        """Monte Carlo on displacement, importance on moderate_cellular,
+        AIS on tracking: the campaign loop calls evaluate_many once per
+        chunk, and the psi those calls return, in order, are what one
+        call on all of the campaign's points returns on a fresh copy of
+        the campaign's evaluator-noise stream. No sampler draws from it."""
+        if kind == "monte_carlo":
+            cfg = TestBundledConfigs.config("displacement_star")
+        elif kind == "importance":
+            cfg = moderate_config("importance")
+        else:
+            cfg = CampaignConfig(
+                accuracy=AccuracySpec(0.1, 0.05, 0.1), m_low=0.0, m_high=1.0, w_bar=10.0,
+                joint=None, sampler={"kind": "ais", "mix_p": 0.1, "d": 10},
+                testbed=tracking_testbed(), seed=5, n_max=20_000,
+            )
+        assert cfg.sampler["kind"] == kind
+        bed = cfg.testbed
+        calls = []
+
+        def evaluate(points, rng):
+            psi = type(bed).evaluate_many(bed, points, rng)
+            calls.append((points, psi))
+            return psi
+
+        bed.evaluate_many = evaluate
+        res = run_quantized_sq(cfg, make_partition(cfg), campaign_stream(cfg.seed, 3, 1))
+        assert res.terminated and len(calls) == res.chunks > 1
+        points = np.concatenate([x for x, _ in calls])
+        psi = np.concatenate([v for _, v in calls])
+        assert len(psi) == res.evaluated_n
+        # spawn advances a SeedSequence, so the noise stream is re-derived.
+        noise = np.random.default_rng(campaign_stream(cfg.seed, 3, 1).spawn(2)[1])
+        assert np.array_equal(type(bed).evaluate_many(bed, points, noise), psi)
 
     @staticmethod
     def sized_run(cfg, **kwargs):
@@ -858,10 +902,12 @@ class TestInitiatorReplicator:
         with pytest.raises(BoundViolation):
             replicator(art, seed=2, sampler_override={"kind": "importance"})
 
-    def test_config_from_artifact_round_trips_fields(self):
+    def test_replication_round_trips_fields(self):
         cfg = rare_config()
         art, _ = initiator(cfg)
-        back = config_from_artifact(art, seed=55)
+        back, partition, stream = replication(art, seed=55)
+        assert partition == make_partition(cfg)
+        assert stream.entropy == 55 and stream.spawn_key == (0, harness.REPLICATOR_ARM)
         assert back.accuracy == cfg.accuracy
         assert back.w_bar == cfg.w_bar and back.joint == cfg.joint
         assert back.testbed == cfg.testbed

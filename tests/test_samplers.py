@@ -582,11 +582,9 @@ def stub_config(w_bar: float, bed, sampler=None) -> CampaignConfig:
 
 
 def importance_draw(p, q, size=2_000, w_bar=1.0):
-    """(cells, weights) from one importance draw."""
+    """(cells, weights) from one importance proposal."""
     sampler = harness._SAMPLERS["importance"](stub_config(w_bar, _ConstantBed(p, q)))
-    rng = np.random.default_rng(30)
-    weights, xs = sampler.draw(rng, rng, size)
-    return xs, weights
+    return sampler.propose(np.random.default_rng(30), size)
 
 
 @dataclass
@@ -730,7 +728,7 @@ class TestCapCheckIsEnough:
         w_bar = max(1.0, max(pi / qi for pi, qi in zip(p, q) if qi > 0.0))
         cfg = stub_config(w_bar, _ConstantBed(p, q))  # passes the cap check
         rng = np.random.default_rng(seed)
-        weights, _ = harness._SAMPLERS["importance"](cfg).draw(rng, rng, 2_000)
+        _, weights = harness._SAMPLERS["importance"](cfg).propose(rng, 2_000)
         assert float(np.max(weights)) <= w_bar * self.SLACK
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -750,5 +748,5 @@ class TestCapCheckIsEnough:
         a, b = zip(*shapes)
         sampler.q = BetaProposal(cfg.testbed.domain, list(a), list(b))
         rng = np.random.default_rng(seed)
-        weights, _ = sampler.draw(rng, rng, 2_000)
+        _, weights = sampler.propose(rng, 2_000)
         assert float(np.max(weights)) <= w_bar * self.SLACK
