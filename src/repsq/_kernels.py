@@ -1,8 +1,9 @@
 """The stopping rule and its termination scan.
 
 A campaign stops once either confidence radius of its running estimate
-falls to gamma. With P the declared bound on |psi*w| (BoundSpec.product,
-m*w_bar unless a joint bound is declared), c the confidence parameter
+falls to gamma. With P the range of psi*w (BoundSpec.product; a
+campaign takes the width of the interval its sampler's weighted values
+lie in, unless a joint bound is declared), c the confidence parameter
 and sigma_hat = m2/n the population variance, they are:
 
 - the variance-adaptive radius
@@ -96,7 +97,7 @@ class StopRule(NamedTuple):
     gamma: float
     log_term: float  # ln(2/c)
     c2: float  # 7 R ln(2/c) / 3
-    product: float  # the declared bound P on |psi*w|
+    product: float  # the range P of psi*w
     n_hoeffding: int  # smallest n whose fixed-range radius is <= gamma
     n_min: int  # termination floor, >= 2
     n_range: int  # smallest n >= 2 whose range term c2/(n-1) is <= gamma

@@ -43,9 +43,20 @@ consumed whole. Each later chunk runs to StopRule.first_stop at the
 current variance, the first n at which the rule could fire if the
 variance stayed there, and holds at most max(n, 64) samples; so a
 campaign that stops at n has evaluated at most 2n + 64 tests. AIS draws
-one batch of d samples per chunk and evaluates at most n + d - 1. The
-scan kernel's result does not depend on the chunking, so neither does
-any estimate.
+one batch of d samples per chunk and evaluates at most n + d - 1.
+
+Every chunk's values are checked against the interval the sampler
+kind's weighted values lie in as soon as they are drawn, and then held
+in a block that the scan kernel reads in one call. A block is scanned
+once the held values reach the stop floor or n_max, or once another
+chunk of the same size would take it past ``chunk_size``. No campaign
+stops before the floor, so only a block's last chunk can hold the stop,
+and the kernel's sums do not depend on how the values are split into
+blocks: the block only sets how often the kernel is called. A chunk
+sized by the rule always closes its block, because it runs to the floor
+or fills the cap; the AIS batches before the floor share blocks of up
+to ``chunk_size`` values. So neither the stop nor any estimate depends
+on ``chunk_size``.
 """
 
 from __future__ import annotations
@@ -133,7 +144,9 @@ class CampaignConfig:
     rejected. ``testbed`` is a built bed (``from_dict`` reads a
     descriptor, ``to_dict`` writes its ``to_spec()``), checked here
     against the interval and by the sampler kind's ``check``, so also
-    on ``dataclasses.replace``. The bound m is always m_high - m_low.
+    on ``dataclasses.replace``. The bound m is always m_high - m_low;
+    the radii's range is the declared joint or else the width of the
+    interval the sampler kind's values lie in (``bound_spec``).
     """
 
     accuracy: AccuracySpec
@@ -149,6 +162,8 @@ class CampaignConfig:
     n_max: int = 10_000_000
     range_term_mode: str = "paper-exact"
     stop_rule: _kernels.StopRule = field(init=False, repr=False, compare=False)
+    # The interval [lo, hi] each weighted value psi * w is checked against.
+    value_range: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if isinstance(self.testbed, dict):
@@ -172,6 +187,10 @@ class CampaignConfig:
             raise DomainError(f"n_max {self.n_max} below the termination floor")
         if self.n_max > MAX_SAMPLES:
             raise DomainError(f"n_max {self.n_max} above the 2**53 sample limit")
+        lo, hi = _SAMPLERS[kind].interval(self)
+        if self.joint is not None:  # a declared joint bounds |psi * w|
+            lo, hi = max(lo, -self.joint), min(hi, self.joint)
+        object.__setattr__(self, "value_range", (lo, hi))
         # Building the rule validates w_bar, c, joint and the mode.
         rule = _kernels.StopRule.for_campaign(
             self.accuracy.gamma, self.bound_spec, self.range_term_mode, self.n_min
@@ -182,11 +201,14 @@ class CampaignConfig:
 
     @property
     def bound_spec(self) -> BoundSpec:
+        """The radii's bounds. Their range P (BoundSpec.product) is the
+        declared joint, or else the width of ``value_range``."""
+        lo, hi = self.value_range
         return BoundSpec(
             m=self.m_high - self.m_low,
             w_bar=self.w_bar,
             c=self.accuracy.c,
-            joint=self.joint,
+            joint=hi - lo if self.joint is None else self.joint,
         )
 
     # ``testbed`` under the name the benchmark still calls.
@@ -339,7 +361,8 @@ def _declared_mass_ratio(bed) -> np.ndarray:
 
 class _Sampler:
     """One sampler kind: the config fields it reads besides ``kind``, the
-    bed and weight cap it needs, and where it tests ``config.testbed``.
+    bed and weight cap it needs, the interval its weighted values lie in,
+    and where it tests ``config.testbed``.
     ``propose(rng_s, k)`` returns k points and their weights (None: all
     1), which ``check``, run when the config was built, has held to the
     declared cap; the campaign loop runs and weighs the tests.
@@ -369,6 +392,13 @@ class _Sampler:
         """Reject the config's bed if the kind cannot draw from it, or
         the declared weight cap w_bar if the kind cannot honor it."""
 
+    @staticmethod
+    def interval(config: CampaignConfig) -> tuple[float, float]:
+        """The interval the kind's weighted values psi * w lie in, for psi
+        in [m_low, m_high] and weights in [0, w_bar]."""
+        w_bar = config.w_bar
+        return min(0.0, config.m_low * w_bar), max(0.0, config.m_high * w_bar)
+
     def post_chunk(self, xs, values) -> None:
         pass
 
@@ -379,6 +409,10 @@ class _Sampler:
 class _MonteCarlo(_Sampler):
     """Draws from the target. Every weight is 1 <= w_bar, and psi * 1.0
     is psi bit for bit, so no weight is applied."""
+
+    @staticmethod
+    def interval(config: CampaignConfig) -> tuple[float, float]:
+        return config.m_low, config.m_high
 
     def propose(self, rng_s, k: int):
         return self.bed.target.sample_many(rng_s, k), None
@@ -476,10 +510,13 @@ def run_quantized_sq(
     the current variance, at most max(n, 64) (AIS draws one batch of d
     per chunk instead); see the module docstring for what that costs in
     speculative evaluations. The sampler proposes and this loop runs the
-    tests; both streams are consumed position-aligned and the scan
-    kernel's sums do not depend on where the chunks split, so every
-    field but ``evaluated_n``, ``chunks`` and the wall time is
-    bit-identical for any ``chunk_size``.
+    tests, checks each chunk's values against ``config.value_range`` and
+    scans them per block: the chunks held before the stop floor share
+    one kernel call, and ``chunk_size`` also caps a block. Both streams
+    are consumed position-aligned and the scan kernel's sums do not
+    depend on where the chunks or blocks split, so every field but
+    ``evaluated_n``, ``chunks`` and the wall time is bit-identical for
+    any ``chunk_size``, and for AIS those two are as well.
 
     Draws from ``config.testbed``. Raises NonTerminated at n_max with
     the partial result attached.
@@ -492,6 +529,9 @@ def run_quantized_sq(
     rule = config.stop_rule
     kind = config.sampler["kind"]
     sampler = _SAMPLERS[kind](config)
+    lo, hi = config.value_range
+    slack = (hi - lo) * (_BOUND_SLACK - 1.0)
+    least, most = lo - slack, hi + slack
 
     ss = rng_stream
     if not isinstance(ss, np.random.SeedSequence):
@@ -504,27 +544,41 @@ def run_quantized_sq(
     evaluated = 0
     chunks = 0
     stopped = False
-    consumed = []  # each chunk's consumed values, kept only for the trace
-    while not stopped and state.n < config.n_max:
+    block = []  # the checked chunks not yet scanned
+    held = 0  # values in block
+    consumed = []  # each block's consumed values, kept only for the trace
+    while not stopped and state.n + held < config.n_max:
+        # A rule-sized chunk always closes its block (module docstring),
+        # so the rule sizes each chunk from a fully scanned state.
         k = sampler.batch or _next_chunk(rule, state, chunk_size)
-        k = min(k, config.n_max - state.n)
+        k = min(k, config.n_max - state.n - held)
         xs, weights = sampler.propose(rng_s, k)
         values = config.testbed.evaluate_many(xs, rng_e)
         if weights is not None:
             values = values * weights
         evaluated += k
         chunks += 1
-        worst = float(np.abs(values).max())
-        if not worst <= rule.product * _BOUND_SLACK:  # NaN included
+        low, high = np.minimum.reduce(values), np.maximum.reduce(values)
+        if not (low >= least and high <= most):  # NaN included
             raise BoundViolation(
                 f"testbed {getattr(config.testbed, 'kind', None)!r} gave weighted measure "
-                f"{worst:.6g}, outside the declared bound {rule.product:.6g}; "
+                f"{low if not low >= least else high:.6g}, outside the interval "
+                f"[{lo:.6g}, {hi:.6g}] its sampler's values lie in; "
                 f"the termination radii are void"
             )
-        i, state = _kernels.scan_terminate(values, state, rule)
+        block.append(values)
+        held += k
+        drawn = state.n + held
+        if drawn < rule.n_floor and drawn < config.n_max and held + k <= chunk_size:
+            sampler.post_chunk(xs, values)  # no stop before the floor
+            continue
+        scanned = block[0] if len(block) == 1 else np.concatenate(block)
+        block = []
+        held = 0
+        i, state = _kernels.scan_terminate(scanned, state, rule)
         stopped = i >= 0
         if record_trace:
-            consumed.append(values[: i + 1] if stopped else values)
+            consumed.append(scanned[: i + 1] if stopped else scanned)
         if not stopped:
             sampler.post_chunk(xs, values)
     wall = time.perf_counter() - t0

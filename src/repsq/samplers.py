@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -168,20 +168,27 @@ class DiscreteDistribution:
 
 
 class BoxUniform:
-    """Uniform target over a box: density 1/volume inside, 0 outside."""
+    """Uniform target over a box: density 1/volume inside, 0 outside.
+
+    ``sample_many`` draws what ``rng.uniform(lo, hi, (size, dims))``
+    draws, lo + (hi - lo) u for one ``rng.random`` batch of u, bit for
+    bit and from the same stream positions, without uniform's argument
+    handling.
+    """
 
     def __init__(self, domain: BoxDomain) -> None:
         self.domain = domain
         self._density = 1.0 / domain.volume
         self._lo = np.asarray(domain.lo)
         self._hi = np.asarray(domain.hi)
+        self._width = self._hi - self._lo
 
     def sample_many(self, rng, size: int):
-        return rng.uniform(self._lo, self._hi, size=(size, self.domain.dims))
+        return self._lo + self._width * rng.random((size, self._lo.size))
 
     def density_many(self, points):
         x = np.asarray(points, dtype=np.float64)
-        inside = ((x >= self._lo) & (x <= self._hi)).all(axis=-1)
+        inside = np.logical_and.reduce((x >= self._lo) & (x <= self._hi), axis=-1)
         return np.where(inside, self._density, 0.0)
 
 
@@ -214,9 +221,10 @@ def beta_density(x: float, a: float, b: float, lo: float = 0.0, hi: float = 1.0)
 
 
 def _in_shape_range(*shapes) -> bool:
-    """True when every shape lies in [SHAPE_MIN, SHAPE_MAX]. NaN fails
-    both comparisons, so a non-finite shape is never in range."""
-    return all(SHAPE_MIN <= v <= SHAPE_MAX for s in shapes for v in s.tolist())
+    """True when every shape, a float in one of the given lists, lies
+    in [SHAPE_MIN, SHAPE_MAX]. NaN fails both comparisons, so a
+    non-finite shape is never in range."""
+    return all(SHAPE_MIN <= v <= SHAPE_MAX for s in shapes for v in s)
 
 
 class BetaProposal:
@@ -237,7 +245,7 @@ class BetaProposal:
                 f"shape vectors must have length {domain.dims}, "
                 f"got {av.shape} and {bv.shape}"
             )
-        if not _in_shape_range(av, bv):
+        if not _in_shape_range(av.tolist(), bv.tolist()):
             raise DomainError(f"shapes must be finite and lie in [{SHAPE_MIN}, {SHAPE_MAX}]")
         self.domain = domain
         self._lo = np.asarray(domain.lo)
@@ -253,8 +261,8 @@ class BetaProposal:
         self._bm1 = b - 1.0
         self._log_norm = float(np.add.reduce(_betaln(a, b)) + self._log_width)
 
-    def _with_shapes(self, a, b, refit_clamps: int) -> "BetaProposal":
-        """This proposal's box with new shape vectors of the right length;
+    def _with_shapes(self, a: list, b: list, refit_clamps: int) -> "BetaProposal":
+        """This proposal's box with new shape lists of the right length;
         only their range is checked."""
         if not _in_shape_range(a, b):
             raise DomainError(f"shapes must be finite and lie in [{SHAPE_MIN}, {SHAPE_MAX}]")
@@ -264,7 +272,7 @@ class BetaProposal:
         q._hi = self._hi
         q._width = self._width
         q._log_width = self._log_width
-        q._set_shapes(a, b)
+        q._set_shapes(np.array(a), np.array(b))
         q.refit_clamps = refit_clamps
         return q
 
@@ -276,18 +284,22 @@ class BetaProposal:
         """Density at every row of points, by one log-density for rows
         inside, on the boundary of, or outside the box (see the module
         docstring for the two edge conventions); never NaN."""
-        x = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        x = np.asarray(points, dtype=np.float64)
+        if x.ndim < 2:
+            x = x.reshape(1, -1)
         t = (x - self._lo) / self._width
-        # Only a row that touches or leaves the box can make a NaN term.
-        edge = not (t.size and t.min() > 0.0 and t.max() < 1.0)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             left = self._am1 * np.log(t)
             right = self._bm1 * np.log1p(-t)
-            if edge:  # 0 log 0 = 0
-                left[(t == 0.0) & (self._am1 == 0.0)] = 0.0
-                right[(t == 1.0) & (self._bm1 == 0.0)] = 0.0
             log_pdf = np.add.reduce(left, axis=1) + np.add.reduce(right, axis=1) - self._log_norm
-            if edge:  # 0 inf = 0 at a mixed corner, and 0 outside the box
+            # Every term of a row inside the box is finite and far from
+            # overflow, and a row that touches or leaves it has a term
+            # that is infinite or NaN; so a finite sum means no such row.
+            if not math.isfinite(np.add.reduce(log_pdf)):
+                left[(t == 0.0) & (self._am1 == 0.0)] = 0.0  # 0 log 0 = 0
+                right[(t == 1.0) & (self._bm1 == 0.0)] = 0.0
+                log_pdf = np.add.reduce(left, axis=1) + np.add.reduce(right, axis=1) - self._log_norm
+                # 0 inf = 0 at a mixed corner, and 0 outside the box
                 inside = np.all((t >= 0.0) & (t <= 1.0), axis=1)
                 log_pdf[~inside | np.isnan(log_pdf)] = -np.inf
             return np.exp(log_pdf)
@@ -317,28 +329,24 @@ class AisPolicy:
         return BetaProposal(domain, shapes, shapes)
 
 
-class _BetaFit(NamedTuple):
-    a: float  # clamped to [SHAPE_MIN, SHAPE_MAX]
-    b: float
-    clamped: bool
+def _clamp(shape: float) -> float:
+    """The shape clamped to [SHAPE_MIN, SHAPE_MAX]; NaN stays NaN."""
+    return SHAPE_MIN if shape < SHAPE_MIN else SHAPE_MAX if shape > SHAPE_MAX else shape
 
 
-def _shape_fits(means, variances) -> list:
-    """Method-of-moments Beta fits from per-dimension means and
-    variances on [0, 1]; None for a dimension that carries no shape
-    information (zero variance, or mean pinned to an endpoint)."""
-    fits = []
-    for mean, var in zip(means.tolist(), variances.tolist()):
-        if var <= 1e-12 or mean <= 1e-12 or mean >= 1.0 - 1e-12:
-            fits.append(None)
-            continue
-        k = mean * (1.0 - mean) / var - 1.0
-        a = mean * k
-        b = (1.0 - mean) * k
-        clamped_a = min(max(a, SHAPE_MIN), SHAPE_MAX)
-        clamped_b = min(max(b, SHAPE_MIN), SHAPE_MAX)
-        fits.append(_BetaFit(clamped_a, clamped_b, clamped_a != a or clamped_b != b))
-    return fits
+def _shape_fit(mean: float, var: float):
+    """Method-of-moments Beta fit from one dimension's mean and variance
+    on [0, 1]: (a, b, clamped) with a and b clamped to [SHAPE_MIN,
+    SHAPE_MAX], or None when they carry no shape information (zero
+    variance, or mean pinned to an endpoint)."""
+    if var <= 1e-12 or mean <= 1e-12 or mean >= 1.0 - 1e-12:
+        return None
+    k = mean * (1.0 - mean) / var - 1.0
+    a = mean * k
+    b = (1.0 - mean) * k
+    clamped_a = _clamp(a)
+    clamped_b = _clamp(b)
+    return clamped_a, clamped_b, clamped_a != a or clamped_b != b
 
 
 def _moment_fits(u) -> list:
@@ -355,7 +363,7 @@ def _moment_fits(u) -> list:
     means = np.add.reduce(u, axis=1) / d
     dev = u - means[:, None]
     dev *= dev
-    return _shape_fits(means, np.add.reduce(dev, axis=1) / d)
+    return list(map(_shape_fit, means.tolist(), (np.add.reduce(dev, axis=1) / d).tolist()))
 
 
 def _weighted_fits(u, values, sums) -> list | None:
@@ -376,11 +384,14 @@ def _weighted_fits(u, values, sums) -> list | None:
     if not math.isfinite(batch[0, 0]):  # a NaN or infinite v is in sum |v|
         raise DomainError("values must be finite")
     sums += batch
-    total = sums[0]
+    total, first, second = sums.tolist()
     if not total[0] > 0.0:
         return None
-    means = sums[1] / total
-    return _shape_fits(means, sums[2] / total - means * means)
+    fits = []
+    for t, s1, s2 in zip(total, first, second):
+        mean = s1 / t
+        fits.append(_shape_fit(mean, s2 / t - mean * mean))
+    return fits
 
 
 def fit_beta(samples: Sequence[float], lo: float = 0.0, hi: float = 1.0):
@@ -401,11 +412,12 @@ def fit_beta(samples: Sequence[float], lo: float = 0.0, hi: float = 1.0):
     (fit,) = _moment_fits(((x - lo) / (hi - lo)).reshape(1, -1))
     if fit is None:
         raise DegenerateBatch("batch has zero variance or a mean pinned to an endpoint")
-    if fit.clamped:
+    a, b, clamped = fit
+    if clamped:
         warnings.warn(
             f"Beta fit clamped to [{SHAPE_MIN}, {SHAPE_MAX}]", ClampWarning, stacklevel=2
         )
-    return fit.a, fit.b
+    return a, b
 
 
 def ais_update(
@@ -440,10 +452,10 @@ def ais_update(
             f"batch must be {policy.d} points of dim {dims}, got shape {pts.shape}"
         )
     cols = np.ascontiguousarray(pts.T)  # one contiguous row per dimension
-    lo = current._lo[:, None]
-    if not ((cols >= lo) & (cols <= current._hi[:, None])).all():
+    offset = cols - current._lo[:, None]  # >= 0 exactly where cols >= lo
+    if not np.logical_and.reduce((offset >= 0.0) & (cols <= current._hi[:, None]), axis=None):
         raise DomainError("samples outside [lo, hi]")
-    u = (cols - lo) / current._width[:, None]
+    u = offset / current._width[:, None]
     if values is None:
         fits = _moment_fits(u)
     else:
@@ -456,19 +468,25 @@ def ais_update(
             raise DomainError(f"sums must have shape (3, {dims}), got {sums.shape}")
         fits = _weighted_fits(u, v, sums)
         if fits is None:
-            return current._with_shapes(current.a, current.b, 1)
+            return current._with_shapes(current.a.tolist(), current.b.tolist(), 1)
     keep = 1.0 - policy.l_r
-    new_a = current.a.tolist()
-    new_b = current.b.tolist()
-    for k, fit in enumerate(fits):
-        if fit is not None:
-            # A convex combination of in-range shapes leaves the range
-            # only by rounding (0.7 * 0.05 + 0.3 * 0.05 < 0.05), so it is
-            # clamped back; this is not a clamped fit.
-            new_a[k] = min(max(keep * new_a[k] + policy.l_r * fit.a, SHAPE_MIN), SHAPE_MAX)
-            new_b[k] = min(max(keep * new_b[k] + policy.l_r * fit.b, SHAPE_MIN), SHAPE_MAX)
-    clamps = sum(1 for fit in fits if fit is not None and fit.clamped)
-    return current._with_shapes(np.array(new_a), np.array(new_b), clamps)
+    l_r = policy.l_r
+    new_a = []
+    new_b = []
+    clamps = 0
+    for old_a, old_b, fit in zip(current.a.tolist(), current.b.tolist(), fits):
+        if fit is None:
+            new_a.append(old_a)
+            new_b.append(old_b)
+            continue
+        a, b, clamped = fit
+        # A convex combination of in-range shapes leaves the range only
+        # by rounding (0.7 * 0.05 + 0.3 * 0.05 < 0.05), so it is clamped
+        # back; this is not a clamped fit.
+        new_a.append(_clamp(keep * old_a + l_r * a))
+        new_b.append(_clamp(keep * old_b + l_r * b))
+        clamps += clamped
+    return current._with_shapes(new_a, new_b, clamps)
 
 
 def mixture_sample_many(p, q: BetaProposal, mix_p: float, rng, size: int):
@@ -481,18 +499,22 @@ def mixture_sample_many(p, q: BetaProposal, mix_p: float, rng, size: int):
     """
     if not 0.0 <= mix_p <= 1.0:
         raise DomainError(f"mix_p must lie in [0, 1], got {mix_p}")
-    if getattr(p, "domain", None) is not None and p.domain != q.domain:
+    domain = getattr(p, "domain", None)
+    if domain is not None and domain is not q.domain and domain != q.domain:
         raise DomainError("target and proposal must share one domain")
     from_p = rng.random(size) < mix_p
     n_p = int(np.count_nonzero(from_p))
-    points = np.empty((size, q.domain.dims))
-    if n_p:
-        points[from_p] = np.atleast_2d(p.sample_many(rng, n_p))
-    if size - n_p:
-        points[~from_p] = q.sample_many(rng, size - n_p)
+    if n_p == 0 and size:  # every point from q
+        points = q.sample_many(rng, size)
+    else:
+        points = np.empty((size, q.domain.dims))
+        if n_p:
+            points[from_p] = p.sample_many(rng, n_p)
+        if size - n_p:
+            points[~from_p] = q.sample_many(rng, size - n_p)
     p_x = np.asarray(p.density_many(points), dtype=np.float64)
     q_mix = mix_p * p_x + (1.0 - mix_p) * q.density_many(points)
-    if size and q_mix.min() > 0.0:  # the usual case: no guard needed
+    if size and np.minimum.reduce(q_mix) > 0.0:  # the usual case: no guard needed
         return points, p_x / q_mix
     bad = (q_mix <= 0.0) & (p_x > 0.0)
     if np.any(bad):

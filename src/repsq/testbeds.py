@@ -433,7 +433,9 @@ class TrackingTestbed(_Testbed):
         or a sigma that underflows when squared) or whose lambda
         overflows has a negligible noise term and draws nothing: its
         deviation is (sqrt(150) b r)^2 exactly."""
-        x = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        x = np.asarray(points, dtype=np.float64)
+        if x.ndim < 2:
+            x = x.reshape(1, -1)
         norms = np.sqrt(np.add.reduce(x * x, axis=1))  # np.linalg.norm's arithmetic
         sigma = self._noise_scale(norms)
         shift = norms * (math.sqrt(TRAJECTORY_STEPS) * self.bias_gain)
@@ -442,10 +444,13 @@ class TrackingTestbed(_Testbed):
             ratio = shift / sigma
             lam = ratio * ratio
         noisy = (variance > 0.0) & np.isfinite(lam)
-        total = shift * shift
-        if noisy.any():
-            draws = rng.noncentral_chisquare(3 * TRAJECTORY_STEPS, lam[noisy])
-            total[noisy] = draws * variance[noisy]
+        if np.logical_and.reduce(noisy):  # the usual case: every command draws
+            total = rng.noncentral_chisquare(3 * TRAJECTORY_STEPS, lam) * variance
+        else:
+            total = shift * shift
+            if noisy.any():
+                draws = rng.noncentral_chisquare(3 * TRAJECTORY_STEPS, lam[noisy])
+                total[noisy] = draws * variance[noisy]
         total *= -6.0
         return -np.expm1(total)
 

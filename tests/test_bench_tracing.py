@@ -59,6 +59,8 @@ def test_traced_ais_campaign_records_draw_and_refit_spans():
     for span in tracer.spans:
         name = tracer.names[span[2]]
         counts[name] = counts.get(name, 0) + 1
+    # The batches before the stop floor share scans.
+    assert 1 <= counts["kernels.scan_terminate"] < res.chunks
     assert counts["samplers.mixture_sample_many"] == res.chunks
     assert counts["samplers.ais_update"] == res.chunks - 1
     # The campaign loop runs each chunk's tests in one call.

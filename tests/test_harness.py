@@ -47,7 +47,7 @@ from repsq.harness import (
     run_quantized_sq,
 )
 from repsq.quantize import AccuracySpec, build_partition, compute_alpha
-from repsq.samplers import BetaProposal, BoxUniform, DiscreteDistribution
+from repsq.samplers import BetaProposal, BoxDomain, BoxUniform, DiscreteDistribution
 from repsq.testbeds import (
     CellularTestbed,
     convergence_study_testbed,
@@ -743,6 +743,51 @@ class TestRunQuantizedSq:
             run_quantized_sq(cfg, make_partition(cfg), campaign_stream(1, 0, 0))
         assert len(chunks) == 1
 
+    @staticmethod
+    def interval_config(m_low, m_high, values):
+        """A Monte Carlo config over a caller's bed on [m_low, m_high]
+        whose tests return ``values`` in turn."""
+
+        class CyclingBed:
+            domain = BoxDomain([0.0], [1.0])
+            target = BoxUniform(domain)
+
+            def evaluate_many(self, xs, rng):
+                return np.resize(np.asarray(values, dtype=np.float64), len(xs))
+
+        bed = CyclingBed()
+        bed.m_low, bed.m_high = m_low, m_high
+        return CampaignConfig(
+            accuracy=AccuracySpec(0.25, 0.05, 0.1), m_low=m_low, m_high=m_high,
+            w_bar=1.0, joint=None, sampler={"kind": "monte_carlo"}, testbed=bed,
+            seed=3, n_max=10_000,
+        )
+
+    def test_values_inside_an_interval_away_from_zero_run(self):
+        # 2.5 lies in [1, 3]; a ball of radius m = 2 around 0 misses it.
+        cfg = self.interval_config(1.0, 3.0, [2.5])
+        assert cfg.value_range == (1.0, 3.0) and cfg.stop_rule.product == 2.0
+        res = run_quantized_sq(cfg, make_partition(cfg), campaign_stream(3, 0, 0))
+        assert res.terminated and res.raw_estimate == 2.5 and res.n == cfg.stop_rule.n_floor
+
+    @pytest.mark.parametrize("values, bad", [([-1.0, 1.9], "1.9"), ([0.5, -1.5], "-1.5")])
+    def test_values_outside_the_interval_raise_bound_violation(self, values, bad):
+        # Both lie within the ball of radius m = 2 around 0, not in [-1, 1].
+        cfg = self.interval_config(-1.0, 1.0, values)
+        match = rf"weighted measure {bad}, outside the interval \[-1, 1\]"
+        with pytest.raises(BoundViolation, match=match):
+            run_quantized_sq(cfg, make_partition(cfg), campaign_stream(3, 0, 0))
+
+    def test_each_sampler_kind_checks_its_own_interval(self):
+        # AIS weights lie in [0, w_bar]; a declared joint also bounds |psi * w|
+        # and is the range of the radii.
+        ais = TestBundledConfigs.config("tracking_ais")
+        assert ais.value_range == (0.0, 10.0) and ais.stop_rule.product == 10.0
+        mc = dataclasses.replace(ais, sampler={"kind": "monte_carlo"})
+        assert mc.value_range == (0.0, 1.0) and mc.stop_rule.product == 1.0
+        rare = rare_config()
+        assert rare.value_range == (0.0, 1e-4) and rare.stop_rule.product == 1e-4
+
     def test_callers_bed_over_another_interval_is_rejected(self):
         # The displacement bed measures on [0, 6], tracking_ais on [0, 1].
         cfg = TestBundledConfigs.config("tracking_ais")
@@ -1245,7 +1290,8 @@ class TestBundledConfigs:
 
     @pytest.mark.parametrize("name", CELLULAR)
     def test_result_is_bitwise_chunk_invariant(self, run, name):
-        # AIS draws one batch of d per chunk whatever chunk_size says.
+        # AIS draws one batch of d per chunk whatever chunk_size says, and
+        # chunk_size caps only its scan blocks (TestAisBlockScan).
         base = outcome(run(name))
         for size in (7, 64, 997):
             assert outcome(run(name, size)) == base
@@ -1309,6 +1355,56 @@ class TestBundledConfigs:
             res.bernstein_radius_final,
             res.hoeffding_radius_final,
         )
+
+
+class TestAisBlockScan:
+    """AIS batches before the stop floor are scanned in blocks of at
+    most chunk_size values; the blocks change how often the kernel is
+    called, not what it computes."""
+
+    CONFIG = dict(
+        accuracy=AccuracySpec(0.1, 0.05, 0.1), m_low=0.0, m_high=1.0, w_bar=10.0,
+        joint=None, sampler={"kind": "ais", "mix_p": 0.1, "d": 10}, seed=5, n_max=20_000,
+    )
+
+    def run(self, chunk_size):
+        cfg = CampaignConfig(**self.CONFIG, testbed=tracking_testbed())
+        res = run_quantized_sq(
+            cfg, make_partition(cfg), campaign_stream(5, 0, 0),
+            record_trace=True, chunk_size=chunk_size,
+        )
+        return cfg, res
+
+    def test_result_and_trace_are_bitwise_chunk_invariant(self):
+        def fields(res):
+            return {f.name: getattr(res, f.name) for f in dataclasses.fields(res)
+                    if f.name not in ("wall_time_s", "trace")}
+
+        _, base = self.run(8192)
+        assert base.terminated
+        for size in (1, 10, 64, 997):
+            _, res = self.run(size)
+            assert fields(res) == fields(base)
+            for got, want in zip(dataclasses.astuple(res.trace), dataclasses.astuple(base.trace)):
+                np.testing.assert_array_equal(got, want)
+
+    def test_blocks_hold_at_most_chunk_size_values(self, monkeypatch):
+        scanned = []
+        real = _kernels.scan_terminate
+
+        def scan(values, state, rule):
+            scanned.append(len(values))
+            return real(values, state, rule)
+
+        monkeypatch.setattr(_kernels, "scan_terminate", scan)
+        cfg, res = self.run(64)
+        assert sum(scanned) == res.evaluated_n
+        assert max(scanned) <= 64 and len(scanned) < res.chunks
+        # From the floor on every batch can stop the campaign, so each is
+        # scanned alone.
+        ends = np.cumsum(scanned)
+        past = [k for k, end in zip(scanned, ends) if end - k >= cfg.stop_rule.n_floor]
+        assert past and set(past) == {10}
 
 
 class TestConvergenceStudy:

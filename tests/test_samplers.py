@@ -85,6 +85,19 @@ class TestBoxDomain:
         se = 0.6 / math.sqrt(12.0) / math.sqrt(10_000)
         assert abs(float(np.mean(pts))) < 3 * se
 
+    @pytest.mark.parametrize("size", [1, 3, 7, 10, 1_000])
+    def test_uniform_sampling_is_rng_uniform_bit_for_bit(self, size):
+        # A numpy whose uniform draws other bits, or from other stream
+        # positions, fails here instead of moving the AIS goldens.
+        for box in (BoxDomain([-0.3] * 3, [0.3] * 3), BoxDomain([1.0, -2.0], [3.0, 2.5])):
+            lo, hi = np.asarray(box.lo), np.asarray(box.hi)
+            for seed in range(20):
+                ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = BoxUniform(box).sample_many(ours, size)
+                want = theirs.uniform(lo, hi, size=(size, box.dims))
+                assert got.tobytes() == want.tobytes()
+                assert ours.bit_generator.state == theirs.bit_generator.state
+
 
 class TestDiscreteDistribution:
     def test_masses_must_normalize(self):
