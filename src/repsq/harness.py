@@ -28,6 +28,11 @@ expm1, so their raw estimate, final sigma hat, radii and final shapes
 hold only between hosts whose numpy dispatches these to the same SIMD
 target, as a run manifest's ``environment.numpy_dispatch`` records.
 
+A cellular bed whose cells fail with probability 0 or 1 needs no
+noise. When it skips the draws it still moves the noise stream to
+where they would leave it (PCG64 ``advance``), so a stream shared with
+other draws, as convergence_study's is, keeps every later number.
+
 Effort accounting
 -----------------
 A trial's n counts the evaluator invocations consumed by the estimator.

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repsq import _kernels
 from repsq.estimator import (
@@ -191,6 +193,62 @@ class TestChunkingInvariance:
         rule = make_rule(0.1, BoundSpec(m=1.0, w_bar=1.0, c=0.05))
         got = _kernels.scan_terminate(np.empty(0), state, rule)
         assert got == (-1, state)
+
+
+def two_pass_prefix_sums(values, state):
+    """The reference for _prefix_sums: one np.add.accumulate per sum."""
+    pivot = float(values[0]) if state.n == 0 else state.pivot
+    dev = values - pivot
+    sq = dev * dev
+    dev[0] += state.s1
+    sq[0] += state.s2
+    return pivot, np.add.accumulate(dev), np.add.accumulate(sq)
+
+
+# Signed zeros, subnormals, the float extremes' neighbourhood and
+# ordinary values; squares of 1e300 overflow and of 1e-300 underflow.
+EDGE_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300,
+     1e300, -1e300, 1.0, -1.0, 0.1, 3.0]
+)
+VALUES = st.lists(EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False),
+                  min_size=1, max_size=40)
+CARRIED = st.one_of(
+    st.just(EstimatorState()),
+    st.builds(
+        EstimatorState,
+        n=st.integers(1, 10**6),
+        pivot=EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False),
+        s1=EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False),
+        s2=EDGE_FLOATS.map(abs) | st.floats(min_value=0.0, allow_infinity=False),
+    ),
+)
+
+
+class TestPrefixSums:
+    """One complex accumulate gives both running sums of two float
+    accumulates, bit for bit: each part of a complex add is one IEEE
+    add."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(values=VALUES, state=CARRIED)
+    def test_equals_two_accumulates(self, values, state):
+        arr = np.array(values, dtype=np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):  # 1e300 squared, inf - inf
+            pivot, s1, s2 = _kernels._prefix_sums(arr, state)
+            ref_pivot, ref_s1, ref_s2 = two_pass_prefix_sums(arr, state)
+        assert pivot == ref_pivot
+        assert s1.tobytes() == ref_s1.tobytes()
+        assert s2.tobytes() == ref_s2.tobytes()
+        assert arr.tolist() == values  # the input is not written
+
+    def test_long_chunk_equals_two_accumulates(self):
+        rng = np.random.default_rng(52)
+        arr = rng.lognormal(0.0, 3.0, size=8192) * rng.choice([-1.0, 1.0], size=8192)
+        state = EstimatorState(n=40_000, pivot=0.7, s1=-12.5, s2=3.0e4)
+        _, s1, s2 = _kernels._prefix_sums(arr, state)
+        _, ref_s1, ref_s2 = two_pass_prefix_sums(arr, state)
+        assert s1.tobytes() == ref_s1.tobytes() and s2.tobytes() == ref_s2.tobytes()
 
 
 class TestTraceRadii:

@@ -12,6 +12,7 @@ is resealed after each edit, so the checksum is never what rejects it).
 
 import copy
 import json
+import math
 import string
 from importlib import resources
 
@@ -24,6 +25,9 @@ from repsq.cli import main
 
 ZERO_VARIANCE = json.loads(
     (resources.files("repsq") / "configs" / "zero_variance.json").read_text()
+)
+RARE_EVENT = json.loads(
+    (resources.files("repsq") / "configs" / "rare_event_acceptance.json").read_text()
 )
 
 # Keys a config must carry; the others have defaults.
@@ -285,6 +289,14 @@ class TestMalformedConfig:
     def test_testbed_key_no_testbed_reads_is_ignored(self, workdir):
         cfg = edited(ZERO_VARIANCE, ("testbed", "oracle_seed"), 0)
         assert init_code(cfg, workdir) == 0
+
+    def test_nan_failure_probability_exits_1(self, workdir, capsys):
+        """NaN passes both of the checks f < 0 and f > 1, so the range is
+        checked as 0 <= f <= 1; Python's json reads a bare NaN."""
+        probs = [math.nan] + RARE_EVENT["testbed"]["failure_probs"][1:]
+        cfg = edited(RARE_EVENT, ("testbed", "failure_probs"), probs)
+        assert init_code(cfg, workdir) == 1
+        assert "failure probabilities must lie in [0, 1]" in capsys.readouterr().err
 
     def test_importance_without_a_proposal_exits_1(self, workdir, capsys):
         assert init_code(dict(ZERO_VARIANCE, sampler={"kind": "importance"}), workdir) == 1

@@ -32,7 +32,7 @@ from scipy import stats
 import repsq.testbeds as testbeds_mod
 from repsq.artifact import build_artifact
 from repsq.errors import BoundViolation, DomainError
-from repsq.harness import CampaignConfig
+from repsq.harness import CampaignConfig, convergence_study
 from repsq.quantize import AccuracySpec, build_partition, compute_alpha
 from repsq.testbeds import (
     TRAJECTORY_STEPS,
@@ -187,6 +187,146 @@ class TestCellularTestbed:
             CellularTestbed([0.5, 0.5], [0.0, 1.0], [1.0, 0.0])
         with pytest.raises(DomainError):
             rare_event_testbed(1, 0)
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.nan, math.inf, -1e-300])
+    def test_failure_probability_outside_unit_interval_is_rejected(self, bad):
+        with pytest.raises(DomainError, match="must lie in"):
+            CellularTestbed([0.5, 0.5], [bad, 0.0], [0.5, 0.5])
+
+    def test_vectors_are_copies(self):
+        p, f, q = np.array([0.5, 0.5]), np.array([1.0, 0.0]), np.array([0.5, 0.5])
+        bed = CellularTestbed(p, f, q)
+        p[0] = f[0] = q[0] = 0.25
+        assert bed.masses.tolist() == [0.5, 0.5]
+        assert bed.failure_probs.tolist() == [1.0, 0.0]
+        assert bed.proposal_masses.tolist() == [0.5, 0.5]
+        assert p.flags.writeable
+
+    @pytest.mark.parametrize(
+        "name", ["masses", "failure_probs", "proposal_masses", "mass_ratio", "_psi"]
+    )
+    def test_held_arrays_are_read_only(self, name):
+        bed = rare_event_acceptance_testbed()
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(bed, name)[0] = 0.5
+
+
+def fresh_interpreter(script: str) -> dict:
+    """The JSON object the script prints last, run in a new interpreter
+    that imports this checkout's repsq."""
+    src = str(Path(testbeds_mod.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _drawn(bed, cells, rng):
+    """The Bernoulli draw that evaluate_many reproduces."""
+    return (rng.random(len(cells)) < bed.failure_probs[cells]).astype(np.float64)
+
+
+def _state(rng):
+    return json.dumps(rng.bit_generator.state, sort_keys=True, default=np.ndarray.tolist)
+
+
+class TestCertainCells:
+    """A bed whose cells fail with probability 0 or 1 reads psi from a
+    table and advances the noise stream past the draws it skips: the
+    values, their bytes and the stream position are the draw's."""
+
+    SIZES = [0, 1, 43, CellularTestbed.TABLE_MIN - 1, CellularTestbed.TABLE_MIN, 1024, 8192]
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_table_equals_the_draw(self, seed, size):
+        gen = np.random.default_rng([seed, size])
+        cells = int(gen.integers(2, 60))
+        f = (gen.random(cells) < 0.3).astype(np.float64)
+        f[0], f[1] = 1.0, -0.0  # at least one can fail; -0.0 reads as 0.0
+        p = np.full(cells, 1.0 / cells)
+        bed = CellularTestbed(p, f, p)
+        assert bed._psi is not None
+        xs = gen.integers(0, cells, size)
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        a.random(3), b.random(3)  # a stream part-way through
+        got = bed.evaluate_many(xs, a)
+        want = _drawn(bed, xs, b)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        assert _state(a) == _state(b)
+        assert a.random() == b.random()
+
+    @pytest.mark.parametrize("size,table", [(1, False), (CellularTestbed.TABLE_MIN - 1, False),
+                                            (CellularTestbed.TABLE_MIN, True), (8192, True)])
+    def test_batches_from_table_min_read_the_table(self, size, table, monkeypatch):
+        bed = rare_event_acceptance_testbed()
+        monkeypatch.setattr(bed, "_psi", np.full(bed.n_cells, 2.0))  # marks a table read
+        got = bed.evaluate_many(np.zeros(size, dtype=np.int64), np.random.default_rng(0))
+        assert np.all(got == (2.0 if table else 1.0))
+
+    def test_only_zero_one_beds_hold_a_table(self):
+        assert rare_event_acceptance_testbed()._psi is not None
+        assert rare_event_testbed(50, 0)._psi is None  # fractional rates
+
+    def test_building_a_bed_does_not_import_numpy_random(self):
+        """A campaign's set-up builds its bed; numpy.random costs ~6 ms
+        to import, and only the campaign's streams need it."""
+        out = fresh_interpreter(textwrap.dedent("""
+            import json, sys
+            import repsq
+            repsq.rare_event_acceptance_testbed()
+            print(json.dumps({"loaded": "numpy.random" in sys.modules}))
+        """))
+        assert out["loaded"] is False
+
+    def test_a_fractional_bed_draws(self):
+        bed = moderate_cellular_testbed()  # f in {0, 0.5}
+        assert bed._psi is None
+        xs = np.arange(bed.n_cells).repeat(40)
+        a, b = np.random.default_rng(5), np.random.default_rng(5)
+        assert bed.evaluate_many(xs, a).tobytes() == _drawn(bed, xs, b).tobytes()
+        assert _state(a) == _state(b)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: np.random.Generator(np.random.SFC64(0)),  # no advance
+            lambda: np.random.Generator(np.random.Philox(0)),  # advances by blocks
+            lambda: np.random.Generator(np.random.MT19937(0)),
+        ],
+        ids=["SFC64", "Philox", "MT19937"],
+    )
+    def test_other_generators_draw(self, make):
+        bed = rare_event_acceptance_testbed()
+        xs = bed.proposal.sample_many(np.random.default_rng(1), 1024)
+        a, b = make(), make()
+        got = bed.evaluate_many(xs, a)
+        assert got.tobytes() == _drawn(bed, xs, b).tobytes()
+        assert _state(a) == _state(b)
+
+    def test_a_cached_32_bit_half_is_kept(self):
+        """advance would drop the half a float32 draw leaves cached."""
+        bed = rare_event_acceptance_testbed()
+        xs = bed.proposal.sample_many(np.random.default_rng(1), CellularTestbed.TABLE_MIN)
+        a, b = np.random.default_rng(2), np.random.default_rng(2)
+        a.random(dtype=np.float32), b.random(dtype=np.float32)
+        assert bed.evaluate_many(xs, a).tobytes() == _drawn(bed, xs, b).tobytes()
+        assert _state(a) == _state(b)
+        assert a.random(dtype=np.float32) == b.random(dtype=np.float32)
+
+    def test_convergence_study_keeps_its_bytes(self, monkeypatch):
+        """The study draws cells and noise from one stream, so a table
+        that did not advance it would move every later draw."""
+        bed = rare_event_acceptance_testbed()
+        args = dict(seeds=range(5), checkpoints=(10**3, 10**5))
+        table = convergence_study(bed, **args)
+        monkeypatch.setattr(bed, "_psi", None)
+        drawn = convergence_study(bed, **args)
+        assert table.errors.tobytes() == drawn.errors.tobytes()
 
 
 class TestDisplacementTestbed:
@@ -517,15 +657,7 @@ class TestExactTrackingOracle:
             print(json.dumps({"before": before, "after": "numpy.polynomial" in sys.modules,
                               "r_star": r_star.hex()}))
         """)
-        src = str(Path(testbeds_mod.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        out = json.loads(proc.stdout.strip().splitlines()[-1])
+        out = fresh_interpreter(script)
         assert out["before"] is False and out["after"] is True
         assert out["r_star"] == tracking_testbed().oracle_r_star.hex()
 
