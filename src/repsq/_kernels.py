@@ -1,10 +1,10 @@
 """The stopping rule and its termination scan.
 
 A campaign stops once either confidence radius of its running estimate
-falls to gamma. With P the range of psi*w (BoundSpec.product; a
-campaign takes the width of the interval its sampler's weighted values
-lie in, unless a joint bound is declared), c the confidence parameter
-and sigma_hat = m2/n the population variance, they are:
+falls to gamma. With P the range of psi*w (computed once, by
+harness.CampaignConfig, from the interval its sampler's weighted values
+lie in), c the confidence parameter and sigma_hat = m2/n the population
+variance, they are:
 
 - the variance-adaptive radius
       sqrt(2 sigma_hat ln(2/c) / n) + 7 R ln(2/c) / (3 (n-1)); and
@@ -79,7 +79,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .estimator import BoundSpec, EstimatorState, _smallest_n, required_n_hoeffding
+from .estimator import MAX_SAMPLES, EstimatorState
 
 __all__ = [
     "ACTIVE_BACKEND",
@@ -111,22 +111,30 @@ class StopRule(NamedTuple):
 
     @staticmethod
     def for_campaign(
-        gamma: float, bounds: BoundSpec, range_term_mode: str, n_min: int
+        gamma: float, product: float, c: float, range_term_mode: str, n_min: int
     ) -> "StopRule":
-        """The rule of a campaign in the named radius mode."""
+        """The rule of a campaign in the named radius mode, for range P =
+        product and confidence parameter c. gamma and c are an
+        AccuracySpec's, checked there; P is checked here, since finite
+        bounds such as m_high * w_bar can overflow."""
         mode = _MODES.get(range_term_mode) if isinstance(range_term_mode, str) else None
         if mode is None:
             raise DomainError(
                 f"range_term_mode must be one of {RANGE_TERM_MODES}, got {range_term_mode!r}"
             )
-        c2 = 7.0 * mode.R(bounds.product) * bounds.log_term / 3.0
-        n_hoeffding = required_n_hoeffding(gamma, bounds)
+        if not (math.isfinite(product) and product > 0.0):
+            raise DomainError(f"the range P must be finite and positive, got {product}")
+        log_term = math.log(2.0 / c)
+        c2 = 7.0 * mode.R(product) * log_term / 3.0
+        ratio = product / gamma
+        n_hoeffding = _smallest_n(  # the fixed-range radius as hoeffding() evaluates it
+            ratio * ratio * log_term / 2.0, 1,
+            lambda n: product * math.sqrt(log_term / (2.0 * n)) <= gamma,
+        )
         n_min = max(2, n_min)
         n_range = _required_n_range(gamma, c2)
         n_floor = max(n_min, min(n_range, n_hoeffding))
-        return mode(
-            gamma, bounds.log_term, c2, bounds.product, n_hoeffding, n_min, n_range, n_floor
-        )
+        return mode(gamma, log_term, c2, product, n_hoeffding, n_min, n_range, n_floor)
 
     def bernstein(self, n, sigma):
         """Variance-adaptive radius at count n >= 2 and population
@@ -181,6 +189,21 @@ def _required_n_range(gamma: float, c2: float) -> int:
     """Smallest n >= 2 with c2 / (n - 1.0) <= gamma, as the scan
     evaluates the quotient; MAX_SAMPLES + 1 when no campaign reaches it."""
     return _smallest_n(c2 / gamma + 1.0, 2, lambda n: c2 / (n - 1.0) <= gamma)
+
+
+def _smallest_n(guess: float, lo: int, reached) -> int:
+    """Smallest n >= lo with reached(n), a predicate that holds from some n
+    on, settled from its closed-form guess; MAX_SAMPLES + 1 far beyond
+    MAX_SAMPLES, where float(n) cannot tell neighbouring counts apart."""
+    if not guess < 2.0 * MAX_SAMPLES:
+        return MAX_SAMPLES + 1
+    n = max(lo, math.ceil(guess))
+    # The rounded closed form can be one off; settle it exactly.
+    while not reached(n):
+        n += 1
+    while n > lo and reached(n - 1):
+        n -= 1
+    return n
 
 
 def _prefix_sums(values, state: EstimatorState):

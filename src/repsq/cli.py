@@ -142,7 +142,7 @@ def _stop_rule_entry(config: CampaignConfig) -> dict:
     if not sound:
         print(
             f"repsq: warning: range_term_mode {config.range_term_mode!r} is not a valid "
-            f"confidence radius at the declared bound {config.stop_rule.product:.6g}; "
+            f"confidence radius at the range P = {config.stop_rule.product:.6g}; "
             f"the accuracy of the estimate is not guaranteed",
             file=sys.stderr,
         )

@@ -92,7 +92,7 @@ from .errors import (
     NonTerminated,
     OracleBudgetError,
 )
-from .estimator import BoundSpec, MAX_SAMPLES, EstimatorState
+from .estimator import MAX_SAMPLES, EstimatorState
 from .quantize import AccuracySpec, Partition, build_partition, compute_alpha, quantize
 from .samplers import AisPolicy, ais_update, mixture_sample_many, proposal_snapshot
 from .testbeds import testbed_from_spec
@@ -149,9 +149,9 @@ class CampaignConfig:
     rejected. ``testbed`` is a built bed (``from_dict`` reads a
     descriptor, ``to_dict`` writes its ``to_spec()``), checked here
     against the interval and by the sampler kind's ``check``, so also
-    on ``dataclasses.replace``. The bound m is always m_high - m_low;
-    the radii's range is the declared joint or else the width of the
-    interval the sampler kind's values lie in (``bound_spec``).
+    on ``dataclasses.replace``. The radii's range P, ``stop_rule.product``,
+    is the width of ``value_range``, or the declared joint where that
+    is wider.
     """
 
     accuracy: AccuracySpec
@@ -175,8 +175,14 @@ class CampaignConfig:
             raise DomainError("testbed must be a built bed; from_dict reads a descriptor")
         for name, read in _SCALARS.items():
             object.__setattr__(self, name, read(getattr(self, name), name))
+        if not (math.isfinite(self.m_low) and math.isfinite(self.m_high)):
+            raise DomainError(f"interval [{self.m_low}, {self.m_high}] must be finite")
         if not self.m_high > self.m_low:
             raise DomainError(f"empty interval [{self.m_low}, {self.m_high}]")
+        if not (math.isfinite(self.w_bar) and self.w_bar >= 1.0):
+            raise DomainError(f"w_bar must be finite and >= 1 (p = q somewhere), got {self.w_bar}")
+        if self.joint is not None and not (math.isfinite(self.joint) and self.joint > 0.0):
+            raise DomainError(f"joint bound must be finite and positive, got {self.joint}")
         if self.offset_policy not in OFFSET_POLICIES:
             raise DomainError(
                 f"offset_policy must be one of {OFFSET_POLICIES}, got {self.offset_policy!r}"
@@ -194,27 +200,24 @@ class CampaignConfig:
             raise DomainError(f"n_max {self.n_max} above the 2**53 sample limit")
         lo, hi = _SAMPLERS[kind].interval(self)
         if self.joint is not None:  # a declared joint bounds |psi * w|
+            if lo > self.joint or hi < -self.joint:
+                raise BoundViolation(
+                    f"joint bound {self.joint:.6g} leaves no value of the interval "
+                    f"[{lo:.6g}, {hi:.6g}] its sampler's values lie in"
+                )
             lo, hi = max(lo, -self.joint), min(hi, self.joint)
         object.__setattr__(self, "value_range", (lo, hi))
-        # Building the rule validates w_bar, c, joint and the mode.
+        # The range P of psi * w, which scales both radii: the interval's
+        # width, or the declared joint where that is wider. It is on every
+        # interval that starts at 0; a cut interval that straddles 0 can
+        # be up to 2 * joint wide.
+        product = max(hi - lo, self.joint or 0.0)
         rule = _kernels.StopRule.for_campaign(
-            self.accuracy.gamma, self.bound_spec, self.range_term_mode, self.n_min
+            self.accuracy.gamma, product, self.accuracy.c, self.range_term_mode, self.n_min
         )
         object.__setattr__(self, "stop_rule", rule)
         _check_interval(self, self.testbed, "testbed")
         _SAMPLERS[kind].check(self)
-
-    @property
-    def bound_spec(self) -> BoundSpec:
-        """The radii's bounds. Their range P (BoundSpec.product) is the
-        declared joint, or else the width of ``value_range``."""
-        lo, hi = self.value_range
-        return BoundSpec(
-            m=self.m_high - self.m_low,
-            w_bar=self.w_bar,
-            c=self.accuracy.c,
-            joint=hi - lo if self.joint is None else self.joint,
-        )
 
     # ``testbed`` under the name the benchmark still calls.
     def build_testbed(self):

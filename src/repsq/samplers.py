@@ -128,7 +128,7 @@ class DiscreteDistribution:
     """
 
     def __init__(self, masses: Sequence[float]) -> None:
-        m = np.asarray(masses, dtype=np.float64)
+        m = np.array(masses, dtype=np.float64)  # a copy: the caller's array may change
         if m.ndim != 1 or m.size < 1:
             raise DomainError("masses must be a non-empty vector")
         if not np.all(np.isfinite(m)) or np.any(m < 0.0):
@@ -139,6 +139,8 @@ class DiscreteDistribution:
         self.masses = m
         self._cum = np.cumsum(m)
         self._cum[-1] = 1.0
+        m.setflags(write=False)
+        self._cum.setflags(write=False)
         self._guide = None
 
     @property

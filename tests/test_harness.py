@@ -34,7 +34,7 @@ from repsq.errors import (
     NonTerminated,
     OracleBudgetError,
 )
-from repsq.estimator import MAX_SAMPLES, required_n_hoeffding
+from repsq.estimator import MAX_SAMPLES, hoeffding_radius
 from repsq.harness import (
     CampaignConfig,
     campaign_stream,
@@ -352,6 +352,29 @@ class TestCampaignConfig:
         art, _ = initiator(CampaignConfig.from_dict(raw))
         with pytest.raises(DomainError, match="discrete proposal"):
             replicator(art, seed=1, sampler_override={"kind": "importance"})
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("m_high", 0.0, "empty interval"),  # m = m_high - m_low = 0
+            ("m_low", 2.0, "empty interval"),  # m < 0
+            ("m_low", -math.inf, "must be finite"),
+            ("m_high", math.inf, "must be finite"),
+            ("w_bar", 0.5, "w_bar"),
+            ("w_bar", math.inf, "w_bar"),
+            ("w_bar", math.nan, "w_bar"),
+            ("joint", 0.0, "joint"),
+            ("joint", -1e-4, "joint"),
+            ("joint", math.inf, "joint"),
+            ("joint", math.nan, "joint"),
+        ],
+        ids=["m-zero", "m-negative", "m-low-infinite", "m-high-infinite", "w-bar-below-1",
+             "w-bar-infinite", "w-bar-nan", "joint-zero", "joint-negative", "joint-infinite",
+             "joint-nan"],
+    )
+    def test_bounds_outside_their_domain_raise(self, field, value, match):
+        with pytest.raises(DomainError, match=match):
+            rare_config(**{field: value})
 
     def test_monte_carlo_accepts_conservative_w_bar(self):
         # A shared artifact may declare a cap sized for an importance
@@ -744,7 +767,7 @@ class TestRunQuantizedSq:
         assert len(chunks) == 1
 
     @staticmethod
-    def interval_config(m_low, m_high, values):
+    def interval_config(m_low, m_high, values, joint=None):
         """A Monte Carlo config over a caller's bed on [m_low, m_high]
         whose tests return ``values`` in turn."""
 
@@ -759,7 +782,7 @@ class TestRunQuantizedSq:
         bed.m_low, bed.m_high = m_low, m_high
         return CampaignConfig(
             accuracy=AccuracySpec(0.25, 0.05, 0.1), m_low=m_low, m_high=m_high,
-            w_bar=1.0, joint=None, sampler={"kind": "monte_carlo"}, testbed=bed,
+            w_bar=1.0, joint=joint, sampler={"kind": "monte_carlo"}, testbed=bed,
             seed=3, n_max=10_000,
         )
 
@@ -777,6 +800,21 @@ class TestRunQuantizedSq:
         match = rf"weighted measure {bad}, outside the interval \[-1, 1\]"
         with pytest.raises(BoundViolation, match=match):
             run_quantized_sq(cfg, make_partition(cfg), campaign_stream(3, 0, 0))
+
+    @pytest.mark.parametrize("joint", [None, 1.0])
+    def test_range_of_an_interval_straddling_zero_is_its_width(self, joint):
+        # A joint of 1 cuts nothing from [-1, 1], whose width is 2 = 2 * joint.
+        cfg = self.interval_config(-1.0, 1.0, [1.0, -1.0], joint=joint)
+        assert cfg.value_range == (-1.0, 1.0) and cfg.stop_rule.product == 2.0
+
+    def test_joint_that_leaves_no_value_raises_bound_violation(self):
+        with pytest.raises(BoundViolation, match=r"leaves no value of the interval \[1, 3\]"):
+            self.interval_config(1.0, 3.0, [2.5], joint=0.5)
+
+    def test_range_that_overflows_is_rejected(self):
+        # Both ends are finite; their distance is not.
+        with pytest.raises(DomainError, match="range P must be finite"):
+            self.interval_config(-1e308, 1e308, [0.0])
 
     def test_each_sampler_kind_checks_its_own_interval(self):
         # AIS weights lie in [0, w_bar]; a declared joint also bounds |psi * w|
@@ -1335,13 +1373,21 @@ class TestBundledConfigs:
         again = json.dumps(run(name, fresh=True).to_dict(), sort_keys=True)
         assert again == first
 
+    @pytest.mark.parametrize("name", NAMES)
+    def test_final_fixed_range_radius_is_the_scalar_reference(self, run, name):
+        cfg = self.config(name)
+        res = run(name)
+        p, c = cfg.stop_rule.product, cfg.accuracy.c
+        assert res.hoeffding_radius_final == hoeffding_radius(res.n, p, c)
+
     @pytest.mark.parametrize("name", CELLULAR)
     def test_effort_trace_ends_at_the_result(self, name):
         cfg = self.config(name)
         comp = effort_comparison(cfg)
         res = comp.result
         last = comp.rows()[-1]
-        assert comp.required_n_hoeffding == required_n_hoeffding(comp.gamma, cfg.bound_spec)
+        n, p, c = comp.required_n_hoeffding, cfg.stop_rule.product, cfg.accuracy.c
+        assert hoeffding_radius(n, p, c) <= comp.gamma < hoeffding_radius(n - 1, p, c)
         assert (
             last["n"],
             last["estimate"],

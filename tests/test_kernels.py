@@ -15,23 +15,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repsq import _kernels
-from repsq.estimator import (
-    BoundSpec,
-    EstimatorState,
-    bernstein_radius,
-    hoeffding_radius,
-    required_n_hoeffding,
-    update,
-)
+from repsq.estimator import EstimatorState, bernstein_radius, hoeffding_radius, update
+
+# The range P of psi*w and the confidence parameter c of most cases here.
+UNIT = (1.0, 0.05)
 
 
 def should_terminate(state, gamma, bounds, n_min=2):
-    """The paper-exact stopping rule, one state at a time: true once the
-    smaller of the two radii has reached gamma, never before
-    n = max(2, n_min)."""
+    """The paper-exact stopping rule at bounds = (P, c), one state at a
+    time: true once the smaller of the two radii has reached gamma,
+    never before n = max(2, n_min)."""
     if state.n < max(2, n_min):
         return False
-    radius = min(bernstein_radius(state, bounds), hoeffding_radius(state.n, bounds))
+    radius = min(bernstein_radius(state, *bounds), hoeffding_radius(state.n, *bounds))
     return radius <= gamma
 
 
@@ -59,7 +55,7 @@ def vectorized_scan(values, state, rule, bounds):
 
 
 def make_rule(gamma, bounds, n_min=2):
-    return _kernels.StopRule.for_campaign(gamma, bounds, "paper-exact", n_min)
+    return _kernels.StopRule.for_campaign(gamma, *bounds, "paper-exact", n_min)
 
 
 def kernel_run(scan, values, gamma, bounds, n_min=2, chunk=64):
@@ -92,7 +88,7 @@ class TestBackendSelection:
     def test_dispatch_matches_sequential(self):
         rng = np.random.default_rng(31)
         values = rng.uniform(0.0, 1.0, size=2_000)
-        bounds = BoundSpec(m=1.0, w_bar=1.0, c=0.05)
+        bounds = UNIT
         rule = make_rule(0.05, bounds)
         i_got, got = _kernels.scan_terminate(values, EstimatorState(), rule)
         i_want, want = sequential_scan(values, EstimatorState(), rule, bounds)
@@ -109,7 +105,7 @@ class TestAgainstScalarReference:
         # radius decides termination at a few hundred samples.
         values = 0.5 + 0.05 * rng.standard_normal(5_000)
         np.clip(values, 0.0, 1.0, out=values)
-        bounds = BoundSpec(m=1.0, w_bar=1.0, c=0.05)
+        bounds = UNIT
         gamma = 0.02
         n_ref, state_ref = scalar_reference_run(values, gamma, bounds)
         n_got, state = kernel_run(scan, values, gamma, bounds)
@@ -120,7 +116,7 @@ class TestAgainstScalarReference:
     @pytest.mark.parametrize("scan", SCANS)
     def test_zero_variance_stops_at_88(self, scan):
         values = np.full(200, 0.02)
-        bounds = BoundSpec(m=1.0, w_bar=1.0, c=0.05)
+        bounds = UNIT
         n_got, _ = kernel_run(scan, values, 0.1, bounds, chunk=13)
         assert n_got == 88
 
@@ -128,7 +124,7 @@ class TestAgainstScalarReference:
     def test_non_terminating_returns_full_state(self, scan):
         rng = np.random.default_rng(40)
         values = rng.uniform(0.0, 1.0, size=300)
-        bounds = BoundSpec(m=1.0, w_bar=1.0, c=0.05)
+        bounds = UNIT
         n_got, state = kernel_run(scan, values, 1e-9, bounds)
         assert n_got is None
         assert state.n == 300
@@ -138,7 +134,7 @@ class TestAgainstScalarReference:
     @pytest.mark.parametrize("scan", SCANS)
     def test_n_min_respected_within_chunk(self, scan):
         values = np.full(50, 0.3)
-        bounds = BoundSpec(m=1.0, w_bar=1.0, c=0.05)
+        bounds = UNIT
         n_got, _ = kernel_run(scan, values, 1e9, bounds, n_min=17, chunk=50)
         assert n_got == 17
 
@@ -146,11 +142,11 @@ class TestAgainstScalarReference:
     @pytest.mark.parametrize("chunk", [1, 64, 400])
     def test_range_radius_alone_stops_at_required_n(self, scan, chunk):
         # 0/1 alternation saturates the variance: only the fixed-range
-        # radius can stop, at exactly required_n_hoeffding.
+        # radius can stop, at exactly the rule's n_hoeffding.
         values = np.arange(400) % 2.0
-        bounds = BoundSpec(m=1.0, w_bar=1.0, c=0.05)
+        bounds = UNIT
         n_got, _ = kernel_run(scan, values, 0.15, bounds, chunk=chunk)
-        assert n_got == required_n_hoeffding(0.15, bounds) == 82
+        assert n_got == make_rule(0.15, bounds).n_hoeffding == 82
 
 
 class TestChunkingInvariance:
@@ -159,7 +155,7 @@ class TestChunkingInvariance:
     def test_chunk_size_does_not_change_answer(self, scan, chunk):
         rng = np.random.default_rng(50)
         values = rng.beta(2.0, 5.0, size=5_000)
-        bounds = BoundSpec(m=1.0, w_bar=1.0, c=0.05)
+        bounds = UNIT
         gamma = 0.015
         n_base, base = kernel_run(sequential_scan, values, gamma, bounds, chunk=64)
         n_got, state = kernel_run(scan, values, gamma, bounds, chunk=chunk)
@@ -173,7 +169,7 @@ class TestChunkingInvariance:
         # for that prefix; chunks of 1 reach every prefix.
         rng = np.random.default_rng(51)
         values = rng.lognormal(0.0, 1.0, size=20_003)
-        bounds = BoundSpec(m=100.0, w_bar=1.0, c=0.05)
+        bounds = (100.0, 0.05)
         rule = make_rule(1e-9, bounds)
         n_arr, mean, sigma, bern, hoef = _kernels.trace_radii(values, rule)
         state = EstimatorState()
@@ -190,7 +186,7 @@ class TestChunkingInvariance:
 
     def test_empty_chunk_is_identity(self):
         state = EstimatorState(n=7, pivot=1.5, s1=0.5, s2=0.25)
-        rule = make_rule(0.1, BoundSpec(m=1.0, w_bar=1.0, c=0.05))
+        rule = make_rule(0.1, UNIT)
         got = _kernels.scan_terminate(np.empty(0), state, rule)
         assert got == (-1, state)
 
@@ -255,7 +251,7 @@ class TestTraceRadii:
     def test_matches_scalar_radii(self):
         rng = np.random.default_rng(60)
         values = rng.uniform(0.2, 0.8, size=400)
-        bounds = BoundSpec(m=1.0, w_bar=1.0, c=0.05)
+        bounds = UNIT
         n_arr, mean_arr, sigma, bern, hoef = _kernels.trace_radii(
             values, make_rule(0.05, bounds)
         )
@@ -268,8 +264,8 @@ class TestTraceRadii:
             assert sigma[idx] == state.variance
             if state.n < 2:
                 continue
-            assert bern[idx] == bernstein_radius(state, bounds)
-            assert hoef[idx] == hoeffding_radius(state.n, bounds)
+            assert bern[idx] == bernstein_radius(state, *bounds)
+            assert hoef[idx] == hoeffding_radius(state.n, *bounds)
 
 
 class TestRangeTermCut:
@@ -310,8 +306,7 @@ class TestRangeTermCut:
         ]
         for mode in ("paper-exact", "linear-range"):
             for values in streams:
-                bounds = BoundSpec(m=1.0, w_bar=10.0, c=0.05)
-                rule = _kernels.StopRule.for_campaign(0.04, bounds, mode, 2)
+                rule = _kernels.StopRule.for_campaign(0.04, 10.0, 0.05, mode, 2)
                 uncut = rule._replace(n_range=2)
                 results = []
                 for r in (rule, uncut):

@@ -298,6 +298,14 @@ class TestMalformedConfig:
         assert init_code(cfg, workdir) == 1
         assert "failure probabilities must lie in [0, 1]" in capsys.readouterr().err
 
+    def test_joint_that_leaves_no_value_exits_1(self, workdir, capsys):
+        """A joint of 0.5 cuts [1, 3] to nothing. Every bundled bed
+        measures from 0, so this interval also disagrees with the bed's
+        [0, 6]; the joint is checked first."""
+        cfg = edited(ZERO_VARIANCE, ("interval",), {"m_low": 1.0, "m_high": 3.0})
+        assert init_code(edited(cfg, ("bounds", "joint"), 0.5), workdir) == 1
+        assert "joint bound 0.5 leaves no value" in capsys.readouterr().err
+
     def test_importance_without_a_proposal_exits_1(self, workdir, capsys):
         assert init_code(dict(ZERO_VARIANCE, sampler={"kind": "importance"}), workdir) == 1
         assert "needs a testbed with a discrete proposal" in capsys.readouterr().err

@@ -115,6 +115,17 @@ class TestDiscreteDistribution:
             se = math.sqrt(m * (1 - m) / 100_000)
             assert abs(freq - m) < 4 * se
 
+    @pytest.mark.parametrize("size", [1_000, 100_000])  # below and above GUIDE_BUCKETS
+    def test_edits_to_the_source_array_change_nothing(self, size):
+        source = np.array([0.5, 0.5])
+        d = DiscreteDistribution(source)
+        before = d.sample_many(np.random.default_rng(10), size)
+        source[:] = [0.9, 0.1]
+        assert d.masses.tolist() == [0.5, 0.5]
+        assert d.sample_many(np.random.default_rng(10), size).tolist() == before.tolist()
+        with pytest.raises(ValueError, match="read-only"):
+            d.masses[0] = 0.9
+
     def test_density_is_mass(self):
         d = DiscreteDistribution([0.9, 0.1])
         assert d.density_many([0, 1]).tolist() == [0.9, 0.1]

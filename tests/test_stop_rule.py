@@ -8,6 +8,7 @@ methods on floats, are checked on every prefix of random streams. The
 rule's range_term_sound and its mode check are tested here too.
 """
 
+import math
 import re
 
 import numpy as np
@@ -17,7 +18,7 @@ from repsq import _kernels
 from repsq._kernels import RANGE_TERM_MODES
 from repsq.errors import DomainError
 from repsq.estimator import (
-    BoundSpec,
+    MAX_SAMPLES,
     EstimatorState,
     bernstein_radius,
     hoeffding_radius,
@@ -32,8 +33,7 @@ from repsq.testbeds import moderate_cellular_testbed
 @pytest.mark.parametrize("joint", [0.02, 1.0, 30.0])
 def test_final_radii_equal_the_scalar_references(mode, joint):
     rng = np.random.default_rng(80)
-    bounds = BoundSpec(m=1.0, w_bar=50.0, c=0.05, joint=joint)
-    rule = _kernels.StopRule.for_campaign(0.01, bounds, mode, 2)
+    rule = _kernels.StopRule.for_campaign(0.01, joint, 0.05, mode, 2)
     streams = [
         joint * rng.beta(2.0, 5.0, size=1000),
         np.full(300, 0.3 * joint),
@@ -46,8 +46,8 @@ def test_final_radii_equal_the_scalar_references(mode, joint):
             state = update(state, float(v))
             bern, hoef = rule.final(state)
             assert type(bern) is float and type(hoef) is float
-            assert bern == bernstein_radius(state, bounds, mode)
-            assert hoef == hoeffding_radius(state.n, bounds)
+            assert bern == bernstein_radius(state, joint, 0.05, mode)
+            assert hoef == hoeffding_radius(state.n, joint, 0.05)
             assert rule.hoeffding(float(state.n)) == hoef
 
 
@@ -59,17 +59,15 @@ def test_final_radii_equal_the_scalar_references(mode, joint):
 def test_range_term_is_sound_where_it_is_at_least_the_bounds(mode, joint, sound):
     """paper-exact's P^2 is at least P only from P = 1 on; linear-range's
     P always is."""
-    bounds = BoundSpec(m=1.0, w_bar=50.0, c=0.05, joint=joint)
-    rule = _kernels.StopRule.for_campaign(0.01, bounds, mode, 2)
+    rule = _kernels.StopRule.for_campaign(0.01, joint, 0.05, mode, 2)
     assert rule.range_term_sound is sound
 
 
 @pytest.mark.parametrize("mode", ["exact", "", None, 5, [], {}])
 def test_unknown_mode_is_rejected_by_for_campaign_alone(mode):
-    bounds = BoundSpec(m=1.0, w_bar=1.0, c=0.05)
     named = re.escape(f"one of {RANGE_TERM_MODES}")
     with pytest.raises(DomainError, match=named) as direct:
-        _kernels.StopRule.for_campaign(0.01, bounds, mode, 2)
+        _kernels.StopRule.for_campaign(0.01, 1.0, 0.05, mode, 2)
     with pytest.raises(DomainError, match=named) as configured:
         CampaignConfig(
             accuracy=AccuracySpec(0.1, 0.05, 0.1), m_low=0.0, m_high=1.0, w_bar=1.0,
@@ -81,6 +79,12 @@ def test_unknown_mode_is_rejected_by_for_campaign_alone(mode):
         assert raised.traceback[-1].name == "for_campaign"
 
 
+@pytest.mark.parametrize("product", [0.0, -1.0, math.inf, math.nan])
+def test_range_outside_its_domain_is_rejected(product):
+    with pytest.raises(DomainError, match="range P must be finite and positive"):
+        _kernels.StopRule.for_campaign(0.01, product, 0.05, "linear-range", 2)
+
+
 @pytest.mark.parametrize("mode", RANGE_TERM_MODES)
 @pytest.mark.parametrize("joint", [0.02, 1.0, 30.0])
 @pytest.mark.parametrize("n_min", [2, 300])
@@ -88,7 +92,7 @@ def test_first_stop_is_the_first_n_the_rule_can_fire_at(mode, joint, n_min):
     """first_stop settles a closed form; here the count is found by
     walking n up from n_min."""
     gamma = 0.05 * joint
-    rule = _kernels.StopRule.for_campaign(gamma, BoundSpec(1.0, 50.0, 0.05, joint), mode, n_min)
+    rule = _kernels.StopRule.for_campaign(gamma, joint, 0.05, mode, n_min)
 
     def fires(n, sigma):
         if n >= rule.n_hoeffding:
@@ -106,13 +110,11 @@ def test_first_stop_is_the_first_n_the_rule_can_fire_at(mode, joint, n_min):
 
 
 def test_first_stop_out_of_reach_is_max_samples_plus_one():
-    from repsq.estimator import MAX_SAMPLES
-
     # Neither radius reaches gamma.
-    rule = _kernels.StopRule.for_campaign(1e-300, BoundSpec(1.0, 1.0, 0.05), "linear-range", 2)
+    rule = _kernels.StopRule.for_campaign(1e-300, 1.0, 0.05, "linear-range", 2)
     assert rule.first_stop(0.25) == rule.n_floor == MAX_SAMPLES + 1
     # Only the variance-adaptive radius can, and only at a small variance.
-    rule = _kernels.StopRule.for_campaign(1e-9, BoundSpec(1.0, 1.0, 0.05), "linear-range", 2)
+    rule = _kernels.StopRule.for_campaign(1e-9, 1.0, 0.05, "linear-range", 2)
     assert rule.n_hoeffding == MAX_SAMPLES + 1
     assert rule.first_stop(0.0) == rule.n_range < MAX_SAMPLES
     assert rule.first_stop(0.25) == MAX_SAMPLES + 1
