@@ -376,6 +376,14 @@ class TestCampaignConfig:
         with pytest.raises(DomainError, match=match):
             rare_config(**{field: value})
 
+    @pytest.mark.parametrize("c", [0.0, 1.0], ids=["c-zero", "c-one"])
+    def test_failure_probability_outside_unit_interval_raises(self, c):
+        path = resources.files("repsq") / "configs" / "displacement_star.json"
+        raw = json.loads(path.read_text())
+        raw["accuracy"]["c"] = c
+        with pytest.raises(DomainError, match="c must lie"):
+            CampaignConfig.from_dict(raw)
+
     def test_monte_carlo_accepts_conservative_w_bar(self):
         # A shared artifact may declare a cap sized for an importance
         # replicator; the monte-carlo arm stays valid under it.
