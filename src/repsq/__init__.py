@@ -75,13 +75,11 @@ from .testbeds import (
     DisplacementTestbed,
     TrackingTestbed,
     convergence_study_testbed,
-    displacement_testbed,
     moderate_cellular_testbed,
     rare_event_acceptance_testbed,
     rare_event_testbed,
     testbed_from_spec,
     tracking_loss,
-    tracking_testbed,
 )
 
 __version__ = "0.1.0"
@@ -129,7 +127,6 @@ __all__ = [
     "compute_alpha",
     "convergence_study",
     "convergence_study_testbed",
-    "displacement_testbed",
     "dump_artifact",
     "effort_comparison",
     "fit_beta",
@@ -149,7 +146,6 @@ __all__ = [
     "run_quantized_sq",
     "testbed_from_spec",
     "tracking_loss",
-    "tracking_testbed",
     "update",
     "verify_artifact",
     "__version__",

@@ -11,12 +11,11 @@ variance, they are:
 - the fixed-range radius
       P sqrt(ln(2/c) / (2 n)).
 
-The radius mode fixes R. _MODES maps each mode to its StopRule class,
-and its keys are RANGE_TERM_MODES; the first is the default:
+The radius mode fixes R, and nothing else. _MODES maps each mode to
+its R(P), and its keys are RANGE_TERM_MODES; the first is the default:
 
-- "paper-exact" (_PaperExact) takes R = P^2, as the paper prints it;
-- "linear-range" (_LinearRange) takes R = P, the dimensionally linear
-  variant.
+- "paper-exact" takes R = P^2, as the paper prints it;
+- "linear-range" takes R = P, the dimensionally linear variant.
 
 StopRule.for_campaign is the one place a mode name is read and
 checked. Both radii are always evaluated and the smaller one decides:
@@ -34,8 +33,8 @@ variance m2/(n-1) where this module uses m2/n. "paper-exact" has one
 gap more: that bound is linear in R = P, so when P < 1 its P^2 range
 term is smaller than the bound's and the radius is too narrow even at
 a fixed n. A rule's range_term_sound says whether its range term is at
-least the bound's: always for "linear-range", only when P >= 1 for
-"paper-exact".
+least the bound's, R(P) >= P: always for "linear-range", only when
+P >= 1 for "paper-exact".
 
 StopRule.bernstein and StopRule.hoeffding are the one copy of both
 expressions, called on arrays by the scan and the trace and on floats
@@ -94,11 +93,7 @@ ACTIVE_BACKEND = "numpy-shifted-cumsum"
 
 
 class StopRule(NamedTuple):
-    """Constants of one campaign's stopping rule, and its radii.
-
-    A rule is an instance of its radius mode's class (see _MODES), which
-    adds the mode's R(P) and range_term_sound.
-    """
+    """Constants of one campaign's stopping rule, and its radii."""
 
     gamma: float
     log_term: float  # ln(2/c)
@@ -108,6 +103,7 @@ class StopRule(NamedTuple):
     n_min: int  # termination floor, >= 2
     n_range: int  # smallest n >= 2 whose range term c2/(n-1) is <= gamma
     n_floor: int  # first_stop(0.0): no campaign stops before it
+    range_term_sound: bool  # R(P) >= P: the range term is at least the bound's
 
     @staticmethod
     def for_campaign(
@@ -117,15 +113,15 @@ class StopRule(NamedTuple):
         product and confidence parameter c. gamma and c are an
         AccuracySpec's, checked there; P is checked here, since finite
         bounds such as m_high * w_bar can overflow."""
-        mode = _MODES.get(range_term_mode) if isinstance(range_term_mode, str) else None
-        if mode is None:
+        R = _MODES.get(range_term_mode) if isinstance(range_term_mode, str) else None
+        if R is None:
             raise DomainError(
                 f"range_term_mode must be one of {RANGE_TERM_MODES}, got {range_term_mode!r}"
             )
         if not (math.isfinite(product) and product > 0.0):
             raise DomainError(f"the range P must be finite and positive, got {product}")
         log_term = math.log(2.0 / c)
-        c2 = 7.0 * mode.R(product) * log_term / 3.0
+        c2 = 7.0 * R(product) * log_term / 3.0
         ratio = product / gamma
         n_hoeffding = _smallest_n(  # the fixed-range radius as hoeffding() evaluates it
             ratio * ratio * log_term / 2.0, 1,
@@ -134,7 +130,8 @@ class StopRule(NamedTuple):
         n_min = max(2, n_min)
         n_range = _required_n_range(gamma, c2)
         n_floor = max(n_min, min(n_range, n_hoeffding))
-        return mode(gamma, log_term, c2, product, n_hoeffding, n_min, n_range, n_floor)
+        return StopRule(gamma, log_term, c2, product, n_hoeffding, n_min, n_range, n_floor,
+                        R(product) >= product)
 
     def bernstein(self, n, sigma):
         """Variance-adaptive radius at count n >= 2 and population
@@ -169,19 +166,7 @@ class StopRule(NamedTuple):
         return float(self.bernstein(n, state.m2 / n)), float(self.hoeffding(n))
 
 
-class _PaperExact(StopRule):
-    __slots__ = ()
-    R = staticmethod(lambda product: product * product)
-    range_term_sound = property(lambda rule: rule.product >= 1.0)
-
-
-class _LinearRange(StopRule):
-    __slots__ = ()
-    R = staticmethod(lambda product: product)
-    range_term_sound = True
-
-
-_MODES = {"paper-exact": _PaperExact, "linear-range": _LinearRange}
+_MODES = {"paper-exact": lambda p: p * p, "linear-range": lambda p: p}
 RANGE_TERM_MODES = tuple(_MODES)
 
 

@@ -61,7 +61,7 @@ def sealed_content(what: str):
 
 def partition_from_payload(grid: dict, m_low: float, m_high: float) -> Partition:
     """Rebuild the sealed grid on [m_low, m_high] and verify it has the
-    sealed cell count."""
+    sealed cell count, the one count check (a Partition derives its own)."""
     with sealed_content("grid"):
         grid = mapping(grid, "grid")
         if grid.keys() != _GRID_KEYS:
@@ -70,7 +70,7 @@ def partition_from_payload(grid: dict, m_low: float, m_high: float) -> Partition
             m_low, m_high, real(grid["alpha"], "alpha"), real(grid["offset"], "offset")
         )
     sent = grid["n_cells"]
-    if isinstance(sent, bool) or sent != part.n_cells:
+    if type(sent) is not int or sent != part.n_cells:
         raise ArtifactVersionMismatch(
             f"sealed cell count {sent!r} does not match "
             f"the rebuilt partition's {part.n_cells}"

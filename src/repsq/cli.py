@@ -136,17 +136,29 @@ def _load_config(args) -> tuple[CampaignConfig, dict]:
 
 
 def _stop_rule_entry(config: CampaignConfig) -> dict:
-    """The manifest's ``stop_rule`` entry; warns on stderr when the
-    rule's range term is too small to make a valid confidence radius."""
-    sound = config.stop_rule.range_term_sound
-    if not sound:
+    """The manifest's ``stop_rule`` entry: the radius mode, whether its
+    range term is sound, the range P and the efficiency bound (no
+    campaign stops before n_floor, every campaign stops by n_hoeffding).
+    Warns on stderr when the range term is too small to make a valid
+    confidence radius, and when n_max < n_hoeffding leaves the run
+    without a worst-case budget."""
+    rule = config.stop_rule
+    if not rule.range_term_sound:
         print(
             f"repsq: warning: range_term_mode {config.range_term_mode!r} is not a valid "
-            f"confidence radius at the range P = {config.stop_rule.product:.6g}; "
+            f"confidence radius at the range P = {rule.product:.6g}; "
             f"the accuracy of the estimate is not guaranteed",
             file=sys.stderr,
         )
-    return {"range_term_mode": config.range_term_mode, "range_term_sound": sound}
+    if config.n_max < rule.n_hoeffding:
+        print(
+            f"repsq: warning: n_max {config.n_max} is below n_hoeffding "
+            f"{rule.n_hoeffding}, the n by which every campaign stops; "
+            f"a campaign that has not stopped by n_max exits 3",
+            file=sys.stderr,
+        )
+    return {"range_term_mode": config.range_term_mode, "range_term_sound": rule.range_term_sound,
+            "range": rule.product, "n_floor": rule.n_floor, "n_hoeffding": rule.n_hoeffding}
 
 
 def _write_run(args, invocation: dict, stop_rule: dict, outputs: dict[str, str]) -> int:

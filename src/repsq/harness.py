@@ -149,9 +149,11 @@ class CampaignConfig:
     rejected. ``testbed`` is a built bed (``from_dict`` reads a
     descriptor, ``to_dict`` writes its ``to_spec()``), checked here
     against the interval and by the sampler kind's ``check``, so also
-    on ``dataclasses.replace``. The radii's range P, ``stop_rule.product``,
-    is the width of ``value_range``, or the declared joint where that
-    is wider.
+    on ``dataclasses.replace``. ``value_range`` is the interval the
+    sampler kind's weighted values lie in, cut to [-joint, joint] when a
+    joint is declared; a cut that leaves no interval of positive width
+    raises BoundViolation. The radii's range P, ``stop_rule.product``,
+    is its width.
     """
 
     accuracy: AccuracySpec
@@ -200,20 +202,16 @@ class CampaignConfig:
             raise DomainError(f"n_max {self.n_max} above the 2**53 sample limit")
         lo, hi = _SAMPLERS[kind].interval(self)
         if self.joint is not None:  # a declared joint bounds |psi * w|
-            if lo > self.joint or hi < -self.joint:
+            cut = max(lo, -self.joint), min(hi, self.joint)
+            if not cut[1] > cut[0]:
                 raise BoundViolation(
                     f"joint bound {self.joint:.6g} leaves no value of the interval "
                     f"[{lo:.6g}, {hi:.6g}] its sampler's values lie in"
                 )
-            lo, hi = max(lo, -self.joint), min(hi, self.joint)
+            lo, hi = cut
         object.__setattr__(self, "value_range", (lo, hi))
-        # The range P of psi * w, which scales both radii: the interval's
-        # width, or the declared joint where that is wider. It is on every
-        # interval that starts at 0; a cut interval that straddles 0 can
-        # be up to 2 * joint wide.
-        product = max(hi - lo, self.joint or 0.0)
         rule = _kernels.StopRule.for_campaign(
-            self.accuracy.gamma, product, self.accuracy.c, self.range_term_mode, self.n_min
+            self.accuracy.gamma, hi - lo, self.accuracy.c, self.range_term_mode, self.n_min
         )
         object.__setattr__(self, "stop_rule", rule)
         _check_interval(self, self.testbed, "testbed")
@@ -813,14 +811,14 @@ def pairwise_experiment(
     tolerance gamma + alpha/2 (raw estimates are also graded against
     bare gamma as a diagnostic). Grading refuses oracles whose error
     (oracle_se: 0 for an exact oracle, or a quadrature's error
-    estimate) is above gamma/10.
+    estimate) is not at most gamma/10, a NaN error included.
     """
     n_pairs = whole(n_pairs, "n_pairs")
     if n_pairs < 1:
         raise DomainError(f"n_pairs must be >= 1, got {n_pairs}")
     bed = config.testbed
     gamma = config.accuracy.gamma
-    if bed.oracle_se > gamma / 10.0:
+    if not bed.oracle_se <= gamma / 10.0:
         raise OracleBudgetError(
             f"oracle error {bed.oracle_se:.3g} exceeds gamma/10 = "
             f"{gamma / 10.0:.3g}; refusing to grade accuracy against it"

@@ -24,7 +24,7 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import DomainError, InfeasibleRepeatability
@@ -138,16 +138,15 @@ class Partition:
     """Almost-uniform tiling of [m_low, m_high] with cell width alpha.
 
     ``offset`` is the requested first-cell length: 0 (or alpha) means the
-    first cell has full width. The scalars fix ``n_cells``: left out, it
-    is derived from them, and given, it must be that count. Every
-    boundary follows from the scalars by the canonical rule.
+    first cell has full width. ``n_cells`` is derived from the four
+    scalars, and every boundary follows from them by the canonical rule.
     """
 
     m_low: float
     m_high: float
     alpha: float
     offset: float
-    n_cells: int | None = None
+    n_cells: int = field(init=False)
 
     # -- canonical grid ------------------------------------------------
 
@@ -216,11 +215,7 @@ class Partition:
             raise DomainError(f"alpha must be finite and positive, got {self.alpha}")
         if not 0.0 <= self.offset <= self.alpha:
             raise DomainError(f"offset {self.offset} outside [0, alpha={self.alpha}]")
-        count = self._cell_count()
-        if self.n_cells is None:
-            object.__setattr__(self, "n_cells", count)
-        elif type(self.n_cells) is not int or self.n_cells != count:
-            raise DomainError(f"n_cells {self.n_cells!r} is not the {count} cells of the grid")
+        object.__setattr__(self, "n_cells", self._cell_count())
 
     def _cell_count(self) -> int:
         """The first cell and one per interior boundary b1 + k*alpha; one

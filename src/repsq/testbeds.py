@@ -44,8 +44,6 @@ __all__ = [
     "rare_event_acceptance_testbed",
     "moderate_cellular_testbed",
     "convergence_study_testbed",
-    "displacement_testbed",
-    "tracking_testbed",
     "testbed_from_spec",
 ]
 
@@ -411,11 +409,6 @@ class DisplacementTestbed(_Testbed):
         return c - (c - 5.4) ** 2 / 2.4
 
 
-def displacement_testbed(*, noise: bool = True,
-                         mean_constant: float | None = None) -> DisplacementTestbed:
-    return DisplacementTestbed(noise=noise, mean_constant=mean_constant)
-
-
 class TrackingTestbed(_Testbed):
     """Command-tracking simulator over the [-0.3, 0.3]^3 command box.
 
@@ -455,12 +448,12 @@ class TrackingTestbed(_Testbed):
 
     def __init__(self, sim_gap: float = 0.0, *, bias_gain: float = 0.05,
                  noise_base: float = 0.005, noise_slope: float = 0.02) -> None:
-        if sim_gap < 0.0:
+        for name, value in zip(self.fields, (sim_gap, bias_gain, noise_base, noise_slope)):
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
+            setattr(self, name, float(value))
+        if self.sim_gap < 0.0:
             raise DomainError(f"sim_gap must be nonnegative, got {sim_gap}")
-        self.sim_gap = float(sim_gap)
-        self.bias_gain = float(bias_gain)
-        self.noise_base = float(noise_base)
-        self.noise_slope = float(noise_slope)
         self.domain = BoxDomain([-0.3] * 3, [0.3] * 3)
         self.target = BoxUniform(self.domain)
 
@@ -548,10 +541,6 @@ class TrackingTestbed(_Testbed):
     @property
     def oracle_se(self) -> float:
         return self._oracle()[1]
-
-
-def tracking_testbed(sim_gap: float = 0.0) -> TrackingTestbed:
-    return TrackingTestbed(sim_gap)
 
 
 _KINDS = {

@@ -40,7 +40,7 @@ from repsq.samplers import (
     beta_density,
     fit_beta,
 )
-from repsq.testbeds import TrackingTestbed, displacement_testbed, tracking_testbed
+from repsq.testbeds import DisplacementTestbed, TrackingTestbed
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -94,9 +94,9 @@ SHORT = {
 }
 SHORT_SETUP = {
     # bed, w_bar, mix_p, d, l_r, init_shape, gamma
-    "displacement_d2": (displacement_testbed, 2.0, 0.5, 2, 1.0, 0.05, 0.5),
-    "displacement_d3": (displacement_testbed, 4.0, 0.25, 3, 0.5, 0.05, 0.5),
-    "tracking_d8": (tracking_testbed, 2.0, 0.5, 8, 1.0, 100.0, 0.1),
+    "displacement_d2": (DisplacementTestbed, 2.0, 0.5, 2, 1.0, 0.05, 0.5),
+    "displacement_d3": (DisplacementTestbed, 4.0, 0.25, 3, 0.5, 0.05, 0.5),
+    "tracking_d8": (TrackingTestbed, 2.0, 0.5, 8, 1.0, 100.0, 0.1),
 }
 
 
@@ -208,18 +208,19 @@ class TestAgainstMonteCarlo:
     def test_tracking_ais_stops_no_later_than_monte_carlo_at_the_same_bound(self):
         # The bundled campaign (paper-exact, w_bar 10 = 1 / mix_p) against
         # the same config with Monte Carlo draws on the same stream. AIS
-        # values lie in [0, 10], Monte Carlo's in [0, 1]; a joint bound of
-        # 10 makes the range of both radii 10 alike, as AIS takes it
-        # undeclared, so a proposal that adapts to the measure must not
-        # need more tests.
+        # values lie in [0, 10], Monte Carlo's in [0, 1], and P is the
+        # width of each interval. The Monte Carlo arm runs under the AIS
+        # arm's rule, P = 10, so that both radii have one range, and a
+        # proposal that adapts to the measure must not need more tests.
         doc = bundled_tracking_config()
-        doc["bounds"]["joint"] = 10.0
         ais = CampaignConfig.from_dict(doc)
         mc = CampaignConfig.from_dict(dict(doc, sampler={"kind": "monte_carlo"}))
         assert ais.w_bar == mc.w_bar == 10.0
-        assert ais.stop_rule == mc.stop_rule
-        assert ais.stop_rule == CampaignConfig.from_dict(bundled_tracking_config()).stop_rule
         assert ais.range_term_mode == mc.range_term_mode == "paper-exact"
+        rule = mc.stop_rule
+        assert (rule.product, rule.n_hoeffding, rule.n_floor) == (1.0, 1_153, 217)
+        assert ais.stop_rule.product == 10.0
+        object.__setattr__(mc, "stop_rule", ais.stop_rule)
         part = build_partition(ais.m_low, ais.m_high, compute_alpha(ais.accuracy), 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ClampWarning)
@@ -508,7 +509,7 @@ class TestBatchedRefit:
     def test_campaigns_at_the_shape_floor_terminate(self):
         # The displacement campaign whose EMA rounds below SHAPE_MIN; it
         # used to abort with DomainError on 9 of these 20 seeds.
-        bed = displacement_testbed()
+        bed = DisplacementTestbed()
         cfg = CampaignConfig(
             accuracy=AccuracySpec(0.5, 0.05, 0.1), m_low=bed.m_low, m_high=bed.m_high,
             w_bar=2.0, joint=None,
@@ -648,7 +649,7 @@ class TestClampTelemetry:
         assert snapshot["shapes_a"] == snapshot["shapes_b"] == [0.99] * 3
 
     def test_counter_is_an_ais_only_result_field(self):
-        bed = displacement_testbed()
+        bed = DisplacementTestbed()
         for sampler in ({"kind": "monte_carlo"}, {"kind": "ais", "mix_p": 0.5, "d": 4}):
             cfg = CampaignConfig(
                 accuracy=AccuracySpec(0.5, 0.05, 0.1), m_low=0.0, m_high=6.0, w_bar=2.0,

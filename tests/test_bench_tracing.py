@@ -14,7 +14,7 @@ import repsq
 from repsq import harness
 from repsq.harness import CampaignConfig, campaign_stream
 from repsq.quantize import AccuracySpec, build_partition, compute_alpha
-from repsq.testbeds import tracking_testbed
+from repsq.testbeds import TrackingTestbed
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -38,7 +38,7 @@ def test_layer_targets_resolve_every_target():
 
 def test_traced_ais_campaign_records_draw_and_refit_spans():
     tracing = load_tracing()
-    bed = tracking_testbed()
+    bed = TrackingTestbed()
     cfg = CampaignConfig(
         accuracy=AccuracySpec(0.1, 0.05, 0.1),
         m_low=0.0,

@@ -468,9 +468,15 @@ OUTPUT_DIGESTS = {
 
 
 class TestStopRuleManifest:
-    """Every manifest names the radius mode that ran and whether its
-    range term is sound; a run whose range term is not also warns, once,
-    on stderr."""
+    """Every manifest names the radius mode that ran, whether its range
+    term is sound, the range P and the efficiency bound n_floor ..
+    n_hoeffding. A run whose range term is not sound warns once on
+    stderr, and so does a run whose n_max is below n_hoeffding:
+    rare_event_acceptance's 2,943,509,649 is above its n_max of
+    1,000,000 in both modes."""
+
+    # rare_event_acceptance under paper-exact.
+    RARE = {"range": 1e-4, "n_floor": 43, "n_hoeffding": 2_943_509_649}
 
     @staticmethod
     def stop_rule(out):
@@ -479,6 +485,10 @@ class TestStopRuleManifest:
     @staticmethod
     def warnings(err):
         return [line for line in err.splitlines() if "warning:" in line]
+
+    @staticmethod
+    def budget_warnings(err):
+        return [line for line in err.splitlines() if "is below n_hoeffding" in line]
 
     @pytest.mark.parametrize(
         "command,extra", [("init", []), ("pairwise", ["--pairs", "2"]), ("effort", [])]
@@ -492,8 +502,10 @@ class TestStopRuleManifest:
         assert self.stop_rule(out) == {
             "range_term_mode": "paper-exact",
             "range_term_sound": False,
+            **self.RARE,
         }
-        assert len(self.warnings(err)) == 1
+        assert len(self.warnings(err)) == 2
+        assert len(self.budget_warnings(err)) == 1
 
     def test_replicate_of_an_unsound_artifact_warns(self, capsys, tmp_path):
         init_dir, rep_dir = tmp_path / "init", tmp_path / "rep"
@@ -504,7 +516,7 @@ class TestStopRuleManifest:
         )
         assert code == 0
         assert self.stop_rule(rep_dir)["range_term_sound"] is False
-        assert len(self.warnings(err)) == 1
+        assert len(self.warnings(err)) == 2
 
     def test_replicate_warns_before_its_campaign(self, capsys, tmp_path, monkeypatch):
         init_dir, rep_dir = tmp_path / "init", tmp_path / "rep"
@@ -522,7 +534,7 @@ class TestStopRuleManifest:
             "--seed", "5", "--out", str(rep_dir),
         )
         assert code == 0
-        assert len(self.warnings(before[0])) == 1
+        assert len(self.warnings(before[0])) == 2
         assert self.warnings("".join(before[1:]) + err) == []
 
     def test_replicate_that_exits_3_still_warns(self, capsys, tmp_path):
@@ -539,7 +551,11 @@ class TestStopRuleManifest:
         )
         assert code == 3
         assert "n_max" in err
-        assert len(self.warnings(err)) == 1
+        assert len(self.warnings(err)) == 2
+        assert self.budget_warnings(err) == [
+            "repsq: warning: n_max 10 is below n_hoeffding 2943509649, the n by which "
+            "every campaign stops; a campaign that has not stopped by n_max exits 3"
+        ]
         assert not rep_dir.exists()
 
     def test_linear_range_at_the_same_bound_is_sound(self, capsys, tmp_path):
@@ -552,19 +568,31 @@ class TestStopRuleManifest:
         assert self.stop_rule(out) == {
             "range_term_mode": "linear-range",
             "range_term_sound": True,
+            **self.RARE,
+            "n_floor": 412_093,
         }
-        assert self.warnings(err) == []
+        assert self.warnings(err) == self.budget_warnings(err)
+        assert len(self.warnings(err)) == 1
 
     @pytest.mark.parametrize(
         "name", ["moderate_cellular", "displacement_star", "zero_variance", "tracking_ais"]
     )
     def test_bundled_configs_declaring_p_at_least_one_are_sound(self, capsys, tmp_path, name):
+        """Each of these configs also has n_hoeffding <= n_max, so none
+        warns about its budget."""
+        bounds = {  # (P, n_floor, n_hoeffding); n_max is 1e6, 1e5, 1e4 and 2e5
+            "moderate_cellular": (1.0, 1_238, 26_492),
+            "displacement_star": (6.0, 3_100, 6_640),
+            "zero_variance": (1.0, 88, 185),
+            "tracking_ais": (10.0, 21_520, 115_278),
+        }
         out = tmp_path / name
         code, _, err = run_cli(capsys, "init", "--config", name, "--out", str(out))
         assert code == 0
         assert self.stop_rule(out) == {
             "range_term_mode": "paper-exact",
             "range_term_sound": True,
+            **dict(zip(("range", "n_floor", "n_hoeffding"), bounds[name])),
         }
         assert self.warnings(err) == []
 

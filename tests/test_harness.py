@@ -50,12 +50,12 @@ from repsq.quantize import AccuracySpec, build_partition, compute_alpha
 from repsq.samplers import BetaProposal, BoxDomain, BoxUniform, DiscreteDistribution
 from repsq.testbeds import (
     CellularTestbed,
+    DisplacementTestbed,
+    TrackingTestbed,
     convergence_study_testbed,
-    displacement_testbed,
     moderate_cellular_testbed,
     rare_event_acceptance_testbed,
     rare_event_testbed,
-    tracking_testbed,
 )
 
 # Cell widths for the two headline accuracy contracts, frozen from the
@@ -97,7 +97,7 @@ def moderate_config(sampler_kind="monte_carlo", seed=7, **overrides) -> Campaign
 
 
 def zero_variance_config(seed=1) -> CampaignConfig:
-    bed = displacement_testbed(noise=False, mean_constant=0.02)
+    bed = DisplacementTestbed(noise=False, mean_constant=0.02)
     return CampaignConfig(
         accuracy=AccuracySpec(0.1, 0.05, 0.1),
         m_low=0.0,
@@ -178,16 +178,21 @@ class TestArtifactSerialization:
 
     def test_tampered_boundary_is_rejected(self):
         """A cell count the grid scalars do not yield is rejected: by the
-        checksum as sent, and by the rebuild check once resealed."""
+        checksum as sent, and by the rebuild check once resealed. That
+        check is the only one on a count, since a Partition derives its
+        own; it refuses a fractional count, the right count as a float,
+        a boolean and a count one off either way."""
         art, _ = initiator(zero_variance_config())
-        bad = dict(art)
-        bad["grid"] = dict(art["grid"], n_cells=art["grid"]["n_cells"] + 1)
-        with pytest.raises(ArtifactVersionMismatch, match="checksum"):
-            replicator(load_artifact(dump_artifact(bad)), seed=1)
-        bad["checksum"] = art_mod.artifact_checksum(bad)
-        loaded = load_artifact(dump_artifact(bad))
-        with pytest.raises(ArtifactVersionMismatch, match="cell count"):
-            replicator(loaded, seed=1)
+        n = art["grid"]["n_cells"]
+        for sent in (n + 1, n - 1, n + 0.5, float(n), True):
+            bad = dict(art)
+            bad["grid"] = dict(art["grid"], n_cells=sent)
+            with pytest.raises(ArtifactVersionMismatch, match="checksum"):
+                replicator(load_artifact(dump_artifact(bad)), seed=1)
+            bad["checksum"] = art_mod.artifact_checksum(bad)
+            loaded = load_artifact(dump_artifact(bad))
+            with pytest.raises(ArtifactVersionMismatch, match="cell count"):
+                replicator(loaded, seed=1)
 
     def test_wrong_format_version_is_rejected(self):
         art, _ = initiator(zero_variance_config())
@@ -334,7 +339,7 @@ class TestCampaignConfig:
                 w_bar=5.0,
                 joint=None,
                 sampler={"kind": "ais", "mix_p": 0.1},  # cap 10 > declared 5
-                testbed=tracking_testbed(),
+                testbed=TrackingTestbed(),
                 seed=0,
             )
 
@@ -583,7 +588,7 @@ class TestRunQuantizedSq:
             cfg = CampaignConfig(
                 accuracy=AccuracySpec(0.1, 0.05, 0.1), m_low=0.0, m_high=1.0, w_bar=10.0,
                 joint=None, sampler={"kind": "ais", "mix_p": 0.1, "d": 10},
-                testbed=tracking_testbed(), seed=5, n_max=20_000,
+                testbed=TrackingTestbed(), seed=5, n_max=20_000,
             )
         assert cfg.sampler["kind"] == kind
         bed = cfg.testbed
@@ -657,7 +662,7 @@ class TestRunQuantizedSq:
             run_quantized_sq(cfg, make_partition(cfg), 0, chunk_size=0)
 
     def test_displacement_chunk_invariance(self):
-        bed = displacement_testbed()
+        bed = DisplacementTestbed()
         cfg = CampaignConfig(
             accuracy=AccuracySpec(0.1, 0.05, 0.1),
             m_low=0.0,
@@ -809,15 +814,21 @@ class TestRunQuantizedSq:
         with pytest.raises(BoundViolation, match=match):
             run_quantized_sq(cfg, make_partition(cfg), campaign_stream(3, 0, 0))
 
-    @pytest.mark.parametrize("joint", [None, 1.0])
+    @pytest.mark.parametrize("joint", [None, 1.0, 10.0])
     def test_range_of_an_interval_straddling_zero_is_its_width(self, joint):
         # A joint of 1 cuts nothing from [-1, 1], whose width is 2 = 2 * joint.
         cfg = self.interval_config(-1.0, 1.0, [1.0, -1.0], joint=joint)
         assert cfg.value_range == (-1.0, 1.0) and cfg.stop_rule.product == 2.0
+        # A joint wider than the interval does not widen P either.
+        cfg = self.interval_config(0.0, 1.0, [0.5], joint=joint)
+        assert cfg.value_range == (0.0, 1.0) and cfg.stop_rule.product == 1.0
 
     def test_joint_that_leaves_no_value_raises_bound_violation(self):
-        with pytest.raises(BoundViolation, match=r"leaves no value of the interval \[1, 3\]"):
-            self.interval_config(1.0, 3.0, [2.5], joint=0.5)
+        # A joint of 1 cuts [1, 3] to [1, 1], an interval of width 0.
+        for joint in (0.5, 1.0):
+            match = rf"joint bound {joint:g} leaves no value of the interval \[1, 3\]"
+            with pytest.raises(BoundViolation, match=match):
+                self.interval_config(1.0, 3.0, [2.5], joint=joint)
 
     def test_range_that_overflows_is_rejected(self):
         # Both ends are finite; their distance is not.
@@ -825,8 +836,8 @@ class TestRunQuantizedSq:
             self.interval_config(-1e308, 1e308, [0.0])
 
     def test_each_sampler_kind_checks_its_own_interval(self):
-        # AIS weights lie in [0, w_bar]; a declared joint also bounds |psi * w|
-        # and is the range of the radii.
+        # AIS weights lie in [0, w_bar]; a declared joint also bounds |psi * w|,
+        # and the width of the cut interval is the range of the radii.
         ais = TestBundledConfigs.config("tracking_ais")
         assert ais.value_range == (0.0, 10.0) and ais.stop_rule.product == 10.0
         mc = dataclasses.replace(ais, sampler={"kind": "monte_carlo"})
@@ -838,7 +849,7 @@ class TestRunQuantizedSq:
         # The displacement bed measures on [0, 6], tracking_ais on [0, 1].
         cfg = TestBundledConfigs.config("tracking_ais")
         with pytest.raises(DomainError, match=r"testbed interval \[0.0, 6.0\]"):
-            dataclasses.replace(cfg, testbed=displacement_testbed())
+            dataclasses.replace(cfg, testbed=DisplacementTestbed())
 
     def test_partition_over_another_interval_is_rejected(self):
         cfg = TestBundledConfigs.config("tracking_ais")
@@ -900,7 +911,7 @@ class TestRunQuantizedSq:
         assert hits >= 950
 
     def test_tracking_ais_campaign_terminates_and_grades(self):
-        bed = tracking_testbed()
+        bed = TrackingTestbed()
         cfg = CampaignConfig(
             accuracy=AccuracySpec(0.04, 0.05, 0.1),
             m_low=0.0,
@@ -929,7 +940,7 @@ class TestRunQuantizedSq:
 
 class TestInitiatorReplicator:
     def test_artifact_embeds_wide_alpha(self):
-        bed = displacement_testbed()
+        bed = DisplacementTestbed()
         cfg = CampaignConfig(
             accuracy=AccuracySpec(0.1, 0.05, 0.1),
             m_low=0.0,
@@ -1089,7 +1100,7 @@ class TestPairwiseExperiment:
         assert report.accuracy_hit_rate == 1.0
 
     def test_star_mode_shares_one_initiator(self):
-        bed = displacement_testbed()
+        bed = DisplacementTestbed()
         cfg = CampaignConfig(
             accuracy=AccuracySpec(0.1, 0.05, 0.1),
             m_low=0.0,
@@ -1184,7 +1195,7 @@ class TestPairwiseExperiment:
     def test_oracle_too_coarse_refuses_grading(self):
         # The tracking quadrature's error estimate, ~1e-11, is above
         # gamma/10 at gamma = 1e-11.
-        bed = tracking_testbed()
+        bed = TrackingTestbed()
         assert bed.oracle_se > 1e-12
         cfg = CampaignConfig(
             accuracy=AccuracySpec(1e-11, 0.05, 0.1),
@@ -1197,6 +1208,11 @@ class TestPairwiseExperiment:
             seed=3,
         )
         with pytest.raises(OracleBudgetError):
+            pairwise_experiment(cfg, 1)
+        # NaN > gamma/10 is False, so the guard asks for oracle_se <= gamma/10.
+        cfg = TestRunQuantizedSq.interval_config(0.0, 1.0, [0.5])
+        cfg.testbed.oracle_r_star = cfg.testbed.oracle_se = math.nan
+        with pytest.raises(OracleBudgetError, match="oracle error nan"):
             pairwise_experiment(cfg, 1)
 
     def test_n_pairs_validation(self):
@@ -1422,7 +1438,7 @@ class TestAisBlockScan:
     )
 
     def run(self, chunk_size):
-        cfg = CampaignConfig(**self.CONFIG, testbed=tracking_testbed())
+        cfg = CampaignConfig(**self.CONFIG, testbed=TrackingTestbed())
         res = run_quantized_sq(
             cfg, make_partition(cfg), campaign_stream(5, 0, 0),
             record_trace=True, chunk_size=chunk_size,
@@ -1485,7 +1501,7 @@ class TestConvergenceStudy:
 
     def test_requires_cellular_testbed(self):
         with pytest.raises(DomainError):
-            convergence_study(displacement_testbed(), seeds=[0])
+            convergence_study(DisplacementTestbed(), seeds=[0])
 
     def test_checkpoint_validation(self):
         bed = convergence_study_testbed()

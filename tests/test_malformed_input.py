@@ -298,6 +298,17 @@ class TestMalformedConfig:
         assert init_code(cfg, workdir) == 1
         assert "failure probabilities must lie in [0, 1]" in capsys.readouterr().err
 
+    def test_nan_tracking_noise_exits_1(self, workdir, capsys):
+        """A NaN noise scale made every oracle and every measure NaN, and
+        the campaign failed only at its first chunk."""
+        tracking = json.loads(
+            (resources.files("repsq") / "configs" / "tracking_ais.json").read_text()
+        )
+        cfg = edited(tracking, ("testbed", "noise_base"), math.nan)
+        assert '"noise_base": NaN' in json.dumps(cfg)
+        assert init_code(cfg, workdir) == 1
+        assert "noise_base must be finite, got nan" in capsys.readouterr().err
+
     def test_joint_that_leaves_no_value_exits_1(self, workdir, capsys):
         """A joint of 0.5 cuts [1, 3] to nothing. Every bundled bed
         measures from 0, so this interval also disagrees with the bed's

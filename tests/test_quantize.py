@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from repsq.errors import DomainError, InfeasibleRepeatability
+from repsq.artifact import partition_from_payload
+from repsq.errors import ArtifactVersionMismatch, DomainError, InfeasibleRepeatability
 from repsq.quantize import (
     AccuracySpec,
     Partition,
@@ -160,28 +161,29 @@ class TestBuildPartition:
     )
     def test_non_finite_partition_is_rejected(self, m_low, m_high, offset):
         """A grid over an infinite interval has no midpoints: quantize
-        would return inf or overflow. Both the constructor and
-        build_partition refuse it."""
-        with pytest.raises(DomainError, match="must be finite"):
-            Partition(m_low, m_high, 0.1, offset, 3)
+        would return inf or overflow."""
         with pytest.raises(DomainError, match="must be finite"):
             build_partition(m_low, m_high, 0.1, offset)
 
     @pytest.mark.parametrize("n_cells", [2.5, 2, 5, True, 4.0])
     def test_count_the_scalars_do_not_imply_is_rejected(self, n_cells):
-        """[0, 1] at width 0.25 is four cells. A fractional count used to
-        quantize 0.9 to cell 1.5, and a count of two left a last cell
-        three times wider than alpha."""
-        assert Partition(0.0, 1.0, 0.25, 0.0, 4) == build_partition(0.0, 1.0, 0.25)
-        with pytest.raises(DomainError, match="is not the 4 cells"):
+        """[0, 1] at width 0.25 is four cells. A Partition derives that
+        count and takes none; a sealed grid that states another count is
+        refused when rebuilt. A fractional count used to quantize 0.9 to
+        cell 1.5, and a count of two left a last cell three times wider
+        than alpha."""
+        part = Partition(0.0, 1.0, 0.25, 0.0)
+        assert part == build_partition(0.0, 1.0, 0.25) and part.n_cells == 4
+        with pytest.raises(TypeError):
             Partition(0.0, 1.0, 0.25, 0.0, n_cells)
+        grid = {"alpha": 0.25, "offset": 0.0, "n_cells": 4}
+        assert partition_from_payload(grid, 0.0, 1.0) == part
+        with pytest.raises(ArtifactVersionMismatch, match="cell count"):
+            partition_from_payload(dict(grid, n_cells=n_cells), 0.0, 1.0)
 
     def test_rare_event_grid_count_is_unchanged(self):
         alpha = 4.2847307032624357e-9
         assert build_partition(0.0, 1.0, alpha).n_cells == 233_386_897
-        assert Partition(0.0, 1.0, alpha, 0.0, 233_386_897).n_cells == 233_386_897
-        with pytest.raises(DomainError, match="is not the 233386897 cells"):
-            Partition(0.0, 1.0, alpha, 0.0, 233_386_896)
 
     def test_cell_rule_matches_bisect_reference(self):
         """The arithmetic cell rule resolves every boundary, both its float

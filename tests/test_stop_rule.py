@@ -51,10 +51,15 @@ def test_final_radii_equal_the_scalar_references(mode, joint):
             assert rule.hoeffding(float(state.n)) == hoef
 
 
+# The floats next to 1, the smallest subnormal and a P whose square
+# overflows to inf.
+EDGES = (1.0 - 2.0**-53, 1.0 + 2.0**-52, 5e-324, 1e200)
+
+
 @pytest.mark.parametrize(
     "mode,joint,sound",
-    [("paper-exact", joint, joint >= 1.0) for joint in (1e-4, 0.999, 1.0, 30.0)]
-    + [("linear-range", joint, True) for joint in (1e-8, 1e-4, 0.999, 1.0, 30.0)],
+    [("paper-exact", joint, joint >= 1.0) for joint in (1e-4, 0.999, 1.0, 30.0, *EDGES)]
+    + [("linear-range", joint, True) for joint in (1e-8, 1e-4, 0.999, 1.0, 30.0, *EDGES)],
 )
 def test_range_term_is_sound_where_it_is_at_least_the_bounds(mode, joint, sound):
     """paper-exact's P^2 is at least P only from P = 1 on; linear-range's

@@ -37,15 +37,14 @@ from repsq.quantize import AccuracySpec, build_partition, compute_alpha
 from repsq.testbeds import (
     TRAJECTORY_STEPS,
     CellularTestbed,
+    DisplacementTestbed,
     TrackingTestbed,
     convergence_study_testbed,
-    displacement_testbed,
     moderate_cellular_testbed,
     rare_event_acceptance_testbed,
     rare_event_testbed,
     testbed_from_spec as build_from_spec,
     tracking_loss,
-    tracking_testbed,
 )
 
 
@@ -331,7 +330,7 @@ class TestCertainCells:
 
 class TestDisplacementTestbed:
     def test_constant_deterministic_mode(self):
-        bed = displacement_testbed(noise=False, mean_constant=0.02)
+        bed = DisplacementTestbed(noise=False, mean_constant=0.02)
         assert bed.oracle_r_star == 0.02
         assert bed.oracle_se == 0.0
         vals = bed.evaluate_many(
@@ -342,18 +341,18 @@ class TestDisplacementTestbed:
     def test_oracle_matches_analytic_mean(self):
         # E[1.75 + 0.2 x y] + E[noise] = 1.75 + 0.2/4 = 1.8 exactly.
         for noise in (True, False):
-            bed = displacement_testbed(noise=noise)
+            bed = DisplacementTestbed(noise=noise)
             assert bed.oracle_r_star == 1.8
             assert bed.oracle_se == 0.0
 
     def test_oracle_bit_identical_on_recompute(self):
-        first = displacement_testbed().oracle_r_star
-        assert displacement_testbed().oracle_r_star == first
+        first = DisplacementTestbed().oracle_r_star
+        assert DisplacementTestbed().oracle_r_star == first
 
     @pytest.mark.parametrize("constant", [0.3, 5.9])
     def test_clipped_oracle_matches_simulation(self, constant):
         # The noise reaches below 0 (or above 6), where the clip binds.
-        bed = displacement_testbed(mean_constant=constant)
+        bed = DisplacementTestbed(mean_constant=constant)
         rng = np.random.default_rng(72)
         vals = bed.evaluate_many(bed.target.sample_many(rng, 1_000_000), rng)
         assert vals.min() == 0.0 or vals.max() == 6.0
@@ -362,13 +361,13 @@ class TestDisplacementTestbed:
         assert bed.oracle_se == 0.0
 
     def test_range_check(self):
-        bed = displacement_testbed()
+        bed = DisplacementTestbed()
         rng = np.random.default_rng(73)
         vals = bed.evaluate_many(bed.target.sample_many(rng, 1_000_000), rng)
         assert np.all((vals >= 0.0) & (vals <= 6.0))
 
     def test_spec_round_trip(self):
-        bed = displacement_testbed(noise=False, mean_constant=0.02)
+        bed = DisplacementTestbed(noise=False, mean_constant=0.02)
         back = build_from_spec(bed.to_spec())
         assert back.oracle_r_star == bed.oracle_r_star
         assert back.to_spec() == bed.to_spec()
@@ -388,7 +387,7 @@ class TestTrackingTestbed:
         assert (bed.oracle_r_star, bed.oracle_se) == (0.0, 0.0)
 
     def test_losses_grow_with_command_magnitude(self):
-        bed = tracking_testbed()
+        bed = TrackingTestbed()
         rng = np.random.default_rng(75)
         small = bed.evaluate_many(np.tile([0.05, 0.0, 0.0], (10_000, 1)), rng)
         large = bed.evaluate_many(np.tile([0.3, 0.0, 0.0], (10_000, 1)), rng)
@@ -401,8 +400,8 @@ class TestTrackingTestbed:
     def test_sim_gap_raises_losses(self):
         rng = np.random.default_rng(76)
         cmds = np.tile([0.15, 0.1, -0.1], (10_000, 1))
-        base = tracking_testbed(0.0).evaluate_many(cmds, rng)
-        shifted = tracking_testbed(1.0).evaluate_many(cmds, rng)
+        base = TrackingTestbed(0.0).evaluate_many(cmds, rng)
+        shifted = TrackingTestbed(1.0).evaluate_many(cmds, rng)
         sep = math.hypot(
             float(np.std(base)) / 100.0, float(np.std(shifted)) / 100.0
         )
@@ -412,7 +411,7 @@ class TestTrackingTestbed:
         # The oracle integrates the loss's closed-form conditional
         # mean; the evaluator draws each loss from its exact law. Their
         # means must agree within the sample's error and the oracle's.
-        bed = tracking_testbed()
+        bed = TrackingTestbed()
         rng = np.random.default_rng(77)
         sims = bed.evaluate_many(bed.target.sample_many(rng, 200_000), rng)
         sim_mean = float(np.mean(sims))
@@ -420,14 +419,14 @@ class TestTrackingTestbed:
         assert abs(sim_mean - bed.oracle_r_star) < 4 * math.hypot(sim_se, bed.oracle_se)
 
     def test_oracle_is_deterministic(self):
-        a = tracking_testbed(0.0)
+        a = TrackingTestbed(0.0)
         first = a.oracle_r_star
         key = (a.kind, a.sim_gap, a.bias_gain, a.noise_base, a.noise_slope)
         testbeds_mod._oracle_cache.pop(key)
-        assert tracking_testbed(0.0).oracle_r_star == first
+        assert TrackingTestbed(0.0).oracle_r_star == first
 
     def test_simulate_composes_with_loss(self):
-        bed = tracking_testbed()
+        bed = TrackingTestbed()
         rng = np.random.default_rng(78)
         cmd = np.array([0.2, -0.1, 0.3])
         traj = bed.simulate(cmd, rng)
@@ -435,15 +434,20 @@ class TestTrackingTestbed:
         assert 0.0 < tracking_loss(traj, cmd) < 1.0
 
     def test_range_and_validation(self):
-        bed = tracking_testbed()
+        bed = TrackingTestbed()
         rng = np.random.default_rng(79)
         vals = bed.evaluate_many(bed.target.sample_many(rng, 100_000), rng)
         assert np.all((vals >= 0.0) & (vals < 1.0))
         with pytest.raises(DomainError):
-            tracking_testbed(-0.1)
+            TrackingTestbed(-0.1)
+        # A NaN noise scale or gap made the oracle and every measure NaN.
+        for name in ("sim_gap", "bias_gain", "noise_base", "noise_slope"):
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(DomainError, match=f"{name} must be finite"):
+                    TrackingTestbed.from_spec({**TrackingTestbed().to_spec(), name: bad})
 
     def test_spec_round_trip(self):
-        bed = tracking_testbed(0.5)
+        bed = TrackingTestbed(0.5)
         back = build_from_spec(bed.to_spec())
         assert back.to_spec() == bed.to_spec()
 
@@ -455,7 +459,7 @@ class TestTrackingTestbed:
         # command at a time, and nothing else drawn. A noise-free bed
         # draws nothing and its loss is exactly 0.
         bed = (TrackingTestbed(sim_gap, bias_gain=0.0, noise_base=0.0, noise_slope=0.0)
-               if noise_free else tracking_testbed(sim_gap))
+               if noise_free else TrackingTestbed(sim_gap))
         rng = np.random.default_rng(83)
         for n in (1, 7, 10, 64):
             x = bed.target.sample_many(rng, n)
@@ -482,7 +486,7 @@ class TestTrackingTestbed:
     def test_noise_free_commands_draw_nothing(self):
         # sigma = 0 at the origin when the noise has no base: that command's
         # deviation is deterministic and the others draw as if it were absent.
-        bed = tracking_testbed()
+        bed = TrackingTestbed()
         bed.noise_base = 0.0
         x = np.array([[0.1, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.2, -0.1]])
         got = bed.evaluate_many(x, np.random.default_rng(84))
@@ -502,14 +506,14 @@ class TestTrackingTestbed:
     def test_a_negative_noise_scale_reads_as_its_square(self):
         # The law and the oracle read sigma only through sigma^2, so a
         # descriptor whose noise scale is negative gives the same bed.
-        spec = tracking_testbed().to_spec()
+        spec = TrackingTestbed().to_spec()
         flipped = build_from_spec(dict(spec, noise_base=-spec["noise_base"],
                                          noise_slope=-spec["noise_slope"]))
         x = np.random.default_rng(87).uniform(-0.3, 0.3, (64, 3))
-        want = tracking_testbed().evaluate_many(x, np.random.default_rng(88))
+        want = TrackingTestbed().evaluate_many(x, np.random.default_rng(88))
         got = flipped.evaluate_many(x, np.random.default_rng(88))
         assert got.tobytes() == want.tobytes()
-        assert flipped.conditional_mean(x).tobytes() == tracking_testbed().conditional_mean(x).tobytes()
+        assert flipped.conditional_mean(x).tobytes() == TrackingTestbed().conditional_mean(x).tobytes()
         # A scale that changes sign across the box keeps evaluator and oracle together.
         mixed = build_from_spec(dict(spec, noise_base=-0.005))
         cmds = np.tile([0.1, 0.0, 0.0], (40_000, 1))  # sigma = -0.003
@@ -522,7 +526,7 @@ class TestTrackingTestbed:
         # sigma^2 underflows to 0 (1e-200, 5e-324) or stays positive
         # while lambda = (sqrt(150) b r / sigma)^2 overflows (1e-156):
         # no warning, no NaN, no draw, and the oracle's deterministic loss.
-        bed = tracking_testbed()
+        bed = TrackingTestbed()
         bed.noise_base = noise_base
         bed.noise_slope = 0.0
         x = np.array([[0.3, 0.3, 0.3], [0.1, 0.0, 0.0]])
@@ -564,7 +568,7 @@ class TestExactTrackingOracle:
     @pytest.mark.parametrize("sim_gap", [0.0, 1.0])
     @pytest.mark.parametrize("command", COMMANDS)
     def test_conditional_mean_matches_simulated_trajectories(self, sim_gap, command):
-        bed = tracking_testbed(sim_gap)
+        bed = TrackingTestbed(sim_gap)
         rng = np.random.default_rng(84)
         cmds = np.tile(command, (5_000, 1))
         sims = np.concatenate([bed.evaluate_many(cmds, rng) for _ in range(4)])
@@ -579,7 +583,7 @@ class TestExactTrackingOracle:
         # E[psi] = 1 - M(6) and E[psi^2] = 1 - 2 M(6) + M(12), with M
         # the MGF of -T at s: (1 + 2 s sigma^2)^(-225)
         # exp(-150 s (b r)^2 / (1 + 2 s sigma^2)).
-        bed = tracking_testbed(sim_gap)
+        bed = TrackingTestbed(sim_gap)
         r = math.hypot(*command)
         sigma = float(bed._noise_scale(np.array([r]))[0])
 
@@ -600,7 +604,7 @@ class TestExactTrackingOracle:
     def test_law_matches_the_trajectory_route(self, sim_gap, command):
         # The reference scores one simulated 150-step trajectory per
         # draw, as tracking_loss(simulate(x), x).
-        bed = tracking_testbed(sim_gap)
+        bed = TrackingTestbed(sim_gap)
         cmd = np.array(command)
         rng = np.random.default_rng(87)
         ref = [tracking_loss(bed.simulate(cmd, rng), cmd) for _ in range(5_000)]
@@ -619,25 +623,25 @@ class TestExactTrackingOracle:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_oracle_matches_noncentral_chisquare_monte_carlo(self, seed):
-        bed = tracking_testbed()
+        bed = TrackingTestbed()
         mc_mean, mc_se = noncentral_chisquare_mean(bed, seed, 1_000_000)
         assert abs(mc_mean - bed.oracle_r_star) < 4 * math.hypot(mc_se, bed.oracle_se)
 
     @pytest.mark.parametrize("sim_gap", [0.0, 1.0])
     def test_quadrature_converged_and_error_reported(self, sim_gap):
-        bed = tracking_testbed(sim_gap)
+        bed = TrackingTestbed(sim_gap)
         assert abs(bed._octant_mean(48) - bed._octant_mean(64)) < 1e-12
         assert 0.0 < bed.oracle_se <= 1e-9
 
     def test_oracle_is_within_three_se_of_the_old_monte_carlo(self):
         # The 10^7-draw oracle this replaced read 0.39518287006133407
         # with standard error 3.78e-5.
-        assert abs(tracking_testbed().oracle_r_star - 0.39518287006133407) < 3 * 3.78e-5
+        assert abs(TrackingTestbed().oracle_r_star - 0.39518287006133407) < 3 * 3.78e-5
 
     def test_oracle_memory_stays_small(self):
         # A sample-based oracle peaks above 100 MB; the quadrature needs
         # a few arrays of 48^3 values.
-        bed = tracking_testbed(0.3)
+        bed = TrackingTestbed(0.3)
         key = (bed.kind, bed.sim_gap, bed.bias_gain, bed.noise_base, bed.noise_slope)
         testbeds_mod._oracle_cache.pop(key, None)
         tracemalloc.start()
@@ -653,13 +657,13 @@ class TestExactTrackingOracle:
             import json, sys
             import repsq
             before = "numpy.polynomial" in sys.modules
-            r_star = repsq.tracking_testbed().oracle_r_star
+            r_star = repsq.TrackingTestbed().oracle_r_star
             print(json.dumps({"before": before, "after": "numpy.polynomial" in sys.modules,
                               "r_star": r_star.hex()}))
         """)
         out = fresh_interpreter(script)
         assert out["before"] is False and out["after"] is True
-        assert out["r_star"] == tracking_testbed().oracle_r_star.hex()
+        assert out["r_star"] == TrackingTestbed().oracle_r_star.hex()
 
 
 class TestConvergenceStudyBed:
