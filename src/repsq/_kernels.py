@@ -112,7 +112,7 @@ class StopRule(NamedTuple):
         """The rule of a campaign in the named radius mode, for range P =
         product and confidence parameter c. gamma and c are an
         AccuracySpec's, checked there; P is checked here, since finite
-        bounds such as m_high * w_bar can overflow."""
+        bounds such as m_high * weight_cap can overflow."""
         R = _MODES.get(range_term_mode) if isinstance(range_term_mode, str) else None
         if R is None:
             raise DomainError(

@@ -41,7 +41,7 @@ __all__ = [
     "load_artifact",
 ]
 
-FORMAT_VERSION = "repsq-artifact-4"
+FORMAT_VERSION = "repsq-artifact-5"
 RNG_ALGORITHM = "numpy-pcg64-ss1"
 
 _KEYS = {"format_version", "rng_algorithm", "checksum", "config", "grid"}

@@ -137,8 +137,9 @@ def _load_config(args) -> tuple[CampaignConfig, dict]:
 
 def _stop_rule_entry(config: CampaignConfig) -> dict:
     """The manifest's ``stop_rule`` entry: the radius mode, whether its
-    range term is sound, the range P and the efficiency bound (no
-    campaign stops before n_floor, every campaign stops by n_hoeffding).
+    range term is sound, the range P, the derived weight cap and the
+    efficiency bound (no campaign stops before n_floor, every campaign
+    stops by n_hoeffding).
     Warns on stderr when the range term is too small to make a valid
     confidence radius, and when n_max < n_hoeffding leaves the run
     without a worst-case budget."""
@@ -158,7 +159,8 @@ def _stop_rule_entry(config: CampaignConfig) -> dict:
             file=sys.stderr,
         )
     return {"range_term_mode": config.range_term_mode, "range_term_sound": rule.range_term_sound,
-            "range": rule.product, "n_floor": rule.n_floor, "n_hoeffding": rule.n_hoeffding}
+            "range": rule.product, "weight_cap": config.weight_cap,
+            "n_floor": rule.n_floor, "n_hoeffding": rule.n_hoeffding}
 
 
 def _write_run(args, invocation: dict, stop_rule: dict, outputs: dict[str, str]) -> int:

@@ -57,7 +57,7 @@ class ArtifactVersionMismatch(RepsqError):
 
 
 class BoundViolation(RepsqError):
-    """A sampler cannot honor the declared importance-weight bound."""
+    """A bound on the weighted measure cannot be proved or does not hold."""
 
 
 class ContractViolation(RepsqError):

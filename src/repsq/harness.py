@@ -134,7 +134,8 @@ _BOUND_SLACK = 1.0 + 1e-9
 # the per-sample and per-pair tables (written as CSV files of their own)
 # and the campaign an effort comparison was taken from.
 _UNRECORDED = ("trace", "wall_time_s", "rows", "result")
-# The top-level keys of a campaign config, as to_dict writes them.
+# The top-level keys the config reader reads: those to_dict writes, and
+# the retired "interval".
 _CONFIG_KEYS = (
     "accuracy", "interval", "bounds", "sampler", "testbed", "seed",
     "offset_policy", "n_min", "n_max", "range_term_mode",
@@ -143,23 +144,22 @@ _CONFIG_KEYS = (
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Everything a campaign needs, in one bundle.
+    """Everything a campaign needs: the tester's choices, and what the
+    program derives from them.
 
     ``sampler`` is a JSON-shaped dict; a key its kind does not read is
     rejected. ``testbed`` is a built bed (``from_dict`` reads a
-    descriptor, ``to_dict`` writes its ``to_spec()``), checked here
-    against the interval and by the sampler kind's ``check``, so also
-    on ``dataclasses.replace``. ``value_range`` is the interval the
-    sampler kind's weighted values lie in, cut to [-joint, joint] when a
-    joint is declared; a cut that leaves no interval of positive width
-    raises BoundViolation. The radii's range P, ``stop_rule.product``,
-    is its width.
+    descriptor, ``to_dict`` writes its ``to_spec()``), checked here by
+    the sampler kind's ``check``, so also on ``dataclasses.replace``;
+    the check derives ``weight_cap``, the bound on the kind's weights.
+    The measure interval [m_low, m_high] is the bed's. ``value_range``
+    is the interval the kind's weighted values lie in, cut to [-joint,
+    joint] when a joint is declared; a cut that leaves no interval of
+    positive width raises BoundViolation. The radii's range P,
+    ``stop_rule.product``, is its width.
     """
 
     accuracy: AccuracySpec
-    m_low: float
-    m_high: float
-    w_bar: float
     joint: float | None
     sampler: dict
     testbed: object
@@ -169,6 +169,7 @@ class CampaignConfig:
     n_max: int = 10_000_000
     range_term_mode: str = "paper-exact"
     stop_rule: _kernels.StopRule = field(init=False, repr=False, compare=False)
+    weight_cap: float = field(init=False, repr=False, compare=False)
     # The interval [lo, hi] each weighted value psi * w is checked against.
     value_range: tuple = field(init=False, repr=False, compare=False)
 
@@ -177,12 +178,9 @@ class CampaignConfig:
             raise DomainError("testbed must be a built bed; from_dict reads a descriptor")
         for name, read in _SCALARS.items():
             object.__setattr__(self, name, read(getattr(self, name), name))
-        if not (math.isfinite(self.m_low) and math.isfinite(self.m_high)):
-            raise DomainError(f"interval [{self.m_low}, {self.m_high}] must be finite")
-        if not self.m_high > self.m_low:
-            raise DomainError(f"empty interval [{self.m_low}, {self.m_high}]")
-        if not (math.isfinite(self.w_bar) and self.w_bar >= 1.0):
-            raise DomainError(f"w_bar must be finite and >= 1 (p = q somewhere), got {self.w_bar}")
+        lo, hi = self.m_low, self.m_high
+        if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+            raise DomainError(f"testbed interval [{lo}, {hi}] must be finite and nonempty")
         if self.joint is not None and not (math.isfinite(self.joint) and self.joint > 0.0):
             raise DomainError(f"joint bound must be finite and positive, got {self.joint}")
         if self.offset_policy not in OFFSET_POLICIES:
@@ -200,6 +198,7 @@ class CampaignConfig:
             raise DomainError(f"n_max {self.n_max} below the termination floor")
         if self.n_max > MAX_SAMPLES:
             raise DomainError(f"n_max {self.n_max} above the 2**53 sample limit")
+        object.__setattr__(self, "weight_cap", _SAMPLERS[kind].check(self))
         lo, hi = _SAMPLERS[kind].interval(self)
         if self.joint is not None:  # a declared joint bounds |psi * w|
             cut = max(lo, -self.joint), min(hi, self.joint)
@@ -214,8 +213,10 @@ class CampaignConfig:
             self.accuracy.gamma, hi - lo, self.accuracy.c, self.range_term_mode, self.n_min
         )
         object.__setattr__(self, "stop_rule", rule)
-        _check_interval(self, self.testbed, "testbed")
-        _SAMPLERS[kind].check(self)
+
+    # The measure interval, the bed's: read-only, and not a field.
+    m_low = property(lambda self: self.testbed.m_low)
+    m_high = property(lambda self: self.testbed.m_high)
 
     # ``testbed`` under the name the benchmark still calls.
     def build_testbed(self):
@@ -223,13 +224,8 @@ class CampaignConfig:
 
     def to_dict(self) -> dict:
         return {
-            "accuracy": {
-                "gamma": self.accuracy.gamma,
-                "c": self.accuracy.c,
-                "beta": self.accuracy.beta,
-            },
-            "interval": {"m_low": self.m_low, "m_high": self.m_high},
-            "bounds": {"w_bar": self.w_bar, "joint": self.joint},
+            "accuracy": dataclasses.asdict(self.accuracy),
+            "bounds": {"joint": self.joint},
             "sampler": dict(self.sampler),
             "testbed": self.testbed.to_spec(),
             "seed": self.seed,
@@ -244,19 +240,17 @@ class CampaignConfig:
         """Parse a JSON-shaped config; a missing field, a field of the
         wrong JSON type or a key the reader does not read (outside the
         testbed block) raises DomainError; a missing optional field takes
-        its dataclass default (the class attribute of that name)."""
+        its dataclass default (the class attribute of that name). The
+        retired keys set nothing: a given ``interval`` must be the bed's,
+        and a given ``bounds.w_bar`` finite and at least ``weight_cap``."""
         d = mapping(d, "campaign config", _CONFIG_KEYS)
         try:
             acc = mapping(d["accuracy"], "accuracy", ("gamma", "c", "beta"))
-            interval = mapping(d["interval"], "interval", ("m_low", "m_high"))
             bounds = mapping(d.get("bounds", {}), "bounds", ("w_bar", "joint"))
-            return cls(
+            config = cls(
                 accuracy=AccuracySpec(
                     real(acc["gamma"], "gamma"), real(acc["c"], "c"), real(acc["beta"], "beta")
                 ),
-                m_low=interval["m_low"],
-                m_high=interval["m_high"],
-                w_bar=bounds.get("w_bar", 1.0),
                 joint=bounds.get("joint"),
                 sampler=dict(mapping(d["sampler"], "sampler")),
                 testbed=testbed_from_spec(d["testbed"]),
@@ -266,17 +260,20 @@ class CampaignConfig:
                 n_max=d.get("n_max", cls.n_max),
                 range_term_mode=d.get("range_term_mode", cls.range_term_mode),
             )
+            if "interval" in d:
+                interval = mapping(d["interval"], "interval", ("m_low", "m_high"))
+                given = [real(interval[k], k) for k in ("m_low", "m_high")]
+                if given != [config.m_low, config.m_high]:
+                    raise DomainError(f"config interval {given} does not match testbed "
+                                      f"interval [{config.m_low}, {config.m_high}]")
         except KeyError as exc:
             raise DomainError(f"campaign config missing field {exc.args[0]!r}") from exc
-
-
-def _check_interval(config: CampaignConfig, other, what: str) -> None:
-    """Reject a testbed or partition over another interval than the config's."""
-    if other.m_low != config.m_low or other.m_high != config.m_high:
-        raise DomainError(
-            f"config interval [{config.m_low}, {config.m_high}] does not match "
-            f"{what} interval [{other.m_low}, {other.m_high}]"
-        )
+        if "w_bar" in bounds:
+            w_bar, cap = real(bounds["w_bar"], "w_bar"), config.weight_cap
+            if not (math.isfinite(w_bar) and cap <= w_bar * _BOUND_SLACK):  # NaN included
+                raise BoundViolation(f"w_bar {w_bar:.6g} must be finite and at least the "
+                                     f"{config.sampler['kind']} sampler's weight cap {cap:.6g}")
+        return config
 
 
 def _read_seed(value, name: str = "seed") -> int:
@@ -288,8 +285,7 @@ def _read_seed(value, name: str = "seed") -> int:
 
 
 # Each scalar field of a campaign config and its reader.
-_SCALARS = {"m_low": real, "m_high": real, "w_bar": real, "joint": real_or_null,
-            "seed": _read_seed, "n_min": whole, "n_max": whole}
+_SCALARS = {"joint": real_or_null, "seed": _read_seed, "n_min": whole, "n_max": whole}
 
 
 def _record_dict(record, *derived: str) -> dict:
@@ -367,11 +363,11 @@ def _declared_mass_ratio(bed) -> np.ndarray:
 
 class _Sampler:
     """One sampler kind: the config fields it reads besides ``kind``, the
-    bed and weight cap it needs, the interval its weighted values lie in,
-    and where it tests ``config.testbed``.
+    bed it needs, the cap its weights lie under, the interval its
+    weighted values lie in, and where it tests ``config.testbed``.
     ``propose(rng_s, k)`` returns k points and their weights (None: all
-    1), which ``check``, run when the config was built, has held to the
-    declared cap; the campaign loop runs and weighs the tests.
+    1), none above the cap ``check`` derived when the config was built;
+    the campaign loop runs and weighs the tests.
     ``post_chunk`` sees each chunk that did not stop the campaign.
 
     What the campaign loop reads besides: ``batch``, the chunk size the
@@ -394,16 +390,18 @@ class _Sampler:
         return None
 
     @staticmethod
-    def check(config: CampaignConfig) -> None:
-        """Reject the config's bed if the kind cannot draw from it, or
-        the declared weight cap w_bar if the kind cannot honor it."""
+    def check(config: CampaignConfig) -> float:
+        """Reject the config's bed if the kind cannot draw from it or
+        cannot bound its weights there; return the weight cap, the bound
+        the kind's weights lie under. Monte Carlo weighs every test 1."""
+        return 1.0
 
     @staticmethod
     def interval(config: CampaignConfig) -> tuple[float, float]:
         """The interval the kind's weighted values psi * w lie in, for psi
-        in [m_low, m_high] and weights in [0, w_bar]."""
-        w_bar = config.w_bar
-        return min(0.0, config.m_low * w_bar), max(0.0, config.m_high * w_bar)
+        in [m_low, m_high] and weights in [0, weight_cap]."""
+        cap = config.weight_cap
+        return min(0.0, config.m_low * cap), max(0.0, config.m_high * cap)
 
     def post_chunk(self, xs, values) -> None:
         pass
@@ -413,8 +411,8 @@ class _Sampler:
 
 
 class _MonteCarlo(_Sampler):
-    """Draws from the target. Every weight is 1 <= w_bar, and psi * 1.0
-    is psi bit for bit, so no weight is applied."""
+    """Draws from the target. Every weight is 1, and psi * 1.0 is psi
+    bit for bit, so no weight is applied."""
 
     @staticmethod
     def interval(config: CampaignConfig) -> tuple[float, float]:
@@ -426,17 +424,16 @@ class _MonteCarlo(_Sampler):
 
 class _Importance(_Sampler):
     """Draws from the bed's discrete proposal, weighted by the mass ratio
-    of the drawn cell. With the proposal equal to the target every
-    weight is 1.0, and the run is bit-identical to a Monte Carlo run."""
+    of the drawn cell; the cap is the largest. With the proposal equal to
+    the target every weight is 1.0, and the run is bit-identical to a
+    Monte Carlo run."""
 
     @staticmethod
-    def check(config: CampaignConfig) -> None:
+    def check(config: CampaignConfig) -> float:
         worst = float(np.max(_declared_mass_ratio(config.testbed)))
-        if not worst <= config.w_bar * _BOUND_SLACK:  # NaN included
-            raise BoundViolation(
-                f"importance sampler's worst mass ratio {worst:.6g} exceeds "
-                f"the declared cap {config.w_bar:.6g}"
-            )
+        if not math.isfinite(worst):  # NaN included
+            raise BoundViolation(f"importance sampler's worst mass ratio {worst} is not finite")
+        return worst
 
     def propose(self, rng_s, k: int):
         xs = self.bed.proposal.sample_many(rng_s, k)
@@ -445,8 +442,9 @@ class _Importance(_Sampler):
 
 class _Ais(_Sampler):
     """Mixture-of-target-and-adapted-Beta draws, refitted after every
-    batch on the psi * w-weighted moments of all batches so far. A
-    missing field takes the AisPolicy default."""
+    batch on the psi * w-weighted moments of all batches so far. The
+    target's share mix_p caps every weight at 1/mix_p (a defensive
+    mixture). A missing field takes the AisPolicy default."""
 
     fields = {"mix_p": real, "d": whole, "l_r": real, "init_shape": real}
 
@@ -464,7 +462,7 @@ class _Ais(_Sampler):
         return AisPolicy(**given)
 
     @staticmethod
-    def check(config: CampaignConfig) -> None:
+    def check(config: CampaignConfig) -> float:
         if config.testbed.domain is None:
             raise DomainError("ais sampling needs a box-domain testbed")
         mix_p = _Ais.options(config.sampler).mix_p
@@ -472,11 +470,7 @@ class _Ais(_Sampler):
             raise BoundViolation(
                 "ais with mix_p = 0 has no provable weight cap; declare mix_p > 0"
             )
-        if 1.0 / mix_p > config.w_bar * _BOUND_SLACK:
-            raise BoundViolation(
-                f"ais weight cap 1/mix_p = {1.0 / mix_p:.6g} exceeds the "
-                f"declared cap {config.w_bar:.6g}"
-            )
+        return 1.0 / mix_p
 
     def propose(self, rng_s, k: int):
         return mixture_sample_many(self.bed.target, self.q, self.policy.mix_p, rng_s, k)
@@ -531,7 +525,9 @@ def run_quantized_sq(
     if chunk_size < 1:
         raise DomainError(f"chunk_size must be >= 1, got {chunk_size}")
     t0 = time.perf_counter()
-    _check_interval(config, partition, "partition")
+    if [partition.m_low, partition.m_high] != [config.m_low, config.m_high]:
+        raise DomainError(f"partition interval [{partition.m_low}, {partition.m_high}] "
+                          f"is not the bed's [{config.m_low}, {config.m_high}]")
     rule = config.stop_rule
     kind = config.sampler["kind"]
     sampler = _SAMPLERS[kind](config)
@@ -988,7 +984,7 @@ def convergence_study(testbed, seeds, checkpoints=(10**3, 10**6)) -> Convergence
     """
     ratio = _declared_mass_ratio(testbed)
     seeds = tuple(_read_seed(s) for s in seeds)
-    cps = tuple(sorted(int(c) for c in checkpoints))
+    cps = tuple(sorted(whole(c, "checkpoint") for c in checkpoints))
     if len(cps) < 2 or cps[0] < 1:
         raise DomainError(f"need >= 2 positive checkpoints, got {checkpoints}")
     proposal = testbed.proposal

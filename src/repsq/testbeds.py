@@ -137,8 +137,8 @@ class CellularTestbed(_Testbed):
     psi(cell) ~ Bernoulli(failure_probs[cell]); r_star is the exact
     enumerated sum of mass * failure probability. Ships a companion
     proposal that covers every cell with target mass, and each cell's
-    importance weight p/q as ``mass_ratio`` (0 where q is 0); the cap on
-    the mass ratio is declared once, in the campaign config's bounds.
+    importance weight p/q as ``mass_ratio`` (0 where p is 0), which must
+    be finite; an importance campaign derives its weight cap from it.
 
     A bed holds its own float64 copies of the three vectors and marks
     them, ``mass_ratio`` and its psi table read-only, so nothing derived
@@ -180,9 +180,10 @@ class CellularTestbed(_Testbed):
         self.masses, self.failure_probs, self.proposal_masses = p, f, q
         self.target = DiscreteDistribution(p)
         self.proposal = DiscreteDistribution(q)
-        if np.any((q == 0.0) & (p > 0.0)):
-            raise DomainError("proposal must cover every cell with target mass")
-        self.mass_ratio = np.divide(p, q, out=np.zeros_like(p), where=q > 0.0)
+        with np.errstate(divide="ignore", over="ignore"):
+            self.mass_ratio = np.divide(p, q, out=np.zeros_like(p), where=p > 0.0)
+        if not np.isfinite(self.mass_ratio).all():  # q is 0, or too small, where p > 0
+            raise DomainError("proposal must cover every cell with target mass, at a finite p/q")
         # psi of each cell when no cell's outcome is random; a -0.0
         # probability reads +0.0, as the draw does.
         psi = (f == 1.0).astype(np.float64)
@@ -301,8 +302,8 @@ def rare_event_acceptance_testbed() -> CellularTestbed:
     the proposal concentrates 0.998 of its mass there, so importance-
     weighted measures are either 0 or r_star/0.998 and campaigns
     terminate in tens of samples with estimates tightly packed around
-    r_star. The safe-cell mass ratio is just under 500, hence the
-    bundled config's weight cap 512.
+    r_star. The safe-cell mass ratio is just under 500, which is the
+    importance sampler's weight cap on this bed.
     """
     risky = _power_law_masses(5, 3.2e-8)
     safe = _power_law_masses(35, 1.0 - 3.2e-8)

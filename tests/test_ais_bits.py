@@ -93,10 +93,10 @@ SHORT = {
     ),
 }
 SHORT_SETUP = {
-    # bed, w_bar, mix_p, d, l_r, init_shape, gamma
-    "displacement_d2": (DisplacementTestbed, 2.0, 0.5, 2, 1.0, 0.05, 0.5),
-    "displacement_d3": (DisplacementTestbed, 4.0, 0.25, 3, 0.5, 0.05, 0.5),
-    "tracking_d8": (TrackingTestbed, 2.0, 0.5, 8, 1.0, 100.0, 0.1),
+    # bed, mix_p, d, l_r, init_shape, gamma; the weight cap is 1/mix_p
+    "displacement_d2": (DisplacementTestbed, 0.5, 2, 1.0, 0.05, 0.5),
+    "displacement_d3": (DisplacementTestbed, 0.25, 3, 0.5, 0.05, 0.5),
+    "tracking_d8": (TrackingTestbed, 0.5, 8, 1.0, 100.0, 0.1),
 }
 
 
@@ -135,11 +135,10 @@ class TestGoldenCampaigns:
 
     @pytest.mark.parametrize("name", sorted(SHORT))
     def test_short_clamping_campaign(self, name):
-        make_bed, w_bar, mix_p, d, l_r, shape, gamma = SHORT_SETUP[name]
+        make_bed, mix_p, d, l_r, shape, gamma = SHORT_SETUP[name]
         bed = make_bed()
         cfg = CampaignConfig(
-            accuracy=AccuracySpec(gamma, 0.05, 0.1), m_low=bed.m_low, m_high=bed.m_high,
-            w_bar=w_bar, joint=None,
+            accuracy=AccuracySpec(gamma, 0.05, 0.1), joint=None,
             sampler={"kind": "ais", "mix_p": mix_p, "d": d, "l_r": l_r, "init_shape": shape},
             testbed=bed, seed=77, n_max=200_000, range_term_mode="linear-range",
         )
@@ -206,7 +205,7 @@ class TestGoldensWithoutAvx512:
 
 class TestAgainstMonteCarlo:
     def test_tracking_ais_stops_no_later_than_monte_carlo_at_the_same_bound(self):
-        # The bundled campaign (paper-exact, w_bar 10 = 1 / mix_p) against
+        # The bundled campaign (paper-exact, weight cap 10 = 1 / mix_p) against
         # the same config with Monte Carlo draws on the same stream. AIS
         # values lie in [0, 10], Monte Carlo's in [0, 1], and P is the
         # width of each interval. The Monte Carlo arm runs under the AIS
@@ -215,7 +214,7 @@ class TestAgainstMonteCarlo:
         doc = bundled_tracking_config()
         ais = CampaignConfig.from_dict(doc)
         mc = CampaignConfig.from_dict(dict(doc, sampler={"kind": "monte_carlo"}))
-        assert ais.w_bar == mc.w_bar == 10.0
+        assert (ais.weight_cap, mc.weight_cap) == (10.0, 1.0)
         assert ais.range_term_mode == mc.range_term_mode == "paper-exact"
         rule = mc.stop_rule
         assert (rule.product, rule.n_hoeffding, rule.n_floor) == (1.0, 1_153, 217)
@@ -511,8 +510,7 @@ class TestBatchedRefit:
         # used to abort with DomainError on 9 of these 20 seeds.
         bed = DisplacementTestbed()
         cfg = CampaignConfig(
-            accuracy=AccuracySpec(0.5, 0.05, 0.1), m_low=bed.m_low, m_high=bed.m_high,
-            w_bar=2.0, joint=None,
+            accuracy=AccuracySpec(0.5, 0.05, 0.1), joint=None,
             sampler={"kind": "ais", "mix_p": 0.5, "d": 2, "l_r": 0.3, "init_shape": 0.05},
             testbed=bed, seed=0, n_max=200_000, range_term_mode="linear-range",
         )
@@ -632,7 +630,7 @@ class TestClampTelemetry:
         # proposal stays as initialised and each refit counts as clamped.
         bed = TrackingTestbed(bias_gain=0.0, noise_base=0.0, noise_slope=0.0)
         cfg = CampaignConfig(
-            accuracy=AccuracySpec(0.04, 0.05, 0.1), m_low=0.0, m_high=1.0, w_bar=10.0,
+            accuracy=AccuracySpec(0.04, 0.05, 0.1),
             joint=None, sampler={"kind": "ais", "mix_p": 0.1, "d": 10, "init_shape": 0.99},
             testbed=bed, seed=4, range_term_mode="linear-range",
         )
@@ -652,7 +650,7 @@ class TestClampTelemetry:
         bed = DisplacementTestbed()
         for sampler in ({"kind": "monte_carlo"}, {"kind": "ais", "mix_p": 0.5, "d": 4}):
             cfg = CampaignConfig(
-                accuracy=AccuracySpec(0.5, 0.05, 0.1), m_low=0.0, m_high=6.0, w_bar=2.0,
+                accuracy=AccuracySpec(0.5, 0.05, 0.1),
                 joint=None, sampler=sampler, testbed=bed, seed=3,
                 range_term_mode="linear-range",
             )

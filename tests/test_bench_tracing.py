@@ -41,9 +41,6 @@ def test_traced_ais_campaign_records_draw_and_refit_spans():
     bed = TrackingTestbed()
     cfg = CampaignConfig(
         accuracy=AccuracySpec(0.1, 0.05, 0.1),
-        m_low=0.0,
-        m_high=1.0,
-        w_bar=10.0,
         joint=None,
         sampler={"kind": "ais", "mix_p": 0.1, "d": 10},
         testbed=bed,

@@ -158,8 +158,8 @@ class TestInitReplicate:
         )
         assert code == 0
         art = json.loads((init_dir / "artifact.json").read_text())
-        interval = art["config"]["interval"]
-        part = partition_from_payload(art["grid"], interval["m_low"], interval["m_high"])
+        bed = art["config"]["testbed"]  # the interval is the bed's
+        part = partition_from_payload(art["grid"], bed["m_low"], bed["m_high"])
         for path in (init_dir / "result.json", rep_dir / "result.json"):
             res = json.loads(path.read_text())
             assert res["quantized_estimate"] == part.midpoint(res["cell"])
@@ -456,12 +456,14 @@ class TestManifestContract:
 # number, changes a digest. Re-recorded when chunks came to be sized from
 # the stopping rule (evaluated_n and chunks moved) and range_term_sound
 # and the evaluated_n spreads and column were added; effort.csv and
-# every other value kept their bytes.
+# every other value kept their bytes. pair/report.json was re-recorded
+# when format 5 stopped sealing the measure interval and the weight cap:
+# only its partition_checksum, the artifact's checksum, moved.
 OUTPUT_DIGESTS = {
     "init/result.json": "b518e4714dc161f73cd89aec8f459847a270d0d48a09c38697c2e0992e817034",
     "rep/result.json": "b518e4714dc161f73cd89aec8f459847a270d0d48a09c38697c2e0992e817034",
     "pair/pairs.csv": "fe2fd2b043c9f98d866f3b84cefd23dde6875455d2bf6bac1da3367f867d6788",
-    "pair/report.json": "a502324b7670fa905a407d0674798c4c0b2697978caea3f3e846e1089d157291",
+    "pair/report.json": "280f406f4f4fc4836099d438ef98fec71f2777f1ccd6f683fe0005fb372d71e0",
     "effort/effort.csv": "fcc319c8867da9f38e068fb7d1a729f2d93175e05ff33061bf344c5909932053",
     "effort/report.json": "c369e89de670c1bb8b06dc533e59072563cb9e108888118d0a4faf769a17a1f4",
 }
@@ -469,14 +471,16 @@ OUTPUT_DIGESTS = {
 
 class TestStopRuleManifest:
     """Every manifest names the radius mode that ran, whether its range
-    term is sound, the range P and the efficiency bound n_floor ..
+    term is sound, the range P, the weight cap the sampler derived and
+    the efficiency bound n_floor ..
     n_hoeffding. A run whose range term is not sound warns once on
     stderr, and so does a run whose n_max is below n_hoeffding:
     rare_event_acceptance's 2,943,509,649 is above its n_max of
     1,000,000 in both modes."""
 
     # rare_event_acceptance under paper-exact.
-    RARE = {"range": 1e-4, "n_floor": 43, "n_hoeffding": 2_943_509_649}
+    RARE = {"range": 1e-4, "weight_cap": 499.99998400000004, "n_floor": 43,
+            "n_hoeffding": 2_943_509_649}
 
     @staticmethod
     def stop_rule(out):
@@ -580,11 +584,11 @@ class TestStopRuleManifest:
     def test_bundled_configs_declaring_p_at_least_one_are_sound(self, capsys, tmp_path, name):
         """Each of these configs also has n_hoeffding <= n_max, so none
         warns about its budget."""
-        bounds = {  # (P, n_floor, n_hoeffding); n_max is 1e6, 1e5, 1e4 and 2e5
-            "moderate_cellular": (1.0, 1_238, 26_492),
-            "displacement_star": (6.0, 3_100, 6_640),
-            "zero_variance": (1.0, 88, 185),
-            "tracking_ais": (10.0, 21_520, 115_278),
+        bounds = {  # (P, weight cap, n_floor, n_hoeffding); n_max is 1e6, 1e5, 1e4 and 2e5
+            "moderate_cellular": (1.0, 1.0, 1_238, 26_492),
+            "displacement_star": (6.0, 1.0, 3_100, 6_640),
+            "zero_variance": (1.0, 1.0, 88, 185),
+            "tracking_ais": (10.0, 10.0, 21_520, 115_278),
         }
         out = tmp_path / name
         code, _, err = run_cli(capsys, "init", "--config", name, "--out", str(out))
@@ -592,7 +596,7 @@ class TestStopRuleManifest:
         assert self.stop_rule(out) == {
             "range_term_mode": "paper-exact",
             "range_term_sound": True,
-            **dict(zip(("range", "n_floor", "n_hoeffding"), bounds[name])),
+            **dict(zip(("range", "weight_cap", "n_floor", "n_hoeffding"), bounds[name])),
         }
         assert self.warnings(err) == []
 

@@ -67,9 +67,6 @@ ALPHA_RARE = 4.2847307032624357e-9
 def rare_config(seed=20260821, **overrides) -> CampaignConfig:
     base = dict(
         accuracy=AccuracySpec(3e-9, 0.01, 0.1),
-        m_low=0.0,
-        m_high=1.0,
-        w_bar=512.0,
         joint=1e-4,
         sampler={"kind": "importance"},
         testbed=rare_event_acceptance_testbed(),
@@ -83,9 +80,6 @@ def rare_config(seed=20260821, **overrides) -> CampaignConfig:
 def moderate_config(sampler_kind="monte_carlo", seed=7, **overrides) -> CampaignConfig:
     base = dict(
         accuracy=AccuracySpec(0.01, 0.01, 0.1),
-        m_low=0.0,
-        m_high=1.0,
-        w_bar=2.0,
         joint=1.0,
         sampler={"kind": sampler_kind},
         testbed=moderate_cellular_testbed(),
@@ -100,9 +94,6 @@ def zero_variance_config(seed=1) -> CampaignConfig:
     bed = DisplacementTestbed(noise=False, mean_constant=0.02)
     return CampaignConfig(
         accuracy=AccuracySpec(0.1, 0.05, 0.1),
-        m_low=0.0,
-        m_high=6.0,
-        w_bar=1.0,
         joint=1.0,
         sampler={"kind": "monte_carlo"},
         testbed=bed,
@@ -280,8 +271,6 @@ class TestCampaignConfig:
             ("n_min", 2.5),
             ("n_min", True),
             ("n_max", "100"),
-            ("m_high", "1"),
-            ("w_bar", True),
             ("joint", "1e-4"),
         ],
     )
@@ -301,7 +290,10 @@ class TestCampaignConfig:
         dataclasses.replace builds a new config and checks it again."""
         cfg = rare_config()
         calls = []
-        monkeypatch.setattr(harness._Importance, "check", staticmethod(calls.append))
+        check = harness._Importance.check
+        monkeypatch.setattr(
+            harness._Importance, "check", staticmethod(lambda c: calls.append(c) or check(c))
+        )
         monkeypatch.setattr(harness, "testbed_from_spec", calls.append)
         initiator(cfg)
         run_quantized_sq(cfg, make_partition(cfg), campaign_stream(cfg.seed, 1, 0))
@@ -310,8 +302,8 @@ class TestCampaignConfig:
         assert calls == [other] and other.testbed is cfg.testbed
 
     def test_replace_checks_the_bed_under_the_new_sampler(self):
-        cfg = moderate_config("monte_carlo", w_bar=1.5)  # worst mass ratio 1.8
-        with pytest.raises(BoundViolation):
+        cfg = zero_variance_config()  # a displacement bed has no proposal
+        with pytest.raises(DomainError, match="discrete proposal"):
             dataclasses.replace(cfg, sampler={"kind": "importance"})
 
     def test_unknown_sampler_kind_raises(self):
@@ -322,30 +314,68 @@ class TestCampaignConfig:
         with pytest.raises(DomainError):
             rare_config(offset_policy="per-pair")
 
+    @staticmethod
+    def with_retired(config: CampaignConfig, **retired) -> dict:
+        """The config as a file that still carries the retired keys
+        ``interval`` or ``w_bar`` would hold it."""
+        d = config.to_dict()
+        if "interval" in retired:
+            d["interval"] = retired["interval"]
+        if "w_bar" in retired:
+            d["bounds"]["w_bar"] = retired["w_bar"]
+        return d
+
     def test_interval_must_match_testbed(self):
-        with pytest.raises(DomainError, match="testbed interval"):
-            rare_config(m_low=0.0, m_high=2.0)
+        d = self.with_retired(rare_config(), interval={"m_low": 0.0, "m_high": 2.0})
+        with pytest.raises(DomainError, match=r"does not match testbed interval \[0.0, 1.0\]"):
+            CampaignConfig.from_dict(d)
 
     def test_importance_needs_w_bar_covering_proposal(self):
-        with pytest.raises(BoundViolation):
-            moderate_config("importance", w_bar=1.5)  # actual worst ratio 1.8
+        cfg = moderate_config("importance")  # worst mass ratio 1.8
+        with pytest.raises(BoundViolation, match="weight cap 1.8"):
+            CampaignConfig.from_dict(self.with_retired(cfg, w_bar=1.5))
 
     def test_ais_cap_must_fit_declared_w_bar(self):
-        with pytest.raises(BoundViolation):
+        cfg = TestBundledConfigs.config("tracking_ais")  # cap 1/mix_p = 10
+        with pytest.raises(BoundViolation, match="weight cap 10"):
+            CampaignConfig.from_dict(self.with_retired(cfg, w_bar=5.0))
+
+    def test_retired_keys_that_hold_set_nothing(self):
+        """A file written before the cap and the interval were derived
+        reads as the config it names: a w_bar above the derived cap does
+        not widen it, and the interval is the bed's."""
+        cfg = rare_config()
+        d = self.with_retired(cfg, interval={"m_low": 0, "m_high": 1}, w_bar=512.0)
+        back = CampaignConfig.from_dict(d)
+        assert back == cfg and back.weight_cap == cfg.weight_cap == 499.99998400000004
+        assert back.stop_rule == cfg.stop_rule
+
+    @pytest.mark.parametrize(
+        "interval, message",
+        [({"m_low": 0.0}, "missing field 'm_high'"),
+         ({"m_low": "0", "m_high": 1.0}, "m_low must be a number"),
+         ({"m_low": 0.0, "m_high": 1.0, "m": 1.0}, r"interval does not read \['m'\]")],
+        ids=["partial", "string", "extra-key"],
+    )
+    def test_retired_interval_is_read_whole(self, interval, message):
+        with pytest.raises(DomainError, match=message):
+            CampaignConfig.from_dict(self.with_retired(rare_config(), interval=interval))
+
+    def test_ais_without_a_target_share_has_no_weight_cap(self):
+        """1/mix_p would divide by zero; the kind's check runs before the
+        cap is used, so the config refuses it as a bound it cannot prove."""
+        with pytest.raises(BoundViolation, match="mix_p = 0 has no provable weight cap"):
             CampaignConfig(
                 accuracy=AccuracySpec(0.04, 0.05, 0.1),
-                m_low=0.0,
-                m_high=1.0,
-                w_bar=5.0,
                 joint=None,
-                sampler={"kind": "ais", "mix_p": 0.1},  # cap 10 > declared 5
+                sampler={"kind": "ais", "mix_p": 0.0},
                 testbed=TrackingTestbed(),
                 seed=0,
             )
 
     def test_ais_rejects_cellular_testbed(self):
         with pytest.raises(DomainError, match="box-domain"):
-            moderate_config(sampler={"kind": "ais", "mix_p": 0.5}, w_bar=2.0)
+            moderate_config(sampler={"kind": "ais", "mix_p": 0.5})
 
     def test_importance_rejects_testbed_without_proposal(self):
         """displacement_star's bed has a box domain and no proposal, so
@@ -361,10 +391,12 @@ class TestCampaignConfig:
     @pytest.mark.parametrize(
         "field, value, match",
         [
-            ("m_high", 0.0, "empty interval"),  # m = m_high - m_low = 0
-            ("m_low", 2.0, "empty interval"),  # m < 0
-            ("m_low", -math.inf, "must be finite"),
-            ("m_high", math.inf, "must be finite"),
+            # a caller's bed on an interval of width 0, or of negative width
+            ("m_high", 0.0, "must be finite and nonempty"),
+            ("m_low", 2.0, "must be finite and nonempty"),
+            ("m_low", -math.inf, "must be finite and nonempty"),
+            ("m_high", math.inf, "must be finite and nonempty"),
+            # the retired key, refused below the derived cap 500 or not finite
             ("w_bar", 0.5, "w_bar"),
             ("w_bar", math.inf, "w_bar"),
             ("w_bar", math.nan, "w_bar"),
@@ -378,8 +410,18 @@ class TestCampaignConfig:
              "joint-nan"],
     )
     def test_bounds_outside_their_domain_raise(self, field, value, match):
+        if field == "w_bar":
+            d = self.with_retired(rare_config(), w_bar=value)
+            with pytest.raises(BoundViolation, match=match):
+                CampaignConfig.from_dict(d)
+            return
+        overrides = {field: value}
+        if field != "joint":
+            bed = rare_event_acceptance_testbed()
+            setattr(bed, field, value)  # shadows the class's interval
+            overrides = {"testbed": bed}
         with pytest.raises(DomainError, match=match):
-            rare_config(**{field: value})
+            rare_config(**overrides)
 
     @pytest.mark.parametrize("c", [0.0, 1.0], ids=["c-zero", "c-one"])
     def test_failure_probability_outside_unit_interval_raises(self, c):
@@ -390,9 +432,10 @@ class TestCampaignConfig:
             CampaignConfig.from_dict(raw)
 
     def test_monte_carlo_accepts_conservative_w_bar(self):
-        # A shared artifact may declare a cap sized for an importance
-        # replicator; the monte-carlo arm stays valid under it.
-        assert moderate_config("monte_carlo", w_bar=2.0).w_bar == 2.0
+        # A file may still declare a cap sized for an importance
+        # replicator; the monte-carlo arm reads it and keeps its own cap 1.
+        d = self.with_retired(moderate_config("monte_carlo"), w_bar=2.0)
+        assert CampaignConfig.from_dict(d).weight_cap == 1.0
 
 
 class TestPublicArguments:
@@ -412,6 +455,13 @@ class TestPublicArguments:
             lambda cfg, part: campaign_stream(1.5, 0, 0),
             lambda cfg, part: campaign_stream(True, 0, 0),
             lambda cfg, part: convergence_study(convergence_study_testbed(), seeds=[-1]),
+            # these two used to run truncated, as (10, 20) and (1, 20)
+            lambda cfg, part: convergence_study(
+                convergence_study_testbed(), seeds=[0], checkpoints=(10.7, 20.2)
+            ),
+            lambda cfg, part: convergence_study(
+                convergence_study_testbed(), seeds=[0], checkpoints=(True, 20)
+            ),
         ],
         ids=[
             "n-pairs-fraction",
@@ -424,6 +474,8 @@ class TestPublicArguments:
             "fractional-seed",
             "bool-seed",
             "negative-study-seed",
+            "fractional-checkpoint",
+            "bool-checkpoint",
         ],
     )
     def test_is_a_domain_error(self, call):
@@ -437,9 +489,6 @@ class TestRunQuantizedSq:
         bed = CellularTestbed([0.99, 0.01], [0.0, 3e-6], [0.99, 0.01])
         cfg = CampaignConfig(
             accuracy=AccuracySpec(1.0, 0.05, 0.1),
-            m_low=0.0,
-            m_high=1.0,
-            w_bar=1.0,
             joint=None,
             sampler={"kind": "monte_carlo"},
             testbed=bed,
@@ -453,9 +502,6 @@ class TestRunQuantizedSq:
         bed = CellularTestbed([0.99, 0.01], [0.0, 3e-6], [0.99, 0.01])
         cfg = CampaignConfig(
             accuracy=AccuracySpec(1.0, 0.05, 0.1),
-            m_low=0.0,
-            m_high=1.0,
-            w_bar=1.0,
             joint=None,
             sampler={"kind": "monte_carlo"},
             testbed=bed,
@@ -474,9 +520,6 @@ class TestRunQuantizedSq:
         bed = CellularTestbed(p, f, p)
         common = dict(
             accuracy=AccuracySpec(0.02, 0.05, 0.1),
-            m_low=0.0,
-            m_high=1.0,
-            w_bar=1.0,
             joint=1.0,
             testbed=bed,
             seed=91,
@@ -523,7 +566,8 @@ class TestRunQuantizedSq:
         p, q = bed.target.masses, bed.proposal.masses
         want = [pi / qi if qi > 0.0 else 0.0 for pi, qi in zip(p.tolist(), q.tolist())]
         assert bed.mass_ratio.tolist() == want
-        cfg = rare_config(w_bar=float(bed.mass_ratio.max()), testbed=bed)
+        cfg = rare_config(testbed=bed)
+        assert cfg.weight_cap == max(want)
         sampler = harness._SAMPLERS["importance"](cfg)
         xs, weights = sampler.propose(np.random.default_rng(11), 4_000)
         assert np.array_equal(weights, bed.mass_ratio[xs])
@@ -559,7 +603,6 @@ class TestRunQuantizedSq:
             (resources.files("repsq") / "configs" / "tracking_ais.json").read_text()
         )
         tracking.update(sampler={"kind": "monte_carlo"}, range_term_mode="linear-range")
-        tracking["bounds"]["w_bar"] = 1.0
         for cfg, sizes in (
             (moderate_config(), (64, 1000, 8192)),
             (CampaignConfig.from_dict(tracking), (7, 64, 1000)),
@@ -586,7 +629,7 @@ class TestRunQuantizedSq:
             cfg = moderate_config("importance")
         else:
             cfg = CampaignConfig(
-                accuracy=AccuracySpec(0.1, 0.05, 0.1), m_low=0.0, m_high=1.0, w_bar=10.0,
+                accuracy=AccuracySpec(0.1, 0.05, 0.1),
                 joint=None, sampler={"kind": "ais", "mix_p": 0.1, "d": 10},
                 testbed=TrackingTestbed(), seed=5, n_max=20_000,
             )
@@ -665,9 +708,6 @@ class TestRunQuantizedSq:
         bed = DisplacementTestbed()
         cfg = CampaignConfig(
             accuracy=AccuracySpec(0.1, 0.05, 0.1),
-            m_low=0.0,
-            m_high=6.0,
-            w_bar=1.0,
             joint=None,
             sampler={"kind": "monte_carlo"},
             testbed=bed,
@@ -763,7 +803,6 @@ class TestRunQuantizedSq:
             (resources.files("repsq") / "configs" / "tracking_ais.json").read_text()
         )
         tracking.update(sampler={"kind": "monte_carlo"}, range_term_mode="linear-range")
-        tracking["bounds"]["w_bar"] = 1.0
         cfg = CampaignConfig.from_dict(tracking)
         bed = cfg.testbed
         chunks = []
@@ -794,9 +833,8 @@ class TestRunQuantizedSq:
         bed = CyclingBed()
         bed.m_low, bed.m_high = m_low, m_high
         return CampaignConfig(
-            accuracy=AccuracySpec(0.25, 0.05, 0.1), m_low=m_low, m_high=m_high,
-            w_bar=1.0, joint=joint, sampler={"kind": "monte_carlo"}, testbed=bed,
-            seed=3, n_max=10_000,
+            accuracy=AccuracySpec(0.25, 0.05, 0.1), joint=joint,
+            sampler={"kind": "monte_carlo"}, testbed=bed, seed=3, n_max=10_000,
         )
 
     def test_values_inside_an_interval_away_from_zero_run(self):
@@ -836,7 +874,7 @@ class TestRunQuantizedSq:
             self.interval_config(-1e308, 1e308, [0.0])
 
     def test_each_sampler_kind_checks_its_own_interval(self):
-        # AIS weights lie in [0, w_bar]; a declared joint also bounds |psi * w|,
+        # AIS weights lie in [0, 1/mix_p]; a declared joint also bounds |psi * w|,
         # and the width of the cut interval is the range of the radii.
         ais = TestBundledConfigs.config("tracking_ais")
         assert ais.value_range == (0.0, 10.0) and ais.stop_rule.product == 10.0
@@ -846,10 +884,13 @@ class TestRunQuantizedSq:
         assert rare.value_range == (0.0, 1e-4) and rare.stop_rule.product == 1e-4
 
     def test_callers_bed_over_another_interval_is_rejected(self):
-        # The displacement bed measures on [0, 6], tracking_ais on [0, 1].
+        # The interval is the bed's: the displacement bed measures on
+        # [0, 6], tracking_ais on [0, 1], so tracking's grid does not fit.
         cfg = TestBundledConfigs.config("tracking_ais")
-        with pytest.raises(DomainError, match=r"testbed interval \[0.0, 6.0\]"):
-            dataclasses.replace(cfg, testbed=DisplacementTestbed())
+        moved = dataclasses.replace(cfg, testbed=DisplacementTestbed())
+        assert (moved.m_low, moved.m_high, moved.value_range) == (0.0, 6.0, (0.0, 60.0))
+        with pytest.raises(DomainError, match=r"partition interval \[0.0, 1.0\]"):
+            run_quantized_sq(moved, make_partition(cfg), campaign_stream(1, 0, 0))
 
     def test_partition_over_another_interval_is_rejected(self):
         cfg = TestBundledConfigs.config("tracking_ais")
@@ -887,9 +928,6 @@ class TestRunQuantizedSq:
         bed = moderate_cellular_testbed()
         cfg = CampaignConfig(
             accuracy=AccuracySpec(0.005, 0.05, 0.1),
-            m_low=0.0,
-            m_high=1.0,
-            w_bar=2.0,
             joint=0.2,
             sampler={"kind": "importance"},
             testbed=bed,
@@ -914,9 +952,6 @@ class TestRunQuantizedSq:
         bed = TrackingTestbed()
         cfg = CampaignConfig(
             accuracy=AccuracySpec(0.04, 0.05, 0.1),
-            m_low=0.0,
-            m_high=1.0,
-            w_bar=10.0,
             joint=None,
             sampler={"kind": "ais", "mix_p": 0.1, "d": 10, "l_r": 0.1},
             testbed=bed,
@@ -943,9 +978,6 @@ class TestInitiatorReplicator:
         bed = DisplacementTestbed()
         cfg = CampaignConfig(
             accuracy=AccuracySpec(0.1, 0.05, 0.1),
-            m_low=0.0,
-            m_high=6.0,
-            w_bar=1.0,
             joint=None,
             sampler={"kind": "monte_carlo"},
             testbed=bed,
@@ -992,17 +1024,17 @@ class TestInitiatorReplicator:
             replicator(bad, seed=1)
 
     def test_sampler_override_cross_strategy(self):
-        cfg = moderate_config("monte_carlo", w_bar=2.0)
+        cfg = moderate_config("monte_carlo")
         art, ires = initiator(cfg)
         rres = replicator(art, seed=404, sampler_override={"kind": "importance"})
         assert rres.sampler_kind == "importance"
         assert rres.cell == ires.cell  # seeded outcome; disagreement odds ~0.5%
 
     def test_override_violating_weight_cap_is_rejected(self):
-        cfg = moderate_config("monte_carlo", w_bar=1.0)
-        art, _ = initiator(cfg)
-        with pytest.raises(BoundViolation):
-            replicator(art, seed=2, sampler_override={"kind": "importance"})
+        cfg = TestBundledConfigs.config("tracking_ais")
+        art = art_mod.build_artifact(cfg, make_partition(cfg))
+        with pytest.raises(BoundViolation, match="no provable weight cap"):
+            replicator(art, seed=2, sampler_override={"kind": "ais", "mix_p": 0.0})
 
     def test_replication_round_trips_fields(self):
         cfg = rare_config()
@@ -1011,7 +1043,7 @@ class TestInitiatorReplicator:
         assert partition == make_partition(cfg)
         assert stream.entropy == 55 and stream.spawn_key == (0, harness.REPLICATOR_ARM)
         assert back.accuracy == cfg.accuracy
-        assert back.w_bar == cfg.w_bar and back.joint == cfg.joint
+        assert back.weight_cap == cfg.weight_cap and back.joint == cfg.joint
         assert back.testbed == cfg.testbed
         assert back.seed == 55
         assert back == dataclasses.replace(cfg, seed=55)
@@ -1036,7 +1068,7 @@ class TestInitiatorReplicator:
             replicator(load_artifact(dump_artifact(bad)), seed=1)
 
     def test_replicator_input_errors_are_not_artifact_errors(self):
-        art, _ = initiator(moderate_config("monte_carlo", w_bar=2.0))
+        art, _ = initiator(moderate_config("monte_carlo"))
         for seed in (-1, 2.5, True, False):
             with pytest.raises(DomainError, match="seed"):
                 replicator(art, seed=seed)
@@ -1045,7 +1077,7 @@ class TestInitiatorReplicator:
 
     @pytest.mark.parametrize("sampler", ["monte_carlo", 5, ["kind"]])
     def test_a_sampler_that_is_not_an_object_is_an_input_error(self, sampler):
-        cfg = moderate_config("monte_carlo", w_bar=2.0)
+        cfg = moderate_config("monte_carlo")
         art, _ = initiator(cfg)
         with pytest.raises(DomainError, match="sampler_override must be an object"):
             replicator(art, seed=1, sampler_override=sampler)
@@ -1103,9 +1135,6 @@ class TestPairwiseExperiment:
         bed = DisplacementTestbed()
         cfg = CampaignConfig(
             accuracy=AccuracySpec(0.1, 0.05, 0.1),
-            m_low=0.0,
-            m_high=6.0,
-            w_bar=1.0,
             joint=None,
             sampler={"kind": "monte_carlo"},
             testbed=bed,
@@ -1199,9 +1228,6 @@ class TestPairwiseExperiment:
         assert bed.oracle_se > 1e-12
         cfg = CampaignConfig(
             accuracy=AccuracySpec(1e-11, 0.05, 0.1),
-            m_low=0.0,
-            m_high=1.0,
-            w_bar=1.0,
             joint=None,
             sampler={"kind": "monte_carlo"},
             testbed=bed,
@@ -1226,9 +1252,6 @@ class TestPairwiseExperiment:
         bed = rare_event_testbed(2, 0, masses=[0.01, 0.99], failure_probs=[0.2, 0])
         cfg = CampaignConfig(
             accuracy=AccuracySpec(5e-4, 0.05, 0.1),
-            m_low=0.0,
-            m_high=1.0,
-            w_bar=2.0,
             joint=0.02,
             sampler={"kind": "importance"},
             testbed=bed,
@@ -1284,9 +1307,6 @@ class TestEffortComparison:
         bed = CellularTestbed([0.5, 0.5], [0.5, 0.5], [0.5, 0.5])
         cfg = CampaignConfig(
             accuracy=AccuracySpec(0.05, 0.05, 0.1),
-            m_low=0.0,
-            m_high=1.0,
-            w_bar=1.0,
             joint=1.0,
             sampler={"kind": "monte_carlo"},
             testbed=bed,
@@ -1338,6 +1358,13 @@ class TestBundledConfigs:
             return cache[key]
 
         return run
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_file_is_what_its_config_writes(self, name):
+        """So a bundled file holds no retired key and no key the reader
+        would fill with a default."""
+        text = (resources.files("repsq") / "configs" / f"{name}.json").read_text()
+        assert json.loads(text) == CampaignConfig.from_dict(json.loads(text)).to_dict()
 
     @pytest.mark.parametrize("name", NAMES)
     def test_evaluated_n_bounds_speculation(self, run, name):
@@ -1433,7 +1460,7 @@ class TestAisBlockScan:
     called, not what it computes."""
 
     CONFIG = dict(
-        accuracy=AccuracySpec(0.1, 0.05, 0.1), m_low=0.0, m_high=1.0, w_bar=10.0,
+        accuracy=AccuracySpec(0.1, 0.05, 0.1),
         joint=None, sampler={"kind": "ais", "mix_p": 0.1, "d": 10}, seed=5, n_max=20_000,
     )
 

@@ -36,9 +36,6 @@ CONFIG_REQUIRED = [
     ("accuracy", "gamma"),
     ("accuracy", "c"),
     ("accuracy", "beta"),
-    ("interval",),
-    ("interval", "m_low"),
-    ("interval", "m_high"),
     ("sampler",),
     ("sampler", "kind"),
     ("seed",),
@@ -108,6 +105,41 @@ FORMAT_3_ARTIFACT = {
     "format_version": "repsq-artifact-3",
     "grid": {"alpha": 0.18947368421052643, "n_cells": 32, "offset": 0.0},
     "rng_algorithm": "numpy-pcg64-ss1",
+}
+
+# A format-4 artifact of the bundled zero_variance config, as written
+# while a config still declared its measure interval and weight cap.
+FORMAT_4_ARTIFACT = {
+    "checksum": "ef2c6508cba805c75e7934b38bbb446e013c867fefeda8358936a093af7ce4b6",
+    "config": {
+        "accuracy": {"beta": 0.1, "c": 0.05, "gamma": 0.1},
+        "bounds": {"joint": 1.0, "w_bar": 1.0},
+        "interval": {"m_high": 6.0, "m_low": 0.0},
+        "n_max": 10000,
+        "n_min": 2,
+        "offset_policy": "zero",
+        "range_term_mode": "paper-exact",
+        "sampler": {"kind": "monte_carlo"},
+        "testbed": {
+            "kind": "displacement-field",
+            "m_high": 6.0,
+            "m_low": 0.0,
+            "mean_constant": 0.02,
+            "noise": False,
+        },
+    },
+    "format_version": "repsq-artifact-4",
+    "grid": {"alpha": 0.18947368421052643, "n_cells": 32, "offset": 0.0},
+    "rng_algorithm": "numpy-pcg64-ss1",
+}
+
+# The bundled zero_variance config as a file written before the interval
+# and the weight cap were derived holds it: the reader checks the two
+# retired keys and sets nothing from them.
+ZERO_VARIANCE_RETIRED = {
+    **ZERO_VARIANCE,
+    "bounds": {**ZERO_VARIANCE["bounds"], "w_bar": 1.0},
+    "interval": {"m_high": 6.0, "m_low": 0.0},
 }
 
 # Strings of letters never parse as finite numbers, so a string standing
@@ -283,7 +315,7 @@ class TestMalformedConfig:
     )
     def test_config_key_the_reader_does_not_read_exits_1(self, workdir, capsys, path, message):
         """A misspelt key would otherwise leave its field at the default."""
-        assert init_code(edited(ZERO_VARIANCE, path, 5), workdir) == 1
+        assert init_code(edited(ZERO_VARIANCE_RETIRED, path, 5), workdir) == 1
         assert message in capsys.readouterr().err
 
     def test_testbed_key_no_testbed_reads_is_ignored(self, workdir):
@@ -309,13 +341,35 @@ class TestMalformedConfig:
         assert init_code(cfg, workdir) == 1
         assert "noise_base must be finite, got nan" in capsys.readouterr().err
 
-    def test_joint_that_leaves_no_value_exits_1(self, workdir, capsys):
-        """A joint of 0.5 cuts [1, 3] to nothing. Every bundled bed
-        measures from 0, so this interval also disagrees with the bed's
-        [0, 6]; the joint is checked first."""
-        cfg = edited(ZERO_VARIANCE, ("interval",), {"m_low": 1.0, "m_high": 3.0})
-        assert init_code(edited(cfg, ("bounds", "joint"), 0.5), workdir) == 1
-        assert "joint bound 0.5 leaves no value" in capsys.readouterr().err
+    def test_retired_keys_that_hold_run(self, workdir):
+        assert init_code(ZERO_VARIANCE_RETIRED, workdir) == 0
+
+    @pytest.mark.parametrize(
+        "path,value,drop,message",
+        [
+            (("interval", "m_high"), 2.0, False,
+             "config interval [0.0, 2.0] does not match testbed interval [0.0, 6.0]"),
+            (("interval", "m_low"), None, True, "campaign config missing field 'm_low'"),
+            (("bounds", "w_bar"), 0.5, False,
+             "w_bar 0.5 must be finite and at least the monte_carlo sampler's weight cap 1"),
+            (("bounds", "w_bar"), "1", False, "w_bar must be a number"),
+        ],
+        ids=["interval-not-the-beds", "interval-partial", "w-bar-below-the-cap", "w-bar-string"],
+    )
+    def test_retired_key_that_does_not_hold_exits_1(
+        self, workdir, capsys, path, value, drop, message
+    ):
+        assert init_code(edited(ZERO_VARIANCE_RETIRED, path, value, drop), workdir) == 1
+        assert message in capsys.readouterr().err
+
+    def test_ais_without_a_target_share_exits_1(self, workdir, capsys):
+        """Its weight cap 1/mix_p would divide by zero."""
+        tracking = json.loads(
+            (resources.files("repsq") / "configs" / "tracking_ais.json").read_text()
+        )
+        cfg = edited(tracking, ("sampler", "mix_p"), 0.0)
+        assert init_code(cfg, workdir) == 1
+        assert "ais with mix_p = 0 has no provable weight cap" in capsys.readouterr().err
 
     def test_importance_without_a_proposal_exits_1(self, workdir, capsys):
         assert init_code(dict(ZERO_VARIANCE, sampler={"kind": "importance"}), workdir) == 1
@@ -388,8 +442,8 @@ class TestMalformedArtifact:
     def test_content_a_config_cannot_hold_exits_4(self, workdir, artifact, path, value, drop):
         assert replicate_code(edited(artifact, path, value, drop), workdir) == 4
 
-    @pytest.mark.parametrize("old", [FORMAT_2_ARTIFACT, FORMAT_3_ARTIFACT],
-                             ids=["format-2", "format-3"])
+    @pytest.mark.parametrize("old", [FORMAT_2_ARTIFACT, FORMAT_3_ARTIFACT, FORMAT_4_ARTIFACT],
+                             ids=["format-2", "format-3", "format-4"])
     def test_retired_format_artifact_exits_4(self, workdir, capsys, old):
         assert art_mod.artifact_checksum(old) == old["checksum"]
         assert replicate_code(old, workdir, reseal=False) == 4

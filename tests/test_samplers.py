@@ -591,13 +591,11 @@ class _ConstantBed(CellularTestbed):
         return np.ones(len(xs))
 
 
-def stub_config(w_bar: float, bed, sampler=None) -> CampaignConfig:
-    """A config over ``bed``; building it holds the bed to the cap."""
+def stub_config(bed, sampler=None) -> CampaignConfig:
+    """A config over ``bed``; building it checks the bed and derives the
+    sampler kind's weight cap."""
     return CampaignConfig(
         accuracy=AccuracySpec(0.25, 0.05, 0.1),
-        m_low=0.0,
-        m_high=1.0,
-        w_bar=w_bar,
         joint=2.0,  # psi*w <= 2 holds on every campaign below
         sampler=sampler or {"kind": "importance"},
         testbed=bed,
@@ -605,9 +603,9 @@ def stub_config(w_bar: float, bed, sampler=None) -> CampaignConfig:
     )
 
 
-def importance_draw(p, q, size=2_000, w_bar=1.0):
+def importance_draw(p, q, size=2_000):
     """(cells, weights) from one importance proposal."""
-    sampler = harness._SAMPLERS["importance"](stub_config(w_bar, _ConstantBed(p, q)))
+    sampler = harness._SAMPLERS["importance"](stub_config(_ConstantBed(p, q)))
     return sampler.propose(np.random.default_rng(30), size)
 
 
@@ -632,23 +630,26 @@ class TestImportanceWeight:
         assert w.tolist() == [1.0] * w.size
 
     def test_discrete_mass_ratio(self):
-        xs, w = importance_draw([0.9, 0.1], [0.5, 0.5], w_bar=1.8)
+        xs, w = importance_draw([0.9, 0.1], [0.5, 0.5])
         assert np.any(xs == 0) and np.any(xs == 1)
         assert w[xs == 0] == pytest.approx(1.8, rel=1e-12)
         assert w[xs == 1] == pytest.approx(0.2, rel=1e-12)
 
     def test_zero_target_density_gives_zero_weight(self):
-        xs, w = importance_draw([1.0, 0.0], [0.5, 0.5], w_bar=2.0)
+        xs, w = importance_draw([1.0, 0.0], [0.5, 0.5])
         assert np.any(xs == 1)
         assert w[xs == 1].tolist() == [0.0] * int(np.count_nonzero(xs == 1))
         assert w[xs == 0].tolist() == [2.0] * int(np.count_nonzero(xs == 0))
 
-    def test_caller_bed_over_the_cap_is_rejected(self):
-        """Weights of 2 against a declared cap of 1.5: a caller's bed is
-        held to the cap when its config is built, as a bundled bed is."""
-        bed = _ConstantBed([1.0, 0.0], [0.5, 0.5])
-        with pytest.raises(BoundViolation, match="declared cap 1.5"):
-            stub_config(1.5, bed)
+    def test_weight_cap_is_the_worst_mass_ratio(self):
+        """Weights of 2 and 0: the config derives the cap 2 from the bed,
+        and a caller's bed the same way as a bundled bed."""
+        p, q = [1.0, 0.0], [0.5, 0.5]
+        dataclass_bed = _DataclassBed(
+            DiscreteDistribution(p), DiscreteDistribution(q), np.array([2.0, 0.0])
+        )
+        for bed in (_ConstantBed(p, q), dataclass_bed):
+            assert stub_config(bed).weight_cap == 2.0
 
     def test_unhashable_caller_bed(self):
         """A caller's bed that declares its mass ratio, and cannot be
@@ -658,14 +659,14 @@ class TestImportanceWeight:
         bed = _DataclassBed(
             DiscreteDistribution(p), DiscreteDistribution(q), np.array([2.0, 0.0])
         )
-        res = run_quantized_sq(stub_config(2.0, bed), partition, 3)
-        same = run_quantized_sq(stub_config(2.0, _ConstantBed(p, q)), partition, 3)
+        res = run_quantized_sq(stub_config(bed), partition, 3)
+        same = run_quantized_sq(stub_config(_ConstantBed(p, q)), partition, 3)
         assert res.terminated
         assert res.to_dict() == same.to_dict()
 
     def test_caller_bed_declaring_a_nan_weight_is_rejected_before_any_draw(self):
-        """The cap check reads the declared ratio, not the masses: a NaN
-        there fails the cap before the bed runs a single test."""
+        """The cap is the declared ratio's largest, not the masses': a NaN
+        there fails the check before the bed runs a single test."""
         calls = []
 
         class Counted(_DataclassBed):
@@ -678,8 +679,18 @@ class TestImportanceWeight:
             DiscreteDistribution(p), DiscreteDistribution(q), np.array([1.0, math.nan])
         )
         with pytest.raises(BoundViolation, match="mass ratio nan"):
-            stub_config(2.0, bed)
+            stub_config(bed)
         assert calls == []
+
+    def test_caller_bed_declaring_an_infinite_weight_is_rejected(self):
+        """A cellular bed refuses a ratio that overflows; a caller's bed
+        that declares one has no finite weight cap."""
+        p, q = [0.5, 0.5], [0.5, 0.5]
+        bed = _DataclassBed(
+            DiscreteDistribution(p), DiscreteDistribution(q), np.array([math.inf, 1.0])
+        )
+        with pytest.raises(BoundViolation, match="mass ratio inf is not finite"):
+            stub_config(bed)
 
     def test_caller_bed_with_a_short_mass_ratio_is_rejected(self):
         """One declared weight for a two-cell proposal: the config refuses
@@ -687,7 +698,7 @@ class TestImportanceWeight:
         p, q = [0.5, 0.5], [0.5, 0.5]
         bed = _DataclassBed(DiscreteDistribution(p), DiscreteDistribution(q), np.array([1.0]))
         with pytest.raises(DomainError, match=r"shape \(1,\) for 2 proposal cells"):
-            stub_config(2.0, bed)
+            stub_config(bed)
 
     def test_caller_bed_without_a_mass_ratio_is_rejected(self):
         """A discrete proposal alone is not enough: the bed must declare
@@ -703,7 +714,7 @@ class TestImportanceWeight:
                 return np.ones(len(xs))
 
         with pytest.raises(DomainError, match="discrete proposal"):
-            stub_config(2.0, Undeclared())
+            stub_config(Undeclared())
 
 
 def normalized(raw) -> list:
@@ -740,8 +751,9 @@ class _BoxBed:
 
 class TestCapCheckIsEnough:
     """A bed that passes its sampler kind's check draws no weight above
-    the declared cap w_bar, up to the check's own 1e-9 slack. So every
-    campaign runs within the cap, and there is nothing left to count."""
+    the weight cap the kind derives, up to the 1e-9 slack of the value
+    check. So every campaign runs within the cap, and there is nothing
+    left to count."""
 
     SLACK = 1.0 + 1e-9
 
@@ -749,11 +761,11 @@ class TestCapCheckIsEnough:
     @given(masses=covered_masses(), seed=st.integers(0, 2**32 - 1))
     def test_importance_at_the_worst_mass_ratio(self, masses, seed):
         p, q = masses
-        w_bar = max(1.0, max(pi / qi for pi, qi in zip(p, q) if qi > 0.0))
-        cfg = stub_config(w_bar, _ConstantBed(p, q))  # passes the cap check
+        cfg = stub_config(_ConstantBed(p, q))
+        assert cfg.weight_cap == max(pi / qi for pi, qi in zip(p, q) if qi > 0.0)
         rng = np.random.default_rng(seed)
         _, weights = harness._SAMPLERS["importance"](cfg).propose(rng, 2_000)
-        assert float(np.max(weights)) <= w_bar * self.SLACK
+        assert float(np.max(weights)) <= cfg.weight_cap * self.SLACK
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(
@@ -766,11 +778,11 @@ class TestCapCheckIsEnough:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_ais_at_one_over_mix_p(self, mix_p, shapes, seed):
-        w_bar = 1.0 / mix_p
-        cfg = stub_config(w_bar, _BoxBed(len(shapes)), {"kind": "ais", "mix_p": mix_p})
+        cfg = stub_config(_BoxBed(len(shapes)), {"kind": "ais", "mix_p": mix_p})
+        assert cfg.weight_cap == 1.0 / mix_p
         sampler = harness._SAMPLERS["ais"](cfg)
         a, b = zip(*shapes)
         sampler.q = BetaProposal(cfg.testbed.domain, list(a), list(b))
         rng = np.random.default_rng(seed)
         _, weights = sampler.propose(rng, 2_000)
-        assert float(np.max(weights)) <= w_bar * self.SLACK
+        assert float(np.max(weights)) <= cfg.weight_cap * self.SLACK

@@ -75,7 +75,7 @@ def test_unknown_mode_is_rejected_by_for_campaign_alone(mode):
         _kernels.StopRule.for_campaign(0.01, 1.0, 0.05, mode, 2)
     with pytest.raises(DomainError, match=named) as configured:
         CampaignConfig(
-            accuracy=AccuracySpec(0.1, 0.05, 0.1), m_low=0.0, m_high=1.0, w_bar=1.0,
+            accuracy=AccuracySpec(0.1, 0.05, 0.1),
             joint=None, sampler={"kind": "monte_carlo"},
             testbed=moderate_cellular_testbed(), seed=0,
             range_term_mode=mode,

@@ -14,7 +14,6 @@ noncentral chi-square Monte Carlo, a finer rule and the mean of the
 evaluator's draws over the box.
 """
 
-import dataclasses
 import json
 import math
 import os
@@ -31,7 +30,7 @@ from scipy import stats
 
 import repsq.testbeds as testbeds_mod
 from repsq.artifact import build_artifact
-from repsq.errors import BoundViolation, DomainError
+from repsq.errors import DomainError
 from repsq.harness import CampaignConfig, convergence_study
 from repsq.quantize import AccuracySpec, build_partition, compute_alpha
 from repsq.testbeds import (
@@ -120,20 +119,20 @@ class TestCellularTestbed:
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 13])
     def test_generated_proposal_respects_declared_cap(self, seed):
+        """The bed declares its mass ratios; an importance config derives
+        its weight cap from them, the worst ratio."""
         bed = rare_event_testbed(50, seed)
         p = bed.target.masses
         q = bed.proposal.masses
         covered = q > 0
         assert np.all(covered | (p == 0))
-        # The campaign config declares the cap: one at the worst mass
-        # ratio holds, one below it is refused.
         worst = float(np.max(p[covered] / q[covered]))
         cfg = CampaignConfig(
-            accuracy=AccuracySpec(1e-8, 0.05, 0.1), m_low=0.0, m_high=1.0, w_bar=worst,
+            accuracy=AccuracySpec(1e-8, 0.05, 0.1),
             joint=None, sampler={"kind": "importance"}, testbed=bed, seed=0,
         )
-        with pytest.raises(BoundViolation):
-            dataclasses.replace(cfg, w_bar=worst * (1.0 - 1e-6))
+        assert cfg.weight_cap == worst
+        assert cfg.value_range == (0.0, worst)
 
     def test_generation_is_seed_deterministic(self):
         a = rare_event_testbed(60, 3)
@@ -191,6 +190,13 @@ class TestCellularTestbed:
     def test_failure_probability_outside_unit_interval_is_rejected(self, bad):
         with pytest.raises(DomainError, match="must lie in"):
             CellularTestbed([0.5, 0.5], [bad, 0.0], [0.5, 0.5])
+
+    def test_mass_ratio_that_overflows_is_rejected(self):
+        # 0.5 / 5e-324 overflows to inf, which a RuntimeWarning alone
+        # used to report; an importance campaign's weight cap is the
+        # largest ratio, so every ratio must be finite.
+        with pytest.raises(DomainError, match="at a finite p/q"):
+            CellularTestbed([0.5, 0.5], [1.0, 0.0], [1.0, 5e-324])
 
     def test_vectors_are_copies(self):
         p, f, q = np.array([0.5, 0.5]), np.array([1.0, 0.0]), np.array([0.5, 0.5])
